@@ -2,7 +2,8 @@
 verification harness, list the catalog.
 
 Exit codes: 0 success (classification truth is data, not exit status),
-1 harness failures, 2 parse error, 3 guard exceeded.
+1 harness failures, 2 bad input (parse error, failed construction
+precondition, unparsable environment setting), 3 guard exceeded.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from pathlib import Path
 
 
 from . import __version__
-from .core import GuardError, is_nilpotent, maybe_memoize
+from .core import ConstructionError, GuardError, SettingError
+from .core import is_nilpotent, maybe_memoize
 from . import decompositions as dec
 from . import structure
 from .dsl import ParseError, build, canonical, parse
@@ -179,7 +181,7 @@ def _classify_payload(expr_text: str, args) -> str:
     ring = build(expr, max_card=args.max_card)
     ring = maybe_memoize(ring)
     t1 = time.perf_counter()
-    report = dec.classify(ring, threads=args.threads)
+    report = dec.classify(ring)
     data = structure.ring_data(ring)
     quotient = structure.mod_j(ring)
     fingerprint = structure.wedderburn_fingerprint(quotient)
@@ -327,7 +329,6 @@ def cmd_verify(args) -> int:
     summary = verify_mod.run_all(
         max_card=args.max_card,
         memo_threshold=None,
-        threads=args.threads,
         only=args.only,
     )
     if args.json:
@@ -388,7 +389,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="construction guard (default RINGLAB_MAX_CARD or 200000)",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument(
         "--cache-dir",
         default=None,
@@ -425,7 +426,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_catalog)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConstructionError, SettingError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ class ConstructionError(ValueError):
     """A construction precondition failed (closure, centrality, ideal, ...)."""
 
 
+class SettingError(ValueError):
+    """An environment setting does not parse."""
+
+
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None or raw == "":
@@ -41,7 +45,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        raise SettingError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def default_max_card() -> int:

@@ -7,6 +7,9 @@ GNC/GSNC/GWNC, and the unit-shape conditions UU/WUU/UWNC.
 
 Witness tie-breaking is fixed everywhere: elements ascending, idempotents
 ascending, sign + before -, so reports are reproducible bit for bit.
+Element predicates, flags and counterexamples are all lookups into the
+witness ranks that ``structure.RingData`` computes once per ring and
+family (see ``RingData.witness_keys``).
 
 The strongly-weakly variants hold for an element when it or its negative
 decomposes strongly; some authors instead ask for a commuting weakly
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Ring, is_nilpotent
-from . import structure
 from .structure import (
     StructuralFlags,
     ring_data,
@@ -60,13 +62,22 @@ REPORT_FLAGS: tuple[str, ...] = (
     "uwnc",
 )
 
-_KIND_OF_FLAG = {
-    "clean": "clean",
-    "strongly_clean": "strongly_clean",
-    "weakly_clean": "weakly_clean",
-    "nil_clean": "nil_clean",
-    "strongly_nil_clean": "strongly_nil_clean",
-    "weakly_nil_clean": "weakly_nil_clean",
+#: quantified flag -> (element kind, domain): the flag holds when every
+#: element of the domain decomposes; on "all or negative" it suffices that
+#: the element or its negative does
+_QUANTIFIED = {
+    "clean": ("clean", "all"),
+    "strongly_clean": ("strongly_clean", "all"),
+    "weakly_clean": ("weakly_clean", "all"),
+    "strongly_weakly_clean": ("strongly_clean", "all or negative"),
+    "nil_clean": ("nil_clean", "all"),
+    "strongly_nil_clean": ("strongly_nil_clean", "all"),
+    "weakly_nil_clean": ("weakly_nil_clean", "all"),
+    "strongly_weakly_nil_clean": ("strongly_nil_clean", "all or negative"),
+    "gnc": ("nil_clean", "non-units"),
+    "gsnc": ("strongly_nil_clean", "non-units"),
+    "gwnc": ("weakly_nil_clean", "non-units"),
+    "uwnc": ("weakly_nil_clean", "units"),
 }
 
 
@@ -111,54 +122,46 @@ def validate_witness(ring: Ring, a: int, kind: str, w: Witness) -> None:
         raise ValueError(f"strong witness for {a} in {ring.label} does not commute")
 
 
-def _elem_search(ring: Ring, a: int, kind: str) -> tuple[bool, Witness | None]:
-    """Per-element search in the fixed witness order: idempotents ascending,
-    sign + before -."""
+def _witness(ring: Ring, a: int, kind: str) -> tuple[bool, Witness | None]:
+    """The first witness in the fixed order (idempotents ascending, sign +
+    before -), read off the ring's witness keys."""
     data = ring_data(ring)
-    target = data.unit_mask if "nil" not in kind else data.nil_mask
-    strongly = kind.startswith("strongly")
-    weakly = kind.startswith("weakly")
-    for e in data.idem_indices:
-        e = int(e)
-        rest = ring.sub(a, e)
-        if target[rest]:
-            commuting = ring.mul(e, rest) == ring.mul(rest, e)
-            if not strongly or commuting:
-                return True, Witness(sign=1, idempotent=e, rest=rest, commuting=commuting)
-        if weakly:
-            rest = ring.add(a, e)
-            if target[rest]:
-                commuting = ring.mul(e, rest) == ring.mul(rest, e)
-                return True, Witness(sign=-1, idempotent=e, rest=rest, commuting=commuting)
-    return False, None
+    key = int(data.witness_keys(kind, a))
+    rank, minus = divmod(key, 2)
+    if rank == data.witness_ranks("nil" in kind).missing:
+        return False, None
+    e = int(data.idem_indices[rank])
+    rest = ring.add(a, e) if minus else ring.sub(a, e)
+    commuting = ring.mul(e, rest) == ring.mul(rest, e)
+    return True, Witness(sign=-1 if minus else 1, idempotent=e, rest=rest, commuting=commuting)
 
 
 def elem_is_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
     """a = e + u with e idempotent and u a unit."""
-    return _elem_search(ring, ring._check(a), "clean")
+    return _witness(ring, ring._check(a), "clean")
 
 
 def elem_is_strongly_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
-    return _elem_search(ring, ring._check(a), "strongly_clean")
+    return _witness(ring, ring._check(a), "strongly_clean")
 
 
 def elem_is_weakly_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
     """a - e or a + e is a unit for some idempotent e."""
-    return _elem_search(ring, ring._check(a), "weakly_clean")
+    return _witness(ring, ring._check(a), "weakly_clean")
 
 
 def elem_is_nil_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
     """a = e + q with e idempotent and q nilpotent."""
-    return _elem_search(ring, ring._check(a), "nil_clean")
+    return _witness(ring, ring._check(a), "nil_clean")
 
 
 def elem_is_strongly_nil_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
-    return _elem_search(ring, ring._check(a), "strongly_nil_clean")
+    return _witness(ring, ring._check(a), "strongly_nil_clean")
 
 
 def elem_is_weakly_nil_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
     """a - e or a + e is nilpotent for some idempotent e."""
-    return _elem_search(ring, ring._check(a), "weakly_nil_clean")
+    return _witness(ring, ring._check(a), "weakly_nil_clean")
 
 
 ELEMENT_PREDICATES = {
@@ -193,107 +196,44 @@ class PropertyReport:
         }
 
 
-_BLOCK = 8192
-
-
 class RingAnalysis:
     """Lazily computed ring-level flags with deterministic counterexamples.
 
-    Quantifiers walk the domain in ascending index blocks and stop at the
-    first failing element, so negative answers do not pay for a full-carrier
-    scan; parallel runs chunk the domain and take the minimum failure, which
-    agrees with the serial order."""
+    Each quantified flag reads one mask of ``RingData.decomposes``, so the
+    lowest-index counterexample is the first failing element of its domain."""
 
-    def __init__(self, ring: Ring, threads: int = 1) -> None:
+    def __init__(self, ring: Ring) -> None:
         self.ring = ring
-        self.threads = max(1, threads)
-        self.data = ring_data(ring, threads=threads)
+        self.data = ring_data(ring)
         self._flags: dict[str, bool] = {}
         self._cx: dict[str, int | None] = {}
-
-    def _first_failure(self, kind: str, domain: np.ndarray, negated: bool) -> int | None:
-        if self.threads > 1 and len(domain) > 2 * _BLOCK:
-            chunks = np.array_split(domain, self.threads)
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                hits = pool.map(
-                    lambda c: self._first_failure_serial(kind, c, negated), chunks
-                )
-            found = [h for h in hits if h is not None]
-            return min(found) if found else None
-        return self._first_failure_serial(kind, domain, negated)
-
-    def _first_failure_serial(
-        self, kind: str, domain: np.ndarray, negated: bool
-    ) -> int | None:
-        for lo in range(0, len(domain), _BLOCK):
-            block = domain[lo : lo + _BLOCK]
-            bad = structure.block_undecided(self.data, kind, block)
-            if len(bad) == 0:
-                continue
-            if negated:
-                # the element itself or its negative must decompose
-                ok2 = structure.block_ok(self.data, kind, self.ring.neg_vec(bad))
-                if not ok2.all():
-                    return int(bad[np.flatnonzero(~ok2)[0]])
-            else:
-                return int(bad[0])
-        return None
-
-    def _quantified(self, name: str, kind: str, domain: np.ndarray, negated: bool = False) -> bool:
-        cx = self._first_failure(kind, domain, negated)
-        self._flags[name] = cx is None
-        self._cx[name] = cx
-        return cx is None
 
     def _compute(self, name: str) -> bool:
         ring = self.ring
         data = self.data
         everyone = np.arange(ring.card, dtype=np.int64)
-        if name in _KIND_OF_FLAG:
-            return self._quantified(name, name, everyone)
-        if name == "strongly_weakly_clean":
-            return self._quantified(name, "strongly_clean", everyone, negated=True)
-        if name == "strongly_weakly_nil_clean":
-            return self._quantified(name, "strongly_nil_clean", everyone, negated=True)
-        if name == "gnc":
-            return self._quantified(name, "nil_clean", np.flatnonzero(~data.unit_mask))
-        if name == "gsnc":
-            return self._quantified(
-                name, "strongly_nil_clean", np.flatnonzero(~data.unit_mask)
-            )
-        if name == "gwnc":
-            return self._quantified(
-                name, "weakly_nil_clean", np.flatnonzero(~data.unit_mask)
-            )
-        if name == "uwnc":
-            return self._quantified(
-                name, "weakly_nil_clean", np.flatnonzero(data.unit_mask)
-            )
-        if name == "uu":
-            holds = structure.is_uu(ring)
-            self._flags[name] = holds
-            if holds:
-                self._cx[name] = None
-            else:
-                uidx = np.flatnonzero(data.unit_mask)
-                bad = ~data.nil_mask[ring.sub_vec(uidx, ring.one)]
-                self._cx[name] = int(uidx[np.flatnonzero(bad)[0]])
-            return holds
-        if name == "wuu":
-            holds = structure.is_wuu(ring)
-            self._flags[name] = holds
-            if holds:
-                self._cx[name] = None
-            else:
-                nidx = np.flatnonzero(data.nil_mask)
-                mask = np.zeros(ring.card, dtype=bool)
-                mask[ring.add_vec(nidx, ring.one)] = True
-                mask[ring.sub_vec(nidx, ring.one)] = True
-                self._cx[name] = int(np.flatnonzero(mask != data.unit_mask)[0])
-            return holds
-        raise ValueError(f"unknown flag {name!r}")
+        if name in _QUANTIFIED:
+            kind, domain = _QUANTIFIED[name]
+            ok = data.decomposes(kind)
+            if domain == "all or negative":
+                ok = ok | ok[ring.neg_vec(everyone)]
+            elif domain == "non-units":
+                ok = ok | data.unit_mask
+            elif domain == "units":
+                ok = ok | ~data.unit_mask
+            bad = ~ok
+        elif name == "uu":  # a unit u with u - 1 not nilpotent
+            bad = data.unit_mask & ~data.nil_mask[ring.sub_vec(everyone, ring.one)]
+        elif name == "wuu":  # a unit outside Nil(R) +- 1, or a non-unit inside
+            near_one = data.nil_mask[ring.sub_vec(everyone, ring.one)]
+            near_one |= data.nil_mask[ring.add_vec(everyone, ring.one)]
+            bad = near_one != data.unit_mask
+        else:
+            raise ValueError(f"unknown flag {name!r}")
+        failing = np.flatnonzero(bad)
+        self._cx[name] = int(failing[0]) if len(failing) else None
+        self._flags[name] = self._cx[name] is None
+        return self._flags[name]
 
     def flag(self, name: str) -> bool:
         if name not in self._flags:
@@ -320,35 +260,33 @@ class RingAnalysis:
         )
 
 
-def _analysis(ring: Ring, threads: int = 1) -> RingAnalysis:
+def _analysis(ring: Ring) -> RingAnalysis:
     cached = getattr(ring, "_ringlab_analysis", None)
     if cached is None:
-        cached = RingAnalysis(ring, threads=threads)
+        cached = RingAnalysis(ring)
         ring._ringlab_analysis = cached
-    else:
-        cached.threads = max(1, threads)
     return cached
 
 
 def classify(ring: Ring, threads: int = 1) -> PropertyReport:
     """Full classification of one ring; quantifies every element predicate
     over its domain and records the lowest-index counterexample per failed
-    flag."""
-    return _analysis(ring, threads).report()
+    flag.  ``threads`` is accepted and ignored, here and below."""
+    return _analysis(ring).report()
 
 
 def ring_flag(ring: Ring, name: str, threads: int = 1) -> bool:
-    return _analysis(ring, threads).flag(name)
+    return _analysis(ring).flag(name)
 
 
 def flag_counterexample(ring: Ring, name: str, threads: int = 1) -> int | None:
-    return _analysis(ring, threads).counterexample(name)
+    return _analysis(ring).counterexample(name)
 
 
 def gwnc(ring: Ring, threads: int = 1) -> tuple[bool, int | None]:
     """Decide whether every non-unit is weakly nil-clean; on failure return
     the lowest-index counterexample."""
-    analysis = _analysis(ring, threads)
+    analysis = _analysis(ring)
     holds = analysis.flag("gwnc")
     return holds, analysis.counterexample("gwnc")
 

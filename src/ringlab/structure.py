@@ -13,8 +13,8 @@ multiplications.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,33 +40,34 @@ DECOMPOSITION_KINDS = (
 )
 
 
-@dataclass
-class DecompositionScan:
-    """Per-element outcome of one clean-family search.
+#: (element, idempotent) pairs per step of the witness-rank pass; bounds
+#: its temporaries without looping over idempotents in Python
+_PAIR_CHUNK = 8192
 
-    ``sign`` is +1 when ``a - e`` hit the target set (so ``a = rest + e``)
-    and -1 when ``a + e`` did (so ``a = rest - e``); idempotents are tried
-    in ascending order with + before -, which pins the witnesses.
-    """
 
-    kind: str
-    ok: np.ndarray
-    first_e: np.ndarray
-    sign: np.ndarray
+class WitnessRanks(NamedTuple):
+    """Per element a, the rank in ascending order of the first idempotent e
+    with ``a - e`` in the target set (``plus``), the same with ``a - e``
+    also commuting with e (``plus_strong``), and the first with ``a + e``
+    in the target set (``minus``); ``missing`` (= |Id|) where none does."""
+
+    plus: np.ndarray
+    plus_strong: np.ndarray
+    minus: np.ndarray
+    missing: int
 
 
 class RingData:
     """Lazily computed invariant cache attached to one ring."""
 
-    def __init__(self, ring: Ring, threads: int = 1) -> None:
+    def __init__(self, ring: Ring) -> None:
         self.ring = ring
-        self.threads = threads
         self._status: np.ndarray | None = None
         self._inverses: np.ndarray | None = None
         self._idem_mask: np.ndarray | None = None
         self._jac_mask: np.ndarray | None = None
         self._center_mask: np.ndarray | None = None
-        self._scans: dict[str, DecompositionScan] = {}
+        self._ranks: dict[bool, WitnessRanks] = {}
 
     # -- unit / nilpotent orbit pass ---------------------------------------
     def _orbit_status(self) -> np.ndarray:
@@ -231,15 +232,35 @@ class RingData:
         self._center_mask = mask
         return mask
 
-    # -- clean-family scans ---------------------------------------------------
-    def scan(self, kind: str) -> DecompositionScan:
+    # -- clean-family witness engine ------------------------------------------
+    def witness_ranks(self, nil: bool) -> WitnessRanks:
+        """Witness ranks for the nil-clean family (target set Nil) or, when
+        ``nil`` is false, the clean family (target set U); cached."""
+        cached = self._ranks.get(nil)
+        if cached is None:
+            cached = _witness_ranks(self, nil)
+            self._ranks[nil] = cached
+        return cached
+
+    def witness_keys(self, kind: str, idx=slice(None)) -> np.ndarray:
+        """Witness key of each element of ``idx`` for one decomposition kind:
+        ``2*rank`` for ``a = rest + e``, ``2*rank + 1`` for ``a = rest - e``
+        and ``2*|Id|`` when there is none.  Keys ascend in the fixed witness
+        order, idempotents ascending with + before -.  Plain kinds read
+        ``plus``, strongly kinds ``plus_strong``, weakly kinds both signs."""
         if kind not in DECOMPOSITION_KINDS:
             raise ValueError(f"unknown decomposition kind {kind!r}")
-        cached = self._scans.get(kind)
-        if cached is None:
-            cached = _run_scan(self, kind, self.threads)
-            self._scans[kind] = cached
-        return cached
+        ranks = self.witness_ranks("nil" in kind)
+        if kind.startswith("strongly"):
+            return 2 * ranks.plus_strong[idx]
+        if kind.startswith("weakly"):
+            return np.minimum(2 * ranks.plus[idx], 2 * ranks.minus[idx] + 1)
+        return 2 * ranks.plus[idx]
+
+    def decomposes(self, kind: str) -> np.ndarray:
+        """Mask of the elements with a decomposition of the given kind."""
+        missing = self.witness_ranks("nil" in kind).missing
+        return self.witness_keys(kind) < 2 * missing
 
 
 def _product_parts(ring: Ring) -> tuple[Ring, Ring] | None:
@@ -286,112 +307,58 @@ def matrix_unit_nil_masks(ring: Ring) -> tuple[np.ndarray, np.ndarray] | None:
     return unit_mask, nil_mask
 
 
-def block_ok(data: RingData, kind: str, idx: np.ndarray) -> np.ndarray:
-    """Clean-family membership for the given elements only.
-
-    Same search order as the full scan (idempotents ascending, + before -)
-    but restricted to one index block, so ring-level quantifiers can stop
-    at the first counterexample without scanning the whole carrier.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    failing = block_undecided(data, kind, idx)
-    ok = np.ones(len(idx), dtype=bool)
-    ok[np.isin(idx, failing)] = False
-    return ok
-
-
-def block_undecided(data: RingData, kind: str, idx: np.ndarray) -> np.ndarray:
-    """Subset of ``idx`` admitting no decomposition of the given kind.
-
-    The active set is compacted as elements get decided, so abundant
-    decompositions cost little even with many idempotents."""
-    ring = data.ring
-    active = np.asarray(idx, dtype=np.int64)
-    target = data.unit_mask if "clean" in kind and "nil" not in kind else data.nil_mask
-    strongly = kind.startswith("strongly")
-    weakly = kind.startswith("weakly")
-    for e in data.idem_indices:
-        if len(active) == 0:
-            break
-        e = int(e)
-        d_minus = ring.sub_vec(active, e)
-        hit = target[d_minus]
-        if strongly:
-            hit = hit & (ring.mul_vec(e, d_minus) == ring.mul_vec(d_minus, e))
-        if hit.any():
-            active = active[~hit]
-        if weakly and len(active):
-            hit = target[ring.add_vec(active, e)]
-            if hit.any():
-                active = active[~hit]
-    return active
-
-
-def ring_data(ring: Ring, threads: int | None = None) -> RingData:
+def ring_data(ring: Ring) -> RingData:
     data = getattr(ring, "_ringlab_data", None)
     if data is None:
         data = RingData(ring)
         ring._ringlab_data = data
-    if threads is not None:
-        data.threads = threads
     return data
 
 
-def _scan_chunk(ring, data, kind, lo, hi):
-    ar = np.arange(lo, hi, dtype=np.int64)
-    n = hi - lo
-    ok = np.zeros(n, dtype=bool)
-    first_e = np.full(n, -1, dtype=np.int64)
-    sign = np.zeros(n, dtype=np.int8)
-    target = data.unit_mask if "clean" in kind and "nil" not in kind else data.nil_mask
-    strongly = kind.startswith("strongly")
-    weakly = kind.startswith("weakly")
-    undecided = np.ones(n, dtype=bool)
-    for e in data.idem_indices:
-        if not undecided.any():
-            break
-        e = int(e)
-        d_minus = ring.sub_vec(ar, e)
-        hit = target[d_minus]
-        if strongly:
-            hit = hit & (ring.mul_vec(e, d_minus) == ring.mul_vec(d_minus, e))
-        newly = undecided & hit
-        ok[newly] = True
-        first_e[newly] = e
-        sign[newly] = 1
-        undecided &= ~newly
-        if weakly:
-            if not undecided.any():
-                break
-            d_plus = ring.add_vec(ar, e)
-            hit = target[d_plus]
-            newly = undecided & hit
-            ok[newly] = True
-            first_e[newly] = e
-            sign[newly] = -1
-            undecided &= ~newly
-    return ok, first_e, sign
+def _witness_ranks(data: RingData, nil: bool) -> WitnessRanks:
+    """One vectorised pass over the pairs (r, e) of a target r and an
+    idempotent e of rank i: ``np.minimum.at`` writes i at r + e into
+    ``plus`` (and ``plus_strong`` when r*e = e*r) and at r - e into
+    ``minus``.  For a fixed e both maps are bijections, so each element
+    keeps the lowest rank that reaches it.
 
-
-def _run_scan(data: RingData, kind: str, threads: int) -> DecompositionScan:
+    A direct product combines its factors' ranks sign by sign: (a, b)
+    decomposes with e = (f, g) exactly when a does with f and b with g, so
+    the first such e has rank ``l*|Id(right)| + r``."""
     ring = data.ring
-    card = ring.card
-    if threads <= 1 or card < 4096:
-        ok, first_e, sign = _scan_chunk(ring, data, kind, 0, card)
-        return DecompositionScan(kind, ok, first_e, sign)
-    bounds = np.linspace(0, card, threads + 1, dtype=np.int64)
-    pieces = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(_scan_chunk, ring, data, kind, int(bounds[i]), int(bounds[i + 1]))
-            for i in range(threads)
-            if bounds[i] < bounds[i + 1]
-        ]
-        pieces = [f.result() for f in futures]
-    ok = np.concatenate([p[0] for p in pieces])
-    first_e = np.concatenate([p[1] for p in pieces])
-    sign = np.concatenate([p[2] for p in pieces])
-    return DecompositionScan(kind, ok, first_e, sign)
+    parts = _product_parts(ring)
+    if parts is not None:
+        lr, rr = (ring_data(p).witness_ranks(nil) for p in parts)
+        missing = lr.missing * rr.missing
+        combined = []
+        for l, r in zip(lr[:3], rr[:3]):
+            hit = (l < lr.missing)[:, None] & (r < rr.missing)[None, :]
+            combined.append(
+                np.where(hit, l[:, None] * rr.missing + r[None, :], missing).ravel()
+            )
+        return WitnessRanks(*combined, missing)
+    idem = data.idem_indices
+    targets = np.flatnonzero(data.nil_mask if nil else data.unit_mask)
+    missing = len(idem)
+    plus = np.full(ring.card, missing, dtype=np.int64)
+    plus_strong = plus.copy()
+    minus = plus.copy()
+    neg_idem = ring.neg_vec(idem)
+    total = len(targets) * missing
+    for lo in range(0, total, _PAIR_CHUNK):
+        rank, t = np.divmod(np.arange(lo, min(lo + _PAIR_CHUNK, total)), len(targets))
+        r = targets[t]
+        a = ring.add_vec(r, idem[rank])
+        np.minimum.at(plus, a, rank)
+        np.minimum.at(minus, ring.add_vec(r, neg_idem[rank]), rank)
+        # ranks ascend from chunk to chunk, so an element that already has a
+        # commuting witness keeps it: test commutation only for the others
+        open_ = plus_strong[a] == missing
+        r, a, rank = r[open_], a[open_], rank[open_]
+        e = idem[rank]
+        commuting = ring.mul_vec(r, e) == ring.mul_vec(e, r)
+        np.minimum.at(plus_strong, a[commuting], rank[commuting])
+    return WitnessRanks(plus, plus_strong, minus, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +534,9 @@ STRUCTURAL_NOTES = (
 )
 
 
-def is_commutative(ring: Ring) -> bool:
-    ar = np.arange(ring.card, dtype=np.int64)
-    for r in range(ring.card):
-        if not np.array_equal(ring.mul_vec(r, ar), ring.mul_vec(ar, r)):
-            return False
-    return True
+#: the predicate scan under its record name; it lives in ``core`` because
+#: the constructions need it too
+is_commutative = ring_is_commutative
 
 
 def is_local(ring: Ring) -> bool:
@@ -720,8 +684,7 @@ def is_wuu(ring: Ring) -> bool:
 def is_uwnc(ring: Ring) -> bool:
     """Every unit is weakly nil-clean."""
     data = ring_data(ring)
-    uidx = np.flatnonzero(data.unit_mask)
-    return bool(block_ok(data, "weakly_nil_clean", uidx).all())
+    return bool(data.decomposes("weakly_nil_clean")[data.unit_mask].all())
 
 
 def structural_predicates(ring: Ring) -> StructuralFlags:

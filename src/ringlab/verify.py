@@ -153,7 +153,8 @@ class VerifySummary:
 
 
 class VerifyContext:
-    """Shared ring/flag cache for one harness run."""
+    """Shared ring/flag cache for one harness run; ``threads`` is accepted
+    and ignored."""
 
     def __init__(
         self,
@@ -165,7 +166,6 @@ class VerifyContext:
         self.memo_threshold = (
             default_memo_threshold() if memo_threshold is None else memo_threshold
         )
-        self.threads = threads
         self._rings: dict[str, Ring] = {}
 
     def ring(self, text: str) -> Ring:
@@ -181,26 +181,27 @@ class VerifyContext:
         return maybe_memoize(ring, self.memo_threshold)
 
     def pair_ring(self, a: str, b: str) -> Ring:
-        """Direct product of two catalog rings, sharing the cached factors."""
+        """Direct product of two catalog rings, sharing the cached factors;
+        left without tables, so its invariants and witness ranks come from
+        the factors'."""
         key = _pair_expression(a, b)
         ring = self._rings.get(key)
         if ring is None:
             ring = cons.direct_product(self.ring(a), self.ring(b), max_card=self.max_card)
-            ring = maybe_memoize(ring, self.memo_threshold)
             self._rings[key] = ring
         return ring
 
     def flag(self, text: str, name: str) -> bool:
-        return dec.ring_flag(self.ring(text), name, threads=self.threads)
+        return dec.ring_flag(self.ring(text), name)
 
     def counterexample(self, text: str, name: str) -> int | None:
-        return dec.flag_counterexample(self.ring(text), name, threads=self.threads)
+        return dec.flag_counterexample(self.ring(text), name)
 
     def gwnc(self, text: str) -> bool:
         return self.flag(text, "gwnc")
 
     def report(self, text: str) -> dec.PropertyReport:
-        return dec.classify(self.ring(text), threads=self.threads)
+        return dec.classify(self.ring(text))
 
 
 def _unwrap(ring: Ring) -> Ring:
@@ -253,12 +254,12 @@ def check_catalog_entry(ctx: VerifyContext, entry: CatalogEntry) -> CheckResult:
         result.details.append(f"SKIP {entry.expression}: {exc}")
         return _finish(result, ran)
     for name, expected in entry.expected:
-        got = dec.ring_flag(ring, name, threads=ctx.threads)
+        got = dec.ring_flag(ring, name)
         ran = True
         if got == expected:
             result.details.append(f"ok {entry.expression}: {name}={got}")
         else:
-            cx = dec.flag_counterexample(ring, name, threads=ctx.threads)
+            cx = dec.flag_counterexample(ring, name)
             cx_note = f", counterexample element {cx}" if cx is not None else ""
             result.details.append(
                 f"FAIL {entry.expression}: {name} expected {expected} got {got}"
@@ -293,8 +294,8 @@ def _check_l22(ctx: VerifyContext) -> CheckResult:
     for entry in CATALOG:
         ring = ctx.ring(entry.expression)
         data = structure.ring_data(ring)
-        wnc = data.scan("weakly_nil_clean").ok
-        wc = data.scan("weakly_clean").ok
+        wnc = data.decomposes("weakly_nil_clean")
+        wc = data.decomposes("weakly_clean")
         ar = np.arange(ring.card, dtype=np.int64)
         bad = wnc & ~wc[ring.neg_vec(ar)]
         ran = True
@@ -408,7 +409,7 @@ def _check_p28(ctx: VerifyContext) -> CheckResult:
                 )
                 continue
             quotient = ctx.adopt(cons.quotient_by_ideal(ring, ideal))
-            rhs, _ = dec.gwnc(quotient, threads=ctx.threads)
+            rhs, _ = dec.gwnc(quotient)
             ran = True
             if lhs != rhs:
                 result.details.append(
@@ -494,8 +495,8 @@ def _dt_frame_agrees(ctx: VerifyContext, n: int) -> tuple[bool, str]:
         return False, f"DT frame over Z({n}): coordinate map breaks addition"
     if not np.array_equal(phi[tt.mul_vec(left, right)], frame.mul_vec(phi[left], phi[right])):
         return False, f"DT frame over Z({n}): coordinate map breaks multiplication"
-    rep_tt = dec.classify(tt, threads=ctx.threads)
-    rep_fr = dec.classify(frame, threads=ctx.threads)
+    rep_tt = dec.classify(tt)
+    rep_fr = dec.classify(frame)
     if rep_tt.flags != rep_fr.flags:
         return False, f"DT frame over Z({n}): classification flags differ"
     return True, f"DT frame over Z({n}): exhaustive homomorphism and flag agreement"
@@ -597,7 +598,7 @@ def _check_p219(ctx: VerifyContext) -> CheckResult:
     for a, b in itertools.combinations_with_replacement(exprs, 2):
         pair = _pair_expression(a, b)
         try:
-            holds = dec.ring_flag(ctx.pair_ring(a, b), "gwnc", threads=ctx.threads)
+            holds = dec.ring_flag(ctx.pair_ring(a, b), "gwnc")
         except GuardError:
             skipped += 1
             continue

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,85 @@ def oracle_weakly_nil_clean_elem(ring, a, nil=None):
         if ring.sub(a, e) in nil or ring.add(a, e) in nil:
             return True
     return False
+
+
+@functools.lru_cache(maxsize=4)
+def oracle_status(ring):
+    """Per element "unit", "nil" or "neither", by walking its powers until
+    they reach one, reach zero or repeat."""
+    out = []
+    for a in range(ring.card):
+        seen = set()
+        x = a
+        while x not in seen:
+            if x == ring.zero:
+                out.append("nil")
+                break
+            if x == ring.one:
+                out.append("unit")
+                break
+            seen.add(x)
+            x = ring.mul(x, a)
+        else:
+            out.append("neither")
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=4)
+def _sorted_idempotents(ring):
+    return sorted(oracle_idempotents(ring))
+
+
+def oracle_witness(ring, a, kind):
+    """The first decomposition of ``a`` of one kind by the scalar search in
+    the documented order, idempotents ascending and sign + before -, as
+    ``(sign, idempotent, rest, commuting)``; None when there is none."""
+    status = oracle_status(ring)
+    target = "nil" if "nil" in kind else "unit"
+    strongly = kind.startswith("strongly")
+    signs = (1, -1) if kind.startswith("weakly") else (1,)
+    for e in _sorted_idempotents(ring):
+        for sign in signs:
+            rest = ring.sub(a, e) if sign == 1 else ring.add(a, e)
+            if status[rest] != target:
+                continue
+            commuting = ring.mul(e, rest) == ring.mul(rest, e)
+            if strongly and not commuting:
+                continue
+            return sign, e, rest, commuting
+    return None
+
+
+_ORACLE_DOMAIN_KIND = {
+    "gnc": "nil_clean",
+    "gsnc": "strongly_nil_clean",
+    "gwnc": "weakly_nil_clean",
+}
+
+
+def oracle_counterexample(ring, flag):
+    """Lowest element violating a report flag by its definition, or None."""
+    status = oracle_status(ring)
+
+    def decomposes(a, kind):
+        return oracle_witness(ring, a, kind) is not None
+
+    def fails(a):
+        if flag.startswith("strongly_weakly_"):
+            kind = "strongly_" + flag[len("strongly_weakly_"):]
+            return not decomposes(a, kind) and not decomposes(ring.neg(a), kind)
+        if flag in _ORACLE_DOMAIN_KIND:
+            return status[a] != "unit" and not decomposes(a, _ORACLE_DOMAIN_KIND[flag])
+        if flag == "uwnc":
+            return status[a] == "unit" and not decomposes(a, "weakly_nil_clean")
+        if flag == "uu":
+            return status[a] == "unit" and status[ring.sub(a, ring.one)] != "nil"
+        if flag == "wuu":
+            near_one = "nil" in (status[ring.sub(a, ring.one)], status[ring.add(a, ring.one)])
+            return (status[a] == "unit") != near_one
+        return not decomposes(a, flag)
+
+    return next((a for a in range(ring.card) if fails(a)), None)
 
 
 def mat_of(index, k, n):

@@ -74,6 +74,25 @@ def test_classify_env_guard(capsys, monkeypatch):
     assert json.loads(out)["card"] == 625
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("classify", "GF(4,1)"), {}),
+        (("element", "GF(4,1)", "0"), {}),
+        (("element", "Z(4)", "1"), {"RINGLAB_MEMO_THRESHOLD": "x"}),
+        (("classify", "M(2,Z(4))"), {"RINGLAB_MAX_CARD": "abc"}),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_classify_witness_flag(capsys):
     code, out, _ = run_cli(capsys, "classify", "Z(6)", "--json", "--witness")
     report = json.loads(out)

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 import ringlab as rl
+from ringlab.core import maybe_memoize
 from ringlab.decompositions import DIAGRAM_EDGES, ELEMENT_PREDICATES, REPORT_FLAGS
+from ringlab.verify import CATALOG
 
 from conftest import (
+    oracle_counterexample,
     oracle_idempotents,
     oracle_nilpotents,
     oracle_units,
     oracle_weakly_nil_clean_elem,
+    oracle_witness,
 )
 
 WITNESS_RINGS = [
@@ -108,6 +112,41 @@ def test_element_predicates_match_bruteforce():
             assert rl.elem_is_nil_clean(ring, a)[0] == nc
             clean = any(ring.sub(a, e) in units for e in idem)
             assert rl.elem_is_clean(ring, a)[0] == clean
+
+
+ORACLE_PRODUCTS = [
+    "Z(4) x Z(2)",
+    "M(2,Z(2)) x Z(3)",
+    "T(2,Z(3)) x Z(4)",
+    "Z(2) x Z(3) x TE(Z(2))",
+    "GR(Z(2),C(3)) x Z(9)",
+]
+
+
+# every catalog ring but the largest, M(2,Z(6)) (card 1296, 112 idempotents),
+# which the scalar oracle would take minutes over
+@pytest.mark.parametrize(
+    "expr",
+    [e.expression for e in CATALOG if e.expression != "M(2,Z(6))"] + ORACLE_PRODUCTS,
+)
+@pytest.mark.parametrize("tables", [False, True], ids=["computed", "tables"])
+def test_witnesses_and_counterexamples_match_oracle(expr, tables):
+    """Every witness and every report flag's lowest counterexample against
+    the scalar search.  A product built without tables takes the factor-wise
+    path, with tables the flat pass over its own carrier."""
+    ring = rl.build(expr)
+    if tables:
+        ring = maybe_memoize(ring)
+    for kind, predicate in ELEMENT_PREDICATES.items():
+        for a in ring.elements():
+            ok, w = predicate(ring, a)
+            got = None if w is None else (w.sign, w.idempotent, w.rest, w.commuting)
+            assert ok == (got is not None)
+            assert got == oracle_witness(ring, a, kind), (expr, kind, a)
+    for name in REPORT_FLAGS:
+        cx = oracle_counterexample(ring, name)
+        assert rl.flag_counterexample(ring, name) == cx, (expr, name)
+        assert rl.ring_flag(ring, name) == (cx is None), (expr, name)
 
 
 def test_classify_examples(m2z3):
