@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 
 from . import __version__
 from .core import ConstructionError, GuardError, SettingError
@@ -285,6 +286,7 @@ def cmd_element(args) -> int:
         print(f"element index {a} out of range for card {ring.card}", file=sys.stderr)
         return 2
     data = structure.ring_data(ring)
+    ar = np.arange(ring.card, dtype=np.int64)
     nil, nil_index = is_nilpotent(ring, a)
     payload = {
         "expression": canonical(expr),
@@ -294,8 +296,8 @@ def cmd_element(args) -> int:
         "is_nilpotent": nil,
         "nilpotency_index": nil_index,
         "is_idempotent": bool(data.idem_mask[a]),
-        "is_central": bool(data.center_mask[a]),
-        "in_jacobson": bool(data.jacobson_mask[a]),
+        "is_central": bool(np.array_equal(ring.mul_vec(a, ar), ring.mul_vec(ar, a))),
+        "in_jacobson": data.left_quasi_regular(a),
         "predicates": {},
     }
     for kind, predicate in dec.ELEMENT_PREDICATES.items():

@@ -192,24 +192,23 @@ class RingData:
             rj = ring_data(right).jacobson_mask
             self._jac_mask = (lj[:, None] & rj[None, :]).ravel()
             return self._jac_mask
-        card = ring.card
-        ar = np.arange(card, dtype=np.int64)
-        unit = self.unit_mask
-        one = ring.one
-        cand = np.flatnonzero(unit[ring.sub_vec(one, ar)])
-        mask = np.zeros(card, dtype=bool)
-        for x in cand:
-            x = int(x)
-            ok = True
-            for lo in range(0, card, _JACOBSON_CHUNK):
-                rs = ar[lo : lo + _JACOBSON_CHUNK]
-                if not unit[ring.sub_vec(one, ring.mul_vec(rs, x))].all():
-                    ok = False
-                    break
-            if ok:
-                mask[x] = True
+        ar = np.arange(ring.card, dtype=np.int64)
+        mask = np.zeros(ring.card, dtype=bool)
+        for x in np.flatnonzero(self.unit_mask[ring.sub_vec(ring.one, ar)]):
+            mask[x] = self.left_quasi_regular(int(x))
         self._jac_mask = mask
         return mask
+
+    def left_quasi_regular(self, x: int) -> bool:
+        """Whether 1 - r*x is a unit for every r, that is x lies in J; the
+        rows are walked in chunks so that a failure exits early."""
+        ring = self.ring
+        status = self._orbit_status()
+        for lo in range(0, ring.card, _JACOBSON_CHUNK):
+            rs = np.arange(lo, min(lo + _JACOBSON_CHUNK, ring.card), dtype=np.int64)
+            if (status[ring.sub_vec(ring.one, ring.mul_vec(rs, x))] != _UNIT).any():
+                return False
+        return True
 
     @property
     def center_mask(self) -> np.ndarray:
@@ -489,8 +488,8 @@ def wedderburn_fingerprint(ring: Ring) -> WedderburnFingerprint:
 
 @dataclass(frozen=True)
 class StructuralFlags:
-    """Record of classical ring-theoretic predicates, each decided by
-    exhaustive scan over the carrier."""
+    """Record of classical ring-theoretic predicates; ``structural_predicates``
+    says which follow from finite-ring identities and which are scanned."""
 
     commutative: bool
     local: bool
@@ -688,27 +687,33 @@ def is_uwnc(ring: Ring) -> bool:
 
 
 def structural_predicates(ring: Ring) -> StructuralFlags:
-    """Decide every classical predicate exhaustively; ``semilocal`` is
-    constantly true here and carries an explanatory note."""
+    """Decide every classical predicate of a finite ring.  A finite ring is
+    artinian, hence semiperfect and strongly pi-regular with J nilpotent, so
+    exchange, weakly_exchange, semipotent, strongly_pi_regular and semilocal
+    are constantly true, regular = semisimple, strongly_regular = semisimple
+    and reduced, and ni = two_primal.  Only commutative, and nr when ni fails
+    (an ideal is a subring), are scanned; the brute-force deciders above
+    stay as the oracle in the tests."""
     data = ring_data(ring)
-    ni, nr = _nil_closure_flags(ring)
-    exchange, weakly_exchange = _exchange_flags(ring)
+    semisimple = is_semisimple(ring)
+    reduced = is_reduced(ring)
+    two_primal = bool(np.array_equal(data.jacobson_mask, data.nil_mask))
     return StructuralFlags(
         commutative=is_commutative(ring),
         local=is_local(ring),
         abelian=is_abelian_ring(ring),
-        reduced=is_reduced(ring),
+        reduced=reduced,
         boolean=is_boolean_ring(ring),
-        ni=ni,
-        nr=nr,
-        two_primal=bool(np.array_equal(data.jacobson_mask, data.nil_mask)),
-        regular=is_regular(ring),
-        strongly_regular=is_strongly_regular(ring),
-        exchange=exchange,
-        weakly_exchange=weakly_exchange,
-        semipotent=is_semipotent(ring),
-        strongly_pi_regular=is_strongly_pi_regular(ring),
-        semisimple=is_semisimple(ring),
+        ni=two_primal,
+        nr=two_primal or _nil_closure_flags(ring)[1],
+        two_primal=two_primal,
+        regular=semisimple,
+        strongly_regular=semisimple and reduced,
+        exchange=True,
+        weakly_exchange=True,
+        semipotent=True,
+        strongly_pi_regular=True,
+        semisimple=semisimple,
         semilocal=True,
         uu=is_uu(ring),
         wuu=is_wuu(ring),

@@ -1164,25 +1164,28 @@ def run_all(
     return VerifySummary(results)
 
 
+#: constructions the ring-axiom suite checks besides the catalog
+AXIOM_SUITE_EXTRAS = (
+    "T(3,Z(2))",
+    "T(2,Z(4))",
+    "TE(Z(6))",
+    "PQ(Z(3),[0,0,1])",
+    "GR(Z(2),C(4))",
+    "GR(Z(2),C(2) x C(2))",
+    "FM(2,2,Z(4))",
+    "PAT(S(2,2),Z(2))",
+    "PAT(Tb(2,2),Z(3))",
+    "PAT(U(3),Z(2))",
+    "MODJ(Z(12))",
+)
+
+
 def axiom_suite(max_card: int = 512, guard: int | None = None) -> list[str]:
     """Run the exhaustive ring-axiom suite over every catalog construction
     small enough, returning the labels checked."""
     ctx = VerifyContext(max_card=guard)
     checked = []
-    extra = [
-        "T(3,Z(2))",
-        "T(2,Z(4))",
-        "TE(Z(6))",
-        "PQ(Z(3),[0,0,1])",
-        "GR(Z(2),C(4))",
-        "GR(Z(2),C(2) x C(2))",
-        "FM(2,2,Z(4))",
-        "PAT(S(2,2),Z(2))",
-        "PAT(Tb(2,2),Z(3))",
-        "PAT(U(3),Z(2))",
-        "MODJ(Z(12))",
-    ]
-    for expr in [e.expression for e in CATALOG] + extra:
+    for expr in [e.expression for e in CATALOG] + list(AXIOM_SUITE_EXTRAS):
         ring = ctx.ring(expr)
         if ring.card <= max_card:
             check_ring_axioms(ring, max_card=max_card)

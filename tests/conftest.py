@@ -42,16 +42,8 @@ def oracle_units(ring):
 
 
 def oracle_nilpotents(ring):
-    """Power iteration up to card steps."""
-    out = set()
-    for a in range(ring.card):
-        x = a
-        for _ in range(ring.card):
-            if x == ring.zero:
-                out.add(a)
-                break
-            x = ring.mul(x, a)
-    return out
+    """Elements whose powers reach zero, by ``oracle_status``'s power walk."""
+    return {a for a, s in enumerate(oracle_status(ring)) if s == "nil"}
 
 
 def oracle_idempotents(ring):

@@ -3,7 +3,10 @@ import json
 import jsonschema
 import pytest
 
+import ringlab as rl
+from ringlab import cli
 from ringlab.cli import CATALOG_SCHEMA, REPORT_SCHEMA, VERIFY_SCHEMA, main
+from ringlab.core import maybe_memoize
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +117,24 @@ def test_element_command(capsys):
     report = json.loads(out)
     assert report["is_idempotent"] and report["is_nilpotent"]
     assert report["nilpotency_index"] == 1
+
+
+@pytest.mark.parametrize("expr", ["Z(12)", "T(2,Z(6))", "M(2,Z(2)) x Z(4)"])
+def test_element_central_and_jacobson_match_masks(capsys, monkeypatch, expr):
+    # one built ring serves every request, so its witness ranks are computed
+    # once; the masks come from a fresh build, a product's from its factors
+    ring = maybe_memoize(rl.build(expr))
+    monkeypatch.setattr(cli, "build", lambda *args, **kwargs: ring)
+    reference = rl.build(expr)
+    center = rl.center(reference).mask
+    jacobson = rl.jacobson(reference).mask
+    assert 1 < jacobson.sum() < ring.card  # both answers occur
+    for a in range(ring.card):
+        code, out, _ = run_cli(capsys, "element", expr, str(a), "--json")
+        assert code == 0
+        report = json.loads(out)
+        expected = (bool(center[a]), bool(jacobson[a]))
+        assert (report["is_central"], report["in_jacobson"]) == expected, a
 
 
 def test_element_decoded_display(capsys):

@@ -212,3 +212,38 @@ def test_jacobson_one_sided_matches_two_sided_on_catalog():
             for r in range(ring.card):
                 vals = ring.sub_vec(ring.one, ring.mul_vec(int(rx[r]), ar))
                 assert umask[vals].all(), (entry.expression, x, r)
+
+
+def test_finite_ring_identities_match_bruteforce_deciders():
+    """Every predicate ``structural_predicates`` decides by a finite-ring
+    identity agrees with the brute-force decider it replaced (``nr`` is
+    scanned only where ``ni`` fails)."""
+    from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG, VerifyContext
+
+    ctx = VerifyContext()
+    exprs = [e.expression for e in CATALOG] + list(AXIOM_SUITE_EXTRAS)
+    exprs += ["M(2,Z(2)) x Z(4)", "T(2,Z(4)) x Z(3)"]
+    sides = set()
+    for expr in exprs:
+        ring = ctx.ring(expr)
+        if ring.card > 1296:
+            continue
+        flags = rl.structural_predicates(ring)
+        exchange, weakly_exchange = structure._exchange_flags(ring)
+        ni, nr = structure._nil_closure_flags(ring)
+        oracle = {
+            "regular": structure.is_regular(ring),
+            "strongly_regular": structure.is_strongly_regular(ring),
+            "ni": ni,
+            "nr": nr,
+            "exchange": exchange,
+            "weakly_exchange": weakly_exchange,
+            "semipotent": structure.is_semipotent(ring),
+            "strongly_pi_regular": structure.is_strongly_pi_regular(ring),
+        }
+        assert {k: getattr(flags, k) for k in oracle} == oracle, expr
+        sides.add((flags.semisimple, flags.reduced, flags.ni))
+    # semisimple and not, reduced and not (a reduced finite ring is
+    # semisimple), NI true and false
+    assert {s[:2] for s in sides} == {(True, True), (True, False), (False, False)}
+    assert {s[2] for s in sides} == {True, False}
