@@ -95,10 +95,10 @@ def _scalar_encode(digits, base_card: int) -> int:
 class Zmod(Ring):
     """Integers modulo ``n``; the index of an element is its residue."""
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, max_card: int | None = None) -> None:
         if n < 2:
             raise ConstructionError(f"modulus must be >= 2, got {n}")
-        self.card = n
+        self.card = check_guard(n, max_card)
         self.zero = 0
         self.one = 1
         self.label = f"Z({n})"
@@ -124,8 +124,8 @@ class Zmod(Ring):
         return (xs * ys) % self.card
 
 
-def zmod(n: int) -> Zmod:
-    return Zmod(n)
+def zmod(n: int, max_card: int | None = None) -> Zmod:
+    return Zmod(n, max_card=max_card)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +670,8 @@ class PolyQuotient(Ring):
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) < 2:
             raise ConstructionError("modulus must have degree >= 1")
-        for c in modulus:
-            base._check(c)
+        if not all(0 <= c < base.card for c in modulus):
+            raise ConstructionError(f"modulus coefficients must be elements of {base.label}")
         if modulus[-1] != base.one:
             raise ConstructionError(
                 f"modulus must be monic (last coefficient {modulus[-1]} != one)"

@@ -3,7 +3,9 @@
 A ring lives on the carrier ``0 .. card-1``; elements are plain ints and
 are meaningful only relative to the ring that produced them.  Every ring
 exposes scalar ``add``/``neg``/``mul`` plus numpy-vectorised variants that
-the bulk scans are built on.
+the bulk scans are built on.  ``memoize`` copies a ring of card up to the
+table threshold into int32 operation tables (``TableRing``), evaluating the
+ring only on the rows of additive generators.
 """
 
 from __future__ import annotations
@@ -241,8 +243,57 @@ class Subset:
         return f"<Subset of {self.ring.label} card={len(self)} {{{', '.join(map(str, members))}{tail}}}>"
 
 
+#: up to this card one n² evaluation beats the generator build's per-row cost
+_DIRECT_BUILD_CARD = 64
+
+
+def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray]:
+    """The int32 ``add`` and ``mul`` tables of ``source``.
+
+    Above ``_DIRECT_BUILD_CARD`` only the rows of additive generators g, each
+    the smallest element not yet reached, are evaluated.  The reached set S
+    grows to S ∪ (S + h) for h = g, 2g, 4g, ... while that adds elements,
+    and a new row t = s + h is ``add[t] = add[h][add[s]]`` (+ is associative
+    and commutative) and ``mul[t] = add[mul[s], mul[h]]`` (right
+    distributivity), so a ring gets the tables a direct evaluation gives.
+    """
+    n = source.card
+    ar = np.arange(n, dtype=np.int64)
+    if n <= _DIRECT_BUILD_CARD:
+        left, right = np.repeat(ar, n), np.tile(ar, n)
+        add = source.add_vec(left, right).astype(np.int32).reshape(n, n)
+        return add, source.mul_vec(left, right).astype(np.int32).reshape(n, n)
+    add = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=np.int32)
+    add[source.zero] = ar
+    mul[source.zero] = source.zero
+    reached = ar == source.zero
+    steps = []
+    while not reached.all():
+        g = int(np.argmin(reached))
+        add[g] = source.add_vec(g, ar)
+        mul[g] = source.mul_vec(g, ar)
+        reached[g] = True
+        h = g
+        while True:
+            s = np.flatnonzero(reached)
+            t = add[h][s]
+            fresh = ~reached[t]
+            if not fresh.any():
+                break
+            s, t = s[fresh], t[fresh]
+            add[t] = add[h][add[s]]
+            reached[t] = True
+            steps.append((t, s, h))
+            h = int(add[h, h])
+    for t, s, h in steps:
+        mul[t] = add[mul[s], mul[h]]
+    return add, mul
+
+
 class TableRing(Ring):
-    """Operationally identical copy of a ring backed by lookup tables."""
+    """Operationally identical copy of a ring backed by int32 lookup tables,
+    built by ``_operation_tables`` from the source's vectorised operations."""
 
     def __init__(self, source: Ring) -> None:
         n = source.card
@@ -251,12 +302,8 @@ class TableRing(Ring):
         self.zero = source.zero
         self.one = source.one
         self.label = source.label
-        ar = np.arange(n, dtype=np.int64)
-        left = np.repeat(ar, n)
-        right = np.tile(ar, n)
-        self._add = source.add_vec(left, right).astype(np.int32).reshape(n, n)
-        self._mul = source.mul_vec(left, right).astype(np.int32).reshape(n, n)
-        self._neg = source.neg_vec(ar).astype(np.int32)
+        self._add, self._mul = _operation_tables(source)
+        self._neg = source.neg_vec(np.arange(n, dtype=np.int64)).astype(np.int32)
 
     def add(self, a: int, b: int) -> int:
         return int(self._add[self._check(a), self._check(b)])

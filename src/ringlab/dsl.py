@@ -461,7 +461,7 @@ def build(expr: RingExpr | str, max_card: int | None = None) -> Ring:
     if isinstance(expr, str):
         expr = parse(expr)
     if isinstance(expr, ZExpr):
-        return cons.zmod(expr.n)
+        return cons.zmod(expr.n, max_card=max_card)
     if isinstance(expr, GFExpr):
         return cons.gf(expr.p, expr.k, max_card=max_card)
     if isinstance(expr, MatExpr):

@@ -691,9 +691,10 @@ def structural_predicates(ring: Ring) -> StructuralFlags:
     artinian, hence semiperfect and strongly pi-regular with J nilpotent, so
     exchange, weakly_exchange, semipotent, strongly_pi_regular and semilocal
     are constantly true, regular = semisimple, strongly_regular = semisimple
-    and reduced, and ni = two_primal.  Only commutative, and nr when ni fails
-    (an ideal is a subring), are scanned; the brute-force deciders above
-    stay as the oracle in the tests."""
+    and reduced, and ni = nr = two_primal (Nil(R) is the preimage of
+    Nil(R/J), closed under + only when R/J is a product of fields).  Only
+    commutative is scanned; the brute-force deciders above stay as the
+    oracle in the tests."""
     data = ring_data(ring)
     semisimple = is_semisimple(ring)
     reduced = is_reduced(ring)
@@ -705,7 +706,7 @@ def structural_predicates(ring: Ring) -> StructuralFlags:
         reduced=reduced,
         boolean=is_boolean_ring(ring),
         ni=two_primal,
-        nr=two_primal or _nil_closure_flags(ring)[1],
+        nr=two_primal,
         two_primal=two_primal,
         regular=semisimple,
         strongly_regular=semisimple and reduced,

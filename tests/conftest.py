@@ -2,8 +2,20 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import ringlab as rl
+from ringlab.dsl import (
+    CyclicExpr,
+    GFExpr,
+    GRExpr,
+    MatExpr,
+    PQExpr,
+    ProductExpr,
+    TEExpr,
+    TriExpr,
+    ZExpr,
+)
 
 
 @pytest.fixture(scope="session")
@@ -195,3 +207,41 @@ def mat_add_mod(A, B, k, n):
 
 def flags_of(ring):
     return rl.classify(ring).flags
+
+
+def direct_tables(ring):
+    """(add, mul, neg) of ``ring`` by evaluating all card² pairs: the
+    oracle for the generator build behind ``TableRing``."""
+    n = ring.card
+    ar = np.arange(n, dtype=np.int64)
+    left, right = np.repeat(ar, n), np.tile(ar, n)
+    return (
+        ring.add_vec(left, right).astype(np.int32).reshape(n, n),
+        ring.mul_vec(left, right).astype(np.int32).reshape(n, n),
+        ring.neg_vec(ar).astype(np.int32),
+    )
+
+
+@st.composite
+def ring_expr_strategy(draw, depth=2):
+    if depth == 0:
+        return draw(
+            st.one_of(
+                st.integers(2, 12).map(ZExpr),
+                st.builds(GFExpr, st.sampled_from([2, 3, 5]), st.integers(1, 4)),
+            )
+        )
+    inner = draw(ring_expr_strategy(depth=depth - 1))
+    choice = draw(st.integers(0, 5))
+    if choice == 0:
+        return MatExpr(draw(st.integers(1, 3)), inner)
+    if choice == 1:
+        return TEExpr(inner)
+    if choice == 2:
+        coeffs = tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=3))) + (1,)
+        return PQExpr(inner, coeffs)
+    if choice == 3:
+        return GRExpr(inner, CyclicExpr(draw(st.integers(1, 5))))
+    if choice == 4:
+        return ProductExpr(inner, draw(ring_expr_strategy(depth=0)))
+    return TriExpr(draw(st.integers(1, 3)), inner)

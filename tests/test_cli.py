@@ -58,6 +58,9 @@ def test_classify_guard_exit(capsys):
     assert "1953125" in err and "200000" in err
     code, _, err = run_cli(capsys, "classify", "M(2,Z(5))", "--max-card", "100")
     assert code == 3
+    code, _, err = run_cli(capsys, "classify", "Z(200001)")
+    assert code == 3
+    assert "200001" in err
 
 
 def test_classify_parse_error_exit(capsys):
@@ -81,6 +84,7 @@ def test_classify_env_guard(capsys, monkeypatch):
     "argv, env",
     [
         (("classify", "GF(4,1)"), {}),
+        (("classify", "PQ(Z(3),[0,3,1])"), {}),
         (("element", "GF(4,1)", "0"), {}),
         (("element", "Z(4)", "1"), {"RINGLAB_MEMO_THRESHOLD": "x"}),
         (("classify", "M(2,Z(4))"), {"RINGLAB_MAX_CARD": "abc"}),

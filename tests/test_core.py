@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
 
 import ringlab as rl
+from ringlab import dsl, structure, verify
 from ringlab.core import check_ring_axioms
 
-from conftest import index_of, mat_add_mod, mat_mul_mod, mat_of
+from conftest import (
+    direct_tables,
+    index_of,
+    mat_add_mod,
+    mat_mul_mod,
+    mat_of,
+    ring_expr_strategy,
+)
 
 
 def test_zmod_add_mul_examples(z6):
@@ -151,3 +160,78 @@ def test_axiom_checker_accepts_and_rejects(z6):
         check_ring_axioms(Broken())
     with pytest.raises(rl.GuardError):
         check_ring_axioms(rl.build("M(3,Z(3))"))
+
+
+#: the harness rings, the classify ladder's rungs with tables, Z(2048) (one
+#: generator, eleven doublings) and cards 64 and 65 on both sides of the
+#: direct-build rule, commutative and not
+TABLE_EXPRS = sorted(
+    {entry.expression for entry in verify.CATALOG}
+    | set(verify.AXIOM_SUITE_EXTRAS)
+    | {
+        "M(3,Z(2))",
+        "M(2,Z(6))",
+        "M(2,GF(2,2)) x Z(4)",
+        "T(2,Z(8))",
+        "TE(Z(27))",
+        "GR(Z(2),C(2) x C(2) x C(2))",
+        "Z(2048)",
+        "Z(64)",
+        "Z(65)",
+        "M(2,Z(3))",
+        "T(2,Z(4)) x Z(3)",
+    }
+)
+
+
+def assert_tables_match_direct(ring):
+    table = rl.memoize(ring)
+    for got, want in zip((table._add, table._mul, table._neg), direct_tables(ring)):
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("expr", TABLE_EXPRS)
+def test_tables_match_direct_build(expr):
+    ring = rl.build(expr)
+    assert_tables_match_direct(ring)
+    assert_tables_match_direct(structure.mod_j(rl.memoize(ring)))
+
+
+@given(ring_expr_strategy())
+@settings(max_examples=50, deadline=None)
+def test_generated_tables_match_direct_build_property(expr):
+    if dsl.estimated_card(expr) > 256:
+        reject()
+    try:
+        ring = rl.build(expr)
+    except (rl.ConstructionError, rl.GuardError):
+        reject()
+    check_ring_axioms(ring)
+    assert_tables_match_direct(ring)
+
+
+@pytest.mark.parametrize(
+    "expr", ["Z(64)", "T(3,Z(2))", "Z(65)", "M(2,Z(3))", "T(2,Z(4)) x Z(3)", "Z(2048)"]
+)
+def test_table_build_evaluates_generator_rows_above_card_64(expr):
+    ring = rl.build(expr)
+    pairs = {"add": 0, "mul": 0}
+
+    def counting(name, op):
+        def wrapped(xs, ys):
+            out = op(xs, ys)
+            pairs[name] += out.size
+            return out
+
+        return wrapped
+
+    ring.add_vec = counting("add", ring.add_vec)
+    ring.mul_vec = counting("mul", ring.mul_vec)
+    rl.memoize(ring)
+    n = ring.card
+    if n <= 64:
+        assert pairs == {"add": n * n, "mul": n * n}
+    else:
+        # each generator at least doubles the reached subgroup
+        assert pairs["add"] == pairs["mul"] <= n * int(np.log2(n))

@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ringlab as rl
 from ringlab import dsl
@@ -26,6 +25,8 @@ from ringlab.dsl import (
     canonical,
     parse,
 )
+
+from conftest import ring_expr_strategy
 
 
 def test_parse_examples():
@@ -135,31 +136,6 @@ def test_roundtrip_on_1000_random_expressions():
         assert canonical(parse(text)) == text
 
 
-@st.composite
-def ring_expr_strategy(draw, depth=2):
-    if depth == 0:
-        return draw(
-            st.one_of(
-                st.integers(2, 12).map(ZExpr),
-                st.builds(GFExpr, st.sampled_from([2, 3, 5]), st.integers(1, 4)),
-            )
-        )
-    inner = draw(ring_expr_strategy(depth=depth - 1))
-    choice = draw(st.integers(0, 5))
-    if choice == 0:
-        return MatExpr(draw(st.integers(1, 3)), inner)
-    if choice == 1:
-        return TEExpr(inner)
-    if choice == 2:
-        coeffs = tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=3))) + (1,)
-        return PQExpr(inner, coeffs)
-    if choice == 3:
-        return GRExpr(inner, CyclicExpr(draw(st.integers(1, 5))))
-    if choice == 4:
-        return ProductExpr(inner, draw(ring_expr_strategy(depth=0)))
-    return TriExpr(draw(st.integers(1, 3)), inner)
-
-
 @given(ring_expr_strategy())
 @settings(max_examples=200, deadline=None)
 def test_roundtrip_property(expr):
@@ -181,6 +157,9 @@ def test_build_guard_reports_required_card():
     assert err.value.limit == 200000
     with pytest.raises(rl.GuardError):
         build("M(2,Z(5))", max_card=100)
+    with pytest.raises(rl.GuardError) as err:
+        build("Z(200001)")
+    assert err.value.required == 200001
 
 
 def test_estimated_card_matches_built_card():
@@ -211,7 +190,7 @@ def test_build_is_deterministic():
 def test_build_monic_enforcement():
     with pytest.raises(rl.ConstructionError):
         build("PQ(Z(3),[1,2])")
-    with pytest.raises(IndexError):
+    with pytest.raises(rl.ConstructionError):
         build("PQ(Z(3),[5,1])")  # coefficient outside the carrier
 
 
