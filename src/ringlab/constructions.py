@@ -1,19 +1,21 @@
 """Builders for the finite ring families under study.
 
-Every construction fixes a canonical element enumeration so that element
-literals are stable across runs:
+Every construction implements the vectorised ``add_vec``/``neg_vec``/
+``mul_vec`` of ``core.Ring`` and nothing else of the arithmetic.  It fixes
+a canonical element enumeration so that element literals are stable
+across runs:
 
 * ``Zmod(n)``             index = residue.
-* ``MatrixRing(k, R)``    mixed radix base ``|R|`` over the ``k*k`` entries in
-                          row-major order, entry (0,0) most significant.
-* ``PatternRing(P, R)``   one digit per equality class of the pattern, in the
-                          pattern's class order, first class most significant;
-                          upper-triangular rings are the all-singleton pattern.
+* ``MatrixRing``          one digit per coordinate class, mixed radix base
+                          ``|R|``, first class most significant.  A full
+                          ``M(k,R)`` or ``FM(n,s,R)`` is every entry a class
+                          in row-major order, entry (0,0) most significant;
+                          ``T(k,R)`` is every upper entry in row-major order,
+                          and a pattern ring has its pattern's class order.
 * ``DirectProduct(R, S)`` index = idx_R * |S| + idx_S.
 * ``TrivialExtension(R)`` pairs (r, m), index = idx(r) * |R| + idx(m).
 * ``PolyQuotient(R, f)``  residues modulo monic ``f``, little-endian by
                           ascending degree: index = sum c_i * |R|**i.
-* ``FormalMatrixRing``    same layout as ``MatrixRing``.
 * ``GroupRing(R, G)``     coefficient functions G -> R, little-endian over the
                           fixed group enumeration with g0 the identity.
 * ``QuotientRing(R, I)``  cosets enumerated by smallest member index.
@@ -22,6 +24,8 @@ literals are stable across runs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from typing import Callable
 
 import numpy as np
 
@@ -58,34 +62,36 @@ def encode_digits(digits, base_card: int) -> np.ndarray:
 
 def decode_digits_le(xs, base_card: int, ndigits: int) -> np.ndarray:
     """Little-endian variant: digit i is the coefficient of weight ``base_card**i``."""
-    xs = _as_index_array(xs)
-    out = np.empty((len(xs), ndigits), dtype=np.int64)
-    rem = xs.copy()
-    for pos in range(ndigits):
-        rem, out[:, pos] = np.divmod(rem, base_card)
-    return out
+    return decode_digits(xs, base_card, ndigits)[:, ::-1]
 
 
 def encode_digits_le(digits, base_card: int) -> np.ndarray:
-    digits = np.asarray(digits, dtype=np.int64)
-    acc = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for pos in range(digits.shape[-1] - 1, -1, -1):
-        acc = acc * base_card + digits[..., pos]
-    return acc
+    return encode_digits(np.asarray(digits)[..., ::-1], base_card)
 
 
-def _scalar_digits(a: int, base_card: int, ndigits: int) -> list[int]:
-    out = [0] * ndigits
-    for pos in range(ndigits - 1, -1, -1):
-        a, out[pos] = divmod(a, base_card)
-    return out
+class _DigitRing(Ring):
+    """A ring whose elements are ``ndigits`` digits over one base ring,
+    added and negated digit by digit."""
 
+    base: Ring
+    ndigits: int
 
-def _scalar_encode(digits, base_card: int) -> int:
-    acc = 0
-    for d in digits:
-        acc = acc * base_card + d
-    return acc
+    def _digitwise(self, op, *operands) -> np.ndarray:
+        digits = [decode_digits(xs, self.base.card, self.ndigits) for xs in operands]
+        out = np.zeros(len(digits[0]), dtype=np.int64)
+        for pos in range(self.ndigits):
+            out = out * self.base.card + op(*(d[:, pos] for d in digits))
+        return out
+
+    def add_vec(self, xs, ys) -> np.ndarray:
+        return self._digitwise(self.base.add_vec, *_pair(xs, ys))
+
+    def neg_vec(self, xs) -> np.ndarray:
+        return self._digitwise(self.base.neg_vec, _as_index_array(xs))
+
+    def _coeffs(self, a: int) -> list[int]:
+        """The digits of one element, least significant first."""
+        return [int(c) for c in decode_digits_le(self._check(a), self.base.card, self.ndigits)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +108,6 @@ class Zmod(Ring):
         self.zero = 0
         self.one = 1
         self.label = f"Z({n})"
-
-    def add(self, a: int, b: int) -> int:
-        return (self._check(a) + self._check(b)) % self.card
-
-    def neg(self, a: int) -> int:
-        return -self._check(a) % self.card
-
-    def mul(self, a: int, b: int) -> int:
-        return (self._check(a) * self._check(b)) % self.card
 
     def add_vec(self, xs, ys) -> np.ndarray:
         xs, ys = _pair(xs, ys)
@@ -129,103 +126,125 @@ def zmod(n: int, max_card: int | None = None) -> Zmod:
 
 
 # ---------------------------------------------------------------------------
-# matrix rings
+# matrix rings: full, triangular, pattern, formal and generalized
 
 
-class MatrixRing(Ring):
-    """Full ``k x k`` matrix ring over a base ring."""
+class MatrixRing(_DigitRing):
+    """Square matrices over a base ring whose entries are tied into classes.
 
-    def __init__(self, k: int, base: Ring, max_card: int | None = None) -> None:
-        if k < 1:
-            raise ConstructionError(f"matrix size must be >= 1, got {k}")
-        self.k = k
+    ``classes`` lists the free coordinates grouped by forced equality; each
+    class is one digit, first class most significant, and coordinates in no
+    class are zero.  The optional ``twist(i, l, j)``, a base element,
+    multiplies the term ``a_il * b_lj`` of a product's (i, j) entry.  A
+    product computes only the class representatives, summing over the l
+    that both factors' supports allow.
+
+    Multiplicative closure is checked at construction on products of
+    impulses, one class set to x and the rest zero: every element is a sum
+    of impulses and the classes' digit vectors are closed under addition,
+    so by bilinearity that covers every product.  An entry of the product of
+    impulses of values x and y is a sum of twisted copies of x*y, so it
+    depends on x*y alone, and the right impulse's value can be ``one``.
+    """
+
+    def __init__(
+        self,
+        base: Ring,
+        classes,
+        label: str,
+        twist: Callable[[int, int, int], int] | None = None,
+        max_card: int | None = None,
+    ) -> None:
         self.base = base
-        self.card = check_guard(base.card ** (k * k), max_card)
-        self.zero = _scalar_encode(
-            [base.zero] * (k * k), base.card
-        )
-        eye = [base.one if i == j else base.zero for i in range(k) for j in range(k)]
-        self.one = _scalar_encode(eye, base.card)
-        self.label = f"M({k},{base.label})"
+        self.classes = tuple(tuple(cls) for cls in classes)
+        self.ndigits = len(self.classes)
+        self.card = check_guard(base.card**self.ndigits, max_card)
+        self.label = label
+        k = self.size = 1 + max(max(c) for cls in self.classes for c in cls)
+        self._reps = [cls[0] for cls in self.classes]
+        diagonal = [base.one if i == j else base.zero for i, j in self._reps]
+        self.zero = int(encode_digits([base.zero] * self.ndigits, base.card))
+        self.one = int(encode_digits(diagonal, base.card))
+        self._column = {c: d for d, cls in enumerate(self.classes) for c in cls}
+        # per entry (i, j): the digits of a_il and b_lj, and the twist
+        self._terms = {
+            (i, j): [
+                (self._column[i, l], self._column[l, j], base.one if twist is None else twist(i, l, j))
+                for l in range(k)
+                if (i, l) in self._column and (l, j) in self._column
+            ]
+            for i in range(k)
+            for j in range(k)
+        }
+        self._verify_closure()
 
-    # scalar path works on k x k nested lists of base indices
-    def _mat(self, a: int) -> list[list[int]]:
-        flat = _scalar_digits(self._check(a), self.base.card, self.k * self.k)
-        return [flat[i * self.k : (i + 1) * self.k] for i in range(self.k)]
-
-    def _enc(self, mat) -> int:
-        return _scalar_encode([mat[i][j] for i in range(self.k) for j in range(self.k)], self.base.card)
-
-    def add(self, a: int, b: int) -> int:
-        A, B = self._mat(a), self._mat(b)
+    def _entry(self, A: np.ndarray, B: np.ndarray, i: int, j: int) -> np.ndarray:
+        """Entry (i, j) of the products of the elements whose digits are the
+        rows of ``A`` and ``B``."""
         R = self.base
-        return self._enc([[R.add(A[i][j], B[i][j]) for j in range(self.k)] for i in range(self.k)])
-
-    def neg(self, a: int) -> int:
-        A = self._mat(a)
-        R = self.base
-        return self._enc([[R.neg(A[i][j]) for j in range(self.k)] for i in range(self.k)])
-
-    def mul(self, a: int, b: int) -> int:
-        A, B = self._mat(a), self._mat(b)
-        R = self.base
-        k = self.k
-        out = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(k):
-                acc = R.mul(A[i][0], B[0][j])
-                for l in range(1, k):
-                    acc = R.add(acc, R.mul(A[i][l], B[l][j]))
-                out[i][j] = acc
-        return self._enc(out)
-
-    def _mats(self, xs) -> np.ndarray:
-        xs = _as_index_array(xs)
-        return decode_digits(xs, self.base.card, self.k * self.k).reshape(len(xs), self.k, self.k)
-
-    def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        A, B = self._mats(xs), self._mats(ys)
-        out = np.empty_like(A)
-        for i in range(self.k):
-            for j in range(self.k):
-                out[:, i, j] = self.base.add_vec(A[:, i, j], B[:, i, j])
-        return encode_digits(out.reshape(len(xs), -1), self.base.card)
-
-    def neg_vec(self, xs) -> np.ndarray:
-        xs = _as_index_array(xs)
-        A = self._mats(xs)
-        out = np.empty_like(A)
-        for i in range(self.k):
-            for j in range(self.k):
-                out[:, i, j] = self.base.neg_vec(A[:, i, j])
-        return encode_digits(out.reshape(len(xs), -1), self.base.card)
+        acc = None
+        for a, b, t in self._terms[i, j]:
+            term = R.mul_vec(A[:, a], B[:, b])
+            if t != R.one:
+                term = R.mul_vec(t, term)
+            acc = term if acc is None else R.add_vec(acc, term)
+        return np.full(len(A), R.zero, dtype=np.int64) if acc is None else acc
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        A, B = self._mats(xs), self._mats(ys)
-        R = self.base
-        out = np.empty_like(A)
-        for i in range(self.k):
-            for j in range(self.k):
-                acc = R.mul_vec(A[:, i, 0], B[:, 0, j])
-                for l in range(1, self.k):
-                    acc = R.add_vec(acc, R.mul_vec(A[:, i, l], B[:, l, j]))
-                out[:, i, j] = acc
-        return encode_digits(out.reshape(len(xs), -1), self.base.card)
+        A, B = (decode_digits(v, self.base.card, self.ndigits) for v in _pair(xs, ys))
+        out = np.zeros(len(A), dtype=np.int64)
+        for i, j in self._reps:
+            out = out * self.base.card + self._entry(A, B, i, j)
+        return out
+
+    def _verify_closure(self) -> None:
+        n, card = self.ndigits, self.base.card
+        digits = np.full((n * card, n), self.base.zero, dtype=np.int64)
+        digits[np.arange(n * card), np.repeat(np.arange(n), card)] = np.tile(np.arange(card), n)
+        left = encode_digits(digits, card)
+        right = encode_digits(np.where(np.eye(n, dtype=bool), self.base.one, self.base.zero), card)
+        left, right = np.repeat(left, n), np.tile(right, len(left))
+        A, B = decode_digits(left, card, n), decode_digits(right, card, n)
+        ok = np.ones(len(left), dtype=bool)
+        for cls in self.classes:
+            for i, j in cls[1:]:
+                ok &= self._entry(A, B, i, j) == self._entry(A, B, *cls[0])
+        for i, j in set(self._terms) - set(self._column):
+            ok &= self._entry(A, B, i, j) == self.base.zero
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            raise ConstructionError(
+                f"{self.label} is not multiplicatively closed: "
+                f"witness pair ({int(left[bad])}, {int(right[bad])})"
+            )
 
     def format_element(self, a: int) -> str:
-        A = self._mat(a)
-        rows = ["[" + ", ".join(self.base.format_element(x) for x in row) + "]" for row in A]
+        digits = decode_digits(self._check(a), self.base.card, self.ndigits)[0]
+        rows = [
+            "[" + ", ".join(
+                self.base.format_element(
+                    int(digits[self._column[i, j]]) if (i, j) in self._column else self.base.zero
+                )
+                for j in range(self.size)
+            ) + "]"
+            for i in range(self.size)
+        ]
         return "[" + ", ".join(rows) + "]"
 
 
+def _full_classes(k: int) -> list[tuple[tuple[int, int]]]:
+    return [((i, j),) for i in range(k) for j in range(k)]
+
+
 def matrix_ring(k: int, base: Ring, max_card: int | None = None) -> MatrixRing:
-    return MatrixRing(k, base, max_card=max_card)
+    """Full ``k x k`` matrix ring over a base ring."""
+    if k < 1:
+        raise ConstructionError(f"matrix size must be >= 1, got {k}")
+    return MatrixRing(base, _full_classes(k), f"M({k},{base.label})", max_card=max_card)
 
 
 # ---------------------------------------------------------------------------
-# pattern subrings of upper-triangular matrices
+# patterns of upper-triangular matrices
 
 
 @dataclass(frozen=True)
@@ -268,16 +287,6 @@ class Pattern:
             raise ConstructionError(
                 f"pattern {self.name}: every diagonal coordinate needs a class"
             )
-
-    @property
-    def zero_forced(self) -> tuple[tuple[int, int], ...]:
-        covered = {c for cls in self.classes for c in cls}
-        return tuple(
-            (i, j)
-            for i in range(self.size)
-            for j in range(i, self.size)
-            if (i, j) not in covered
-        )
 
 
 def upper_triangular_pattern(k: int) -> Pattern:
@@ -363,176 +372,62 @@ def builtin_pattern(name: str, args: tuple[int, ...]) -> Pattern:
     raise ConstructionError(f"pattern {name} does not take {len(args)} argument(s)")
 
 
-_EXHAUSTIVE_CLOSURE_LIMIT = 4_000_000  # pairs
+def pattern_subring(pattern: Pattern, base: Ring, max_card: int | None = None) -> MatrixRing:
+    """Subring of the upper-triangular matrices cut out by a pattern."""
+    return MatrixRing(
+        base, pattern.classes, f"PAT({pattern.name},{base.label})", max_card=max_card
+    )
 
 
-class PatternRing(Ring):
-    """Subring of the upper-triangular matrices cut out by a pattern.
-
-    Multiplicative closure is validated at construction: products of all
-    class-impulse elements must land back in the pattern (complete by
-    bilinearity since the pattern is additively closed), and small rings
-    additionally get the full pairwise product scan.
-    """
-
-    def __init__(
-        self,
-        pattern: Pattern,
-        base: Ring,
-        label: str | None = None,
-        max_card: int | None = None,
-    ) -> None:
-        self.pattern = pattern
-        self.base = base
-        self.k = pattern.size
-        self.nclasses = len(pattern.classes)
-        self.card = check_guard(base.card**self.nclasses, max_card)
-        self.zero = 0
-        one_digits = [
-            base.one if pattern.classes[c][0][0] == pattern.classes[c][0][1] else base.zero
-            for c in range(self.nclasses)
-        ]
-        self.one = _scalar_encode(one_digits, base.card)
-        self.label = label if label is not None else f"PAT({pattern.name},{base.label})"
-        self._reps = [cls[0] for cls in pattern.classes]
-        self._verify_closure()
-
-    # -- matrix expansion ----------------------------------------------------
-    def _mats(self, xs) -> np.ndarray:
-        xs = _as_index_array(xs)
-        digits = decode_digits(xs, self.base.card, self.nclasses)
-        mats = np.full((len(xs), self.k, self.k), self.base.zero, dtype=np.int64)
-        for c, cls in enumerate(self.pattern.classes):
-            for (i, j) in cls:
-                mats[:, i, j] = digits[:, c]
-        return mats
-
-    def _mat(self, a: int) -> list[list[int]]:
-        digits = _scalar_digits(self._check(a), self.base.card, self.nclasses)
-        mat = [[self.base.zero] * self.k for _ in range(self.k)]
-        for c, cls in enumerate(self.pattern.classes):
-            for (i, j) in cls:
-                mat[i][j] = digits[c]
-        return mat
-
-    def _read(self, mats: np.ndarray) -> np.ndarray:
-        digits = np.empty((mats.shape[0], self.nclasses), dtype=np.int64)
-        for c, (i, j) in enumerate(self._reps):
-            digits[:, c] = mats[:, i, j]
-        return encode_digits(digits, self.base.card)
-
-    # -- scalar ops ------------------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        da = _scalar_digits(self._check(a), self.base.card, self.nclasses)
-        db = _scalar_digits(self._check(b), self.base.card, self.nclasses)
-        return _scalar_encode(
-            [self.base.add(x, y) for x, y in zip(da, db)], self.base.card
-        )
-
-    def neg(self, a: int) -> int:
-        da = _scalar_digits(self._check(a), self.base.card, self.nclasses)
-        return _scalar_encode([self.base.neg(x) for x in da], self.base.card)
-
-    def mul(self, a: int, b: int) -> int:
-        A, B = self._mat(a), self._mat(b)
-        R = self.base
-        out = []
-        for (i, j) in self._reps:
-            acc = R.mul(A[i][0], B[0][j])
-            for l in range(1, self.k):
-                acc = R.add(acc, R.mul(A[i][l], B[l][j]))
-            out.append(acc)
-        return _scalar_encode(out, self.base.card)
-
-    # -- vector ops --------------------------------------------------------------
-    def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        da = decode_digits(xs, self.base.card, self.nclasses)
-        db = decode_digits(ys, self.base.card, self.nclasses)
-        out = np.empty_like(da)
-        for c in range(self.nclasses):
-            out[:, c] = self.base.add_vec(da[:, c], db[:, c])
-        return encode_digits(out, self.base.card)
-
-    def neg_vec(self, xs) -> np.ndarray:
-        da = decode_digits(_as_index_array(xs), self.base.card, self.nclasses)
-        out = np.empty_like(da)
-        for c in range(self.nclasses):
-            out[:, c] = self.base.neg_vec(da[:, c])
-        return encode_digits(out, self.base.card)
-
-    def _matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        R = self.base
-        out = np.full_like(A, R.zero)
-        for i in range(self.k):
-            for j in range(i, self.k):
-                acc = R.mul_vec(A[:, i, i], B[:, i, j])
-                for l in range(i + 1, j + 1):
-                    acc = R.add_vec(acc, R.mul_vec(A[:, i, l], B[:, l, j]))
-                out[:, i, j] = acc
-        return out
-
-    def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        return self._read(self._matmul(self._mats(xs), self._mats(ys)))
-
-    # -- closure -------------------------------------------------------------
-    def _in_pattern(self, mats: np.ndarray) -> np.ndarray:
-        ok = np.ones(mats.shape[0], dtype=bool)
-        for cls in self.pattern.classes:
-            i0, j0 = cls[0]
-            for (i, j) in cls[1:]:
-                ok &= mats[:, i, j] == mats[:, i0, j0]
-        for (i, j) in self.pattern.zero_forced:
-            ok &= mats[:, i, j] == self.base.zero
-        return ok
-
-    def _verify_closure(self) -> None:
-        B = self.base.card
-        # impulse elements: one class set to each base element in turn
-        impulses = []
-        for c in range(self.nclasses):
-            weight = B ** (self.nclasses - 1 - c)
-            impulses.extend(x * weight for x in range(B))
-        imp = np.array(impulses, dtype=np.int64)
-        left = np.repeat(imp, len(imp))
-        right = np.tile(imp, len(imp))
-        prods = self._matmul(self._mats(left), self._mats(right))
-        ok = self._in_pattern(prods)
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            a, b = int(left[bad]), int(right[bad])
-            raise ConstructionError(
-                f"pattern {self.pattern.name} over {self.base.label} is not "
-                f"multiplicatively closed: witness pair ({a}, {b})"
-            )
-        if self.card * self.card <= _EXHAUSTIVE_CLOSURE_LIMIT:
-            ar = np.arange(self.card, dtype=np.int64)
-            for a in range(self.card):
-                prods = self._matmul(self._mats(np.full_like(ar, a)), self._mats(ar))
-                ok = self._in_pattern(prods)
-                if not ok.all():
-                    b = int(np.flatnonzero(~ok)[0])
-                    raise ConstructionError(
-                        f"pattern {self.pattern.name} over {self.base.label} is not "
-                        f"multiplicatively closed: witness pair ({a}, {b})"
-                    )
-
-    def format_element(self, a: int) -> str:
-        A = self._mat(a)
-        rows = ["[" + ", ".join(self.base.format_element(x) for x in row) + "]" for row in A]
-        return "[" + ", ".join(rows) + "]"
-
-
-def pattern_subring(pattern: Pattern, base: Ring, max_card: int | None = None) -> PatternRing:
-    return PatternRing(pattern, base, max_card=max_card)
-
-
-def upper_triangular(k: int, base: Ring, max_card: int | None = None) -> PatternRing:
+def upper_triangular(k: int, base: Ring, max_card: int | None = None) -> MatrixRing:
     if k < 1:
         raise ConstructionError(f"matrix size must be >= 1, got {k}")
-    return PatternRing(
-        upper_triangular_pattern(k), base, label=f"T({k},{base.label})", max_card=max_card
+    return MatrixRing(
+        base, upper_triangular_pattern(k).classes, f"T({k},{base.label})", max_card=max_card
+    )
+
+
+# ---------------------------------------------------------------------------
+# matrix rings twisted by a central element
+
+
+def _central_twist(base: Ring, s: int) -> int:
+    if not 0 <= s < base.card:
+        raise ConstructionError(f"twist {s} is not an element of {base.label}")
+    ar = np.arange(base.card, dtype=np.int64)
+    if not np.array_equal(base.mul_vec(s, ar), base.mul_vec(ar, s)):
+        raise ConstructionError(f"element {s} is not central in {base.label}")
+    return s
+
+
+def formal_matrix(n: int, s: int, base: Ring, max_card: int | None = None) -> MatrixRing:
+    """Matrix-shaped ring with products twisted by powers of a central ``s``.
+
+    The (i,j) entry of a product is ``sum_l s**e(i,l,j) * a_il * b_lj`` where
+    ``e(i,l,j) = 1 + [i==j] - [i==l] - [l==j]``; the exponents lie in
+    {0, 1, 2} and ``s = one`` recovers the ordinary matrix ring.
+    """
+    if n < 2:
+        raise ConstructionError(f"formal matrix size must be >= 2, got {n}")
+    powers = [base.one, _central_twist(base, s), base.mul(s, s)]
+    return MatrixRing(
+        base,
+        _full_classes(n),
+        f"FM({n},{s},{base.label})",
+        twist=lambda i, l, j: powers[1 + (i == j) - (i == l) - (l == j)],
+        max_card=max_card,
+    )
+
+
+def generalized_matrix_ring(base: Ring, s: int, max_card: int | None = None) -> MatrixRing:
+    """2x2 generalized matrix ring K_s(R): cross products pick up a factor s."""
+    s = _central_twist(base, s)
+    return MatrixRing(
+        base,
+        _full_classes(2),
+        f"K({s},{base.label})",
+        twist=lambda i, l, j: s if i == j != l else base.one,
+        max_card=max_card,
     )
 
 
@@ -553,20 +448,6 @@ class DirectProduct(Ring):
 
     def _split(self, a: int) -> tuple[int, int]:
         return divmod(self._check(a), self.right.card)
-
-    def add(self, a: int, b: int) -> int:
-        la, ra = self._split(a)
-        lb, rb = self._split(b)
-        return self.left.add(la, lb) * self.right.card + self.right.add(ra, rb)
-
-    def neg(self, a: int) -> int:
-        la, ra = self._split(a)
-        return self.left.neg(la) * self.right.card + self.right.neg(ra)
-
-    def mul(self, a: int, b: int) -> int:
-        la, ra = self._split(a)
-        lb, rb = self._split(b)
-        return self.left.mul(la, lb) * self.right.card + self.right.mul(ra, rb)
 
     def add_vec(self, xs, ys) -> np.ndarray:
         xs, ys = _pair(xs, ys)
@@ -597,8 +478,10 @@ def direct_product(left: Ring, right: Ring, max_card: int | None = None) -> Dire
 # trivial extension
 
 
-class TrivialExtension(Ring):
+class TrivialExtension(_DigitRing):
     """Pairs (r, m) over one ring with (r,m)(s,n) = (rs, rn + ms)."""
+
+    ndigits = 2
 
     def __init__(self, base: Ring, max_card: int | None = None) -> None:
         self.base = base
@@ -606,35 +489,6 @@ class TrivialExtension(Ring):
         self.zero = base.zero * base.card + base.zero
         self.one = base.one * base.card + base.zero
         self.label = f"TE({base.label})"
-
-    def _split(self, a: int) -> tuple[int, int]:
-        return divmod(self._check(a), self.base.card)
-
-    def add(self, a: int, b: int) -> int:
-        ra, ma = self._split(a)
-        rb, mb = self._split(b)
-        return self.base.add(ra, rb) * self.base.card + self.base.add(ma, mb)
-
-    def neg(self, a: int) -> int:
-        ra, ma = self._split(a)
-        return self.base.neg(ra) * self.base.card + self.base.neg(ma)
-
-    def mul(self, a: int, b: int) -> int:
-        ra, ma = self._split(a)
-        rb, mb = self._split(b)
-        r = self.base.mul(ra, rb)
-        m = self.base.add(self.base.mul(ra, mb), self.base.mul(ma, rb))
-        return r * self.base.card + m
-
-    def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        rx, mx = np.divmod(xs, self.base.card)
-        ry, my = np.divmod(ys, self.base.card)
-        return self.base.add_vec(rx, ry) * self.base.card + self.base.add_vec(mx, my)
-
-    def neg_vec(self, xs) -> np.ndarray:
-        rx, mx = np.divmod(_as_index_array(xs), self.base.card)
-        return self.base.neg_vec(rx) * self.base.card + self.base.neg_vec(mx)
 
     def mul_vec(self, xs, ys) -> np.ndarray:
         xs, ys = _pair(xs, ys)
@@ -645,8 +499,8 @@ class TrivialExtension(Ring):
         return r * self.base.card + m
 
     def format_element(self, a: int) -> str:
-        ra, ma = self._split(a)
-        return f"({self.base.format_element(ra)}, {self.base.format_element(ma)})"
+        r, m = divmod(self._check(a), self.base.card)
+        return f"({self.base.format_element(r)}, {self.base.format_element(m)})"
 
 
 def trivial_extension(base: Ring, max_card: int | None = None) -> TrivialExtension:
@@ -657,7 +511,7 @@ def trivial_extension(base: Ring, max_card: int | None = None) -> TrivialExtensi
 # polynomial quotients and finite fields
 
 
-class PolyQuotient(Ring):
+class PolyQuotient(_DigitRing):
     """Residues of ``R[x]`` modulo a monic polynomial over a commutative base."""
 
     def __init__(
@@ -680,7 +534,7 @@ class PolyQuotient(Ring):
             raise ConstructionError(f"base ring {base.label} is not commutative")
         self.base = base
         self.modulus = modulus
-        self.degree = len(modulus) - 1
+        self.degree = self.ndigits = len(modulus) - 1
         self.card = check_guard(base.card**self.degree, max_card)
         self.zero = 0
         self.one = base.one  # constant-term digit is least significant
@@ -688,58 +542,6 @@ class PolyQuotient(Ring):
         self.label = label if label is not None else f"PQ({base.label},{poly})"
         # x**degree == sum_i reduction[i] * x**i
         self._reduction = [base.neg(c) for c in modulus[:-1]]
-
-    def _coeffs(self, a: int) -> list[int]:
-        out = []
-        a = self._check(a)
-        for _ in range(self.degree):
-            a, c = divmod(a, self.base.card)
-            out.append(c)
-        return out
-
-    def _enc(self, coeffs) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * self.base.card + c
-        return acc
-
-    def add(self, a: int, b: int) -> int:
-        ca, cb = self._coeffs(a), self._coeffs(b)
-        return self._enc([self.base.add(x, y) for x, y in zip(ca, cb)])
-
-    def neg(self, a: int) -> int:
-        return self._enc([self.base.neg(x) for x in self._coeffs(a)])
-
-    def mul(self, a: int, b: int) -> int:
-        R = self.base
-        d = self.degree
-        ca, cb = self._coeffs(a), self._coeffs(b)
-        conv = [R.zero] * (2 * d - 1)
-        for i, x in enumerate(ca):
-            for j, y in enumerate(cb):
-                conv[i + j] = R.add(conv[i + j], R.mul(x, y))
-        for t in range(2 * d - 2, d - 1, -1):
-            lead = conv[t]
-            if lead != R.zero:
-                for i in range(d):
-                    conv[t - d + i] = R.add(conv[t - d + i], R.mul(lead, self._reduction[i]))
-        return self._enc(conv[:d])
-
-    def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        ca = decode_digits_le(xs, self.base.card, self.degree)
-        cb = decode_digits_le(ys, self.base.card, self.degree)
-        out = np.empty_like(ca)
-        for i in range(self.degree):
-            out[:, i] = self.base.add_vec(ca[:, i], cb[:, i])
-        return encode_digits_le(out, self.base.card)
-
-    def neg_vec(self, xs) -> np.ndarray:
-        ca = decode_digits_le(_as_index_array(xs), self.base.card, self.degree)
-        out = np.empty_like(ca)
-        for i in range(self.degree):
-            out[:, i] = self.base.neg_vec(ca[:, i])
-        return encode_digits_le(out, self.base.card)
 
     def mul_vec(self, xs, ys) -> np.ndarray:
         xs, ys = _pair(xs, ys)
@@ -809,13 +611,17 @@ def _poly_divides(div: list[int], poly: list[int], p: int) -> bool:
     return not any(rem)
 
 
+def _little_endian(t: int, p: int, k: int) -> list[int]:
+    """The ``k`` base-``p`` digits of ``t``, least significant first."""
+    return [(t // p**i) % p for i in range(k)]
+
+
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
     deg = len(coeffs) - 1
     for ddeg in range(1, deg // 2 + 1):
         for t in range(p**ddeg):
-            # little-endian monic divisor: constant term first, leading 1
-            div = _scalar_digits(t, p, ddeg)[::-1] + [1]
-            if _poly_divides(div, coeffs, p):
+            # monic divisor: constant term first, leading 1
+            if _poly_divides(_little_endian(t, p, ddeg) + [1], coeffs, p):
                 return False
     return True
 
@@ -831,220 +637,13 @@ def gf(p: int, k: int, max_card: int | None = None) -> PolyQuotient:
     base = Zmod(p)
     modulus = None
     for t in range(card):
-        low = [(t // p**i) % p for i in range(k)]
-        coeffs = low + [1]
+        coeffs = _little_endian(t, p, k) + [1]
         if _is_irreducible(coeffs, p):
             modulus = coeffs
             break
     if modulus is None:  # cannot happen: irreducibles exist in every degree
         raise ConstructionError(f"no irreducible of degree {k} over Z({p})")
     return PolyQuotient(base, modulus, label=f"GF({p},{k})", max_card=max_card)
-
-
-# ---------------------------------------------------------------------------
-# formal matrix rings twisted by a central element
-
-
-class FormalMatrixRing(Ring):
-    """Matrix-shaped ring with products twisted by powers of a central ``s``.
-
-    The (i,j) entry of a product is ``sum_k s**e(i,k,j) * a_ik * b_kj`` where
-    ``e(i,k,j) = 1 + [i==j] - [i==k] - [k==j]``; the exponents lie in
-    {0, 1, 2} and ``s = one`` recovers the ordinary matrix ring.
-    """
-
-    def __init__(self, n: int, s: int, base: Ring, max_card: int | None = None) -> None:
-        if n < 2:
-            raise ConstructionError(f"formal matrix size must be >= 2, got {n}")
-        base._check(s)
-        ar = np.arange(base.card, dtype=np.int64)
-        if not np.array_equal(base.mul_vec(s, ar), base.mul_vec(ar, s)):
-            raise ConstructionError(
-                f"element {s} is not central in {base.label}"
-            )
-        self.n = n
-        self.s = s
-        self.base = base
-        self.card = check_guard(base.card ** (n * n), max_card)
-        self.zero = 0
-        eye = [base.one if i == j else base.zero for i in range(n) for j in range(n)]
-        self.one = _scalar_encode(eye, base.card)
-        self.label = f"FM({n},{s},{base.label})"
-        self._spow = [base.one, s, base.mul(s, s)]
-        self._expo = [
-            [
-                [1 + (i == j) - (i == k) - (k == j) for j in range(n)]
-                for k in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    def _mat(self, a: int) -> list[list[int]]:
-        flat = _scalar_digits(self._check(a), self.base.card, self.n * self.n)
-        return [flat[i * self.n : (i + 1) * self.n] for i in range(self.n)]
-
-    def _enc(self, mat) -> int:
-        return _scalar_encode(
-            [mat[i][j] for i in range(self.n) for j in range(self.n)], self.base.card
-        )
-
-    def add(self, a: int, b: int) -> int:
-        A, B = self._mat(a), self._mat(b)
-        R = self.base
-        return self._enc(
-            [[R.add(A[i][j], B[i][j]) for j in range(self.n)] for i in range(self.n)]
-        )
-
-    def neg(self, a: int) -> int:
-        A = self._mat(a)
-        R = self.base
-        return self._enc([[R.neg(A[i][j]) for j in range(self.n)] for i in range(self.n)])
-
-    def mul(self, a: int, b: int) -> int:
-        A, B = self._mat(a), self._mat(b)
-        R = self.base
-        n = self.n
-        out = [[R.zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = R.zero
-                for k in range(n):
-                    term = R.mul(self._spow[self._expo[i][k][j]], R.mul(A[i][k], B[k][j]))
-                    acc = R.add(acc, term)
-                out[i][j] = acc
-        return self._enc(out)
-
-    def _mats(self, xs) -> np.ndarray:
-        xs = _as_index_array(xs)
-        return decode_digits(xs, self.base.card, self.n * self.n).reshape(
-            len(xs), self.n, self.n
-        )
-
-    def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        A, B = self._mats(xs), self._mats(ys)
-        out = np.empty_like(A)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[:, i, j] = self.base.add_vec(A[:, i, j], B[:, i, j])
-        return encode_digits(out.reshape(len(xs), -1), self.base.card)
-
-    def neg_vec(self, xs) -> np.ndarray:
-        xs = _as_index_array(xs)
-        A = self._mats(xs)
-        out = np.empty_like(A)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[:, i, j] = self.base.neg_vec(A[:, i, j])
-        return encode_digits(out.reshape(len(xs), -1), self.base.card)
-
-    def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        A, B = self._mats(xs), self._mats(ys)
-        R = self.base
-        out = np.empty_like(A)
-        for i in range(self.n):
-            for j in range(self.n):
-                acc = np.full(len(xs), R.zero, dtype=np.int64)
-                for k in range(self.n):
-                    term = R.mul_vec(A[:, i, k], B[:, k, j])
-                    e = self._expo[i][k][j]
-                    if e:
-                        term = R.mul_vec(self._spow[e], term)
-                    acc = R.add_vec(acc, term)
-                out[:, i, j] = acc
-        return encode_digits(out.reshape(len(xs), -1), self.base.card)
-
-    def format_element(self, a: int) -> str:
-        A = self._mat(a)
-        rows = ["[" + ", ".join(self.base.format_element(x) for x in row) + "]" for row in A]
-        return "[" + ", ".join(rows) + "]"
-
-
-def formal_matrix(n: int, s: int, base: Ring, max_card: int | None = None) -> FormalMatrixRing:
-    return FormalMatrixRing(n, s, base, max_card=max_card)
-
-
-class GeneralizedMatrixRing(Ring):
-    """2x2 generalized matrix ring K_s(R): cross products picked up a factor s."""
-
-    def __init__(self, base: Ring, s: int, max_card: int | None = None) -> None:
-        base._check(s)
-        ar = np.arange(base.card, dtype=np.int64)
-        if not np.array_equal(base.mul_vec(s, ar), base.mul_vec(ar, s)):
-            raise ConstructionError(f"element {s} is not central in {base.label}")
-        self.base = base
-        self.s = s
-        self.card = check_guard(base.card**4, max_card)
-        self.zero = 0
-        self.one = _scalar_encode([base.one, base.zero, base.zero, base.one], base.card)
-        self.label = f"K({s},{base.label})"
-
-    def _quad(self, a: int) -> list[int]:
-        return _scalar_digits(self._check(a), self.base.card, 4)
-
-    def add(self, a: int, b: int) -> int:
-        qa, qb = self._quad(a), self._quad(b)
-        return _scalar_encode(
-            [self.base.add(x, y) for x, y in zip(qa, qb)], self.base.card
-        )
-
-    def neg(self, a: int) -> int:
-        return _scalar_encode([self.base.neg(x) for x in self._quad(a)], self.base.card)
-
-    def mul(self, a: int, b: int) -> int:
-        R = self.base
-        a1, x1, y1, b1 = self._quad(a)
-        a2, x2, y2, b2 = self._quad(b)
-        s = self.s
-        out = [
-            R.add(R.mul(a1, a2), R.mul(s, R.mul(x1, y2))),
-            R.add(R.mul(a1, x2), R.mul(x1, b2)),
-            R.add(R.mul(y1, a2), R.mul(b1, y2)),
-            R.add(R.mul(s, R.mul(y1, x2)), R.mul(b1, b2)),
-        ]
-        return _scalar_encode(out, self.base.card)
-
-    def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        da = decode_digits(xs, self.base.card, 4)
-        db = decode_digits(ys, self.base.card, 4)
-        out = np.empty_like(da)
-        for c in range(4):
-            out[:, c] = self.base.add_vec(da[:, c], db[:, c])
-        return encode_digits(out, self.base.card)
-
-    def neg_vec(self, xs) -> np.ndarray:
-        da = decode_digits(_as_index_array(xs), self.base.card, 4)
-        out = np.empty_like(da)
-        for c in range(4):
-            out[:, c] = self.base.neg_vec(da[:, c])
-        return encode_digits(out, self.base.card)
-
-    def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        R = self.base
-        a1, x1, y1, b1 = decode_digits(xs, R.card, 4).T
-        a2, x2, y2, b2 = decode_digits(ys, R.card, 4).T
-        s = self.s
-        out = np.stack(
-            [
-                R.add_vec(R.mul_vec(a1, a2), R.mul_vec(s, R.mul_vec(x1, y2))),
-                R.add_vec(R.mul_vec(a1, x2), R.mul_vec(x1, b2)),
-                R.add_vec(R.mul_vec(y1, a2), R.mul_vec(b1, y2)),
-                R.add_vec(R.mul_vec(s, R.mul_vec(y1, x2)), R.mul_vec(b1, b2)),
-            ],
-            axis=1,
-        )
-        return encode_digits(out, self.base.card)
-
-    def format_element(self, a: int) -> str:
-        a1, x1, y1, b1 = (self.base.format_element(x) for x in self._quad(a))
-        return f"[[{a1}, {x1}], [{y1}, {b1}]]"
-
-
-def generalized_matrix_ring(base: Ring, s: int, max_card: int | None = None) -> GeneralizedMatrixRing:
-    return GeneralizedMatrixRing(base, s, max_card=max_card)
 
 
 # ---------------------------------------------------------------------------
@@ -1136,67 +735,17 @@ def group_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(left * h.order + right, f"{g.label} x {h.label}")
 
 
-class GroupRing(Ring):
+class GroupRing(_DigitRing):
     """Group ring R[G] with pointwise addition and convolution product."""
 
     def __init__(self, base: Ring, group: FiniteGroup, max_card: int | None = None) -> None:
         self.base = base
         self.group = group
+        self.ndigits = group.order
         self.card = check_guard(base.card**group.order, max_card)
         self.zero = 0
         self.one = base.one  # coefficient 1 at the identity g0
         self.label = f"GR({base.label},{group.label})"
-
-    def _coeffs(self, a: int) -> list[int]:
-        out = []
-        a = self._check(a)
-        for _ in range(self.group.order):
-            a, c = divmod(a, self.base.card)
-            out.append(c)
-        return out
-
-    def _enc(self, coeffs) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * self.base.card + c
-        return acc
-
-    def add(self, a: int, b: int) -> int:
-        ca, cb = self._coeffs(a), self._coeffs(b)
-        return self._enc([self.base.add(x, y) for x, y in zip(ca, cb)])
-
-    def neg(self, a: int) -> int:
-        return self._enc([self.base.neg(x) for x in self._coeffs(a)])
-
-    def mul(self, a: int, b: int) -> int:
-        R = self.base
-        ca, cb = self._coeffs(a), self._coeffs(b)
-        out = [R.zero] * self.group.order
-        for i, x in enumerate(ca):
-            if x == R.zero:
-                continue
-            for j, y in enumerate(cb):
-                k = int(self.group.table[i, j])
-                out[k] = R.add(out[k], R.mul(x, y))
-        return self._enc(out)
-
-    def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        m = self.group.order
-        ca = decode_digits_le(xs, self.base.card, m)
-        cb = decode_digits_le(ys, self.base.card, m)
-        out = np.empty_like(ca)
-        for i in range(m):
-            out[:, i] = self.base.add_vec(ca[:, i], cb[:, i])
-        return encode_digits_le(out, self.base.card)
-
-    def neg_vec(self, xs) -> np.ndarray:
-        m = self.group.order
-        ca = decode_digits_le(_as_index_array(xs), self.base.card, m)
-        out = np.empty_like(ca)
-        for i in range(m):
-            out[:, i] = self.base.neg_vec(ca[:, i])
-        return encode_digits_le(out, self.base.card)
 
     def mul_vec(self, xs, ys) -> np.ndarray:
         xs, ys = _pair(xs, ys)
@@ -1211,20 +760,15 @@ class GroupRing(Ring):
                 out[:, k] = R.add_vec(out[:, k], R.mul_vec(ca[:, i], cb[:, j]))
         return encode_digits_le(out, self.base.card)
 
+    def _augment(self, xs) -> np.ndarray:
+        """Coefficient sums, the images under the map onto the base ring."""
+        return reduce(self.base.add_vec, decode_digits_le(xs, self.base.card, self.ndigits).T)
+
     def augmentation(self, a: int) -> int:
-        """Coefficient sum, the image under the map onto the base ring."""
-        acc = self.base.zero
-        for c in self._coeffs(a):
-            acc = self.base.add(acc, c)
-        return acc
+        return int(self._augment(self._check(a))[0])
 
     def augmentation_ideal(self) -> Subset:
-        ar = np.arange(self.card, dtype=np.int64)
-        coeffs = decode_digits_le(ar, self.base.card, self.group.order)
-        acc = coeffs[:, 0]
-        for i in range(1, self.group.order):
-            acc = self.base.add_vec(acc, coeffs[:, i])
-        return Subset(self, acc == self.base.zero)
+        return Subset(self, self._augment(np.arange(self.card)) == self.base.zero)
 
     def format_element(self, a: int) -> str:
         terms = []
@@ -1295,19 +839,6 @@ class QuotientRing(Ring):
     def lift(self, c: int) -> int:
         """Smallest base-ring member of a coset."""
         return int(self._reps[self._check(c)])
-
-    def add(self, a: int, b: int) -> int:
-        return int(
-            self._coset_of[self.base.add(int(self._reps[self._check(a)]), int(self._reps[self._check(b)]))]
-        )
-
-    def neg(self, a: int) -> int:
-        return int(self._coset_of[self.base.neg(int(self._reps[self._check(a)]))])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(
-            self._coset_of[self.base.mul(int(self._reps[self._check(a)]), int(self._reps[self._check(b)]))]
-        )
 
     def add_vec(self, xs, ys) -> np.ndarray:
         xs, ys = _pair(xs, ys)

@@ -1,11 +1,12 @@
 """Finite rings as indexed carriers with exact integer arithmetic.
 
 A ring lives on the carrier ``0 .. card-1``; elements are plain ints and
-are meaningful only relative to the ring that produced them.  Every ring
-exposes scalar ``add``/``neg``/``mul`` plus numpy-vectorised variants that
-the bulk scans are built on.  ``memoize`` copies a ring of card up to the
-table threshold into int32 operation tables (``TableRing``), evaluating the
-ring only on the rows of additive generators.
+are meaningful only relative to the ring that produced them.  A ring is
+defined by its numpy-vectorised ``add_vec``/``neg_vec``/``mul_vec``, which
+the bulk scans are built on; the scalar ``add``/``neg``/``mul`` are derived
+from them.  ``memoize`` copies a ring of card up to the table threshold
+into int32 operation tables (``TableRing``), evaluating the ring only on
+the rows of additive generators.
 """
 
 from __future__ import annotations
@@ -71,18 +72,24 @@ def _as_index_array(xs) -> np.ndarray:
 
 
 def _pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = np.broadcast_arrays(_as_index_array(xs), _as_index_array(ys))
+    xs, ys = _as_index_array(xs), _as_index_array(ys)
+    # equal shapes are the common case inside a construction, and numpy's
+    # broadcast setup is most of a small call's cost
+    if xs.shape == ys.shape:
+        return xs, ys
+    xs, ys = np.broadcast_arrays(xs, ys)
     return xs, ys
 
 
 class Ring:
     """A finite unital ring on the carrier ``0 .. card-1``.
 
-    Required invariants: (carrier, add, neg, zero) is an abelian group,
-    ``mul`` is associative with identity ``one``, multiplication
-    distributes over addition on both sides, and ``zero != one``.
-    ``check_ring_axioms`` verifies all of that exhaustively for small
-    cards.
+    A construction implements ``add_vec``, ``neg_vec`` and ``mul_vec``; the
+    scalar ``add``/``neg``/``mul`` evaluate them on one pair.  Required
+    invariants: (carrier, add, neg, zero) is an abelian group, ``mul`` is
+    associative with identity ``one``, multiplication distributes over
+    addition on both sides, and ``zero != one``.  ``check_ring_axioms``
+    verifies all of that exhaustively for small cards.
     """
 
     card: int
@@ -90,15 +97,30 @@ class Ring:
     one: int
     label: str
 
-    # -- scalar operations -------------------------------------------------
-    def add(self, a: int, b: int) -> int:
+    # -- vectorised operations: the interface a construction implements -----
+    # Inputs broadcast like numpy arrays (empty ones included) and are
+    # assumed to be valid indices; outputs are int64 arrays.
+    def add_vec(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
+
+    def neg_vec(self, xs) -> np.ndarray:
+        raise NotImplementedError
+
+    def mul_vec(self, xs, ys) -> np.ndarray:
+        raise NotImplementedError
+
+    def sub_vec(self, xs, ys) -> np.ndarray:
+        return self.add_vec(xs, self.neg_vec(_as_index_array(ys)))
+
+    # -- scalar operations, checked and evaluated through the vector ones ----
+    def add(self, a: int, b: int) -> int:
+        return int(self.add_vec(self._check(a), self._check(b))[0])
 
     def neg(self, a: int) -> int:
-        raise NotImplementedError
+        return int(self.neg_vec(self._check(a))[0])
 
     def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
+        return int(self.mul_vec(self._check(a), self._check(b))[0])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -121,33 +143,6 @@ class Ring:
             raise IndexError(f"element index {a} out of range for {self.label}")
         return a
 
-    # -- vectorised operations ----------------------------------------------
-    # Inputs broadcast like numpy arrays and are assumed to be valid indices.
-    def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        return np.fromiter(
-            (self.add(int(x), int(y)) for x, y in zip(xs, ys)),
-            dtype=np.int64,
-            count=len(xs),
-        )
-
-    def neg_vec(self, xs) -> np.ndarray:
-        xs = _as_index_array(xs)
-        return np.fromiter(
-            (self.neg(int(x)) for x in xs), dtype=np.int64, count=len(xs)
-        )
-
-    def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        return np.fromiter(
-            (self.mul(int(x), int(y)) for x, y in zip(xs, ys)),
-            dtype=np.int64,
-            count=len(xs),
-        )
-
-    def sub_vec(self, xs, ys) -> np.ndarray:
-        return self.add_vec(xs, self.neg_vec(_as_index_array(ys)))
-
     # -- presentation --------------------------------------------------------
     def format_element(self, a: int) -> str:
         return str(a)
@@ -159,22 +154,22 @@ class Ring:
 def is_nilpotent(ring: Ring, a: int) -> tuple[bool, int | None]:
     """Decide nilpotency of ``a`` and return the least exponent when it is.
 
-    Walks successive powers recording seen values and stops at zero
-    (nilpotent) or at the first repeat (not), so it terminates within
-    ``card`` steps without assuming anything about the ring.
+    Walks the powers a, a**2, ... in blocks that double in length,
+    a**(k+1..2k) = a**k * a**(1..k), and stops at zero (nilpotent) or when
+    a**k recurs in its block (a cycle without zero: not), so it terminates
+    within ``2 * card`` products without assuming anything about the ring.
     """
-    ring._check(a)
-    seen: set[int] = set()
-    x = a
-    k = 1
+    if ring._check(a) == ring.zero:
+        return True, 1
+    powers = np.array([a], dtype=np.int64)
     while True:
-        if x == ring.zero:
-            return True, k
-        if x in seen:
+        block = ring.mul_vec(np.full(len(powers), powers[-1]), powers)
+        zero = np.flatnonzero(block == ring.zero)
+        if len(zero):
+            return True, len(powers) + int(zero[0]) + 1
+        if (block == powers[-1]).any():
             return False, None
-        seen.add(x)
-        x = ring.mul(x, a)
-        k += 1
+        powers = np.concatenate((powers, block))
 
 
 class Subset:
@@ -305,6 +300,7 @@ class TableRing(Ring):
         self._add, self._mul = _operation_tables(source)
         self._neg = source.neg_vec(np.arange(n, dtype=np.int64)).astype(np.int32)
 
+    # direct lookups: the per-element paths call the scalar ops one by one
     def add(self, a: int, b: int) -> int:
         return int(self._add[self._check(a), self._check(b)])
 

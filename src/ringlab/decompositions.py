@@ -103,20 +103,20 @@ class Witness:
 
 def validate_witness(ring: Ring, a: int, kind: str, w: Witness) -> None:
     """Assert a witness against its side conditions; raises ``ValueError``."""
-    e = w.idempotent
-    if ring.mul(e, e) != e:
+    e, rest = ring._check(w.idempotent), ring._check(w.rest)
+    ee, er, re = ring.mul_vec([e, e, rest], [e, rest, e])
+    if ee != e:
         raise ValueError(f"witness idempotent {e} is not idempotent in {ring.label}")
     if w.reconstruct(ring) != a:
         raise ValueError(f"witness for {a} in {ring.label} does not reconstruct it")
     if "nil" in kind:
-        ok, _ = is_nilpotent(ring, w.rest)
+        ok, _ = is_nilpotent(ring, rest)
         if not ok:
             raise ValueError(f"witness rest {w.rest} is not nilpotent in {ring.label}")
     else:
-        if not ring_data(ring).unit_mask[w.rest]:
+        if not ring_data(ring).unit_mask[rest]:
             raise ValueError(f"witness rest {w.rest} is not a unit in {ring.label}")
-    commuting = ring.mul(e, w.rest) == ring.mul(w.rest, e)
-    if commuting != w.commuting:
+    if (er == re) != w.commuting:
         raise ValueError(f"witness for {a} in {ring.label} mislabels commutation")
     if kind.startswith("strongly") and not w.commuting:
         raise ValueError(f"strong witness for {a} in {ring.label} does not commute")

@@ -4,11 +4,15 @@ Computes the unit group, nilpotents, idempotents, Jacobson radical,
 center, the quotient by the radical, and the block fingerprint of a
 semisimple ring, plus a record of classical ring-theoretic predicates.
 
-Units and nilpotents come out of one orbit pass: in a finite ring an
-element is a unit exactly when some positive power equals one, and all
-powers of an element share its unit/nilpotent/neither status, so walking
-power orbits with memoisation classifies the whole carrier in O(card)
-multiplications.
+Units and nilpotents come out of one vectorised propagation pass: all
+powers of an element share its unit/nilpotent/neither status, and they
+hold exactly one idempotent (one for a unit, zero for a nilpotent), so
+every element walks its powers, all of them in one array with walks that
+double per round, and stops at the first power whose status is known or
+that lies below it in index order and walks itself.  Only the least
+element of an orbit walks all of it, so a cyclic unit group of order q
+costs about card * log(card) products, not q * card.  Inverses follow
+from where each unit's walk stopped.
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Ring, Subset, is_nilpotent, ring_is_commutative
-from .constructions import (
-    DirectProduct,
-    MatrixRing,
-    QuotientRing,
-    quotient_by_ideal,
-)
+from .constructions import DirectProduct, QuotientRing, quotient_by_ideal
 
 _UNKNOWN, _UNIT, _NILPOTENT, _NEITHER = 0, 1, 2, 3
 
@@ -67,9 +66,11 @@ class RingData:
         self._idem_mask: np.ndarray | None = None
         self._jac_mask: np.ndarray | None = None
         self._center_mask: np.ndarray | None = None
+        #: (a**(j-1), a**j) per element a whose power walk stopped at a**j
+        self._stops: tuple[np.ndarray, np.ndarray] | None = None
         self._ranks: dict[bool, WitnessRanks] = {}
 
-    # -- unit / nilpotent orbit pass ---------------------------------------
+    # -- unit / nilpotent pass ----------------------------------------------
     def _orbit_status(self) -> np.ndarray:
         if self._status is not None:
             return self._status
@@ -86,39 +87,42 @@ class RingData:
             status[(ln[:, None] & rn[None, :]).ravel()] = _NILPOTENT
             self._status = status
             return status
-        if ring.card > 4096:
-            fast = matrix_unit_nil_masks(ring)
-            if fast is not None:
-                unit_mask, nil_mask = fast
-                status = np.full(ring.card, _NEITHER, dtype=np.int8)
-                status[unit_mask] = _UNIT
-                status[nil_mask] = _NILPOTENT
-                self._status = status
-                return status
-        card = ring.card
-        status = np.zeros(card, dtype=np.int8)
+        status = np.zeros(ring.card, dtype=np.int8)
+        # the powers of a share its status and hold exactly one idempotent:
+        # one for a unit, zero for a nilpotent and another one for neither
+        status[self.idem_mask] = _NEITHER
         status[ring.zero] = _NILPOTENT
         status[ring.one] = _UNIT
-        mul = ring.mul
-        for a in range(card):
-            if status[a]:
-                continue
-            path = [a]
-            seen = {a}
-            x = a
-            while True:
-                x = mul(x, a)
-                s = status[x]
-                if s:
-                    verdict = s
-                    break
-                if x in seen:
-                    verdict = _NEITHER
-                    break
-                path.append(x)
-                seen.add(x)
-            for y in path:
-                status[y] = verdict
+        # so every other element a walks its powers until one has a status
+        # or lies below a in index order; that power walks itself and a
+        # waits on it, so only the least element of an orbit walks all of
+        # it.  Walks double per round: a**(k+1..2k) = a**k * a**(1..k).
+        # Where the walk of a stops at t = a**j, ``stop_at`` keeps t and
+        # ``before`` a**(j-1), the two factors of a**-1 = a**(j-1) * t**-1.
+        a = np.flatnonzero(status == _UNKNOWN)
+        powers = a[:, None]
+        before = np.empty(ring.card, dtype=np.int64)
+        stop_at = np.empty(ring.card, dtype=np.int64)
+        while len(a):
+            n, k = powers.shape
+            block = ring.mul_vec(np.repeat(powers[:, -1], k), powers.ravel()).reshape(n, k)
+            stop = (status[block] != _UNKNOWN) | (block < a[:, None])
+            done = stop.any(axis=1)
+            at = stop[done].argmax(axis=1)
+            stopped, t = a[done], block[done, at]
+            powers = np.concatenate((powers, block), axis=1)
+            status[stopped] = status[t]
+            stop_at[stopped] = t
+            before[stopped] = powers[done, k + at - 1]
+            a, powers = a[~done], powers[~done]
+        self._stops = (before, stop_at)
+        waiting = np.flatnonzero(status == _UNKNOWN)
+        waits_on = stop_at.copy()
+        while len(waiting):
+            found = status[waits_on[waiting]]
+            status[waiting] = found
+            waiting = waiting[found == _UNKNOWN]
+            waits_on[waiting] = waits_on[waits_on[waiting]]
         self._status = status
         return status
 
@@ -148,23 +152,22 @@ class RingData:
             ).ravel()
             self._inverses = inv
             return inv
+        # the walk of a unit a in the status pass stopped at a power t =
+        # a**j, so a**-1 = a**(j-1) * t**-1, where t is one or a unit that
+        # walked too; a round folds the next step of each chain into a's
+        units = np.flatnonzero(self.unit_mask)
+        factor, link = self._stops
+        self._stops = None
         inv = np.full(ring.card, -1, dtype=np.int64)
         inv[ring.one] = ring.one
-        units = np.flatnonzero(self.unit_mask)
-        mul = ring.mul
-        for a in units:
-            a = int(a)
-            if inv[a] >= 0:
-                continue
-            path = [a]
-            x = mul(a, a)
-            while x != ring.one:
-                path.append(x)
-                x = mul(x, a)
-            k = len(path) + 1  # a**k == one
-            for j, y in enumerate(path, start=1):
-                if inv[y] < 0:
-                    inv[y] = path[k - j - 1]
+        waiting = units[units != ring.one]
+        while len(waiting):
+            target = link[waiting]
+            ready = inv[target] >= 0
+            inv[waiting[ready]] = ring.mul_vec(factor[waiting[ready]], inv[target[ready]])
+            waiting, target = waiting[~ready], target[~ready]
+            factor[waiting] = ring.mul_vec(factor[waiting], factor[target])
+            link[waiting] = link[target]
         self._inverses = inv
         return inv
 
@@ -266,44 +269,6 @@ def _product_parts(ring: Ring) -> tuple[Ring, Ring] | None:
     if isinstance(ring, DirectProduct):
         return ring.left, ring.right
     return None
-
-
-def matrix_unit_nil_masks(ring: Ring) -> tuple[np.ndarray, np.ndarray] | None:
-    """Vectorised unit/nilpotent masks for matrix rings over a commutative
-    base, or None when the shortcut does not apply.
-
-    A matrix over a commutative ring is invertible exactly when its
-    determinant is; nilpotency is decided by repeated squaring, since the
-    nilpotency index never exceeds the card.
-    """
-    if not isinstance(ring, MatrixRing):
-        return None
-    base = ring.base
-    if not ring_is_commutative(base):
-        return None
-    import itertools as _it
-
-    k = ring.k
-    ar = np.arange(ring.card, dtype=np.int64)
-    mats = ring._mats(ar)
-    det = np.full(ring.card, base.zero, dtype=np.int64)
-    for perm in _it.permutations(range(k)):
-        inversions = sum(
-            1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j]
-        )
-        term = mats[:, 0, perm[0]]
-        for i in range(1, k):
-            term = base.mul_vec(term, mats[:, i, perm[i]])
-        if inversions % 2:
-            term = base.neg_vec(term)
-        det = base.add_vec(det, term)
-    unit_mask = ring_data(base).unit_mask[det]
-    power = ar.copy()
-    squarings = max(1, int(np.ceil(np.log2(ring.card))))
-    for _ in range(squarings):
-        power = ring.mul_vec(power, power)
-    nil_mask = power == ring.zero
-    return unit_mask, nil_mask
 
 
 def ring_data(ring: Ring) -> RingData:

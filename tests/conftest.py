@@ -42,8 +42,36 @@ def m2z3():
 # independent oracles, deliberately written against the raw definitions
 
 
+class _TableArith:
+    """Scalar arithmetic of a ring read from ``direct_tables``: the oracles
+    below stay brute force, but do not go through the ring's own scalar
+    ops, which evaluate its vector ops on one pair at a time."""
+
+    def __init__(self, ring):
+        self.card, self.zero, self.one = ring.card, ring.zero, ring.one
+        self._add, self._mul, self._neg = direct_tables(ring)
+
+    def add(self, a, b):
+        return int(self._add[a, b])
+
+    def neg(self, a):
+        return int(self._neg[a])
+
+    def mul(self, a, b):
+        return int(self._mul[a, b])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+
+@functools.lru_cache(maxsize=8)
+def table_arith(ring):
+    return ring if isinstance(ring, _TableArith) else _TableArith(ring)
+
+
 def oracle_units(ring):
     """Brute-force pair scan: a is a unit iff some b has a*b == 1."""
+    ring = table_arith(ring)
     out = set()
     for a in range(ring.card):
         for b in range(ring.card):
@@ -59,11 +87,13 @@ def oracle_nilpotents(ring):
 
 
 def oracle_idempotents(ring):
+    ring = table_arith(ring)
     return {a for a in range(ring.card) if ring.mul(a, a) == a}
 
 
 def oracle_jacobson_two_sided(ring):
     """{x : 1 - r*x*s is a unit for all r, s}, the two-sided definition."""
+    ring = table_arith(ring)
     units = oracle_units(ring)
     out = set()
     for x in range(ring.card):
@@ -82,6 +112,7 @@ def oracle_jacobson_two_sided(ring):
 
 
 def oracle_center(ring):
+    ring = table_arith(ring)
     return {
         x
         for x in range(ring.card)
@@ -90,6 +121,7 @@ def oracle_center(ring):
 
 
 def oracle_weakly_nil_clean_elem(ring, a, nil=None):
+    ring = table_arith(ring)
     nil = oracle_nilpotents(ring) if nil is None else nil
     for e in oracle_idempotents(ring):
         if ring.sub(a, e) in nil or ring.add(a, e) in nil:
@@ -101,6 +133,7 @@ def oracle_weakly_nil_clean_elem(ring, a, nil=None):
 def oracle_status(ring):
     """Per element "unit", "nil" or "neither", by walking its powers until
     they reach one, reach zero or repeat."""
+    ring = table_arith(ring)
     out = []
     for a in range(ring.card):
         seen = set()
@@ -129,6 +162,7 @@ def oracle_witness(ring, a, kind):
     the documented order, idempotents ascending and sign + before -, as
     ``(sign, idempotent, rest, commuting)``; None when there is none."""
     status = oracle_status(ring)
+    ring = table_arith(ring)
     target = "nil" if "nil" in kind else "unit"
     strongly = kind.startswith("strongly")
     signs = (1, -1) if kind.startswith("weakly") else (1,)
@@ -154,6 +188,7 @@ _ORACLE_DOMAIN_KIND = {
 def oracle_counterexample(ring, flag):
     """Lowest element violating a report flag by its definition, or None."""
     status = oracle_status(ring)
+    ring = table_arith(ring)
 
     def decomposes(a, kind):
         return oracle_witness(ring, a, kind) is not None

@@ -88,6 +88,7 @@ def test_classify_env_guard(capsys, monkeypatch):
         (("element", "GF(4,1)", "0"), {}),
         (("element", "Z(4)", "1"), {"RINGLAB_MEMO_THRESHOLD": "x"}),
         (("classify", "M(2,Z(4))"), {"RINGLAB_MAX_CARD": "abc"}),
+        (("classify", "FM(2,7,Z(4))"), {}),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):

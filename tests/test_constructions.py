@@ -187,6 +187,10 @@ def test_formal_matrix_requires_central_twist():
     e10 = 2  # digits (0,0,1,0): not central in M_2
     with pytest.raises(ConstructionError):
         rl.formal_matrix(2, e10, m)
+    with pytest.raises(ConstructionError):
+        rl.generalized_matrix_ring(m, e10)
+    with pytest.raises(ConstructionError, match="twist 16"):
+        rl.generalized_matrix_ring(m, 16)
 
 
 def test_fm_gwnc_example():

@@ -195,5 +195,5 @@ def test_build_monic_enforcement():
 
 
 def test_build_fm_s_is_element_index():
-    with pytest.raises(IndexError):
+    with pytest.raises(rl.ConstructionError, match="twist 7"):
         build("FM(2,7,Z(4))")

@@ -9,7 +9,9 @@ from conftest import (
     oracle_idempotents,
     oracle_jacobson_two_sided,
     oracle_nilpotents,
+    oracle_status,
     oracle_units,
+    table_arith,
 )
 
 SMALL_RINGS = [
@@ -179,20 +181,73 @@ def test_structural_record_shape(z6):
     assert all(isinstance(v, bool) for v in d.values())
 
 
-def test_matrix_mask_shortcut_agrees_with_orbit_walk():
-    from ringlab.structure import matrix_unit_nil_masks, ring_data
+@pytest.mark.parametrize(
+    "expr",
+    [
+        # cyclic unit groups: long power walks before the first known status
+        "Z(257)",
+        "GF(3,4)",
+        "Z(2) x Z(101)",
+        # a safe prime above the table threshold: units of order 1031
+        "Z(2063)",
+        # GF(2**7) from a primitive modulus: a unit group of prime order 127
+        "PQ(Z(2),[1,1,0,0,0,0,0,1])",
+        "M(2,Z(4))",
+        "PAT(S(3),Z(3))",
+        "T(2,Z(6))",
+        "TE(Z(9))",
+        "MODJ(T(2,GF(2,2)))",
+    ],
+)
+def test_status_and_inverse_passes_match_power_walk(expr):
+    ring = rl.build(expr)
+    data = structure.ring_data(ring)
+    status = oracle_status(ring)
+    assert data.unit_mask.tolist() == [s == "unit" for s in status]
+    assert data.nil_mask.tolist() == [s == "nil" for s in status]
+    units = oracle_units(ring)
+    assert units == {a for a, s in enumerate(status) if s == "unit"}
+    arith = table_arith(ring)
+    inv = data.inverses
+    for a in range(ring.card):
+        if a in units:
+            assert arith.mul(a, int(inv[a])) == arith.mul(int(inv[a]), a) == ring.one
+        else:
+            assert inv[a] == -1
 
-    # rings below the shortcut threshold classify by the generic orbit walk,
-    # so calling the shortcut directly cross-validates the two routes
-    for expr, gl_order in (("M(2,Z(8))", 1536), ("M(2,GF(2,2))", 180), ("M(3,Z(2))", 168)):
-        ring = rl.build(expr)
-        data = ring_data(ring)
-        um, nm = matrix_unit_nil_masks(ring)
-        assert np.array_equal(um, data.unit_mask)
-        assert np.array_equal(nm, data.nil_mask)
-        assert int(um.sum()) == gl_order
-    assert matrix_unit_nil_masks(rl.build("TE(Z(3))")) is None
-    assert matrix_unit_nil_masks(rl.matrix_ring(2, rl.matrix_ring(2, rl.zmod(2)))) is None
+
+@pytest.mark.parametrize(
+    "expr, order",
+    [
+        ("Z(2063)", 1031),
+        # GF(2**13) from the primitive x**13 + x**4 + x**3 + x + 1
+        ("PQ(Z(2),[1,1,0,1,1,0,0,0,0,0,0,0,0,1])", 8191),
+    ],
+)
+def test_unit_pass_work_is_near_linear_on_prime_order_units(expr, order):
+    """Fields whose unit groups have a large prime order ``order`` (or a
+    subgroup of it): walking every unit's powers to one would form about
+    ``order * card`` products.  The passes stay within a few products per
+    element and log factor, and every nonzero element is a unit."""
+    ring = rl.build(expr)
+    products = 0
+    mul_vec = ring.mul_vec
+
+    def counted(xs, ys):
+        nonlocal products
+        out = mul_vec(xs, ys)
+        products += len(out)
+        return out
+
+    ring.mul_vec = counted
+    data = structure.ring_data(ring)
+    units, inv = data.unit_mask, data.inverses
+    assert products <= 4 * ring.card * np.log2(ring.card) < order * ring.card / 4
+    assert units.tolist() == [a != ring.zero for a in range(ring.card)]
+    assert data.nil_mask.tolist() == [a == ring.zero for a in range(ring.card)]
+    nonzero = np.arange(1, ring.card)
+    assert (mul_vec(nonzero, inv[nonzero]) == ring.one).all()
+    assert inv[ring.zero] == -1
 
 
 def test_jacobson_one_sided_matches_two_sided_on_catalog():
