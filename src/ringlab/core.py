@@ -251,6 +251,8 @@ def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray]:
     and a new row t = s + h is ``add[t] = add[h][add[s]]`` (+ is associative
     and commutative) and ``mul[t] = add[mul[s], mul[h]]`` (right
     distributivity), so a ring gets the tables a direct evaluation gives.
+    The generators are those of ``additive_generators``; the walk is fused
+    here because it fills the table rows as it goes.
     """
     n = source.card
     ar = np.arange(n, dtype=np.int64)
@@ -284,6 +286,30 @@ def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray]:
     for t, s, h in steps:
         mul[t] = add[mul[s], mul[h]]
     return add, mul
+
+
+def additive_generators(ring: Ring) -> list[int]:
+    """Generators of the additive group of ``ring`` by the greedy rule of
+    ``_operation_tables``: each is the least element not yet reached, and
+    the reached set S grows to S ∪ (S + h) for h = g, 2g, 4g, ... while
+    that adds elements.  Each generator at least doubles S, so there are
+    at most log2(card) of them, and every element is a sum of multiples
+    of them."""
+    reached = np.zeros(ring.card, dtype=bool)
+    reached[ring.zero] = True
+    gens = []
+    while not reached.all():
+        g = int(np.argmin(reached))
+        gens.append(g)
+        reached[g] = True
+        h = g
+        while True:
+            t = ring.add_vec(np.flatnonzero(reached), h)
+            if reached[t].all():
+                break
+            reached[t] = True
+            h = int(ring.add_vec(h, h)[0])
+    return gens
 
 
 class TableRing(Ring):
@@ -351,11 +377,13 @@ def maybe_memoize(ring: Ring, threshold: int | None = None) -> Ring:
 
 
 def ring_is_commutative(ring: Ring) -> bool:
-    ar = np.arange(ring.card, dtype=np.int64)
-    for r in range(ring.card):
-        if not np.array_equal(ring.mul_vec(r, ar), ring.mul_vec(ar, r)):
-            return False
-    return True
+    """Whether the additive generators commute pairwise.  The commutator
+    [x, y] = xy - yx is additive in each argument, so that decides the
+    whole ring with one pair of ``mul_vec`` calls of k(k-1)/2 products,
+    k = ``len(additive_generators(ring))``."""
+    gens = np.asarray(additive_generators(ring), dtype=np.int64)
+    i, j = np.triu_indices(len(gens), 1)
+    return bool(np.array_equal(ring.mul_vec(gens[i], gens[j]), ring.mul_vec(gens[j], gens[i])))
 
 
 def check_ring_axioms(ring: Ring, max_card: int = 512) -> None:

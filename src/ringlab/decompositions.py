@@ -9,7 +9,8 @@ Witness tie-breaking is fixed everywhere: elements ascending, idempotents
 ascending, sign + before -, so reports are reproducible bit for bit.
 Element predicates, flags and counterexamples are all lookups into the
 witness ranks that ``structure.RingData`` computes once per ring and
-family (see ``RingData.witness_keys``).
+family (see ``RingData.witness_keys``), except the clean-family flags that
+hold on every finite ring (``FINITE_RING_IDENTITIES``).
 
 The strongly-weakly variants hold for an element when it or its negative
 decomposes strongly; some authors instead ask for a commuting weakly
@@ -62,14 +63,22 @@ REPORT_FLAGS: tuple[str, ...] = (
     "uwnc",
 )
 
+#: flags that hold on every finite ring: a finite ring is semiperfect,
+#: hence clean, and strongly pi-regular, hence strongly clean (Nicholson
+#: 1999, *Strongly clean rings and Fitting's lemma*); weakly clean and
+#: strongly weakly clean follow.  The clean family's U x Id witness pass
+#: stays their oracle in the tests and runs only for witnesses
+FINITE_RING_IDENTITIES = (
+    "clean",
+    "strongly_clean",
+    "weakly_clean",
+    "strongly_weakly_clean",
+)
+
 #: quantified flag -> (element kind, domain): the flag holds when every
 #: element of the domain decomposes; on "all or negative" it suffices that
 #: the element or its negative does
 _QUANTIFIED = {
-    "clean": ("clean", "all"),
-    "strongly_clean": ("strongly_clean", "all"),
-    "weakly_clean": ("weakly_clean", "all"),
-    "strongly_weakly_clean": ("strongly_clean", "all or negative"),
     "nil_clean": ("nil_clean", "all"),
     "strongly_nil_clean": ("strongly_nil_clean", "all"),
     "weakly_nil_clean": ("weakly_nil_clean", "all"),
@@ -212,7 +221,9 @@ class RingAnalysis:
         ring = self.ring
         data = self.data
         everyone = np.arange(ring.card, dtype=np.int64)
-        if name in _QUANTIFIED:
+        if name in FINITE_RING_IDENTITIES:
+            bad = np.zeros(ring.card, dtype=bool)
+        elif name in _QUANTIFIED:
             kind, domain = _QUANTIFIED[name]
             ok = data.decomposes(kind)
             if domain == "all or negative":

@@ -13,6 +13,13 @@ that lies below it in index order and walks itself.  Only the least
 element of an orbit walks all of it, so a cyclic unit group of order q
 costs about card * log(card) products, not q * card.  Inverses follow
 from where each unit's walk stopped.
+
+The center and commutativity are decided on the additive generators of
+``core.additive_generators`` (at most log2(card) of them), because the
+commutator [x, r] is additive in r.  J is nil and contains every nil left
+ideal (Lam, *A First Course in Noncommutative Rings*, §4), so only the
+nilpotents are tested for left quasi-regularity.  Direct products combine
+their factors' masks.
 """
 
 from __future__ import annotations
@@ -22,12 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Ring, Subset, is_nilpotent, ring_is_commutative
+from .core import Ring, Subset, additive_generators, is_nilpotent, ring_is_commutative
 from .constructions import DirectProduct, QuotientRing, quotient_by_ideal
 
 _UNKNOWN, _UNIT, _NILPOTENT, _NEITHER = 0, 1, 2, 3
-
-_JACOBSON_CHUNK = 256
 
 DECOMPOSITION_KINDS = (
     "clean",
@@ -39,8 +44,9 @@ DECOMPOSITION_KINDS = (
 )
 
 
-#: (element, idempotent) pairs per step of the witness-rank pass; bounds
-#: its temporaries without looping over idempotents in Python
+#: pairs per step of the witness-rank pass (element, idempotent) and of
+#: the J test (row, candidate); bounds their temporaries without looping
+#: over idempotents or candidates in Python
 _PAIR_CHUNK = 8192
 
 
@@ -184,7 +190,10 @@ class RingData:
 
     @property
     def jacobson_mask(self) -> np.ndarray:
-        """Left quasi-regularity: x with 1 - r*x a unit for every r."""
+        """J(R) as the nilpotents x with 1 - r*x a unit for every r.  J is
+        nil and contains every nil left ideal (Lam, *A First Course in
+        Noncommutative Rings*, §4), so only the nilpotents are candidates,
+        all tested together by ``_left_quasi_regular``."""
         if self._jac_mask is not None:
             return self._jac_mask
         ring = self.ring
@@ -195,26 +204,40 @@ class RingData:
             rj = ring_data(right).jacobson_mask
             self._jac_mask = (lj[:, None] & rj[None, :]).ravel()
             return self._jac_mask
-        ar = np.arange(ring.card, dtype=np.int64)
         mask = np.zeros(ring.card, dtype=bool)
-        for x in np.flatnonzero(self.unit_mask[ring.sub_vec(ring.one, ar)]):
-            mask[x] = self.left_quasi_regular(int(x))
+        mask[self._left_quasi_regular(np.flatnonzero(self.nil_mask))] = True
         self._jac_mask = mask
         return mask
 
     def left_quasi_regular(self, x: int) -> bool:
-        """Whether 1 - r*x is a unit for every r, that is x lies in J; the
-        rows are walked in chunks so that a failure exits early."""
+        """Whether 1 - r*x is a unit for every r, that is x lies in J; only
+        a nilpotent can (J is nil)."""
+        if not self.nil_mask[x]:
+            return False
+        return len(self._left_quasi_regular(np.array([x], dtype=np.int64))) == 1
+
+    def _left_quasi_regular(self, cand: np.ndarray) -> np.ndarray:
+        """The candidates x with 1 - r*x a unit for every r.  All open
+        candidates meet a block of rows r in one ``mul_vec`` of about
+        ``_PAIR_CHUNK`` pairs; a candidate leaves at its first failure, and
+        the walk stops when none is left, so it costs at most
+        len(cand) * card products."""
         ring = self.ring
         status = self._orbit_status()
-        for lo in range(0, ring.card, _JACOBSON_CHUNK):
-            rs = np.arange(lo, min(lo + _JACOBSON_CHUNK, ring.card), dtype=np.int64)
-            if (status[ring.sub_vec(ring.one, ring.mul_vec(rs, x))] != _UNIT).any():
-                return False
-        return True
+        lo = 0
+        while len(cand) and lo < ring.card:
+            rs = np.arange(lo, min(lo + max(1, _PAIR_CHUNK // len(cand)), ring.card))
+            rx = ring.mul_vec(np.repeat(rs, len(cand)), np.tile(cand, len(rs)))
+            unit = status[ring.sub_vec(ring.one, rx)] == _UNIT
+            cand = cand[unit.reshape(len(rs), len(cand)).all(axis=0)]
+            lo += len(rs)
+        return cand
 
     @property
     def center_mask(self) -> np.ndarray:
+        """Z(R) as the elements commuting with every additive generator:
+        [x, r] is additive in r, so that is 2k ``mul_vec`` calls of at most
+        card products, k = ``len(additive_generators(ring))``."""
         if self._center_mask is not None:
             return self._center_mask
         ring = self.ring
@@ -226,9 +249,8 @@ class RingData:
             self._center_mask = (lc[:, None] & rc[None, :]).ravel()
             return self._center_mask
         cand = np.arange(ring.card, dtype=np.int64)
-        for r in range(ring.card):
-            keep = ring.mul_vec(cand, r) == ring.mul_vec(r, cand)
-            cand = cand[keep]
+        for g in additive_generators(ring):
+            cand = cand[ring.mul_vec(cand, g) == ring.mul_vec(g, cand)]
         mask = np.zeros(ring.card, dtype=bool)
         mask[cand] = True
         self._center_mask = mask
@@ -498,8 +520,8 @@ STRUCTURAL_NOTES = (
 )
 
 
-#: the predicate scan under its record name; it lives in ``core`` because
-#: the constructions need it too
+#: the commutativity decider under its record name; it lives in ``core``
+#: because the constructions need it too
 is_commutative = ring_is_commutative
 
 
@@ -657,9 +679,9 @@ def structural_predicates(ring: Ring) -> StructuralFlags:
     exchange, weakly_exchange, semipotent, strongly_pi_regular and semilocal
     are constantly true, regular = semisimple, strongly_regular = semisimple
     and reduced, and ni = nr = two_primal (Nil(R) is the preimage of
-    Nil(R/J), closed under + only when R/J is a product of fields).  Only
-    commutative is scanned; the brute-force deciders above stay as the
-    oracle in the tests."""
+    Nil(R/J), closed under + only when R/J is a product of fields).
+    commutative is decided on the additive generators; the brute-force
+    deciders above stay as the oracle in the tests."""
     data = ring_data(ring)
     semisimple = is_semisimple(ring)
     reduced = is_reduced(ring)

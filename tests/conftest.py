@@ -120,6 +120,41 @@ def oracle_center(ring):
     }
 
 
+def scan_center(ring):
+    """Mask of the elements commuting with every element, one ``mul_vec``
+    pair per element of the carrier: the scan ``center_mask`` replaced."""
+    cand = np.arange(ring.card, dtype=np.int64)
+    for r in range(ring.card):
+        cand = cand[ring.mul_vec(cand, r) == ring.mul_vec(r, cand)]
+    mask = np.zeros(ring.card, dtype=bool)
+    mask[cand] = True
+    return mask
+
+
+def scan_jacobson(ring):
+    """Mask of the x with 1 - x a unit and 1 - r*x a unit for every r,
+    rows in chunks of 256 per candidate: the scan ``jacobson_mask``
+    replaced.  Reads the library's units, which ``oracle_status`` checks."""
+    unit = rl.structure.ring_data(ring).unit_mask
+    ar = np.arange(ring.card, dtype=np.int64)
+    mask = np.zeros(ring.card, dtype=bool)
+    for x in np.flatnonzero(unit[ring.sub_vec(ring.one, ar)]):
+        mask[x] = all(
+            unit[ring.sub_vec(ring.one, ring.mul_vec(ar[lo : lo + 256], x))].all()
+            for lo in range(0, ring.card, 256)
+        )
+    return mask
+
+
+def scan_commutative(ring):
+    """Whether every row of the product equals its column: the scan
+    ``ring_is_commutative`` replaced."""
+    ar = np.arange(ring.card, dtype=np.int64)
+    return all(
+        np.array_equal(ring.mul_vec(r, ar), ring.mul_vec(ar, r)) for r in range(ring.card)
+    )
+
+
 def oracle_weakly_nil_clean_elem(ring, a, nil=None):
     ring = table_arith(ring)
     nil = oracle_nilpotents(ring) if nil is None else nil
@@ -209,6 +244,40 @@ def oracle_counterexample(ring, flag):
         return not decomposes(a, flag)
 
     return next((a for a in range(ring.card) if fails(a)), None)
+
+
+#: the rungs of the benchmark's classify ladder, both sides of the table
+#: threshold
+LADDER_RUNGS = (
+    "M(3,Z(2))",
+    "M(2,Z(6))",
+    "M(2,GF(2,2)) x Z(4)",
+    "T(2,Z(8))",
+    "TE(Z(27))",
+    "GR(Z(2),C(2) x C(2) x C(2))",
+    "M(2,Z(7))",
+)
+
+
+#: Cayley table of S3 on the permutations 012, 102, 021, 210, 120, 201 of
+#: {0, 1, 2}, entry (p, q) the index of p∘q: (p∘q)(x) = p(q(x))
+S3_TABLE = (
+    (0, 1, 2, 3, 4, 5),
+    (1, 0, 4, 5, 2, 3),
+    (2, 5, 0, 4, 3, 1),
+    (3, 4, 5, 0, 1, 2),
+    (4, 3, 1, 2, 5, 0),
+    (5, 2, 3, 1, 0, 4),
+)
+
+
+def s3_group():
+    return rl.FiniteGroup(S3_TABLE, "S3")
+
+
+def s3_group_ring(n):
+    """GR(Z(n),S3), which the DSL cannot express, through the library API."""
+    return rl.group_ring(rl.zmod(n), s3_group())
 
 
 def mat_of(index, k, n):

@@ -10,6 +10,8 @@ import pytest
 import ringlab as rl
 from ringlab.constructions import Pattern
 
+from conftest import S3_TABLE, s3_group_ring
+
 
 def digits(a, n, k):
     """The ``k`` base-``n`` digits of ``a``, most significant first."""
@@ -85,6 +87,10 @@ def group_ring_mul(n, group_mul, order):
     return mul
 
 
+def s3_mul(g, h):
+    return S3_TABLE[g][h]
+
+
 def product_mul(left, right, right_card):
     def mul(a, b):
         (la, ra), (lb, rb) = divmod(a, right_card), divmod(b, right_card)
@@ -148,6 +154,9 @@ CASES = {
         group_ring_mul(2, lambda g, h: g ^ h, 4),
         digitwise_add(2, 4),
     ),
+    # S3 is not abelian, so the convolution order of GroupRing.mul_vec shows
+    "GR(Z(2),S3)": (s3_group_ring(2), group_ring_mul(2, s3_mul, 6), digitwise_add(2, 6)),
+    "GR(Z(3),S3)": (s3_group_ring(3), group_ring_mul(3, s3_mul, 6), digitwise_add(3, 6)),
     "Z(4) x TE(Z(2))": (
         rl.build("Z(4) x TE(Z(2))"),
         product_mul(mod(4), te_mul(2), 4),
@@ -174,6 +183,21 @@ def test_vector_arithmetic_matches_integer_arithmetic(name):
     assert ring.mul_vec(left, right).tolist() == want_mul
     assert ring.add_vec(left, right).tolist() == want_add
     assert ring.add_vec(ar, ring.neg_vec(ar)).tolist() == [ring.zero] * ring.card
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_group_ring_oracle_sees_the_convolution_order(n):
+    """The integer oracle with h·g in place of g·h disagrees with the ring
+    on the pairs the arithmetic test draws, so a swapped product fails it."""
+    ring, mul, _ = CASES[f"GR(Z({n}),S3)"]
+    swapped = group_ring_mul(n, lambda g, h: s3_mul(h, g), 6)
+    left, right = np.divmod(np.arange(ring.card**2), ring.card)
+    if len(left) > 10_000:
+        pick = np.random.default_rng(0).choice(len(left), 10_000, replace=False)
+        left, right = left[pick], right[pick]
+    got = ring.mul_vec(left, right).tolist()
+    assert got == [mul(int(a), int(b)) for a, b in zip(left, right)]
+    assert got != [swapped(int(a), int(b)) for a, b in zip(left, right)]
 
 
 EMPTY_CASES = [

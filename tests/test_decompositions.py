@@ -3,16 +3,24 @@ import pytest
 
 import ringlab as rl
 from ringlab.core import maybe_memoize
-from ringlab.decompositions import DIAGRAM_EDGES, ELEMENT_PREDICATES, REPORT_FLAGS
-from ringlab.verify import CATALOG
+from ringlab.decompositions import (
+    DIAGRAM_EDGES,
+    ELEMENT_PREDICATES,
+    FINITE_RING_IDENTITIES,
+    REPORT_FLAGS,
+)
+from ringlab.structure import ring_data
+from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
 
 from conftest import (
+    LADDER_RUNGS,
     oracle_counterexample,
     oracle_idempotents,
     oracle_nilpotents,
     oracle_units,
     oracle_weakly_nil_clean_elem,
     oracle_witness,
+    s3_group_ring,
 )
 
 WITNESS_RINGS = [
@@ -241,3 +249,26 @@ def test_uu_wuu_examples(m2z2):
     assert not rl.ring_flag(m2z2, "uu")  # an order-3 unit exists
     assert rl.ring_flag(rl.zmod(3), "wuu")
     assert not rl.ring_flag(rl.zmod(5), "wuu")
+
+
+#: the harness rings, the classify ladder's rungs and products
+IDENTITY_EXPRS = sorted(
+    {e.expression for e in CATALOG}
+    | set(AXIOM_SUITE_EXTRAS)
+    | set(LADDER_RUNGS)
+    | {"M(2,Z(2)) x Z(4)", "T(2,Z(4)) x Z(3)", "Z(6) x T(2,Z(3))"}
+)
+S3_RINGS = {"GR(Z(2),S3)": 2, "GR(Z(3),S3)": 3}
+
+
+@pytest.mark.parametrize("expr", IDENTITY_EXPRS + sorted(S3_RINGS))
+def test_clean_family_identities_hold_by_the_witness_pass(expr):
+    """The clean-family flags ``classify`` sets by identity (every finite
+    ring is clean and strongly clean) against the U x Id witness pass:
+    every element decomposes in every clean kind."""
+    ring = s3_group_ring(S3_RINGS[expr]) if expr in S3_RINGS else rl.build(expr)
+    data = ring_data(ring)
+    for kind in ("clean", "strongly_clean", "weakly_clean"):
+        assert data.decomposes(kind).all(), (expr, kind)
+    for name in FINITE_RING_IDENTITIES:
+        assert rl.ring_flag(ring, name) and rl.flag_counterexample(ring, name) is None

@@ -3,14 +3,21 @@ import pytest
 
 import ringlab as rl
 from ringlab import structure
+from ringlab.core import additive_generators
+from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
 
 from conftest import (
+    LADDER_RUNGS,
     oracle_center,
     oracle_idempotents,
     oracle_jacobson_two_sided,
     oracle_nilpotents,
     oracle_status,
     oracle_units,
+    s3_group_ring,
+    scan_center,
+    scan_commutative,
+    scan_jacobson,
     table_arith,
 )
 
@@ -302,3 +309,95 @@ def test_finite_ring_identities_match_bruteforce_deciders():
     # semisimple), NI true and false
     assert {s[:2] for s in sides} == {(True, True), (True, False), (False, False)}
     assert {s[2] for s in sides} == {True, False}
+
+
+#: the harness rings, the classify ladder's rungs, M(2,Z(9)) above the
+#: table threshold, and products; GF(7,4) is left out: the scans take 24 s
+#: on it
+SCAN_EXPRS = sorted(
+    {e.expression for e in CATALOG}
+    | set(AXIOM_SUITE_EXTRAS)
+    | set(LADDER_RUNGS)
+    | {"M(2,Z(9))", "M(2,Z(2)) x Z(4)", "T(2,Z(4)) x Z(3)", "GR(Z(2),C(3)) x Z(9)"}
+)
+
+
+@pytest.mark.parametrize("expr", SCAN_EXPRS)
+def test_center_jacobson_commutativity_match_carrier_scans(expr):
+    """The generator and nilpotent passes against the scans over the whole
+    carrier they replaced, with tables and without: a product without tables
+    takes the factor-wise path, with tables the flat pass.  The scans run
+    once, on the tables where the threshold allows them (the carrier is the
+    same), else on the computed ring, which ``maybe_memoize`` keeps."""
+    computed = rl.build(expr)
+    tabled = rl.maybe_memoize(computed)
+    center, jac, commutative = scan_center(tabled), scan_jacobson(tabled), scan_commutative(tabled)
+    for ring in {computed, tabled}:
+        data = structure.ring_data(ring)
+        assert np.array_equal(data.center_mask, center), (expr, ring)
+        assert np.array_equal(data.jacobson_mask, jac), (expr, ring)
+        assert structure.is_commutative(ring) == commutative, (expr, ring)
+        for x in range(0, ring.card, max(1, ring.card // 64)):
+            assert data.left_quasi_regular(x) == jac[x], (expr, ring, x)
+
+
+def generated_subgroup(ring, gens):
+    """Mask of the sums of multiples of ``gens``, by adding them to the
+    reached set until it stops growing."""
+    reached = np.zeros(ring.card, dtype=bool)
+    reached[ring.zero] = True
+    while True:
+        s = np.flatnonzero(reached)
+        grown = reached.copy()
+        for g in gens:
+            grown[ring.add_vec(s, g)] = True
+        if (grown == reached).all():
+            return reached
+        reached = grown
+
+
+@pytest.mark.parametrize("expr", ["M(2,Z(7))", "GF(7,4)"])
+def test_center_jacobson_commutativity_work_is_near_linear(expr):
+    """Products formed by the three passes on rings without tables, counted
+    at ``mul_vec``: the carrier scans took about 2 * card**2."""
+    ring = rl.build(expr)
+    gens = additive_generators(ring)
+    k = len(gens)
+    assert gens == sorted(gens) and k <= np.ceil(np.log2(ring.card))
+    assert generated_subgroup(ring, gens).all()
+    data = structure.ring_data(ring)
+    nil = int(data.nil_mask.sum())  # the status pass is not counted
+    pairs = 0
+    mul_vec = ring.mul_vec
+
+    def counted(xs, ys):
+        nonlocal pairs
+        out = mul_vec(xs, ys)
+        pairs += out.size
+        return out
+
+    ring.mul_vec = counted
+    data.center_mask
+    assert 0 < pairs <= 2 * k * ring.card
+    pairs = 0
+    structure.is_commutative(ring)
+    assert pairs <= 2 * k * k
+    pairs = 0
+    data.jacobson_mask
+    assert 0 < pairs <= nil * ring.card
+
+
+@pytest.mark.parametrize("n, center, jac", [(2, 8, 2), (3, 27, 81)])
+def test_nonabelian_group_rings_against_bruteforce(n, center, jac):
+    """GR(Z(n),S3) is not commutative; its center and J against the
+    brute-force definitions (the two-sided J over all r, s only at card 64:
+    at card 729 it is about 4e7 products, so the carrier scan stands in)."""
+    ring = s3_group_ring(n)
+    data = structure.ring_data(ring)
+    assert not structure.is_commutative(ring)
+    assert not scan_commutative(ring)
+    assert set(np.flatnonzero(data.center_mask)) == oracle_center(ring)
+    assert data.center_mask.sum() == center
+    want = oracle_jacobson_two_sided(ring) if ring.card <= 64 else set(np.flatnonzero(scan_jacobson(ring)))
+    assert set(np.flatnonzero(data.jacobson_mask)) == want
+    assert data.jacobson_mask.sum() == jac
