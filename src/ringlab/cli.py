@@ -391,7 +391,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="construction guard (default RINGLAB_MAX_CARD or 200000)",
     )
-    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     parser.add_argument(
         "--cache-dir",
         default=None,

@@ -368,12 +368,10 @@ def memoize(ring: Ring, threshold: int | None = None) -> Ring:
 
 def maybe_memoize(ring: Ring, threshold: int | None = None) -> Ring:
     """``memoize`` when the threshold allows it, else the ring unchanged."""
-    limit = default_memo_threshold() if threshold is None else threshold
-    if ring.card > limit:
+    try:
+        return memoize(ring, threshold)
+    except GuardError:
         return ring
-    if isinstance(ring, TableRing):
-        return ring
-    return TableRing(ring)
 
 
 def ring_is_commutative(ring: Ring) -> bool:

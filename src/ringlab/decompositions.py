@@ -279,22 +279,22 @@ def _analysis(ring: Ring) -> RingAnalysis:
     return cached
 
 
-def classify(ring: Ring, threads: int = 1) -> PropertyReport:
+def classify(ring: Ring) -> PropertyReport:
     """Full classification of one ring; quantifies every element predicate
     over its domain and records the lowest-index counterexample per failed
-    flag.  ``threads`` is accepted and ignored, here and below."""
+    flag."""
     return _analysis(ring).report()
 
 
-def ring_flag(ring: Ring, name: str, threads: int = 1) -> bool:
+def ring_flag(ring: Ring, name: str) -> bool:
     return _analysis(ring).flag(name)
 
 
-def flag_counterexample(ring: Ring, name: str, threads: int = 1) -> int | None:
+def flag_counterexample(ring: Ring, name: str) -> int | None:
     return _analysis(ring).counterexample(name)
 
 
-def gwnc(ring: Ring, threads: int = 1) -> tuple[bool, int | None]:
+def gwnc(ring: Ring) -> tuple[bool, int | None]:
     """Decide whether every non-unit is weakly nil-clean; on failure return
     the lowest-index counterexample."""
     analysis = _analysis(ring)

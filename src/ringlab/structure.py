@@ -549,29 +549,6 @@ def is_semisimple(ring: Ring) -> bool:
     return int(ring_data(ring).jacobson_mask.sum()) == 1
 
 
-def _nil_closure_flags(ring: Ring) -> tuple[bool, bool]:
-    """(NI, NR): whether Nil(R) is an ideal / a subring."""
-    data = ring_data(ring)
-    nil = data.nil_mask
-    nidx = np.flatnonzero(nil)
-    ar = np.arange(ring.card, dtype=np.int64)
-    ni = True
-    nr = True
-    for i in nidx:
-        i = int(i)
-        if not nil[ring.add_vec(nidx, i)].all():
-            return False, False  # additive closure fails both
-        if nr and not nil[ring.mul_vec(nidx, i)].all():
-            nr = False
-        if ni and not (
-            nil[ring.mul_vec(ar, i)].all() and nil[ring.mul_vec(i, ar)].all()
-        ):
-            ni = False
-        if not ni and not nr:
-            break
-    return ni, nr
-
-
 def is_regular(ring: Ring) -> bool:
     ar = np.arange(ring.card, dtype=np.int64)
     for a in range(ring.card):
@@ -587,35 +564,6 @@ def is_strongly_regular(ring: Ring) -> bool:
         if not (ring.mul_vec(a2, ar) == a).any():
             return False
     return True
-
-
-def _exchange_flags(ring: Ring) -> tuple[bool, bool]:
-    """(exchange, weakly exchange) by the idempotent-in-aR definitions."""
-    data = ring_data(ring)
-    idem = data.idem_mask
-    ar = np.arange(ring.card, dtype=np.int64)
-    one = ring.one
-    exchange = True
-    weakly = True
-    for a in range(ring.card):
-        aR = ring.mul_vec(a, ar)
-        es = np.unique(aR[idem[aR]])
-        if len(es) == 0:
-            return False, False
-        one_minus_es = ring.sub_vec(one, es)
-        m_minus = np.zeros(ring.card, dtype=bool)
-        m_minus[ring.mul_vec(ring.sub(one, a), ar)] = True
-        ok_minus = m_minus[one_minus_es]
-        if exchange and not ok_minus.any():
-            exchange = False
-        if weakly:
-            m_plus = np.zeros(ring.card, dtype=bool)
-            m_plus[ring.mul_vec(ring.add(one, a), ar)] = True
-            if not (ok_minus | m_plus[one_minus_es]).any():
-                weakly = False
-        if not exchange and not weakly:
-            break
-    return exchange, weakly
 
 
 def is_semipotent(ring: Ring) -> bool:
@@ -681,7 +629,8 @@ def structural_predicates(ring: Ring) -> StructuralFlags:
     and reduced, and ni = nr = two_primal (Nil(R) is the preimage of
     Nil(R/J), closed under + only when R/J is a product of fields).
     commutative is decided on the additive generators; the brute-force
-    deciders above stay as the oracle in the tests."""
+    deciders above, and the exchange and Nil-closure scans in the tests,
+    stay as their oracles."""
     data = ring_data(ring)
     semisimple = is_semisimple(ring)
     reduced = is_reduced(ring)

@@ -9,6 +9,7 @@ carries a counterexample reproducible through the command line.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -120,6 +121,8 @@ GROUP_RINGS: tuple[tuple[str, str], ...] = (
 )
 
 
+
+
 @dataclass
 class CheckResult:
     id: str
@@ -153,15 +156,11 @@ class VerifySummary:
 
 
 class VerifyContext:
-    """Shared ring/flag cache for one harness run; ``threads`` is accepted
-    and ignored."""
+    """Shared ring/flag cache for one harness run.  Every ring a check uses
+    comes from ``ring``, ``pair_ring`` or ``adopt``, so one card guard and
+    one memo threshold hold for the whole run."""
 
-    def __init__(
-        self,
-        max_card: int | None = None,
-        memo_threshold: int | None = None,
-        threads: int = 1,
-    ) -> None:
+    def __init__(self, max_card: int | None = None, memo_threshold: int | None = None) -> None:
         self.max_card = default_max_card() if max_card is None else max_card
         self.memo_threshold = (
             default_memo_threshold() if memo_threshold is None else memo_threshold
@@ -220,16 +219,9 @@ def _repro(expr: str) -> str:
     return f"reproduce: ringlab classify \"{expr}\" --witness"
 
 
-def _finish(result: CheckResult, ran_something: bool) -> CheckResult:
-    if any(d.startswith("FAIL") for d in result.details):
-        result.status = "fail"
-    elif not ran_something:
-        result.status = "skipped"
-    else:
-        result.status = "pass"
-    return result
-
-
+#: check id -> (description, body); a body ``fn(ctx, details) -> bool``
+#: appends its detail lines and returns whether it compared anything,
+#: and ``run_check`` turns that into a ``CheckResult``
 CHECKS: dict[str, tuple[str, object]] = {}
 
 
@@ -241,46 +233,81 @@ def _register(check_id: str, description: str):
     return wrap
 
 
+def _guarded_gwnc(ctx: VerifyContext, details: list[str], expr: str) -> bool | None:
+    """GWNC of one ring, or None after a SKIP line when building it would
+    exceed the guard."""
+    try:
+        return ctx.gwnc(expr)
+    except GuardError as exc:
+        details.append(f"SKIP {expr}: {exc}")
+        return None
+
+
+def _gwnc_preserved(ctx: VerifyContext, details: list[str], pairs) -> bool:
+    """Whether each derived ring has the GWNC of its base, over (base,
+    derived) pairs; returns whether any derived ring was compared."""
+    ran = False
+    for base, derived in pairs:
+        lhs = ctx.gwnc(base)
+        rhs = _guarded_gwnc(ctx, details, derived)
+        if rhs is None:
+            continue
+        ran = True
+        if lhs == rhs:
+            details.append(f"ok {derived}: gwnc={rhs} matches {base}")
+        else:
+            details.append(
+                f"FAIL {derived}: gwnc={rhs} but {base} has gwnc={lhs}; {_repro(derived)}"
+            )
+    return ran
+
+
+def _gwnc_agrees(details: list[str], expr: str, gwnc: bool, label: str, value: bool) -> None:
+    if gwnc == value:
+        details.append(f"ok {expr}: gwnc={gwnc}, {label}={value}")
+    else:
+        details.append(f"FAIL {expr}: gwnc={gwnc} but {label}={value}; {_repro(expr)}")
+
+
+def _gwnc_expected(ctx: VerifyContext, details: list[str], expr: str, expected: bool) -> None:
+    got = ctx.gwnc(expr)
+    if got == expected:
+        details.append(f"ok {expr}: gwnc={got}")
+    else:
+        details.append(f"FAIL {expr}: gwnc expected {expected} got {got}; {_repro(expr)}")
+
+
 # ---------------------------------------------------------------------------
 # catalog expectation checks
 
 
-def check_catalog_entry(ctx: VerifyContext, entry: CatalogEntry) -> CheckResult:
-    result = CheckResult(entry.id, f"expected flags of {entry.expression}", "pass")
-    ran = False
-    try:
-        ring = ctx.ring(entry.expression)
-    except GuardError as exc:
-        result.details.append(f"SKIP {entry.expression}: {exc}")
-        return _finish(result, ran)
+def _describe(entry: CatalogEntry) -> str:
+    return f"expected flags of {entry.expression} ({entry.source})"
+
+
+def _expected_flags(entry: CatalogEntry, ctx: VerifyContext, details: list[str]) -> bool:
+    ring = ctx.ring(entry.expression)
     for name, expected in entry.expected:
         got = dec.ring_flag(ring, name)
-        ran = True
         if got == expected:
-            result.details.append(f"ok {entry.expression}: {name}={got}")
+            details.append(f"ok {entry.expression}: {name}={got}")
         else:
             cx = dec.flag_counterexample(ring, name)
             cx_note = f", counterexample element {cx}" if cx is not None else ""
-            result.details.append(
+            details.append(
                 f"FAIL {entry.expression}: {name} expected {expected} got {got}"
                 f"{cx_note}; {_repro(entry.expression)}"
             )
-    return _finish(result, ran)
+    return bool(entry.expected)
 
 
-def _make_expectation_check(entry: CatalogEntry):
-    def fn(ctx: VerifyContext) -> CheckResult:
-        return check_catalog_entry(ctx, entry)
-
-    return fn
+def check_catalog_entry(ctx: VerifyContext, entry: CatalogEntry) -> CheckResult:
+    return _run(entry.id, _describe(entry), functools.partial(_expected_flags, entry), ctx)
 
 
 for _entry in CATALOG:
     if _entry.expected:
-        CHECKS[_entry.id] = (
-            f"expected flags of {_entry.expression} ({_entry.source})",
-            _make_expectation_check(_entry),
-        )
+        _register(_entry.id, _describe(_entry))(functools.partial(_expected_flags, _entry))
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +315,7 @@ for _entry in CATALOG:
 
 
 @_register("L-2.2", "the negative of a weakly nil-clean element is weakly clean")
-def _check_l22(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-2.2", CHECKS["L-2.2"][0], "pass")
-    ran = False
+def _check_l22(ctx: VerifyContext, details: list[str]) -> bool:
     for entry in CATALOG:
         ring = ctx.ring(entry.expression)
         data = structure.ring_data(ring)
@@ -298,40 +323,37 @@ def _check_l22(ctx: VerifyContext) -> CheckResult:
         wc = data.decomposes("weakly_clean")
         ar = np.arange(ring.card, dtype=np.int64)
         bad = wnc & ~wc[ring.neg_vec(ar)]
-        ran = True
         if bad.any():
             a = int(np.flatnonzero(bad)[0])
-            result.details.append(
+            details.append(
                 f"FAIL {entry.expression}: element {a} is weakly nil-clean but "
                 f"-{a} is not weakly clean; {_repro(entry.expression)}"
             )
         else:
-            result.details.append(f"ok {entry.expression}")
-    return _finish(result, ran)
+            details.append(f"ok {entry.expression}")
+    return True
 
 
 @_register("C-2.3", "GWNC rings are weakly clean")
-def _check_c23(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("C-2.3", CHECKS["C-2.3"][0], "pass")
+def _check_c23(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for entry in CATALOG:
         if not ctx.gwnc(entry.expression):
             continue
         ran = True
         if ctx.flag(entry.expression, "weakly_clean"):
-            result.details.append(f"ok {entry.expression}")
+            details.append(f"ok {entry.expression}")
         else:
             cx = ctx.counterexample(entry.expression, "weakly_clean")
-            result.details.append(
+            details.append(
                 f"FAIL {entry.expression}: GWNC but not weakly clean "
                 f"(element {cx}); {_repro(entry.expression)}"
             )
-    return _finish(result, ran)
+    return ran
 
 
 @_register("L-2.4", "the Jacobson radical of a GWNC ring is nil")
-def _check_l24(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-2.4", CHECKS["L-2.4"][0], "pass")
+def _check_l24(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for entry in CATALOG:
         ring = ctx.ring(entry.expression)
@@ -339,20 +361,19 @@ def _check_l24(ctx: VerifyContext) -> CheckResult:
             continue
         ran = True
         if structure.is_nil_subset(ring, structure.jacobson(ring)):
-            result.details.append(f"ok {entry.expression}")
+            details.append(f"ok {entry.expression}")
         else:
-            result.details.append(
+            details.append(
                 f"FAIL {entry.expression}: radical is not nil; {_repro(entry.expression)}"
             )
-    return _finish(result, ran)
+    return ran
 
 
 @_register(
     "L-2.6",
     "a GWNC ring with 2 invertible and every unit an involution is commutative",
 )
-def _check_l26(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-2.6", CHECKS["L-2.6"][0], "pass")
+def _check_l26(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for entry in CATALOG:
         ring = ctx.ring(entry.expression)
@@ -367,13 +388,13 @@ def _check_l26(ctx: VerifyContext) -> CheckResult:
             continue
         ran = True
         if structure.is_commutative(ring):
-            result.details.append(f"ok {entry.expression}")
+            details.append(f"ok {entry.expression}")
         else:
-            result.details.append(
+            details.append(
                 f"FAIL {entry.expression}: preconditions hold but the ring is "
                 f"not commutative; {_repro(entry.expression)}"
             )
-    return _finish(result, ran)
+    return ran
 
 
 # ---------------------------------------------------------------------------
@@ -396,81 +417,54 @@ def _nil_ideals(ring: Ring) -> list[Subset]:
 
 
 @_register("P-2.8", "a ring and its quotient by a nil ideal agree on GWNC")
-def _check_p28(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("P-2.8", CHECKS["P-2.8"][0], "pass")
+def _check_p28(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for expr in ("T(2,Z(4))", "TE(Z(6))", "PQ(Z(3),[0,0,1])"):
         ring = ctx.ring(expr)
         lhs = ctx.gwnc(expr)
-        for ideal in _nil_ideals(ring):
+        ideals = _nil_ideals(ring)
+        for ideal in ideals:
             if not structure.is_nil_subset(ring, ideal):
-                result.details.append(
-                    f"FAIL {expr}: enumerated ideal of size {len(ideal)} is not nil"
-                )
+                details.append(f"FAIL {expr}: enumerated ideal of size {len(ideal)} is not nil")
                 continue
             quotient = ctx.adopt(cons.quotient_by_ideal(ring, ideal))
             rhs, _ = dec.gwnc(quotient)
             ran = True
             if lhs != rhs:
-                result.details.append(
+                details.append(
                     f"FAIL {expr}: gwnc={lhs} but quotient by ideal of size "
                     f"{len(ideal)} has gwnc={rhs}; {_repro(expr)}"
                 )
-        result.details.append(f"ok {expr}: {len(_nil_ideals(ring))} nil ideals agree")
-    return _finish(result, ran)
+        details.append(f"ok {expr}: {len(ideals)} nil ideals agree")
+    return ran
 
 
 @_register(
     "C-2.11",
     "trivial extensions and truncated polynomial rings preserve GWNC exactly",
 )
-def _check_c211(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("C-2.11", CHECKS["C-2.11"][0], "pass")
-    ran = False
-    for n in range(2, 10):
-        base = f"Z({n})"
-        lhs = ctx.gwnc(base)
-        for derived in (f"TE({base})", f"PQ({base},[0,0,1])", f"PQ({base},[0,0,0,1])"):
-            try:
-                rhs = ctx.gwnc(derived)
-            except GuardError as exc:
-                result.details.append(f"SKIP {derived}: {exc}")
-                continue
-            ran = True
-            if lhs == rhs:
-                result.details.append(f"ok {derived}: gwnc={rhs} matches {base}")
-            else:
-                result.details.append(
-                    f"FAIL {derived}: gwnc={rhs} but {base} has gwnc={lhs}; "
-                    f"{_repro(derived)}"
-                )
-    return _finish(result, ran)
+def _check_c211(ctx: VerifyContext, details: list[str]) -> bool:
+    return _gwnc_preserved(
+        ctx,
+        details,
+        (
+            (f"Z({n})", derived)
+            for n in range(2, 10)
+            for derived in (f"TE(Z({n}))", f"PQ(Z({n}),[0,0,1])", f"PQ(Z({n}),[0,0,0,1])")
+        ),
+    )
 
 
 @_register(
     "C-2.13",
     "the twice-iterated trivial extension preserves GWNC and matches its 4x4 frame",
 )
-def _check_c213(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("C-2.13", CHECKS["C-2.13"][0], "pass")
-    ran = False
-    for n in (2, 3, 5, 6):
-        base = f"Z({n})"
-        derived = f"TE(TE({base}))"
-        lhs = ctx.gwnc(base)
-        rhs = ctx.gwnc(derived)
-        ran = True
-        if lhs == rhs:
-            result.details.append(f"ok {derived}: gwnc={rhs} matches {base}")
-        else:
-            result.details.append(
-                f"FAIL {derived}: gwnc={rhs} but {base} has gwnc={lhs}; {_repro(derived)}"
-            )
+def _check_c213(ctx: VerifyContext, details: list[str]) -> bool:
+    _gwnc_preserved(ctx, details, ((f"Z({n})", f"TE(TE(Z({n})))") for n in (2, 3, 5, 6)))
     for n in (2, 3):
         ok, note = _dt_frame_agrees(ctx, n)
-        ran = True
-        result.details.append(("ok " if ok else "FAIL ") + note)
-    return _finish(result, ran)
+        details.append(("ok " if ok else "FAIL ") + note)
+    return True
 
 
 def _dt_frame_agrees(ctx: VerifyContext, n: int) -> tuple[bool, str]:
@@ -503,49 +497,25 @@ def _dt_frame_agrees(ctx: VerifyContext, n: int) -> tuple[bool, str]:
 
 
 @_register("C-2.16-i", "constant-diagonal triangular frames preserve GWNC exactly")
-def _check_c216(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("C-2.16-i", CHECKS["C-2.16-i"][0], "pass")
-    ran = False
-    for pat in ("S(2)", "S(3)"):
-        for n in (2, 3, 6):
-            base = f"Z({n})"
-            derived = f"PAT({pat},{base})"
-            lhs = ctx.gwnc(base)
-            try:
-                rhs = ctx.gwnc(derived)
-            except GuardError as exc:
-                result.details.append(f"SKIP {derived}: {exc}")
-                continue
-            ran = True
-            if lhs == rhs:
-                result.details.append(f"ok {derived}: gwnc={rhs} matches {base}")
-            else:
-                result.details.append(
-                    f"FAIL {derived}: gwnc={rhs} but {base} has gwnc={lhs}; "
-                    f"{_repro(derived)}"
-                )
-    return _finish(result, ran)
+def _check_c216(ctx: VerifyContext, details: list[str]) -> bool:
+    return _gwnc_preserved(
+        ctx,
+        details,
+        ((f"Z({n})", f"PAT({pat},Z({n}))") for pat in ("S(2)", "S(3)") for n in (2, 3, 6)),
+    )
 
 
 @_register("C-2.17", "the S(n,m), Tb(n,m) and U(n) frames preserve GWNC exactly")
-def _check_c217(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("C-2.17", CHECKS["C-2.17"][0], "pass")
-    ran = False
-    for pat in ("S(2,2)", "Tb(2,2)", "U(3)"):
-        for n in (2, 3):
-            base = f"Z({n})"
-            derived = f"PAT({pat},{base})"
-            lhs = ctx.gwnc(base)
-            rhs = ctx.gwnc(derived)
-            ran = True
-            if lhs == rhs:
-                result.details.append(f"ok {derived}: gwnc={rhs} matches {base}")
-            else:
-                result.details.append(
-                    f"FAIL {derived}: gwnc={rhs} but {base} has gwnc={lhs}; "
-                    f"{_repro(derived)}"
-                )
-    return _finish(result, ran)
+def _check_c217(ctx: VerifyContext, details: list[str]) -> bool:
+    return _gwnc_preserved(
+        ctx,
+        details,
+        (
+            (f"Z({n})", f"PAT({pat},Z({n}))")
+            for pat in ("S(2,2)", "Tb(2,2)", "U(3)")
+            for n in (2, 3)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -556,29 +526,21 @@ def _check_c217(ctx: VerifyContext) -> CheckResult:
     "P-2.18",
     "with only trivial idempotents, GWNC is equivalent to local with nil radical",
 )
-def _check_p218(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("P-2.18", CHECKS["P-2.18"][0], "pass")
+def _check_p218(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for expr in ("Z(4)", "Z(9)", "GF(2,2)", "Z(5)"):
         ring = ctx.ring(expr)
         data = structure.ring_data(ring)
         if int(data.idem_mask.sum()) != 2:
-            result.details.append(
-                f"FAIL {expr}: expected only trivial idempotents"
-            )
+            details.append(f"FAIL {expr}: expected only trivial idempotents")
             continue
         lhs = ctx.gwnc(expr)
         rhs = structure.is_local(ring) and structure.is_nil_subset(
             ring, structure.jacobson(ring)
         )
         ran = True
-        if lhs == rhs:
-            result.details.append(f"ok {expr}: gwnc={lhs}, local-with-nil-radical={rhs}")
-        else:
-            result.details.append(
-                f"FAIL {expr}: gwnc={lhs} but local-with-nil-radical={rhs}; {_repro(expr)}"
-            )
-    return _finish(result, ran)
+        _gwnc_agrees(details, expr, lhs, "local-with-nil-radical", rhs)
+    return ran
 
 
 def _pair_expression(a: str, b: str) -> str:
@@ -589,9 +551,7 @@ def _pair_expression(a: str, b: str) -> str:
     "P-2.19",
     "a GWNC direct product has weakly nil-clean factors",
 )
-def _check_p219(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("P-2.19", CHECKS["P-2.19"][0], "pass")
-    ran = False
+def _check_p219(ctx: VerifyContext, details: list[str]) -> bool:
     skipped = 0
     checked = 0
     exprs = [e.expression for e in CATALOG]
@@ -602,21 +562,18 @@ def _check_p219(ctx: VerifyContext) -> CheckResult:
         except GuardError:
             skipped += 1
             continue
-        ran = True
         checked += 1
         if not holds:
             continue
         for factor in (a, b):
             if not ctx.flag(factor, "weakly_nil_clean"):
                 cx = ctx.counterexample(factor, "weakly_nil_clean")
-                result.details.append(
+                details.append(
                     f"FAIL {pair}: GWNC but factor {factor} is not weakly "
                     f"nil-clean (element {cx}); {_repro(factor)}"
                 )
-    result.details.append(
-        f"ok {checked} catalog pairs checked, {skipped} skipped by guard"
-    )
-    return _finish(result, ran)
+    details.append(f"ok {checked} catalog pairs checked, {skipped} skipped by guard")
+    return checked > 0
 
 
 @_register(
@@ -624,9 +581,7 @@ def _check_p219(ctx: VerifyContext) -> CheckResult:
     "a triple product is GWNC iff all factors are weakly nil-clean and at "
     "most one is not nil-clean",
 )
-def _check_p221(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("P-2.21", CHECKS["P-2.21"][0], "pass")
-    ran = False
+def _check_p221(ctx: VerifyContext, details: list[str]) -> bool:
     atoms = ("Z(2)", "Z(3)", "Z(4)")
     for a, b, c in itertools.product(atoms, repeat=3):
         triple = f"(({a} x {b}) x {c})"
@@ -634,73 +589,50 @@ def _check_p221(ctx: VerifyContext) -> CheckResult:
         wnc_all = all(ctx.flag(x, "weakly_nil_clean") for x in (a, b, c))
         not_nc = sum(1 for x in (a, b, c) if not ctx.flag(x, "nil_clean"))
         rhs = wnc_all and not_nc <= 1
-        ran = True
         if lhs != rhs:
-            result.details.append(
+            details.append(
                 f"FAIL {triple}: gwnc={lhs} but factor criterion gives {rhs}; "
                 f"{_repro(triple)}"
             )
-    for triple, expected in (
-        ("((Z(2) x Z(3)) x Z(3))", False),
-        ("((Z(2) x Z(2)) x Z(3))", True),
-    ):
-        ran = True
-        got = ctx.gwnc(triple)
-        if got == expected:
-            result.details.append(f"ok {triple}: gwnc={got}")
-        else:
-            result.details.append(
-                f"FAIL {triple}: gwnc expected {expected} got {got}; {_repro(triple)}"
-            )
-    return _finish(result, ran)
+    _gwnc_expected(ctx, details, "((Z(2) x Z(3)) x Z(3))", False)
+    _gwnc_expected(ctx, details, "((Z(2) x Z(2)) x Z(3))", True)
+    return True
 
 
 @_register(
     "P-2.25",
     "a 3x3 triangular ring is GWNC exactly when its base is nil-clean",
 )
-def _check_p225(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("P-2.25", CHECKS["P-2.25"][0], "pass")
-    ran = False
-    expected = {"Z(2)": True, "Z(4)": True, "Z(3)": False}
-    for base, want in expected.items():
+def _check_p225(ctx: VerifyContext, details: list[str]) -> bool:
+    for base, want in (("Z(2)", True), ("Z(4)", True), ("Z(3)", False)):
         derived = f"T(3,{base})"
         lhs = ctx.gwnc(derived)
         rhs = ctx.flag(base, "nil_clean")
-        ran = True
         if lhs != rhs:
-            result.details.append(
+            details.append(
                 f"FAIL {derived}: gwnc={lhs} but nil-clean({base})={rhs}; {_repro(derived)}"
             )
-        if lhs != want:
-            result.details.append(
-                f"FAIL {derived}: gwnc expected {want} got {lhs}; {_repro(derived)}"
-            )
-        else:
-            result.details.append(f"ok {derived}: gwnc={lhs}")
-    return _finish(result, ran)
+        _gwnc_expected(ctx, details, derived, want)
+    return True
 
 
 @_register("L-2.27", "with 2 in the radical, GWNC and GNC coincide")
-def _check_l227(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-2.27", CHECKS["L-2.27"][0], "pass")
+def _check_l227(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for expr in ("Z(4)", "Z(8)", "T(2,Z(2))", "TE(Z(4))"):
         ring = ctx.ring(expr)
         two = _times(ring, 2)
         if not structure.ring_data(ring).jacobson_mask[two]:
-            result.details.append(f"FAIL {expr}: 2 is not in the radical")
+            details.append(f"FAIL {expr}: 2 is not in the radical")
             continue
         ran = True
         g1 = ctx.flag(expr, "gwnc")
         g2 = ctx.flag(expr, "gnc")
         if g1 == g2:
-            result.details.append(f"ok {expr}: gwnc=gnc={g1}")
+            details.append(f"ok {expr}: gwnc=gnc={g1}")
         else:
-            result.details.append(
-                f"FAIL {expr}: gwnc={g1} but gnc={g2}; {_repro(expr)}"
-            )
-    return _finish(result, ran)
+            details.append(f"FAIL {expr}: gwnc={g1} but gnc={g2}; {_repro(expr)}")
+    return ran
 
 
 # ---------------------------------------------------------------------------
@@ -711,43 +643,36 @@ def _check_l227(ctx: VerifyContext) -> CheckResult:
     "L-2.28",
     "strongly weakly nil-clean is exactly WUU together with GWNC",
 )
-def _check_l228(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-2.28", CHECKS["L-2.28"][0], "pass")
-    ran = False
+def _check_l228(ctx: VerifyContext, details: list[str]) -> bool:
     for entry in CATALOG:
         expr = entry.expression
         lhs = ctx.flag(expr, "strongly_weakly_nil_clean")
         rhs = ctx.flag(expr, "wuu") and ctx.flag(expr, "gwnc")
-        ran = True
         if lhs != rhs:
-            result.details.append(
+            details.append(
                 f"FAIL {expr}: strongly-weakly-nil-clean={lhs} but WUU&GWNC={rhs}; "
                 f"{_repro(expr)}"
             )
-    result.details.append("ok flag identity holds across the catalog")
-    return _finish(result, ran)
+    details.append("ok flag identity holds across the catalog")
+    return True
 
 
 @_register("L-2.29", "strongly nil-clean is exactly UU together with GWNC")
-def _check_l229(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-2.29", CHECKS["L-2.29"][0], "pass")
-    ran = False
+def _check_l229(ctx: VerifyContext, details: list[str]) -> bool:
     for entry in CATALOG:
         expr = entry.expression
         lhs = ctx.flag(expr, "strongly_nil_clean")
         rhs = ctx.flag(expr, "uu") and ctx.flag(expr, "gwnc")
-        ran = True
         if lhs != rhs:
-            result.details.append(
+            details.append(
                 f"FAIL {expr}: strongly-nil-clean={lhs} but UU&GWNC={rhs}; {_repro(expr)}"
             )
-    result.details.append("ok flag identity holds across the catalog")
-    return _finish(result, ran)
+    details.append("ok flag identity holds across the catalog")
+    return True
 
 
 @_register("C-2.30", "on UU rings, nine clean-family properties coincide")
-def _check_c230(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("C-2.30", CHECKS["C-2.30"][0], "pass")
+def _check_c230(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for entry in CATALOG:
         expr = entry.expression
@@ -767,12 +692,12 @@ def _check_c230(ctx: VerifyContext) -> CheckResult:
         }
         ran = True
         if len(set(values.values())) > 1:
-            result.details.append(
+            details.append(
                 f"FAIL {expr}: UU ring with diverging properties {values}; {_repro(expr)}"
             )
         else:
-            result.details.append(f"ok {expr}: all nine equal {values['gwnc']}")
-    return _finish(result, ran)
+            details.append(f"ok {expr}: all nine equal {values['gwnc']}")
+    return ran
 
 
 # ---------------------------------------------------------------------------
@@ -784,9 +709,7 @@ def _check_c230(ctx: VerifyContext) -> CheckResult:
     "full matrix rings over the field of order q are GWNC exactly for "
     "q=2 (any size) and q=3 at size 2",
 )
-def _check_l233(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-2.33", CHECKS["L-2.33"][0], "pass")
-    ran = False
+def _check_l233(ctx: VerifyContext, details: list[str]) -> bool:
     cases = (
         ("M(2,Z(2))", True),
         ("M(2,Z(3))", True),
@@ -796,14 +719,7 @@ def _check_l233(ctx: VerifyContext) -> CheckResult:
         ("M(3,Z(3))", False),
     )
     for expr, expected in cases:
-        got = ctx.gwnc(expr)
-        ran = True
-        if got == expected:
-            result.details.append(f"ok {expr}: gwnc={got}")
-        else:
-            result.details.append(
-                f"FAIL {expr}: gwnc expected {expected} got {got}; {_repro(expr)}"
-            )
+        _gwnc_expected(ctx, details, expr, expected)
     # spot checks: diag(a, 0) is not weakly nil-clean for a outside {0, 1, -1}
     for field_expr, scalars in (("GF(2,2)", (2, 3)), ("Z(5)", (2, 3))):
         mat_expr = f"M(2,{field_expr})"
@@ -812,40 +728,30 @@ def _check_l233(ctx: VerifyContext) -> CheckResult:
         for a in scalars:
             idx = a * base_card**3  # entry (0,0) most significant
             ok, _ = dec.elem_is_weakly_nil_clean(ring, idx)
-            ran = True
             if ok:
-                result.details.append(
+                details.append(
                     f"FAIL {mat_expr}: diag({a},0) unexpectedly weakly nil-clean; "
                     f"{_repro(mat_expr)}"
                 )
             else:
-                result.details.append(f"ok {mat_expr}: diag({a},0) not weakly nil-clean")
-    return _finish(result, ran)
+                details.append(f"ok {mat_expr}: diag({a},0) not weakly nil-clean")
+    return True
 
 
 @_register(
     "T-2.35",
     "over a commutative base, a 3x3 matrix ring is GWNC iff it is nil-clean",
 )
-def _check_t235(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("T-2.35", CHECKS["T-2.35"][0], "pass")
+def _check_t235(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for base in ("Z(2)", "Z(3)", "Z(4)"):
         derived = f"M(3,{base})"
-        try:
-            lhs = ctx.gwnc(derived)
-        except GuardError as exc:
-            result.details.append(f"SKIP {derived}: {exc}")
+        lhs = _guarded_gwnc(ctx, details, derived)
+        if lhs is None:
             continue
-        rhs = ctx.flag(derived, "nil_clean")
         ran = True
-        if lhs == rhs:
-            result.details.append(f"ok {derived}: gwnc={lhs}, nil-clean={rhs}")
-        else:
-            result.details.append(
-                f"FAIL {derived}: gwnc={lhs} but nil-clean={rhs}; {_repro(derived)}"
-            )
-    return _finish(result, ran)
+        _gwnc_agrees(details, derived, lhs, "nil-clean", ctx.flag(derived, "nil_clean"))
+    return ran
 
 
 @_register(
@@ -854,9 +760,7 @@ def _check_t235(ctx: VerifyContext) -> CheckResult:
     "radical quotient is the 2x2 matrices over the 3-element field or the "
     "square of that field, or the ring is weakly nil-clean",
 )
-def _check_t236(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("T-2.36", CHECKS["T-2.36"][0], "pass")
-    ran = False
+def _check_t236(ctx: VerifyContext, details: list[str]) -> bool:
     for entry in CATALOG:
         expr = entry.expression
         ring = ctx.ring(expr)
@@ -870,15 +774,14 @@ def _check_t236(ctx: VerifyContext) -> CheckResult:
             or (fp == ((1, 3), (1, 3)) and j_nil)
             or ctx.flag(expr, "weakly_nil_clean")
         )
-        ran = True
         if lhs == rhs:
-            result.details.append(f"ok {expr}: gwnc={lhs}")
+            details.append(f"ok {expr}: gwnc={lhs}")
         else:
-            result.details.append(
+            details.append(
                 f"FAIL {expr}: gwnc={lhs} but the four-clause criterion gives "
                 f"{rhs} (fingerprint {fp}); {_repro(expr)}"
             )
-    return _finish(result, ran)
+    return True
 
 
 @_register(
@@ -886,73 +789,50 @@ def _check_t236(ctx: VerifyContext) -> CheckResult:
     "for commutative bases, a 3x3 matrix ring is GWNC iff the radical "
     "quotient of the base is Boolean",
 )
-def _check_p241(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("P-2.41", CHECKS["P-2.41"][0], "pass")
+def _check_p241(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for base in ("Z(2)", "Z(4)"):
         derived = f"M(3,{base})"
-        try:
-            lhs = ctx.gwnc(derived)
-        except GuardError as exc:
-            result.details.append(f"SKIP {derived}: {exc}")
+        lhs = _guarded_gwnc(ctx, details, derived)
+        if lhs is None:
             continue
         quotient = ctx.adopt(structure.mod_j(ctx.ring(base)))
         rhs = structure.is_boolean_ring(quotient)
         ran = True
-        if lhs == rhs:
-            result.details.append(f"ok {derived}: gwnc={lhs}, base radical quotient boolean={rhs}")
-        else:
-            result.details.append(
-                f"FAIL {derived}: gwnc={lhs} but base radical quotient "
-                f"boolean={rhs}; {_repro(derived)}"
-            )
-    return _finish(result, ran)
+        _gwnc_agrees(details, derived, lhs, "base radical quotient boolean", rhs)
+    return ran
 
 
-def _check_boolean_criterion(check_id: str, predicate: str, ctx: VerifyContext) -> CheckResult:
-    result = CheckResult(check_id, CHECKS[check_id][0], "pass")
+def _boolean_criterion(predicate: str, ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for base in ("Z(2)", "Z(6)", "GF(2,2)", "Z(3)"):
         ring = ctx.ring(base)
-        holds = (
-            structure.is_reduced(ring)
-            if predicate == "reduced"
-            else structure.is_strongly_regular(ring)
-        )
+        holds = structure.is_reduced(ring)
+        if predicate == "strongly_regular":
+            # a finite ring is strongly regular exactly when it is
+            # semisimple and reduced
+            holds = holds and structure.is_semisimple(ring)
         if not holds:
-            result.details.append(f"note {base}: not {predicate}, filtered out")
+            details.append(f"note {base}: not {predicate}, filtered out")
             continue
         derived = f"M(3,{base})"
-        try:
-            lhs = ctx.gwnc(derived)
-        except GuardError as exc:
-            result.details.append(f"SKIP {derived}: {exc}")
+        lhs = _guarded_gwnc(ctx, details, derived)
+        if lhs is None:
             continue
-        rhs = structure.is_boolean_ring(ring)
         ran = True
-        if lhs == rhs:
-            result.details.append(f"ok {derived}: gwnc={lhs}, boolean({base})={rhs}")
-        else:
-            result.details.append(
-                f"FAIL {derived}: gwnc={lhs} but boolean({base})={rhs}; {_repro(derived)}"
-            )
-    return _finish(result, ran)
+        _gwnc_agrees(details, derived, lhs, f"boolean({base})", structure.is_boolean_ring(ring))
+    return ran
 
 
-@_register(
+_register(
     "C-2.46",
     "for reduced bases, a 3x3 matrix ring is GWNC iff the base is Boolean",
-)
-def _check_c246(ctx: VerifyContext) -> CheckResult:
-    return _check_boolean_criterion("C-2.46", "reduced", ctx)
+)(functools.partial(_boolean_criterion, "reduced"))
 
-
-@_register(
+_register(
     "C-2.47",
     "for strongly regular bases, a 3x3 matrix ring is GWNC iff the base is Boolean",
-)
-def _check_c247(ctx: VerifyContext) -> CheckResult:
-    return _check_boolean_criterion("C-2.47", "strongly_regular", ctx)
+)(functools.partial(_boolean_criterion, "strongly_regular"))
 
 
 @_register(
@@ -960,29 +840,26 @@ def _check_c247(ctx: VerifyContext) -> CheckResult:
     "formal 2x2 matrix rings twisted by a central nilpotent preserve the "
     "weakly nil-clean link",
 )
-def _check_c251(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("C-2.51", CHECKS["C-2.51"][0], "pass")
-    ran = False
+def _check_c251(ctx: VerifyContext, details: list[str]) -> bool:
     for base in ("Z(4)", "Z(8)"):
         ring = ctx.ring(base)
         data = structure.ring_data(ring)
         for s in (int(i) for i in np.flatnonzero(data.nil_mask)):
             derived = f"FM(2,{s},{base})"
             holds = ctx.gwnc(derived)
-            ran = True
             if holds and not ctx.flag(base, "weakly_nil_clean"):
-                result.details.append(
+                details.append(
                     f"FAIL {derived}: GWNC but {base} is not weakly nil-clean; "
                     f"{_repro(base)}"
                 )
             elif ctx.flag(base, "nil_clean") and not holds:
-                result.details.append(
+                details.append(
                     f"FAIL {derived}: {base} is nil-clean but the formal matrix "
                     f"ring is not GWNC; {_repro(derived)}"
                 )
             else:
-                result.details.append(f"ok {derived}: gwnc={holds}")
-    return _finish(result, ran)
+                details.append(f"ok {derived}: gwnc={holds}")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -990,30 +867,24 @@ def _check_c251(ctx: VerifyContext) -> CheckResult:
 
 
 @_register("L-3.1", "a GWNC group ring has a GWNC coefficient ring")
-def _check_l31(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-3.1", CHECKS["L-3.1"][0], "pass")
-    ran = False
+def _check_l31(ctx: VerifyContext, details: list[str]) -> bool:
     for rg_expr, base_expr in GROUP_RINGS:
         if not ctx.gwnc(rg_expr):
-            result.details.append(f"ok {rg_expr}: not GWNC, implication vacuous")
-            ran = True
-            continue
-        ran = True
-        if ctx.gwnc(base_expr):
-            result.details.append(f"ok {rg_expr}: base {base_expr} is GWNC")
+            details.append(f"ok {rg_expr}: not GWNC, implication vacuous")
+        elif ctx.gwnc(base_expr):
+            details.append(f"ok {rg_expr}: base {base_expr} is GWNC")
         else:
-            result.details.append(
+            details.append(
                 f"FAIL {rg_expr}: GWNC but base {base_expr} is not; {_repro(base_expr)}"
             )
-    return _finish(result, ran)
+    return True
 
 
 @_register(
     "L-3.2",
     "group rings of p-groups over GWNC rings with p nilpotent are GWNC",
 )
-def _check_l32(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-3.2", CHECKS["L-3.2"][0], "pass")
+def _check_l32(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     cases = (
         ("GR(Z(2),C(2))", "Z(2)", 2),
@@ -1025,30 +896,29 @@ def _check_l32(ctx: VerifyContext) -> CheckResult:
     for rg_expr, base_expr, p in cases:
         base = ctx.ring(base_expr)
         if not structure.ring_data(base).nil_mask[_times(base, p)]:
-            result.details.append(f"FAIL {rg_expr}: {p} is not nilpotent in {base_expr}")
+            details.append(f"FAIL {rg_expr}: {p} is not nilpotent in {base_expr}")
             continue
         group = _unwrap(ctx.ring(rg_expr)).group
         if not group.is_p_group(p):
-            result.details.append(f"FAIL {rg_expr}: group is not a {p}-group")
+            details.append(f"FAIL {rg_expr}: group is not a {p}-group")
             continue
         ran = True
         if ctx.gwnc(rg_expr):
-            result.details.append(f"ok {rg_expr}: GWNC")
+            details.append(f"ok {rg_expr}: GWNC")
         else:
             cx = ctx.counterexample(rg_expr, "gwnc")
-            result.details.append(
+            details.append(
                 f"FAIL {rg_expr}: expected GWNC, counterexample element {cx}; "
                 f"{_repro(rg_expr)}"
             )
-    return _finish(result, ran)
+    return ran
 
 
 @_register(
     "L-3.3",
     "in a GWNC ring, 2 is invertible or 2 is nilpotent or 6 is nilpotent",
 )
-def _check_l33(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-3.3", CHECKS["L-3.3"][0], "pass")
+def _check_l33(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for entry in CATALOG:
         expr = entry.expression
@@ -1060,21 +930,20 @@ def _check_l33(ctx: VerifyContext) -> CheckResult:
         six = _times(ring, 6)
         ran = True
         if data.unit_mask[two] or data.nil_mask[two] or data.nil_mask[six]:
-            result.details.append(f"ok {expr}")
+            details.append(f"ok {expr}")
         else:
-            result.details.append(
+            details.append(
                 f"FAIL {expr}: GWNC but 2 is neither invertible nor nilpotent "
                 f"and 6 is not nilpotent; {_repro(expr)}"
             )
-    return _finish(result, ran)
+    return ran
 
 
 @_register(
     "L-3.4",
     "when 2 is not invertible, GWNC means GNC or weakly nil-clean",
 )
-def _check_l34(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("L-3.4", CHECKS["L-3.4"][0], "pass")
+def _check_l34(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for entry in CATALOG:
         expr = entry.expression
@@ -1085,13 +954,13 @@ def _check_l34(ctx: VerifyContext) -> CheckResult:
         rhs = ctx.flag(expr, "gnc") or ctx.flag(expr, "weakly_nil_clean")
         ran = True
         if lhs == rhs:
-            result.details.append(f"ok {expr}: gwnc={lhs}")
+            details.append(f"ok {expr}: gwnc={lhs}")
         else:
-            result.details.append(
+            details.append(
                 f"FAIL {expr}: gwnc={lhs} but GNC-or-weakly-nil-clean={rhs}; "
                 f"{_repro(expr)}"
             )
-    return _finish(result, ran)
+    return ran
 
 
 @_register(
@@ -1099,66 +968,77 @@ def _check_l34(ctx: VerifyContext) -> CheckResult:
     "a GWNC group ring over a ring where 2 is not invertible forces a "
     "2-group with 2 nilpotent",
 )
-def _check_t36(ctx: VerifyContext) -> CheckResult:
-    result = CheckResult("T-3.6", CHECKS["T-3.6"][0], "pass")
+def _check_t36(ctx: VerifyContext, details: list[str]) -> bool:
     ran = False
     for rg_expr, base_expr in GROUP_RINGS:
         base = ctx.ring(base_expr)
         data = structure.ring_data(base)
         if data.unit_mask[_times(base, 2)]:
-            result.details.append(f"note {rg_expr}: 2 invertible in {base_expr}, filtered out")
+            details.append(f"note {rg_expr}: 2 invertible in {base_expr}, filtered out")
             continue
         group = _unwrap(ctx.ring(rg_expr)).group
         if group.order == 1 or not group.is_abelian:
-            result.details.append(f"note {rg_expr}: group not nontrivial abelian, filtered out")
+            details.append(f"note {rg_expr}: group not nontrivial abelian, filtered out")
             continue
         ran = True
         if not ctx.gwnc(rg_expr):
-            result.details.append(f"ok {rg_expr}: not GWNC, implication vacuous")
-            continue
-        if group.is_p_group(2) and data.nil_mask[_times(base, 2)]:
-            result.details.append(f"ok {rg_expr}: 2-group over 2-nilpotent base")
+            details.append(f"ok {rg_expr}: not GWNC, implication vacuous")
+        elif group.is_p_group(2) and data.nil_mask[_times(base, 2)]:
+            details.append(f"ok {rg_expr}: 2-group over 2-nilpotent base")
         else:
-            result.details.append(
+            details.append(
                 f"FAIL {rg_expr}: GWNC but group order {group.order} is not a "
                 f"power of 2 with 2 nilpotent; {_repro(rg_expr)}"
             )
-    got = ctx.gwnc("GR(Z(2),C(3))")
-    if got:
-        result.details.append(
-            f"FAIL GR(Z(2),C(3)): expected not GWNC; {_repro('GR(Z(2),C(3))')}"
-        )
+    if ctx.gwnc("GR(Z(2),C(3))"):
+        details.append(f"FAIL GR(Z(2),C(3)): expected not GWNC; {_repro('GR(Z(2),C(3))')}")
     else:
-        result.details.append("ok GR(Z(2),C(3)): not GWNC (decisive negative)")
-    return _finish(result, ran)
+        details.append("ok GR(Z(2),C(3)): not GWNC (decisive negative)")
+    return ran
 
 
 # ---------------------------------------------------------------------------
 # runners
 
 
+def _run(check_id: str, description: str, body, ctx: VerifyContext) -> CheckResult:
+    """Run one check body.  A check fails when any detail line starts with
+    FAIL, is skipped when it compared nothing, and passes otherwise; a
+    guard hit anywhere in the body ends it with a SKIP line, so it is then
+    skipped, or failed when it had already recorded a FAIL."""
+    result = CheckResult(check_id, description, "pass")
+    try:
+        ran = body(ctx, result.details)
+    except GuardError as exc:
+        result.details.append(f"SKIP: {exc}")
+        ran = False
+    if any(d.startswith("FAIL") for d in result.details):
+        result.status = "fail"
+    elif not ran:
+        result.status = "skipped"
+    return result
+
+
 def run_check(
     check_id: str,
     max_card: int | None = None,
     memo_threshold: int | None = None,
-    threads: int = 1,
     ctx: VerifyContext | None = None,
 ) -> CheckResult:
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
     if ctx is None:
-        ctx = VerifyContext(max_card=max_card, memo_threshold=memo_threshold, threads=threads)
-    _, fn = CHECKS[check_id]
-    return fn(ctx)
+        ctx = VerifyContext(max_card=max_card, memo_threshold=memo_threshold)
+    description, body = CHECKS[check_id]
+    return _run(check_id, description, body, ctx)
 
 
 def run_all(
     max_card: int | None = None,
     memo_threshold: int | None = None,
-    threads: int = 1,
     only: str | None = None,
 ) -> VerifySummary:
-    ctx = VerifyContext(max_card=max_card, memo_threshold=memo_threshold, threads=threads)
+    ctx = VerifyContext(max_card=max_card, memo_threshold=memo_threshold)
     ids = sorted(CHECKS) if only is None else [only]
     results = [run_check(i, ctx=ctx) for i in ids]
     return VerifySummary(results)

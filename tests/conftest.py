@@ -155,6 +155,60 @@ def scan_commutative(ring):
     )
 
 
+def scan_exchange(ring):
+    """(exchange, weakly exchange) by the idempotent-in-aR definitions, one
+    row per element: the decider ``structural_predicates`` replaced."""
+    data = rl.structure.ring_data(ring)
+    idem = data.idem_mask
+    ar = np.arange(ring.card, dtype=np.int64)
+    one = ring.one
+    exchange = True
+    weakly = True
+    for a in range(ring.card):
+        aR = ring.mul_vec(a, ar)
+        es = np.unique(aR[idem[aR]])
+        if len(es) == 0:
+            return False, False
+        one_minus_es = ring.sub_vec(one, es)
+        m_minus = np.zeros(ring.card, dtype=bool)
+        m_minus[ring.mul_vec(ring.sub(one, a), ar)] = True
+        ok_minus = m_minus[one_minus_es]
+        if exchange and not ok_minus.any():
+            exchange = False
+        if weakly:
+            m_plus = np.zeros(ring.card, dtype=bool)
+            m_plus[ring.mul_vec(ring.add(one, a), ar)] = True
+            if not (ok_minus | m_plus[one_minus_es]).any():
+                weakly = False
+        if not exchange and not weakly:
+            break
+    return exchange, weakly
+
+
+def scan_nil_closure(ring):
+    """(NI, NR): whether Nil(R) is an ideal / a subring, one row per
+    nilpotent: the decider ``structural_predicates`` replaced."""
+    data = rl.structure.ring_data(ring)
+    nil = data.nil_mask
+    nidx = np.flatnonzero(nil)
+    ar = np.arange(ring.card, dtype=np.int64)
+    ni = True
+    nr = True
+    for i in nidx:
+        i = int(i)
+        if not nil[ring.add_vec(nidx, i)].all():
+            return False, False  # additive closure fails both
+        if nr and not nil[ring.mul_vec(nidx, i)].all():
+            nr = False
+        if ni and not (
+            nil[ring.mul_vec(ar, i)].all() and nil[ring.mul_vec(i, ar)].all()
+        ):
+            ni = False
+        if not ni and not nr:
+            break
+    return ni, nr
+
+
 def oracle_weakly_nil_clean_elem(ring, a, nil=None):
     ring = table_arith(ring)
     nil = oracle_nilpotents(ring) if nil is None else nil

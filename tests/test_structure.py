@@ -17,7 +17,9 @@ from conftest import (
     s3_group_ring,
     scan_center,
     scan_commutative,
+    scan_exchange,
     scan_jacobson,
+    scan_nil_closure,
     table_arith,
 )
 
@@ -291,8 +293,8 @@ def test_finite_ring_identities_match_bruteforce_deciders():
         if ring.card > 1296:
             continue
         flags = rl.structural_predicates(ring)
-        exchange, weakly_exchange = structure._exchange_flags(ring)
-        ni, nr = structure._nil_closure_flags(ring)
+        exchange, weakly_exchange = scan_exchange(ring)
+        ni, nr = scan_nil_closure(ring)
         oracle = {
             "regular": structure.is_regular(ring),
             "strongly_regular": structure.is_strongly_regular(ring),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import ringlab as rl
@@ -80,6 +82,33 @@ def test_guard_skip_is_reported():
     assert result.status == "skipped"
     assert all(d.startswith("SKIP") for d in result.details)
     assert "exceeds guard" in result.details[0]
+
+
+def test_guard_hit_inside_a_check_ends_it_skipped_with_the_card(monkeypatch):
+    for limit in (10, 300, 5000):
+        summary = run_all(max_card=limit)
+        assert len(summary.results) == 40
+        interrupted = [r for r in summary.results if any(d.startswith("SKIP:") for d in r.details)]
+        assert interrupted, limit
+        for result in interrupted:
+            assert result.status == "skipped", (result.id, result.details)
+            line = result.details[-1]
+            match = re.fullmatch(rf"SKIP: card (\d+) exceeds guard {limit}", line)
+            assert match and int(match.group(1)) > limit, (result.id, line)
+
+    def fail_then_guard(ctx, details):
+        details.append("FAIL planted before the guard")
+        ctx.ring("M(3,Z(5))")
+        return True
+
+    planted = ("a failure recorded before a guard hit", fail_then_guard)
+    monkeypatch.setitem(CHECKS, "ZZ-PLANTED", planted)
+    (result,) = run_all(max_card=10, only="ZZ-PLANTED").results
+    assert result.status == "fail"
+    assert result.details == [
+        "FAIL planted before the guard",
+        "SKIP: card 1953125 exceeds guard 10",
+    ]
 
 
 def test_raised_guard_unlocks_the_3x3_base4_case():
