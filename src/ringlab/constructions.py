@@ -94,6 +94,25 @@ class _DigitRing(Ring):
         return [int(c) for c in decode_digits_le(self._check(a), self.base.card, self.ndigits)[0]]
 
 
+#: pairs per base ``*_vec`` call of a polynomial or group-ring product: n
+#: products of elements with d coefficients go in row blocks of
+#: ``_COEFF_BLOCK // d``, and each call covers d coefficients of a block.
+#: Calls on arrays several times larger ran slower per element
+_COEFF_BLOCK = 8192
+
+
+def _in_row_blocks(mul_block, xs, ys, width: int) -> np.ndarray:
+    """``mul_block`` over row blocks of ``_COEFF_BLOCK // width`` products,
+    ``width`` the coefficients per element."""
+    xs, ys = _pair(xs, ys)
+    step = max(1, _COEFF_BLOCK // width)
+    if len(xs) <= step:
+        return mul_block(xs, ys)
+    return np.concatenate(
+        [mul_block(xs[lo : lo + step], ys[lo : lo + step]) for lo in range(0, len(xs), step)]
+    )
+
+
 # ---------------------------------------------------------------------------
 # integers modulo n
 
@@ -544,23 +563,26 @@ class PolyQuotient(_DigitRing):
         self._reduction = [base.neg(c) for c in modulus[:-1]]
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        R = self.base
-        d = self.degree
-        ca = decode_digits_le(xs, R.card, d)
-        cb = decode_digits_le(ys, R.card, d)
-        conv = [np.full(len(xs), R.zero, dtype=np.int64) for _ in range(2 * d - 1)]
+        return _in_row_blocks(self._mul_block, xs, ys, self.degree)
+
+    def _mul_block(self, xs, ys) -> np.ndarray:
+        """Per coefficient a_i one base ``mul_vec`` of a_i with every b_j,
+        added onto degrees i .. i+d-1; then each degree t >= d, from the
+        top, folded onto degrees t-d .. t-1 through x**d mod f: 4d - 2 base
+        calls for any number of products.  Coefficients are rows, so every
+        call reads contiguous blocks."""
+        R, d, n = self.base, self.degree, len(xs)
+        ca = decode_digits_le(xs, R.card, d).T
+        cb = np.ascontiguousarray(decode_digits_le(ys, R.card, d).T).ravel()
+        conv = np.full((2 * d - 1, n), R.zero, dtype=np.int64)
         for i in range(d):
-            for j in range(d):
-                conv[i + j] = R.add_vec(conv[i + j], R.mul_vec(ca[:, i], cb[:, j]))
+            terms = R.mul_vec(np.tile(ca[i], d), cb)
+            conv[i : i + d] = R.add_vec(conv[i : i + d].ravel(), terms).reshape(d, n)
+        reduction = np.repeat(self._reduction, n)
         for t in range(2 * d - 2, d - 1, -1):
-            lead = conv[t]
-            for i in range(d):
-                conv[t - d + i] = R.add_vec(
-                    conv[t - d + i], R.mul_vec(lead, self._reduction[i])
-                )
-        out = np.stack(conv[:d], axis=1)
-        return encode_digits_le(out, self.base.card)
+            terms = R.mul_vec(np.tile(conv[t], d), reduction)
+            conv[t - d : t] = R.add_vec(conv[t - d : t].ravel(), terms).reshape(d, n)
+        return encode_digits_le(conv[:d].T, R.card)
 
     def format_element(self, a: int) -> str:
         coeffs = self._coeffs(a)
@@ -746,19 +768,21 @@ class GroupRing(_DigitRing):
         self.zero = 0
         self.one = base.one  # coefficient 1 at the identity g0
         self.label = f"GR({base.label},{group.label})"
+        # _solve[i, k] is the j with g_i g_j = g_k
+        self._solve = np.argsort(group.table, axis=1)
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        R = self.base
-        m = self.group.order
-        ca = decode_digits_le(xs, R.card, m)
-        cb = decode_digits_le(ys, R.card, m)
-        out = np.full((len(xs), m), R.zero, dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                k = int(self.group.table[i, j])
-                out[:, k] = R.add_vec(out[:, k], R.mul_vec(ca[:, i], cb[:, j]))
-        return encode_digits_le(out, self.base.card)
+        return _in_row_blocks(self._mul_block, xs, ys, self.group.order)
+
+    def _mul_block(self, xs, ys) -> np.ndarray:
+        """Per coefficient a_i one base ``mul_vec`` of a_i with every b_j,
+        ordered by the k with g_i g_j = g_k, and the m of them summed:
+        2m - 1 base calls for any number of products."""
+        R, m, n = self.base, self.group.order, len(xs)
+        ca = decode_digits_le(xs, R.card, m).T
+        cb = decode_digits_le(ys, R.card, m).T
+        terms = (R.mul_vec(np.tile(ca[i], m), cb[self._solve[i]].ravel()) for i in range(m))
+        return encode_digits_le(reduce(R.add_vec, terms).reshape(m, n).T, R.card)
 
     def _augment(self, xs) -> np.ndarray:
         """Coefficient sums, the images under the map onto the base ring."""

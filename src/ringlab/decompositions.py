@@ -137,7 +137,7 @@ def _witness(ring: Ring, a: int, kind: str) -> tuple[bool, Witness | None]:
     data = ring_data(ring)
     key = int(data.witness_keys(kind, a))
     rank, minus = divmod(key, 2)
-    if rank == data.witness_ranks("nil" in kind).missing:
+    if rank == len(data.idem_indices):
         return False, None
     e = int(data.idem_indices[rank])
     rest = ring.add(a, e) if minus else ring.sub(a, e)

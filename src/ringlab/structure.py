@@ -18,8 +18,13 @@ The center and commutativity are decided on the additive generators of
 ``core.additive_generators`` (at most log2(card) of them), because the
 commutator [x, r] is additive in r.  J is nil and contains every nil left
 ideal (Lam, *A First Course in Noncommutative Rings*, §4), so only the
-nilpotents are tested for left quasi-regularity.  Direct products combine
-their factors' masks.
+nilpotents are tested for left quasi-regularity.
+
+The witness ranks of the clean families come from a sign pass, one
+addition per (target, idempotent) pair and ``minus`` read off ``plus`` at
+the negatives, and a commuting pass with the products, which runs only
+when a strongly kind asks for it.  Direct products combine their factors'
+masks and ranks.
 """
 
 from __future__ import annotations
@@ -44,20 +49,21 @@ DECOMPOSITION_KINDS = (
 )
 
 
-#: pairs per step of the witness-rank pass (element, idempotent) and of
-#: the J test (row, candidate); bounds their temporaries without looping
-#: over idempotents or candidates in Python
+#: pairs per step of the sign and commuting passes (target, idempotent)
+#: and of the J test (row, candidate); bounds their temporaries without
+#: looping over idempotents or candidates in Python.  4096 and 16384 took
+#: as long as 8192 on M(3,Z(4))
 _PAIR_CHUNK = 8192
 
 
 class WitnessRanks(NamedTuple):
     """Per element a, the rank in ascending order of the first idempotent e
-    with ``a - e`` in the target set (``plus``), the same with ``a - e``
-    also commuting with e (``plus_strong``), and the first with ``a + e``
-    in the target set (``minus``); ``missing`` (= |Id|) where none does."""
+    with ``a - e`` in the target set (``plus``) and the first with ``a + e``
+    in it (``minus``); ``missing`` (= |Id|) where none does.  The ranks of
+    the first e that also commutes with ``a - e`` are
+    ``RingData.strong_ranks``, computed only when a strongly kind asks."""
 
     plus: np.ndarray
-    plus_strong: np.ndarray
     minus: np.ndarray
     missing: int
 
@@ -75,6 +81,7 @@ class RingData:
         #: (a**(j-1), a**j) per element a whose power walk stopped at a**j
         self._stops: tuple[np.ndarray, np.ndarray] | None = None
         self._ranks: dict[bool, WitnessRanks] = {}
+        self._strong: dict[bool, np.ndarray] = {}
 
     # -- unit / nilpotent pass ----------------------------------------------
     def _orbit_status(self) -> np.ndarray:
@@ -179,7 +186,13 @@ class RingData:
 
     @property
     def idem_mask(self) -> np.ndarray:
-        if self._idem_mask is None:
+        if self._idem_mask is not None:
+            return self._idem_mask
+        parts = _product_parts(self.ring)
+        if parts is not None:
+            li, ri = (ring_data(p).idem_mask for p in parts)
+            self._idem_mask = (li[:, None] & ri[None, :]).ravel()
+        else:
             ar = np.arange(self.ring.card, dtype=np.int64)
             self._idem_mask = self.ring.mul_vec(ar, ar) == ar
         return self._idem_mask
@@ -258,12 +271,21 @@ class RingData:
 
     # -- clean-family witness engine ------------------------------------------
     def witness_ranks(self, nil: bool) -> WitnessRanks:
-        """Witness ranks for the nil-clean family (target set Nil) or, when
-        ``nil`` is false, the clean family (target set U); cached."""
+        """Witness ranks of both signs for the nil-clean family (target set
+        Nil) or, when ``nil`` is false, the clean family (target set U);
+        cached."""
         cached = self._ranks.get(nil)
         if cached is None:
-            cached = _witness_ranks(self, nil)
-            self._ranks[nil] = cached
+            cached = self._ranks[nil] = _sign_ranks(self, nil)
+        return cached
+
+    def strong_ranks(self, nil: bool) -> np.ndarray:
+        """Per element a, the rank of the first idempotent e with ``a - e``
+        in the target set and commuting with e, ``|Id|`` where none does;
+        cached, and computed only for the strongly kinds."""
+        cached = self._strong.get(nil)
+        if cached is None:
+            cached = self._strong[nil] = _strong_ranks(self, nil)
         return cached
 
     def witness_keys(self, kind: str, idx=slice(None)) -> np.ndarray:
@@ -271,20 +293,20 @@ class RingData:
         ``2*rank`` for ``a = rest + e``, ``2*rank + 1`` for ``a = rest - e``
         and ``2*|Id|`` when there is none.  Keys ascend in the fixed witness
         order, idempotents ascending with + before -.  Plain kinds read
-        ``plus``, strongly kinds ``plus_strong``, weakly kinds both signs."""
+        ``plus``, weakly kinds both signs, strongly kinds ``strong_ranks``."""
         if kind not in DECOMPOSITION_KINDS:
             raise ValueError(f"unknown decomposition kind {kind!r}")
-        ranks = self.witness_ranks("nil" in kind)
+        nil = "nil" in kind
         if kind.startswith("strongly"):
-            return 2 * ranks.plus_strong[idx]
+            return 2 * self.strong_ranks(nil)[idx]
+        ranks = self.witness_ranks(nil)
         if kind.startswith("weakly"):
             return np.minimum(2 * ranks.plus[idx], 2 * ranks.minus[idx] + 1)
         return 2 * ranks.plus[idx]
 
     def decomposes(self, kind: str) -> np.ndarray:
         """Mask of the elements with a decomposition of the given kind."""
-        missing = self.witness_ranks("nil" in kind).missing
-        return self.witness_keys(kind) < 2 * missing
+        return self.witness_keys(kind) < 2 * len(self.idem_indices)
 
 
 def _product_parts(ring: Ring) -> tuple[Ring, Ring] | None:
@@ -301,50 +323,72 @@ def ring_data(ring: Ring) -> RingData:
     return data
 
 
-def _witness_ranks(data: RingData, nil: bool) -> WitnessRanks:
+def _target_pairs(data: RingData, nil: bool):
+    """The pairs (r, e) of a target r and an idempotent e of rank ``rank``,
+    as arrays ``(r, e, rank)`` of at most ``_PAIR_CHUNK`` pairs, ranks
+    ascending from chunk to chunk."""
+    targets = np.flatnonzero(data.nil_mask if nil else data.unit_mask)
+    idem = data.idem_indices
+    total = len(targets) * len(idem)
+    for lo in range(0, total, _PAIR_CHUNK):
+        rank, t = np.divmod(np.arange(lo, min(lo + _PAIR_CHUNK, total)), len(targets))
+        yield targets[t], idem[rank], rank
+
+
+def _combine_ranks(l: np.ndarray, r: np.ndarray, lm: int, rm: int) -> np.ndarray:
+    """Ranks of a direct product from its factors' (``lm`` and ``rm`` their
+    |Id|): (a, b) decomposes with e = (f, g) exactly when a does with f and
+    b with g, so the first such e has rank ``l*rm + r``."""
+    hit = (l < lm)[:, None] & (r < rm)[None, :]
+    return np.where(hit, l[:, None] * rm + r[None, :], lm * rm).ravel()
+
+
+def _sign_ranks(data: RingData, nil: bool) -> WitnessRanks:
     """One vectorised pass over the pairs (r, e) of a target r and an
     idempotent e of rank i: ``np.minimum.at`` writes i at r + e into
-    ``plus`` (and ``plus_strong`` when r*e = e*r) and at r - e into
-    ``minus``.  For a fixed e both maps are bijections, so each element
-    keeps the lowest rank that reaches it.
-
-    A direct product combines its factors' ranks sign by sign: (a, b)
-    decomposes with e = (f, g) exactly when a does with f and b with g, so
-    the first such e has rank ``l*|Id(right)| + r``."""
+    ``plus``.  For a fixed e the map is a bijection, so each element keeps
+    the lowest rank that reaches it.  Nil and U are closed under negation,
+    so a + e lies in the target set exactly when -a - e does: ``minus`` is
+    ``plus`` read at -a, one ``neg_vec`` over the carrier.  A direct
+    product combines its factors' ranks sign by sign."""
     ring = data.ring
     parts = _product_parts(ring)
     if parts is not None:
         lr, rr = (ring_data(p).witness_ranks(nil) for p in parts)
-        missing = lr.missing * rr.missing
-        combined = []
-        for l, r in zip(lr[:3], rr[:3]):
-            hit = (l < lr.missing)[:, None] & (r < rr.missing)[None, :]
-            combined.append(
-                np.where(hit, l[:, None] * rr.missing + r[None, :], missing).ravel()
-            )
-        return WitnessRanks(*combined, missing)
-    idem = data.idem_indices
-    targets = np.flatnonzero(data.nil_mask if nil else data.unit_mask)
-    missing = len(idem)
+        return WitnessRanks(
+            _combine_ranks(lr.plus, rr.plus, lr.missing, rr.missing),
+            _combine_ranks(lr.minus, rr.minus, lr.missing, rr.missing),
+            lr.missing * rr.missing,
+        )
+    missing = len(data.idem_indices)
     plus = np.full(ring.card, missing, dtype=np.int64)
-    plus_strong = plus.copy()
-    minus = plus.copy()
-    neg_idem = ring.neg_vec(idem)
-    total = len(targets) * missing
-    for lo in range(0, total, _PAIR_CHUNK):
-        rank, t = np.divmod(np.arange(lo, min(lo + _PAIR_CHUNK, total)), len(targets))
-        r = targets[t]
-        a = ring.add_vec(r, idem[rank])
-        np.minimum.at(plus, a, rank)
-        np.minimum.at(minus, ring.add_vec(r, neg_idem[rank]), rank)
-        # ranks ascend from chunk to chunk, so an element that already has a
-        # commuting witness keeps it: test commutation only for the others
-        open_ = plus_strong[a] == missing
-        r, a, rank = r[open_], a[open_], rank[open_]
-        e = idem[rank]
+    for r, e, rank in _target_pairs(data, nil):
+        np.minimum.at(plus, ring.add_vec(r, e), rank)
+    minus = plus[ring.neg_vec(np.arange(ring.card, dtype=np.int64))]
+    return WitnessRanks(plus, minus, missing)
+
+
+def _strong_ranks(data: RingData, nil: bool) -> np.ndarray:
+    """The pass of ``_sign_ranks`` for the plus sign, keeping only the pairs
+    with r*e = e*r.  Ranks ascend from chunk to chunk, so an element that
+    already has a commuting witness keeps it: commutation is tested only
+    for the others.  A direct product combines its factors' ranks."""
+    ring = data.ring
+    parts = _product_parts(ring)
+    if parts is not None:
+        l, r = (ring_data(p) for p in parts)
+        return _combine_ranks(
+            l.strong_ranks(nil), r.strong_ranks(nil), len(l.idem_indices), len(r.idem_indices)
+        )
+    missing = len(data.idem_indices)
+    strong = np.full(ring.card, missing, dtype=np.int64)
+    for r, e, rank in _target_pairs(data, nil):
+        a = ring.add_vec(r, e)
+        open_ = strong[a] == missing
+        r, e, a, rank = r[open_], e[open_], a[open_], rank[open_]
         commuting = ring.mul_vec(r, e) == ring.mul_vec(e, r)
-        np.minimum.at(plus_strong, a[commuting], rank[commuting])
-    return WitnessRanks(plus, plus_strong, minus, missing)
+        np.minimum.at(strong, a[commuting], rank[commuting])
+    return strong
 
 
 # ---------------------------------------------------------------------------

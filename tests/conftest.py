@@ -92,23 +92,21 @@ def oracle_idempotents(ring):
 
 
 def oracle_jacobson_two_sided(ring):
-    """{x : 1 - r*x*s is a unit for all r, s}, the two-sided definition."""
-    ring = table_arith(ring)
-    units = oracle_units(ring)
-    out = set()
-    for x in range(ring.card):
-        good = True
-        for r in range(ring.card):
-            rx = ring.mul(r, x)
-            for s in range(ring.card):
-                if ring.sub(ring.one, ring.mul(rx, s)) not in units:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out.add(x)
-    return out
+    """{x : 1 - r*x*s is a unit for all r, s}, the two-sided definition, on
+    the ring's tables: per x, blocks of 64 rows r against every s, leaving
+    x at its first failing block."""
+    t = table_arith(ring)
+    unit = np.zeros(t.card, dtype=bool)
+    unit[list(oracle_units(t))] = True
+    one_minus = t._add[t.one][t._neg]  # one_minus[y] = 1 - y
+    return {
+        x
+        for x in range(t.card)
+        if all(
+            unit[one_minus[t._mul[t._mul[lo : lo + 64, x]]]].all()
+            for lo in range(0, t.card, 64)
+        )
+    }
 
 
 def oracle_center(ring):
@@ -207,6 +205,36 @@ def scan_nil_closure(ring):
         if not ni and not nr:
             break
     return ni, nr
+
+
+def scan_witness_ranks(ring, nil):
+    """(plus, plus_strong, minus, missing) by one combined pass over the
+    pairs (r, e) of a target r and an idempotent e, with an addition for
+    each sign and the commutation products on every chunk: the pass
+    ``witness_ranks`` and ``strong_ranks`` replaced, run flat over the
+    carrier also for a direct product.  Reads the library's masks, which
+    ``oracle_status`` and ``oracle_idempotents`` check."""
+    data = rl.structure.ring_data(ring)
+    idem = data.idem_indices
+    targets = np.flatnonzero(data.nil_mask if nil else data.unit_mask)
+    missing = len(idem)
+    plus = np.full(ring.card, missing, dtype=np.int64)
+    plus_strong = plus.copy()
+    minus = plus.copy()
+    neg_idem = ring.neg_vec(idem)
+    total = len(targets) * missing
+    for lo in range(0, total, 8192):
+        rank, t = np.divmod(np.arange(lo, min(lo + 8192, total)), len(targets))
+        r = targets[t]
+        a = ring.add_vec(r, idem[rank])
+        np.minimum.at(plus, a, rank)
+        np.minimum.at(minus, ring.add_vec(r, neg_idem[rank]), rank)
+        open_ = plus_strong[a] == missing
+        r, a, rank = r[open_], a[open_], rank[open_]
+        e = idem[rank]
+        commuting = ring.mul_vec(r, e) == ring.mul_vec(e, r)
+        np.minimum.at(plus_strong, a[commuting], rank[commuting])
+    return plus, plus_strong, minus, missing
 
 
 def oracle_weakly_nil_clean_elem(ring, a, nil=None):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from ringlab.decompositions import (
     FINITE_RING_IDENTITIES,
     REPORT_FLAGS,
 )
-from ringlab.structure import ring_data
+from ringlab.structure import _PAIR_CHUNK, ring_data
 from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
 
 from conftest import (
@@ -21,6 +23,7 @@ from conftest import (
     oracle_weakly_nil_clean_elem,
     oracle_witness,
     s3_group_ring,
+    scan_witness_ranks,
 )
 
 WITNESS_RINGS = [
@@ -271,3 +274,68 @@ def test_clean_family_identities_hold_by_the_witness_pass(expr):
         assert data.decomposes(kind).all(), (expr, kind)
     for name in FINITE_RING_IDENTITIES:
         assert rl.ring_flag(ring, name) and rl.flag_counterexample(ring, name) is None
+
+
+#: the harness rings, the classify ladder's rungs and three products
+RANK_EXPRS = sorted(
+    {e.expression for e in CATALOG}
+    | set(AXIOM_SUITE_EXTRAS)
+    | set(LADDER_RUNGS)
+    | {"M(2,Z(2)) x Z(4)", "T(2,Z(4)) x Z(3)", "Z(6) x T(2,Z(3))"}
+)
+
+
+@pytest.mark.parametrize("expr", RANK_EXPRS + sorted(S3_RINGS))
+def test_sign_and_strong_ranks_match_the_combined_scan(expr):
+    """The sign pass (``minus`` read off ``plus`` at -a) and the separate
+    commuting pass against the combined pass they replaced, for both
+    families, with tables and without: a product without tables combines
+    its factors' ranks, the scan always runs flat over the carrier."""
+    computed = s3_group_ring(S3_RINGS[expr]) if expr in S3_RINGS else rl.build(expr)
+    tabled = maybe_memoize(computed)
+    for nil in (True, False):
+        plus, plus_strong, minus, missing = scan_witness_ranks(tabled, nil)
+        for ring in {computed, tabled}:
+            data = ring_data(ring)
+            ranks = data.witness_ranks(nil)
+            assert np.array_equal(ranks.plus, plus), (expr, ring, nil)
+            assert np.array_equal(ranks.minus, minus), (expr, ring, nil)
+            assert ranks.missing == missing, (expr, ring, nil)
+            assert np.array_equal(data.strong_ranks(nil), plus_strong), (expr, ring, nil)
+
+
+@pytest.mark.parametrize("expr", ["M(3,Z(3))", "FM(2,2,Z(8))"])
+def test_sign_pass_work_and_lazy_strong_pass(expr):
+    """On computed rings above the table threshold, the flags that read
+    only the sign pass make no product, one addition per chunk of
+    (nilpotent, idempotent) pairs, and leave the commuting ranks
+    uncomputed; a later strongly kind computes them."""
+    ring = rl.build(expr)
+    data = ring_data(ring)
+    idem = len(data.idem_indices)  # the status and idempotent passes are not counted
+    nil = int(data.nil_mask.sum())
+    calls = {"add_vec": 0, "mul_vec": 0}
+
+    def counting(name):
+        op = getattr(ring, name)
+
+        def counted(xs, ys):
+            calls[name] += 1
+            return op(xs, ys)
+
+        return counted
+
+    ring.add_vec, ring.mul_vec = counting("add_vec"), counting("mul_vec")
+    for name in ("gwnc", "nil_clean", "weakly_nil_clean", "uwnc"):
+        rl.ring_flag(ring, name)
+    assert calls == {"add_vec": math.ceil(nil * idem / _PAIR_CHUNK), "mul_vec": 0}
+    assert data._strong == {}
+    plus, plus_strong, minus, missing = scan_witness_ranks(ring, True)
+    ranks = data.witness_ranks(True)
+    assert np.array_equal(ranks.plus, plus) and np.array_equal(ranks.minus, minus)
+    failing = np.flatnonzero(plus_strong == missing)
+    cx = int(failing[0]) if len(failing) else None
+    assert rl.flag_counterexample(ring, "strongly_nil_clean") == cx
+    assert rl.ring_flag(ring, "strongly_nil_clean") == (cx is None)
+    assert np.array_equal(data.strong_ranks(True), plus_strong)
+    assert set(data._strong) == {True}

@@ -392,14 +392,12 @@ def test_center_jacobson_commutativity_work_is_near_linear(expr):
 @pytest.mark.parametrize("n, center, jac", [(2, 8, 2), (3, 27, 81)])
 def test_nonabelian_group_rings_against_bruteforce(n, center, jac):
     """GR(Z(n),S3) is not commutative; its center and J against the
-    brute-force definitions (the two-sided J over all r, s only at card 64:
-    at card 729 it is about 4e7 products, so the carrier scan stands in)."""
+    brute-force definitions, J the two-sided one over all r, s."""
     ring = s3_group_ring(n)
     data = structure.ring_data(ring)
     assert not structure.is_commutative(ring)
     assert not scan_commutative(ring)
     assert set(np.flatnonzero(data.center_mask)) == oracle_center(ring)
     assert data.center_mask.sum() == center
-    want = oracle_jacobson_two_sided(ring) if ring.card <= 64 else set(np.flatnonzero(scan_jacobson(ring)))
-    assert set(np.flatnonzero(data.jacobson_mask)) == want
+    assert set(np.flatnonzero(data.jacobson_mask)) == oracle_jacobson_two_sided(ring)
     assert data.jacobson_mask.sum() == jac
