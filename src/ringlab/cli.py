@@ -9,6 +9,8 @@ precondition, unparsable environment setting), 3 guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import os
 import sys
@@ -17,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .core import ConstructionError, GuardError, SettingError
 from .core import is_nilpotent, maybe_memoize
 from . import decompositions as dec
@@ -128,36 +129,42 @@ _FLAG_SHORT = {
 _WITNESS_TABLE_LIMIT = 128
 
 
-def _cache_path(args) -> Path | None:
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 of the package's sources, computed once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def _cache_entry(args, key: str) -> tuple[Path, str] | None:
+    """The entry file of a request and the key it must hold: the source
+    digest plus the canonical key, so other sources never replay it."""
     raw = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     if raw is None:
         return None
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
-    return path / "classify.jsonl"
+    Path(raw).mkdir(parents=True, exist_ok=True)
+    key = f"{_source_digest()} {key}"
+    return Path(raw) / f"{hashlib.sha256(key.encode()).hexdigest()}.json", key
 
 
-def _cache_lookup(path: Path | None, key: str) -> str | None:
-    if path is None or not path.exists():
+def _cache_lookup(path: Path, key: str) -> str | None:
+    """The stored payload; an entry that is missing, does not parse or
+    holds another key is a miss."""
+    try:
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        return stored["payload"] if stored["key"] == key else None
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    hit = None
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # corruption: ignore and recompute
-            if entry.get("version") == __version__ and entry.get("key") == key:
-                hit = entry.get("payload")
-    return hit
 
 
-def _cache_store(path: Path | None, key: str, payload: str) -> None:
-    if path is None:
-        return
-    entry = json.dumps({"version": __version__, "key": key, "payload": payload})
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(entry + "\n")
+def _cache_store(path: Path, key: str, payload: str) -> None:
+    """Write to a temporary file and rename it into place, so that a reader
+    sees either no entry or a whole one."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps({"key": key, "payload": payload}), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def _dump(obj) -> str:
@@ -222,21 +229,21 @@ def _classify_payload(expr_text: str, args) -> str:
 
 
 def cmd_classify(args) -> int:
-    cache = _cache_path(args)
     try:
         key = canonical(parse(args.expression))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    cache_key = key + (":witness" if args.witness else "")
-    payload = _cache_lookup(cache, cache_key)
+    cache = _cache_entry(args, key + (":witness" if args.witness else ""))
+    payload = _cache_lookup(*cache) if cache else None
     if payload is None:
         try:
             payload = _classify_payload(args.expression, args)
         except GuardError as exc:
             print(str(exc), file=sys.stderr)
             return 3
-        _cache_store(cache, cache_key, payload)
+        if cache:
+            _cache_store(*cache, payload)
     if args.json:
         print(payload)
         return 0

@@ -18,7 +18,8 @@ across runs:
                           ascending degree: index = sum c_i * |R|**i.
 * ``GroupRing(R, G)``     coefficient functions G -> R, little-endian over the
                           fixed group enumeration with g0 the identity.
-* ``QuotientRing(R, I)``  cosets enumerated by smallest member index.
+* ``QuotientRing(R, I)``  cosets enumerated by smallest member index, read
+                          off one additive walk over I.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .core import (
     Subset,
     _as_index_array,
     _pair,
+    additive_generators,
+    additive_span,
     check_guard,
     ring_is_commutative,
 )
@@ -810,51 +813,56 @@ def group_ring(base: Ring, group: FiniteGroup, max_card: int | None = None) -> G
 # ideals and quotients
 
 
+def _generator_products(ring: Ring, span: list[int], gens: np.ndarray) -> np.ndarray:
+    """r*x and x*r for each generator x of an additive span and each additive
+    generator r of ``ring`` (``gens``): by bilinearity the span is a
+    two-sided ideal exactly when it holds them all."""
+    xs = np.repeat(np.asarray(span, dtype=np.int64), len(gens))
+    rs = np.tile(gens, len(span))
+    return np.concatenate((ring.mul_vec(rs, xs), ring.mul_vec(xs, rs)))
+
+
 def ideal_generated(ring: Ring, gens) -> Subset:
-    """Smallest two-sided ideal containing ``gens`` (iterative saturation)."""
-    mask = np.zeros(ring.card, dtype=bool)
-    mask[ring.zero] = True
-    for g in gens:
-        mask[ring._check(int(g))] = True
-    ar = np.arange(ring.card, dtype=np.int64)
+    """Smallest two-sided ideal containing ``gens``: the additive span of
+    the seeds, grown by its generator products until it holds them."""
+    seeds = [ring._check(int(g)) for g in gens]
+    ring_gens = np.asarray(additive_generators(ring), dtype=np.int64)
     while True:
-        idx = np.flatnonzero(mask)
-        new = mask.copy()
-        new[ring.neg_vec(idx)] = True
-        for i in idx:
-            i = int(i)
-            new[ring.mul_vec(ar, i)] = True
-            new[ring.mul_vec(i, ar)] = True
-            new[ring.add_vec(idx, i)] = True
-        if np.array_equal(new, mask):
+        mask, span, _ = additive_span(ring, seeds)
+        products = _generator_products(ring, span, ring_gens)
+        if mask[products].all():
             return Subset(ring, mask)
-        mask = new
+        seeds = span + products.tolist()
 
 
 class QuotientRing(Ring):
-    """Quotient by a verified two-sided ideal; cosets keep their smallest member."""
+    """Quotient by a two-sided ideal; cosets keep their smallest member.
+
+    One ``additive_span`` walk over the ideal checks it (the span is the
+    subset exactly when the subset is an additive subgroup) and gives the
+    coset minima: a shift h grows S to S ∪ (S + h), so the minimum m[x] of
+    x + S becomes min(m[x], m[x + h])."""
 
     def __init__(self, base: Ring, ideal: Subset, label: str | None = None) -> None:
         if ideal.ring is not base:
             raise ConstructionError("ideal subset belongs to a different ring")
-        _verify_ideal(base, ideal)
+        span_mask, span, shifts = additive_span(base, ideal.indices())
+        products = _generator_products(base, span, np.asarray(additive_generators(base)))
+        missing = np.concatenate((np.flatnonzero(span_mask), products))
+        missing = missing[~ideal.mask[missing]]
+        if len(missing):
+            raise ConstructionError(f"subset is not an ideal: it lacks {int(missing[0])}")
         self.base = base
         self.ideal = ideal
-        idx = ideal.indices()
-        minrep = np.arange(base.card, dtype=np.int64)
         ar = np.arange(base.card, dtype=np.int64)
-        for i in idx:
-            minrep = np.minimum(minrep, base.add_vec(ar, int(i)))
-        reps = np.unique(minrep)
-        if len(reps) * len(idx) != base.card:
-            raise ConstructionError("coset partition is uneven; ideal verification bug")
-        self._reps = reps
-        self._coset_of = np.searchsorted(reps, minrep)
-        # searchsorted is only valid because minrep values are exactly reps
-        self.card = len(reps)
+        minrep = ar
+        for h in shifts:
+            minrep = np.minimum(minrep, minrep[base.add_vec(ar, h)])
+        self._reps, self._coset_of = np.unique(minrep, return_inverse=True)
+        self.card = len(self._reps)
         self.zero = int(self._coset_of[base.zero])
         self.one = int(self._coset_of[base.one])
-        self.label = label if label is not None else f"({base.label}/I{len(idx)})"
+        self.label = label if label is not None else f"({base.label}/I{len(ideal)})"
 
     def project(self, a: int) -> int:
         """Coset index of a base-ring element."""
@@ -877,24 +885,6 @@ class QuotientRing(Ring):
 
     def format_element(self, a: int) -> str:
         return f"[{self.base.format_element(int(self._reps[self._check(a)]))}]"
-
-
-def _verify_ideal(ring: Ring, subset: Subset) -> None:
-    mask = subset.mask
-    if not mask[ring.zero]:
-        raise ConstructionError("ideal must contain zero")
-    idx = subset.indices()
-    if not mask[ring.neg_vec(idx)].all():
-        raise ConstructionError("subset is not closed under negation")
-    ar = np.arange(ring.card, dtype=np.int64)
-    for i in idx:
-        i = int(i)
-        if not mask[ring.add_vec(idx, i)].all():
-            raise ConstructionError(f"subset is not additively closed (witness {i})")
-        if not mask[ring.mul_vec(ar, i)].all():
-            raise ConstructionError(f"subset does not absorb left multiplication (witness {i})")
-        if not mask[ring.mul_vec(i, ar)].all():
-            raise ConstructionError(f"subset does not absorb right multiplication (witness {i})")
 
 
 def quotient_by_ideal(ring: Ring, ideal: Subset, label: str | None = None) -> QuotientRing:

@@ -288,28 +288,33 @@ def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray]:
     return add, mul
 
 
-def additive_generators(ring: Ring) -> list[int]:
-    """Generators of the additive group of ``ring`` by the greedy rule of
-    ``_operation_tables``: each is the least element not yet reached, and
-    the reached set S grows to S ∪ (S + h) for h = g, 2g, 4g, ... while
-    that adds elements.  Each generator at least doubles S, so there are
-    at most log2(card) of them, and every element is a sum of multiples
-    of them."""
+def additive_span(ring: Ring, seeds) -> tuple[np.ndarray, list[int], list[int]]:
+    """(mask, generators, shifts) of the additive subgroup S spanned by
+    ``seeds``: each generator g is the least seed not yet in S, and S grows
+    to S ∪ (S + h) for the shifts h = g, 2g, 4g, ... that add elements.
+    Each generator at least doubles S, so there are at most log2|S|."""
+    seeds = _as_index_array(seeds)
     reached = np.zeros(ring.card, dtype=bool)
     reached[ring.zero] = True
-    gens = []
-    while not reached.all():
-        g = int(np.argmin(reached))
-        gens.append(g)
-        reached[g] = True
-        h = g
+    gens, shifts = [], []
+    while True:
+        open_ = seeds[~reached[seeds]]
+        if not len(open_):
+            return reached, gens, shifts
+        h = int(open_.min())
+        gens.append(h)
         while True:
             t = ring.add_vec(np.flatnonzero(reached), h)
             if reached[t].all():
                 break
             reached[t] = True
+            shifts.append(h)
             h = int(ring.add_vec(h, h)[0])
-    return gens
+
+
+def additive_generators(ring: Ring) -> list[int]:
+    """The ``additive_span`` generators of the whole carrier."""
+    return additive_span(ring, np.arange(ring.card, dtype=np.int64))[1]
 
 
 class TableRing(Ring):

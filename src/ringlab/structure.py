@@ -466,7 +466,9 @@ class WedderburnFingerprint:
 
 def wedderburn_fingerprint(ring: Ring) -> WedderburnFingerprint:
     """Block fingerprint of a semisimple ring via its primitive central
-    idempotents; raises for rings with a nonzero radical."""
+    idempotents e: the block eR has card q**(n*n) for its matrix size n and
+    the order q of its center Z(R) ∩ eR.  Raises for rings with a nonzero
+    radical."""
     data = ring_data(ring)
     jmask = data.jacobson_mask
     if int(jmask.sum()) != 1:
@@ -475,29 +477,20 @@ def wedderburn_fingerprint(ring: Ring) -> WedderburnFingerprint:
         )
     central = data.idem_mask & data.center_mask
     central[ring.zero] = False
-    cidx = [int(i) for i in np.flatnonzero(central)]
-    primitive = []
-    for e in cidx:
-        minimal = True
-        for f in cidx:
-            if f != e and ring.mul(f, e) == f:  # f <= e and f nonzero
-                minimal = False
-                break
-        if minimal:
-            primitive.append(e)
+    cidx = np.flatnonzero(central)
+    f, e = np.repeat(cidx, len(cidx)), np.tile(cidx, len(cidx))
+    # e is primitive when the only nonzero central f with f*e == f is e
+    below = (ring.mul_vec(f, e) == f).reshape(len(cidx), len(cidx))
+    primitive = cidx[below.sum(axis=0) == 1]
     ar = np.arange(ring.card, dtype=np.int64)
     blocks = []
     for e in primitive:
-        corner = np.unique(ring.mul_vec(ring.mul_vec(e, ar), e))
-        bcard = len(corner)
-        if e == ring.one:
-            q = int(data.center_mask.sum())
-        else:
-            q = 0
-            for x in corner:
-                x = int(x)
-                if np.array_equal(ring.mul_vec(x, corner), ring.mul_vec(corner, x)):
-                    q += 1
+        # e is central, so its block eRe is eR and the block's center
+        # Z(eR) = eZ(R) = Z(R) ∩ eR, a field of order q
+        block = np.zeros(ring.card, dtype=bool)
+        block[ring.mul_vec(e, ar)] = True
+        bcard = int(block.sum())
+        q = int((block & data.center_mask).sum())
         n = 1
         while q ** (n * n) < bcard:
             n += 1

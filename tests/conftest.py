@@ -237,6 +237,69 @@ def scan_witness_ranks(ring, nil):
     return plus, plus_strong, minus, missing
 
 
+def scan_ideal(ring, gens):
+    """Mask of the smallest two-sided ideal containing ``gens`` by
+    saturation, each round one row of sums and two of products per member:
+    the loop ``ideal_generated`` replaced."""
+    mask = np.zeros(ring.card, dtype=bool)
+    mask[ring.zero] = True
+    mask[list(gens)] = True
+    ar = np.arange(ring.card, dtype=np.int64)
+    while True:
+        idx = np.flatnonzero(mask)
+        new = mask.copy()
+        new[ring.neg_vec(idx)] = True
+        for i in idx:
+            i = int(i)
+            new[ring.mul_vec(ar, i)] = True
+            new[ring.mul_vec(i, ar)] = True
+            new[ring.add_vec(idx, i)] = True
+        if np.array_equal(new, mask):
+            return mask
+        mask = new
+
+
+def scan_is_ideal(ring, mask):
+    """Whether ``mask`` holds zero and the negative, the sums and both
+    products of every member, one row per member: the check
+    ``QuotientRing`` replaced."""
+    idx = np.flatnonzero(mask)
+    if not mask[ring.zero] or not mask[ring.neg_vec(idx)].all():
+        return False
+    ar = np.arange(ring.card, dtype=np.int64)
+    return all(
+        mask[ring.add_vec(idx, i)].all()
+        and mask[ring.mul_vec(ar, i)].all()
+        and mask[ring.mul_vec(i, ar)].all()
+        for i in map(int, idx)
+    )
+
+
+def scan_coset_minima(ring, mask):
+    """(reps, coset_of) of the quotient by the ideal ``mask``: each element's
+    coset minimum, one addition over the carrier per member, and its rank
+    among the minima: the scan ``QuotientRing`` replaced."""
+    ar = np.arange(ring.card, dtype=np.int64)
+    minrep = ar
+    for i in np.flatnonzero(mask):
+        minrep = np.minimum(minrep, ring.add_vec(ar, int(i)))
+    reps = np.unique(minrep)
+    return reps, np.searchsorted(reps, minrep)
+
+
+def scan_block_center(ring, e):
+    """(card, center order) of the corner eRe, the center by one
+    commutation row per corner element: the scan ``wedderburn_fingerprint``
+    replaced."""
+    ar = np.arange(ring.card, dtype=np.int64)
+    corner = np.unique(ring.mul_vec(ring.mul_vec(e, ar), e))
+    q = sum(
+        np.array_equal(ring.mul_vec(int(x), corner), ring.mul_vec(corner, int(x)))
+        for x in corner
+    )
+    return len(corner), q
+
+
 def oracle_weakly_nil_clean_elem(ring, a, nil=None):
     ring = table_arith(ring)
     nil = oracle_nilpotents(ring) if nil is None else nil

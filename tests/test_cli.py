@@ -200,36 +200,61 @@ def test_catalog_json_schema(capsys):
     assert len(payload) == 26
 
 
+def cache_entries(path):
+    return sorted(path.glob("*.json"))
+
+
 def test_cache_hit_is_byte_identical(capsys, tmp_path):
     args = ("classify", "Z(12)", "--json", "--cache-dir", str(tmp_path))
     code1, out1, _ = run_cli(capsys, *args)
-    assert (tmp_path / "classify.jsonl").exists()
+    [entry] = cache_entries(tmp_path)
     code2, out2, _ = run_cli(capsys, *args)
     assert (code1, out1) == (code2, out2)
-    assert out1 == out2  # byte identical
+    assert out1 == out2  # byte identical, timings included: a replay
+    assert cache_entries(tmp_path) == [entry]
+    assert list(tmp_path.iterdir()) == [entry]  # no temporary file left
 
 
 def test_cache_corruption_is_ignored(capsys, tmp_path):
-    cache_file = tmp_path / "classify.jsonl"
-    cache_file.write_text("not json at all\n{\"broken\": \n")
-    code, out, _ = run_cli(
-        capsys, "classify", "Z(6)", "--json", "--cache-dir", str(tmp_path)
-    )
+    args = ("classify", "Z(6)", "--json", "--cache-dir", str(tmp_path))
+    run_cli(capsys, *args)
+    [entry] = cache_entries(tmp_path)
+    entry.write_text('{"key": "torn wri')
+    code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert json.loads(out)["flags"]["weakly_nil_clean"] is True
+    assert json.loads(entry.read_text())["payload"] == out.rstrip("\n")
 
 
 def test_cache_version_mismatch_recomputes(capsys, tmp_path):
+    """An entry whose key is not the request's, here one written by another
+    version of the sources, is a miss even at the request's path."""
     args = ("classify", "Z(6)", "--json", "--cache-dir", str(tmp_path))
     run_cli(capsys, *args)
-    cache_file = tmp_path / "classify.jsonl"
-    entry = json.loads(cache_file.read_text().splitlines()[0])
-    entry["version"] = "0.0.0-old"
-    entry["payload"] = "{\"stale\": true}"
-    cache_file.write_text(json.dumps(entry) + "\n")
+    [entry] = cache_entries(tmp_path)
+    stored = json.loads(entry.read_text())
+    digest, key = stored["key"].split(" ", 1)
+    stored["key"] = "0" * len(digest) + " " + key
+    stored["payload"] = '{"stale": true}'
+    entry.write_text(json.dumps(stored))
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert "stale" not in out
+
+
+def test_cache_misses_after_source_edit(capsys, tmp_path, monkeypatch):
+    args = ("classify", "Z(6)", "--json", "--cache-dir", str(tmp_path))
+    run_cli(capsys, *args)
+    [entry] = cache_entries(tmp_path)
+    stored = json.loads(entry.read_text())
+    stored["payload"] = '{"stale": true}'
+    entry.write_text(json.dumps(stored))
+    assert run_cli(capsys, *args)[1] == '{"stale": true}\n'  # the entry is read
+    monkeypatch.setattr(cli, "_source_digest", lambda: "edited sources")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert "stale" not in out
+    assert len(cache_entries(tmp_path)) == 2
 
 
 def test_threads_flag_is_rejected(capsys):

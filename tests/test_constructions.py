@@ -1,16 +1,26 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy
 
 import ringlab as rl
+from ringlab import structure
 from ringlab.constructions import Pattern, decode_digits
 from ringlab.core import ConstructionError
+from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
 
 from conftest import (
+    LADDER_RUNGS,
     flags_of,
     oracle_jacobson_two_sided,
     oracle_nilpotents,
     oracle_units,
+    s3_group_ring,
+    scan_block_center,
+    scan_coset_minima,
+    scan_ideal,
+    scan_is_ideal,
 )
 
 
@@ -277,8 +287,105 @@ def test_quotient_of_triangular_by_strict_upper():
 
 
 def test_quotient_rejects_non_ideal(z12):
-    with pytest.raises(ConstructionError):
-        rl.quotient_by_ideal(z12, rl.Subset.from_indices(z12, [0, 1]))
+    T = rl.upper_triangular(2, rl.zmod(2))
+    ar = np.arange(T.card)
+    # T(2,Z(2)) indexes a11*4 + a12*2 + a22: e11 = 4 and e22 = 1.  R*e11
+    # and e22*R stay in {0, e11} and {0, e22}; e11*R and R*e22 do not
+    assert set(T.mul_vec(ar, 4)) == {0, 4} < set(T.mul_vec(4, ar))
+    assert set(T.mul_vec(1, ar)) == {0, 1} < set(T.mul_vec(ar, 1))
+    cases = [
+        (z12, [0, 1], 2),
+        (z12, [6], 0),  # no zero
+        (z12, [0, 4], 8),  # 4 + 4 = 8 is missing
+        (T, [0, 4], 2),  # e11 * e12 = e12 = 2
+        (T, [0, 1], 2),  # e12 * e22 = e12
+    ]
+    for ring, members, lacks in cases:
+        subset = rl.Subset.from_indices(ring, members)
+        assert not scan_is_ideal(ring, subset.mask)
+        with pytest.raises(ConstructionError, match=f"not an ideal: it lacks {lacks}"):
+            rl.quotient_by_ideal(ring, subset)
+
+
+S3_RINGS = {"GR(Z(2),S3)": 2, "GR(Z(3),S3)": 3}
+
+QUOTIENT_EXPRS = sorted(
+    {e.expression for e in CATALOG} | set(AXIOM_SUITE_EXTRAS) | set(LADDER_RUNGS)
+) + sorted(S3_RINGS)
+
+
+def primitive_central_idempotents(ring):
+    data = structure.ring_data(ring)
+    central = [int(e) for e in np.flatnonzero(data.idem_mask & data.center_mask) if e != ring.zero]
+    return [e for e in central if not any(f != e and ring.mul(f, e) == f for f in central)]
+
+
+@pytest.mark.parametrize("expr", QUOTIENT_EXPRS)
+def test_ideals_and_quotients_match_member_scans(expr):
+    """The additive-span walk against the member scans it replaced, with
+    tables and without: the ideals of J's least nonzero member and, up to
+    card 256, of the first nonzero idempotents; the ideal check and the
+    cosets of those and of J (through ``mod_j``); and the fingerprint's
+    block centers."""
+    computed = s3_group_ring(S3_RINGS[expr]) if expr in S3_RINGS else rl.build(expr)
+    for ring in {computed, rl.maybe_memoize(computed)}:
+        data = structure.ring_data(ring)
+        seeds = [[int(x)] for x in np.flatnonzero(data.jacobson_mask)[1:2]]
+        if ring.card <= 256:
+            seeds += [[int(e)] for e in data.idem_indices[1:4]]
+        mod_j = structure.mod_j(ring)
+        quotients = [(data.jacobson_mask, mod_j)]
+        for gens in seeds:
+            ideal = rl.ideal_generated(ring, gens)
+            assert np.array_equal(ideal.mask, scan_ideal(ring, gens)), (expr, ring, gens)
+            quotients.append((ideal.mask, rl.quotient_by_ideal(ring, ideal)))
+        for mask, quotient in quotients:
+            assert scan_is_ideal(ring, mask)
+            reps, coset_of = scan_coset_minima(ring, mask)
+            assert np.array_equal(quotient._reps, reps), (expr, ring)
+            assert np.array_equal(quotient._coset_of, coset_of), (expr, ring)
+        blocks = []
+        for e in primitive_central_idempotents(mod_j):
+            card, q = scan_block_center(mod_j, e)
+            n = 1
+            while q ** (n * n) < card:
+                n += 1
+            blocks.append((n, q))
+        assert structure.wedderburn_fingerprint(mod_j).blocks == tuple(sorted(blocks))
+
+
+@pytest.mark.parametrize("expr", ["T(2,Z(4))", "TE(Z(6))", "PQ(Z(3),[0,0,1])"])
+def test_ideals_of_radical_pairs_match_scan(expr):
+    """The ideals P-2.8 quotients by: one per radical element and one per
+    pair of them."""
+    ring = rl.maybe_memoize(rl.build(expr))
+    jidx = [int(i) for i in rl.jacobson(ring).indices()]
+    pool = [(j,) for j in jidx] + list(itertools.combinations(jidx, 2))
+    for gens in pool:
+        assert np.array_equal(rl.ideal_generated(ring, gens).mask, scan_ideal(ring, gens)), gens
+
+
+def test_quotient_work_is_near_linear():
+    """``add_vec`` and ``mul_vec`` pairs of the quotient of computed
+    T(3,Z(4)) by J (|J| = 512); the member scans formed 6,553,600."""
+    ring = rl.build("T(3,Z(4))")
+    jac = rl.jacobson(ring)
+    assert len(jac) == 512
+    pairs = 0
+
+    def counted(op):
+        def call(xs, ys):
+            nonlocal pairs
+            out = op(xs, ys)
+            pairs += out.size
+            return out
+
+        return call
+
+    ring.add_vec, ring.mul_vec = counted(ring.add_vec), counted(ring.mul_vec)
+    quotient = rl.quotient_by_ideal(ring, jac)
+    assert quotient.card == 8
+    assert 0 < pairs <= 4 * ring.card * np.log2(ring.card)
 
 
 def test_dt_tower_matches_pattern_flags():

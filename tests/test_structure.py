@@ -3,7 +3,7 @@ import pytest
 
 import ringlab as rl
 from ringlab import structure
-from ringlab.core import additive_generators
+from ringlab.core import additive_generators, additive_span
 from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
 
 from conftest import (
@@ -387,6 +387,34 @@ def test_center_jacobson_commutativity_work_is_near_linear(expr):
     pairs = 0
     data.jacobson_mask
     assert 0 < pairs <= nil * ring.card
+
+
+@pytest.mark.parametrize(
+    "expr", ["T(2,Z(4))", "M(2,Z(6))", "TE(Z(27))", "GR(Z(2),C(2) x C(2) x C(2))"]
+)
+def test_additive_span_walk(expr):
+    """The span of a few seeds against the subgroup they generate; each
+    generator is the least seed outside the span of the earlier ones, and
+    the shifts replayed from {0} as S ∪ (S + h) grow S every time and end
+    at the span."""
+    ring = rl.build(expr)
+    rng = np.random.default_rng(0)
+    for seeds in ([], [ring.zero], [ring.one], *(rng.integers(ring.card, size=k) for k in (2, 5))):
+        seeds = [int(s) for s in seeds]
+        mask, gens, shifts = additive_span(ring, seeds)
+        assert np.array_equal(mask, generated_subgroup(ring, seeds))
+        for i, g in enumerate(gens):
+            before = generated_subgroup(ring, gens[:i])
+            assert g == min(s for s in seeds if not before[s])
+        assert 2 ** len(gens) <= mask.sum()
+        reached = np.zeros(ring.card, dtype=bool)
+        reached[ring.zero] = True
+        for h in shifts:
+            grown = reached.copy()
+            grown[ring.add_vec(np.flatnonzero(reached), h)] = True
+            assert grown.sum() > reached.sum()
+            reached = grown
+        assert np.array_equal(reached, mask)
 
 
 @pytest.mark.parametrize("n, center, jac", [(2, 8, 2), (3, 27, 81)])
