@@ -468,6 +468,9 @@ class DirectProduct(Ring):
         self.one = left.one * right.card + right.one
         self.label = f"({left.label} x {right.label})"
 
+    def factors(self) -> tuple[Ring, Ring]:
+        return self.left, self.right
+
     def _split(self, a: int) -> tuple[int, int]:
         return divmod(self._check(a), self.right.card)
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Ring, Subset, additive_generators, is_nilpotent, ring_is_commutative
-from .constructions import DirectProduct, QuotientRing, quotient_by_ideal
+from .constructions import QuotientRing, quotient_by_ideal
 
 _UNKNOWN, _UNIT, _NILPOTENT, _NEITHER = 0, 1, 2, 3
 
@@ -88,7 +88,7 @@ class RingData:
         if self._status is not None:
             return self._status
         ring = self.ring
-        parts = _product_parts(ring)
+        parts = ring.factors()
         if parts is not None:
             left, right = parts
             ls = ring_data(left)._orbit_status()
@@ -153,7 +153,7 @@ class RingData:
         if self._inverses is not None:
             return self._inverses
         ring = self.ring
-        parts = _product_parts(ring)
+        parts = ring.factors()
         if parts is not None:
             left, right = parts
             li = ring_data(left).inverses
@@ -188,7 +188,7 @@ class RingData:
     def idem_mask(self) -> np.ndarray:
         if self._idem_mask is not None:
             return self._idem_mask
-        parts = _product_parts(self.ring)
+        parts = self.ring.factors()
         if parts is not None:
             li, ri = (ring_data(p).idem_mask for p in parts)
             self._idem_mask = (li[:, None] & ri[None, :]).ravel()
@@ -210,7 +210,7 @@ class RingData:
         if self._jac_mask is not None:
             return self._jac_mask
         ring = self.ring
-        parts = _product_parts(ring)
+        parts = ring.factors()
         if parts is not None:
             left, right = parts
             lj = ring_data(left).jacobson_mask
@@ -254,7 +254,7 @@ class RingData:
         if self._center_mask is not None:
             return self._center_mask
         ring = self.ring
-        parts = _product_parts(ring)
+        parts = ring.factors()
         if parts is not None:
             left, right = parts
             lc = ring_data(left).center_mask
@@ -309,12 +309,6 @@ class RingData:
         return self.witness_keys(kind) < 2 * len(self.idem_indices)
 
 
-def _product_parts(ring: Ring) -> tuple[Ring, Ring] | None:
-    if isinstance(ring, DirectProduct):
-        return ring.left, ring.right
-    return None
-
-
 def ring_data(ring: Ring) -> RingData:
     data = getattr(ring, "_ringlab_data", None)
     if data is None:
@@ -352,7 +346,7 @@ def _sign_ranks(data: RingData, nil: bool) -> WitnessRanks:
     ``plus`` read at -a, one ``neg_vec`` over the carrier.  A direct
     product combines its factors' ranks sign by sign."""
     ring = data.ring
-    parts = _product_parts(ring)
+    parts = ring.factors()
     if parts is not None:
         lr, rr = (ring_data(p).witness_ranks(nil) for p in parts)
         return WitnessRanks(
@@ -374,7 +368,7 @@ def _strong_ranks(data: RingData, nil: bool) -> np.ndarray:
     already has a commuting witness keeps it: commutation is tested only
     for the others.  A direct product combines its factors' ranks."""
     ring = data.ring
-    parts = _product_parts(ring)
+    parts = ring.factors()
     if parts is not None:
         l, r = (ring_data(p) for p in parts)
         return _combine_ranks(

@@ -4,9 +4,11 @@ import jsonschema
 import pytest
 
 import ringlab as rl
-from ringlab import cli
+from ringlab import cli, structure, verify
 from ringlab.cli import CATALOG_SCHEMA, REPORT_SCHEMA, VERIFY_SCHEMA, main
 from ringlab.core import maybe_memoize
+
+from conftest import LADDER_RUNGS
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +43,21 @@ def test_classify_json_m2z6(capsys):
     assert report["flags"]["weakly_clean"] is True
     assert report["flags"]["gwnc"] is False
     assert isinstance(report["counterexamples"]["gwnc"], int)
+
+
+@pytest.mark.parametrize(
+    "expr", sorted({e.expression for e in verify.CATALOG} | set(LADDER_RUNGS))
+)
+def test_payload_fingerprint_is_that_of_the_radical_quotient(capsys, monkeypatch, expr):
+    """With J = 0 the payload fingerprints R itself and builds no copy R/0."""
+    mod_j = structure.mod_j
+    semisimple = len(rl.jacobson(maybe_memoize(rl.build(expr)))) == 1
+    if semisimple:
+        monkeypatch.setattr(structure, "mod_j", None)
+    code, out, _ = run_cli(capsys, "classify", expr, "--json")
+    assert code == 0
+    want = structure.wedderburn_fingerprint(mod_j(rl.build(expr)))
+    assert json.loads(out)["fingerprint"] == want.as_lists()
 
 
 def test_classify_text_and_json_agree(capsys):

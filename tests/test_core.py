@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, reject, settings
 
 import ringlab as rl
-from ringlab import dsl, structure, verify
-from ringlab.core import check_ring_axioms
+from ringlab import cli, core, dsl, structure, verify
+from ringlab.core import additive_generators, additive_span, check_ring_axioms
 
 from conftest import (
     direct_tables,
@@ -166,8 +166,9 @@ def test_axiom_checker_accepts_and_rejects(z6):
 
 
 #: the harness rings, the classify ladder's rungs with tables, Z(2048) (one
-#: generator, eleven doublings) and cards 64 and 65 on both sides of the
-#: direct-build rule, commutative and not
+#: generator, eleven doublings), cards 64 and 65 on both sides of the
+#: direct-build rule, commutative and not, and products: of three factors,
+#: with a quotient factor, and above card 64 from factors of at most 64
 TABLE_EXPRS = sorted(
     {entry.expression for entry in verify.CATALOG}
     | set(verify.AXIOM_SUITE_EXTRAS)
@@ -183,6 +184,9 @@ TABLE_EXPRS = sorted(
         "Z(65)",
         "M(2,Z(3))",
         "T(2,Z(4)) x Z(3)",
+        "GF(2,2) x GF(2,3) x Z(9)",
+        "MODJ(M(2,Z(4))) x Z(9)",
+        "T(2,Z(4)) x Z(5)",
     }
 )
 
@@ -214,17 +218,43 @@ def test_generated_tables_match_direct_build_property(expr):
     assert_tables_match_direct(ring)
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_tables_match_direct_build_across_gather_blocks(monkeypatch, rows):
+    """Gather blocks of one row, and of three rows, which leave a partial
+    block at the end of most of the walk's steps."""
+    for expr in TABLE_EXPRS:
+        ring = rl.build(expr)
+        if ring.card > 64:
+            monkeypatch.setattr(core, "_GATHER_BLOCK", rows * ring.card)
+            assert_tables_match_direct(ring)
+
+
+def test_product_of_a_table_ring_borrows_its_tables():
+    left = rl.memoize(rl.build("M(2,Z(3))"))
+    ring = rl.direct_product(left, rl.build("Z(6)"))
+
+    def refuse(xs, ys):
+        raise AssertionError("the factor's tables are read, not its operations")
+
+    left.add_vec = left.mul_vec = refuse
+    table = rl.memoize(ring)
+    del left.add_vec, left.mul_vec
+    for got, want in zip((table._add, table._mul, table._neg), direct_tables(ring)):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
-    "expr", ["Z(64)", "T(3,Z(2))", "Z(65)", "M(2,Z(3))", "T(2,Z(4)) x Z(3)", "Z(2048)"]
+    "expr",
+    ["Z(64)", "T(3,Z(2))", "Z(65)", "M(2,Z(3))", "Z(2048)", "Z(6) x Z(8)", "T(2,Z(4)) x Z(3)"],
 )
 def test_table_build_evaluates_generator_rows_above_card_64(expr):
     ring = rl.build(expr)
-    pairs = {"add": 0, "mul": 0}
+    calls = {"add": [], "mul": []}
 
     def counting(name, op):
         def wrapped(xs, ys):
             out = op(xs, ys)
-            pairs[name] += out.size
+            calls[name].append(out.size)
             return out
 
         return wrapped
@@ -233,8 +263,46 @@ def test_table_build_evaluates_generator_rows_above_card_64(expr):
     ring.mul_vec = counting("mul", ring.mul_vec)
     rl.memoize(ring)
     n = ring.card
-    if n <= 64:
-        assert pairs == {"add": n * n, "mul": n * n}
+    if ring.factors() is not None:
+        # built from the factors' tables
+        assert calls == {"add": [], "mul": []}
+    elif n <= 64:
+        assert sum(calls["add"]) == sum(calls["mul"]) == n * n
     else:
-        # each generator at least doubles the reached subgroup
-        assert pairs["add"] == pairs["mul"] <= n * int(np.log2(n))
+        # each generator at least doubles the reached subgroup, and the
+        # generators' mul rows are one call
+        assert len(calls["mul"]) == 1
+        assert sum(calls["add"]) == calls["mul"][0] <= n * int(np.log2(n))
+
+
+@pytest.mark.parametrize(
+    "expr", ["M(2,Z(6))", "TE(Z(27))", "T(2,Z(4)) x Z(5)", "M(2,Z(3))", "Z(12)", "M(2,Z(7))"]
+)
+def test_additive_generators_are_cached_per_ring(expr):
+    """The cached list is the walk's over the whole carrier; a table ring
+    built by the walk holds it from the start."""
+    computed = rl.build(expr)
+    tabled = rl.maybe_memoize(computed)
+    for ring in {computed, tabled}:
+        want = additive_span(ring, np.arange(ring.card))[1]
+        if isinstance(ring, rl.TableRing) and ring.card > 64 and computed.factors() is None:
+            assert ring._additive_generators == want
+        gens = additive_generators(ring)
+        assert gens == want
+        assert additive_generators(ring) is gens
+
+
+@pytest.mark.parametrize("expr", ["M(2,Z(7))", "T(3,Z(4))", "T(2,Z(8))", "TE(Z(27))"])
+def test_classify_walks_each_ring_once(monkeypatch, capsys, expr):
+    walked = []
+    span = core.additive_span
+
+    def counting(ring, seeds):
+        walked.append(ring)
+        return span(ring, seeds)
+
+    monkeypatch.setattr(core, "additive_span", counting)
+    assert cli.main(["classify", expr, "--json"]) == 0
+    capsys.readouterr()
+    assert walked
+    assert len({id(r) for r in walked}) == len(walked)
