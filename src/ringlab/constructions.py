@@ -720,14 +720,6 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(self._inv[a])
 
-    def element_order(self, a: int) -> int:
-        x = a
-        k = 1
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     @property
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))

@@ -215,24 +215,8 @@ class Subset:
     def __iter__(self) -> Iterator[int]:
         return (int(i) for i in np.flatnonzero(self.mask))
 
-    def union(self, other: "Subset") -> "Subset":
-        self._same_ring(other)
-        return Subset(self.ring, self.mask | other.mask)
-
-    def intersection(self, other: "Subset") -> "Subset":
-        self._same_ring(other)
-        return Subset(self.ring, self.mask & other.mask)
-
     def complement(self) -> "Subset":
         return Subset(self.ring, ~self.mask)
-
-    def issubset(self, other: "Subset") -> bool:
-        self._same_ring(other)
-        return bool(np.all(~self.mask | other.mask))
-
-    def _same_ring(self, other: "Subset") -> None:
-        if other.ring is not self.ring:
-            raise ValueError("subsets belong to different rings")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subset):

@@ -3,15 +3,18 @@
 Grammar (whitespace-insensitive, ``x`` binds looser than constructors and
 associates left)::
 
-    ring    := atom { "x" atom }
-    atom    := "Z(" nat ")" | "GF(" nat "," nat ")" | "M(" nat "," ring ")"
-             | "T(" nat "," ring ")" | "TE(" ring ")" | "PQ(" ring "," poly ")"
-             | "FM(" nat "," nat "," ring ")" | "GR(" ring "," group ")"
-             | "MODJ(" ring ")" | "PAT(" patname "," ring ")" | "(" ring ")"
-    group   := gatom { "x" gatom }
-    gatom   := "C(" nat ")"
+    ring    := atom { "x" atom },     atom  := NAME "(" args ")" | "(" ring ")"
+    group   := gatom { "x" gatom },   gatom := NAME "(" args ")"
+    args    := arg { "," arg },       arg   := nat | ring | group | poly | pattern
     poly    := "[" nat { "," nat } "]"
-    patname := ("S" | "Tb" | "U") "(" nat [ "," nat ] ")"
+    pattern := NAME "(" nat [ "," nat ] ")"
+
+Each constructor NAME is one row of ``_CONSTRUCTORS`` (ring atoms) or
+``_GROUP_ATOMS``: its node class, its argument kinds in field order and its
+builder, which takes the fields in that order.  Parsing, ``canonical`` and
+``build`` read the row; only the ``x`` products and the pattern argument
+(a family of ``constructions._BUILTIN_PATTERNS`` and its naturals) are
+special.
 
 Polynomial literals are ascending-degree coefficient lists of base-ring
 element indices and must be monic; the ``s`` literal of ``FM`` is a
@@ -23,6 +26,7 @@ stable across releases (cache-key contract).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .core import Ring
 from . import constructions as cons
@@ -130,7 +134,8 @@ class GroupProductExpr(GroupExpr):
 # ---------------------------------------------------------------------------
 # lexer
 
-_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "[": "LBRACKET", "]": "RBRACKET"}
+# ``x`` is the product operator, never the start of a constructor
+_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "[": "LBRACKET", "]": "RBRACKET", "x": "X"}
 
 
 @dataclass(frozen=True)
@@ -153,16 +158,12 @@ def _tokenize(text: str) -> list[_Token]:
             out.append(_Token(_PUNCT[ch], ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(_Token("NAT", text[i:j], i))
             i = j
-            continue
-        if ch == "x":  # product operator, never the start of a constructor
-            out.append(_Token("X", "x", i))
-            i += 1
             continue
         if ch.isalpha():
             j = i
@@ -177,15 +178,61 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# recursive-descent parser
+# constructor table
 
-_CONSTRUCTORS = ("Z", "GF", "M", "T", "TE", "PQ", "FM", "GR", "MODJ", "PAT")
-_PATTERN_NAMES = ("S", "Tb", "U")
+
+class _Nat(NamedTuple):
+    """A natural-number argument, range-checked as it is read."""
+
+    least: int
+    noun: str
+
+
+# the other argument kinds, each named after the parser method that reads
+# it; a pattern argument fills two fields, its family and its naturals
+_RING, _GROUP, _POLY, _PATTERN = "ring", "group", "poly", "pattern"
+
+
+class _Row(NamedTuple):
+    node: type
+    kinds: tuple  # one per argument, in field order
+    builder: Callable  # builder(*fields, max_card), sub-expressions built
+
+
+_CONSTRUCTORS = {
+    "Z": _Row(ZExpr, (_Nat(2, "modulus"),), cons.zmod),
+    "GF": _Row(GFExpr, (_Nat(2, "field characteristic"), _Nat(1, "extension degree")), cons.gf),
+    "M": _Row(MatExpr, (_Nat(1, "matrix size"), _RING), cons.matrix_ring),
+    "T": _Row(TriExpr, (_Nat(1, "matrix size"), _RING), cons.upper_triangular),
+    "TE": _Row(TEExpr, (_RING,), cons.trivial_extension),
+    "PQ": _Row(PQExpr, (_RING, _POLY), cons.poly_quot),
+    "FM": _Row(
+        FMExpr, (_Nat(2, "formal matrix size"), _Nat(0, "twist index"), _RING), cons.formal_matrix
+    ),
+    "GR": _Row(GRExpr, (_RING, _GROUP), cons.group_ring),
+    "MODJ": _Row(ModJExpr, (_RING,), lambda ring, max_card: structure.mod_j(ring)),
+    "PAT": _Row(
+        PatExpr,
+        (_PATTERN, _RING),
+        lambda name, args, ring, max_card: cons.pattern_subring(
+            cons.builtin_pattern(name, args), ring, max_card
+        ),
+    ),
+}
+_GROUP_ATOMS = {
+    "C": _Row(
+        CyclicExpr, (_Nat(1, "cyclic group order"),), lambda n, max_card: cons.cyclic_group(n)
+    ),
+}
+_ROW_OF = {row.node: (name, row) for name, row in (_CONSTRUCTORS | _GROUP_ATOMS).items()}
+
+
+# ---------------------------------------------------------------------------
+# recursive-descent parser
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -224,120 +271,61 @@ class _Parser:
             raise ParseError(
                 tok.offset,
                 "expected a ring expression",
-                expected=_CONSTRUCTORS + ("(",),
+                expected=tuple(_CONSTRUCTORS) + ("(",),
             )
-        name = self.take("NAME").value
-        if name == "Z":
-            self.take("LPAREN")
-            n = self.nat()
-            if n < 2:
-                raise ParseError(tok.offset, f"modulus must be >= 2, got {n}")
-            self.take("RPAREN")
-            return ZExpr(n)
-        if name == "GF":
-            self.take("LPAREN")
-            p = self.nat()
-            self.take("COMMA")
-            k = self.nat()
-            self.take("RPAREN")
-            if p < 2:
-                raise ParseError(tok.offset, f"field characteristic must be >= 2, got {p}")
-            if k < 1:
-                raise ParseError(tok.offset, f"extension degree must be >= 1, got {k}")
-            return GFExpr(p, k)
-        if name in ("M", "T"):
-            self.take("LPAREN")
-            size = self.nat()
-            if size < 1:
-                raise ParseError(tok.offset, f"matrix size must be >= 1, got {size}")
-            self.take("COMMA")
-            inner = self.ring()
-            self.take("RPAREN")
-            return MatExpr(size, inner) if name == "M" else TriExpr(size, inner)
-        if name == "TE":
-            self.take("LPAREN")
-            inner = self.ring()
-            self.take("RPAREN")
-            return TEExpr(inner)
-        if name == "PQ":
-            self.take("LPAREN")
-            inner = self.ring()
-            self.take("COMMA")
-            poly = self.poly()
-            self.take("RPAREN")
-            return PQExpr(inner, poly)
-        if name == "FM":
-            self.take("LPAREN")
-            size = self.nat()
-            if size < 2:
-                raise ParseError(tok.offset, f"formal matrix size must be >= 2, got {size}")
-            self.take("COMMA")
-            s = self.nat()
-            self.take("COMMA")
-            inner = self.ring()
-            self.take("RPAREN")
-            return FMExpr(size, s, inner)
-        if name == "GR":
-            self.take("LPAREN")
-            inner = self.ring()
-            self.take("COMMA")
-            grp = self.group()
-            self.take("RPAREN")
-            return GRExpr(inner, grp)
-        if name == "MODJ":
-            self.take("LPAREN")
-            inner = self.ring()
-            self.take("RPAREN")
-            return ModJExpr(inner)
-        if name == "PAT":
-            self.take("LPAREN")
-            pat_tok = self.take("NAME")
-            if pat_tok.value not in _PATTERN_NAMES:
-                raise ParseError(
-                    pat_tok.offset,
-                    f"unknown pattern family {pat_tok.value!r}",
-                    expected=_PATTERN_NAMES,
-                )
-            self.take("LPAREN")
-            args = [self.nat()]
-            if self.peek().kind == "COMMA":
-                self.take("COMMA")
-                args.append(self.nat())
-            self.take("RPAREN")
-            self._validate_pattern(pat_tok, pat_tok.value, tuple(args))
-            self.take("COMMA")
-            inner = self.ring()
-            self.take("RPAREN")
-            return PatExpr(pat_tok.value, tuple(args), inner)
-        raise ParseError(tok.offset, f"unknown constructor {name!r}", expected=_CONSTRUCTORS)
-
-    @staticmethod
-    def _validate_pattern(tok: _Token, name: str, args: tuple[int, ...]) -> None:
-        arity = {"S": (1, 2), "Tb": (2,), "U": (1,)}[name]
-        if len(args) not in arity:
-            raise ParseError(
-                tok.offset, f"pattern {name} does not take {len(args)} argument(s)"
-            )
-        if any(a < 2 for a in args):
-            raise ParseError(tok.offset, f"pattern {name} arguments must be >= 2")
+        return self.call(_CONSTRUCTORS, "constructor")
 
     def group(self) -> GroupExpr:
-        node = self.gatom()
+        node = self.call(_GROUP_ATOMS, "group constructor")
         while self.peek().kind == "X":
             self.take("X")
-            node = GroupProductExpr(node, self.gatom())
+            node = GroupProductExpr(node, self.call(_GROUP_ATOMS, "group constructor"))
         return node
 
-    def gatom(self) -> GroupExpr:
+    def call(self, table: dict[str, _Row], noun: str):
+        """One constructor and its arguments, read as its row says."""
         tok = self.take("NAME")
-        if tok.value != "C":
-            raise ParseError(tok.offset, f"unknown group constructor {tok.value!r}", expected=("C",))
+        row = table.get(tok.value)
+        if row is None:
+            raise ParseError(tok.offset, f"unknown {noun} {tok.value!r}", expected=tuple(table))
         self.take("LPAREN")
-        n = self.nat()
-        if n < 1:
-            raise ParseError(tok.offset, f"cyclic group order must be >= 1, got {n}")
+        fields: list = []
+        for i, kind in enumerate(row.kinds):
+            if i:
+                self.take("COMMA")
+            if isinstance(kind, _Nat):
+                n = self.nat()
+                if n < kind.least:
+                    raise ParseError(tok.offset, f"{kind.noun} must be >= {kind.least}, got {n}")
+                fields.append(n)
+            elif kind is _PATTERN:
+                fields.extend(self.pattern())
+            else:
+                fields.append(getattr(self, kind)())
         self.take("RPAREN")
-        return CyclicExpr(n)
+        return row.node(*fields)
+
+    def pattern(self) -> tuple[str, tuple[int, ...]]:
+        tok = self.take("NAME")
+        families = cons._BUILTIN_PATTERNS
+        if tok.value not in families:
+            raise ParseError(
+                tok.offset, f"unknown pattern family {tok.value!r}", expected=tuple(families)
+            )
+        self.take("LPAREN")
+        args = [self.nat()]
+        if self.peek().kind == "COMMA":
+            self.take("COMMA")
+            args.append(self.nat())
+        self.take("RPAREN")
+        # families[name] holds the one- and two-argument constructions
+        if families[tok.value][len(args) - 1] is None:
+            raise ParseError(
+                tok.offset, f"pattern {tok.value} does not take {len(args)} argument(s)"
+            )
+        if min(args) < 2:
+            raise ParseError(tok.offset, f"pattern {tok.value} arguments must be >= 2")
+        return tok.value, tuple(args)
 
     def poly(self) -> tuple[int, ...]:
         tok = self.take("LBRACKET")
@@ -361,128 +349,50 @@ def parse(text: str) -> RingExpr:
     return node
 
 
-def parse_group(text: str) -> GroupExpr:
-    parser = _Parser(text)
-    node = parser.group()
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        raise ParseError(tail.offset, f"trailing input {tail.value!r}", expected=("EOF",))
-    return node
-
-
 # ---------------------------------------------------------------------------
 # canonical text
 
 
 def canonical(expr: RingExpr | GroupExpr) -> str:
     """Stable fully parenthesized rendering; ``parse(canonical(e)) == e``."""
-    if isinstance(expr, ZExpr):
-        return f"Z({expr.n})"
-    if isinstance(expr, GFExpr):
-        return f"GF({expr.p},{expr.k})"
-    if isinstance(expr, MatExpr):
-        return f"M({expr.size},{canonical(expr.ring)})"
-    if isinstance(expr, TriExpr):
-        return f"T({expr.size},{canonical(expr.ring)})"
-    if isinstance(expr, TEExpr):
-        return f"TE({canonical(expr.ring)})"
-    if isinstance(expr, PQExpr):
-        poly = "[" + ",".join(str(c) for c in expr.poly) + "]"
-        return f"PQ({canonical(expr.ring)},{poly})"
-    if isinstance(expr, FMExpr):
-        return f"FM({expr.size},{expr.s},{canonical(expr.ring)})"
-    if isinstance(expr, GRExpr):
-        return f"GR({canonical(expr.ring)},{canonical(expr.group)})"
-    if isinstance(expr, ModJExpr):
-        return f"MODJ({canonical(expr.ring)})"
-    if isinstance(expr, PatExpr):
-        args = ",".join(str(a) for a in expr.args)
-        return f"PAT({expr.name}({args}),{canonical(expr.ring)})"
     if isinstance(expr, ProductExpr):
         return f"({canonical(expr.left)} x {canonical(expr.right)})"
-    if isinstance(expr, CyclicExpr):
-        return f"C({expr.n})"
     if isinstance(expr, GroupProductExpr):
         # group atoms cannot nest in parens, so group products stay flat
         return f"{canonical(expr.left)} x {canonical(expr.right)}"
-    raise TypeError(f"not an expression: {expr!r}")
+    name, row = _ROW_OF[type(expr)]
+    fields = iter(vars(expr).values())
+    args = []
+    for kind in row.kinds:
+        value = next(fields)
+        if kind is _RING or kind is _GROUP:
+            value = canonical(value)
+        elif kind is _POLY:
+            value = "[" + ",".join(map(str, value)) + "]"
+        elif kind is _PATTERN:
+            value = f"{value}({','.join(map(str, next(fields)))})"
+        args.append(str(value))
+    return f"{name}({','.join(args)})"
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def estimated_card(expr: RingExpr) -> int:
-    """Card the built ring will have (an upper bound for MODJ)."""
-    if isinstance(expr, ZExpr):
-        return expr.n
-    if isinstance(expr, GFExpr):
-        return expr.p**expr.k
-    if isinstance(expr, MatExpr):
-        return estimated_card(expr.ring) ** (expr.size * expr.size)
-    if isinstance(expr, TriExpr):
-        return estimated_card(expr.ring) ** (expr.size * (expr.size + 1) // 2)
-    if isinstance(expr, TEExpr):
-        return estimated_card(expr.ring) ** 2
-    if isinstance(expr, PQExpr):
-        return estimated_card(expr.ring) ** (len(expr.poly) - 1)
-    if isinstance(expr, FMExpr):
-        return estimated_card(expr.ring) ** (expr.size * expr.size)
-    if isinstance(expr, GRExpr):
-        return estimated_card(expr.ring) ** _group_order(expr.group)
-    if isinstance(expr, ModJExpr):
-        return estimated_card(expr.ring)
-    if isinstance(expr, PatExpr):
-        pattern = cons.builtin_pattern(expr.name, expr.args)
-        return estimated_card(expr.ring) ** len(pattern.classes)
-    if isinstance(expr, ProductExpr):
-        return estimated_card(expr.left) * estimated_card(expr.right)
-    raise TypeError(f"not a ring expression: {expr!r}")
-
-
-def _group_order(expr: GroupExpr) -> int:
-    if isinstance(expr, CyclicExpr):
-        return expr.n
-    if isinstance(expr, GroupProductExpr):
-        return _group_order(expr.left) * _group_order(expr.right)
-    raise TypeError(f"not a group expression: {expr!r}")
-
-
-def build_group(expr: GroupExpr) -> cons.FiniteGroup:
-    if isinstance(expr, CyclicExpr):
-        return cons.cyclic_group(expr.n)
-    if isinstance(expr, GroupProductExpr):
-        return cons.group_product(build_group(expr.left), build_group(expr.right))
-    raise TypeError(f"not a group expression: {expr!r}")
-
-
-def build(expr: RingExpr | str, max_card: int | None = None) -> Ring:
-    """Evaluate an expression (or its text) to a ring under the card guard."""
+def build(expr: RingExpr | GroupExpr | str, max_card: int | None = None):
+    """Evaluate an expression (or its text) under the card guard: its row's
+    builder on its fields, sub-expressions built first.  A group expression
+    gives its ``FiniteGroup``."""
     if isinstance(expr, str):
         expr = parse(expr)
-    if isinstance(expr, ZExpr):
-        return cons.zmod(expr.n, max_card=max_card)
-    if isinstance(expr, GFExpr):
-        return cons.gf(expr.p, expr.k, max_card=max_card)
-    if isinstance(expr, MatExpr):
-        return cons.matrix_ring(expr.size, build(expr.ring, max_card), max_card=max_card)
-    if isinstance(expr, TriExpr):
-        return cons.upper_triangular(expr.size, build(expr.ring, max_card), max_card=max_card)
-    if isinstance(expr, TEExpr):
-        return cons.trivial_extension(build(expr.ring, max_card), max_card=max_card)
-    if isinstance(expr, PQExpr):
-        return cons.poly_quot(build(expr.ring, max_card), expr.poly, max_card=max_card)
-    if isinstance(expr, FMExpr):
-        return cons.formal_matrix(expr.size, expr.s, build(expr.ring, max_card), max_card=max_card)
-    if isinstance(expr, GRExpr):
-        return cons.group_ring(build(expr.ring, max_card), build_group(expr.group), max_card=max_card)
-    if isinstance(expr, ModJExpr):
-        return structure.mod_j(build(expr.ring, max_card))
-    if isinstance(expr, PatExpr):
-        pattern = cons.builtin_pattern(expr.name, expr.args)
-        return cons.pattern_subring(pattern, build(expr.ring, max_card), max_card=max_card)
     if isinstance(expr, ProductExpr):
         return cons.direct_product(
             build(expr.left, max_card), build(expr.right, max_card), max_card=max_card
         )
-    raise TypeError(f"not a ring expression: {expr!r}")
+    if isinstance(expr, GroupProductExpr):
+        return cons.group_product(build(expr.left), build(expr.right))
+    args = [
+        build(v, max_card) if isinstance(v, (RingExpr, GroupExpr)) else v
+        for v in vars(expr).values()
+    ]
+    return _ROW_OF[type(expr)][1].builder(*args, max_card)

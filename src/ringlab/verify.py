@@ -28,7 +28,7 @@ from .core import (
 from . import constructions as cons
 from . import decompositions as dec
 from . import structure
-from .dsl import build, canonical, parse
+from .dsl import RingExpr, build, canonical, parse
 
 
 @dataclass(frozen=True)
@@ -165,13 +165,25 @@ class VerifyContext:
         self.memo_threshold = (
             default_memo_threshold() if memo_threshold is None else memo_threshold
         )
-        self._rings: dict[str, Ring] = {}
+        self._rings: dict[str, Ring] = {}  # keyed by canonical text
+        self._parsed: dict[str, tuple[str, RingExpr]] = {}
+
+    def parsed(self, text: str) -> tuple[str, RingExpr]:
+        """Canonical text and expression of a ring text, parsed once per run."""
+        hit = self._parsed.get(text)
+        if hit is None:
+            expr = parse(text)
+            hit = self._parsed[text] = (canonical(expr), expr)
+        return hit
+
+    def pair_text(self, a: str, b: str) -> str:
+        return f"({self.parsed(a)[0]} x {self.parsed(b)[0]})"
 
     def ring(self, text: str) -> Ring:
-        key = canonical(parse(text))
+        key, expr = self.parsed(text)
         ring = self._rings.get(key)
         if ring is None:
-            ring = build(text, max_card=self.max_card)
+            ring = build(expr, max_card=self.max_card)
             ring = maybe_memoize(ring, self.memo_threshold)
             self._rings[key] = ring
         return ring
@@ -183,7 +195,7 @@ class VerifyContext:
         """Direct product of two catalog rings, sharing the cached factors;
         left without tables, so its invariants and witness ranks come from
         the factors'."""
-        key = _pair_expression(a, b)
+        key = self.pair_text(a, b)
         ring = self._rings.get(key)
         if ring is None:
             ring = cons.direct_product(self.ring(a), self.ring(b), max_card=self.max_card)
@@ -543,10 +555,6 @@ def _check_p218(ctx: VerifyContext, details: list[str]) -> bool:
     return ran
 
 
-def _pair_expression(a: str, b: str) -> str:
-    return f"({canonical(parse(a))} x {canonical(parse(b))})"
-
-
 @_register(
     "P-2.19",
     "a GWNC direct product has weakly nil-clean factors",
@@ -556,7 +564,7 @@ def _check_p219(ctx: VerifyContext, details: list[str]) -> bool:
     checked = 0
     exprs = [e.expression for e in CATALOG]
     for a, b in itertools.combinations_with_replacement(exprs, 2):
-        pair = _pair_expression(a, b)
+        pair = ctx.pair_text(a, b)
         try:
             holds = dec.ring_flag(ctx.pair_ring(a, b), "gwnc")
         except GuardError:

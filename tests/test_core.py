@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, reject, settings
 
 import ringlab as rl
-from ringlab import cli, core, dsl, structure, verify
+from ringlab import cli, core, structure, verify
 from ringlab.core import additive_generators, additive_span, check_ring_axioms
 
 from conftest import (
@@ -130,15 +130,13 @@ def test_subset_operations(z6):
     t = rl.Subset.from_indices(z6, [0, 1])
     assert 5 in s and 0 not in s
     assert len(s) == 2
-    assert sorted(s.union(t)) == [0, 1, 5]
-    assert sorted(s.intersection(t)) == [1]
+    assert np.flatnonzero(s.mask | t.mask).tolist() == [0, 1, 5]
+    assert np.flatnonzero(s.mask & t.mask).tolist() == [1]
     assert sorted(s.complement()) == [0, 2, 3, 4]
-    assert s.issubset(s.union(t))
     assert s == rl.Subset.from_indices(z6, [5, 1])
+    assert s != rl.Subset.from_indices(rl.zmod(6), [1, 5])  # another ring
     with pytest.raises(ValueError):
         rl.Subset(z6, np.zeros(5, dtype=bool))
-    with pytest.raises(ValueError):
-        s.union(rl.Subset.from_indices(rl.zmod(6), [1]))
 
 
 def test_axiom_checker_accepts_and_rejects(z6):
@@ -208,10 +206,8 @@ def test_tables_match_direct_build(expr):
 @given(ring_expr_strategy())
 @settings(max_examples=50, deadline=None)
 def test_generated_tables_match_direct_build_property(expr):
-    if dsl.estimated_card(expr) > 256:
-        reject()
     try:
-        ring = rl.build(expr)
+        ring = rl.build(expr, max_card=256)
     except (rl.ConstructionError, rl.GuardError):
         reject()
     check_ring_axioms(ring)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 import ringlab as rl
-from ringlab import dsl
 from ringlab.dsl import (
     CyclicExpr,
     FMExpr,
@@ -162,20 +161,131 @@ def test_build_guard_reports_required_card():
     assert err.value.required == 200001
 
 
-def test_estimated_card_matches_built_card():
-    for text in (
-        "Z(9)",
-        "GF(2,3)",
-        "M(2,Z(3))",
-        "T(3,Z(2))",
-        "TE(Z(5))",
-        "PQ(Z(3),[0,0,0,1])",
-        "FM(2,1,Z(3))",
-        "GR(Z(3),C(3))",
-        "PAT(Tb(2,2),Z(3))",
-        "(Z(2) x Z(9))",
-    ):
-        assert dsl.estimated_card(parse(text)) == build(text).card
+_CONSTRUCTORS = ("Z", "GF", "M", "T", "TE", "PQ", "FM", "GR", "MODJ", "PAT")
+_RING_START = _CONSTRUCTORS + ("(",)
+
+#: text, then the offset, message and expected tokens of its ParseError
+PARSE_ERRORS = [
+    # each natural argument's range check, at its constructor's offset
+    ("Z(1)", 0, "modulus must be >= 2, got 1", ()),
+    ("Z(0)", 0, "modulus must be >= 2, got 0", ()),
+    ("GF(1,2)", 0, "field characteristic must be >= 2, got 1", ()),
+    ("GF(2,0)", 0, "extension degree must be >= 1, got 0", ()),
+    ("M(0,Z(2))", 0, "matrix size must be >= 1, got 0", ()),
+    ("T(0,Z(2))", 0, "matrix size must be >= 1, got 0", ()),
+    ("FM(1,0,Z(2))", 0, "formal matrix size must be >= 2, got 1", ()),
+    ("GR(Z(2),C(0))", 8, "cyclic group order must be >= 1, got 0", ()),
+    ("GR(Z(2),C(2) x C(0))", 15, "cyclic group order must be >= 1, got 0", ()),
+    # a polynomial of degree 0; pattern arities and ranges
+    ("PQ(Z(2),[1])", 8, "polynomial degree must be >= 1", ()),
+    ("PAT(U(1),Z(2))", 4, "pattern U arguments must be >= 2", ()),
+    ("PAT(S(2,1),Z(2))", 4, "pattern S arguments must be >= 2", ()),
+    ("PAT(Tb(2),Z(2))", 4, "pattern Tb does not take 1 argument(s)", ()),
+    ("PAT(U(2,2),Z(2))", 4, "pattern U does not take 2 argument(s)", ()),
+    ("PAT(S(2,2,2),Z(2))", 9, "unexpected ','", ("RPAREN",)),
+    # a range fault is reported as it is read, before a later syntax fault
+    ("GF(1,3", 0, "field characteristic must be >= 2, got 1", ()),
+    ("GF(1,x)", 0, "field characteristic must be >= 2, got 1", ()),
+    ("GF(2,0", 0, "extension degree must be >= 1, got 0", ()),
+    ("Z(1", 0, "modulus must be >= 2, got 1", ()),
+    ("M(0,", 0, "matrix size must be >= 1, got 0", ()),
+    ("FM(1,", 0, "formal matrix size must be >= 2, got 1", ()),
+    ("GR(Z(2),C(0)", 8, "cyclic group order must be >= 1, got 0", ()),
+    # unknown constructor, group constructor and pattern family
+    ("Q(2)", 0, "unknown constructor 'Q'", _CONSTRUCTORS),
+    ("z(2)", 0, "unknown constructor 'z'", _CONSTRUCTORS),
+    ("Zz(2)", 0, "unknown constructor 'Zz'", _CONSTRUCTORS),
+    ("Q", 0, "unknown constructor 'Q'", _CONSTRUCTORS),
+    ("GR(Z(2),D(4))", 8, "unknown group constructor 'D'", ("C",)),
+    ("GR(Z(2),C(2) x S(3))", 15, "unknown group constructor 'S'", ("C",)),
+    ("PAT(V(2),Z(2))", 4, "unknown pattern family 'V'", ("S", "Tb", "U")),
+    ("PAT(s(2),Z(2))", 4, "unknown pattern family 's'", ("S", "Tb", "U")),
+    # missing or unexpected tokens
+    ("", 0, "expected a ring expression", _RING_START),
+    ("   ", 3, "expected a ring expression", _RING_START),
+    ("Z", 1, "unexpected end of input", ("LPAREN",)),
+    ("Z(", 2, "unexpected end of input", ("NAT",)),
+    ("Z()", 2, "unexpected ')'", ("NAT",)),
+    ("Z 5", 2, "unexpected '5'", ("LPAREN",)),
+    ("M(2,Z(3)", 8, "unexpected end of input", ("RPAREN",)),
+    ("M(2 Z(3))", 4, "unexpected 'Z'", ("COMMA",)),
+    ("M(Z(3))", 2, "unexpected 'Z'", ("NAT",)),
+    ("GF(2 3)", 5, "unexpected '3'", ("COMMA",)),
+    ("TE()", 3, "expected a ring expression", _RING_START),
+    ("TE(Z(2)", 7, "unexpected end of input", ("RPAREN",)),
+    ("PQ(Z(2),0,1)", 8, "unexpected '0'", ("LBRACKET",)),
+    ("PQ(Z(2),[0,1)", 12, "unexpected ')'", ("RBRACKET",)),
+    ("PQ(Z(2),[])", 9, "unexpected ']'", ("NAT",)),
+    ("PQ(Z(2))", 7, "unexpected ')'", ("COMMA",)),
+    ("FM(2,Z(2))", 5, "unexpected 'Z'", ("NAT",)),
+    ("GR(Z(2),)", 8, "unexpected ')'", ("NAME",)),
+    ("GR(Z(2),C(2) x )", 15, "unexpected ')'", ("NAME",)),
+    ("GR(Z(2),C)", 9, "unexpected ')'", ("LPAREN",)),
+    ("GR(Z(2))", 7, "unexpected ')'", ("COMMA",)),
+    ("MODJ(", 5, "expected a ring expression", _RING_START),
+    ("PAT(2,Z(2))", 4, "unexpected '2'", ("NAME",)),
+    ("PAT(S 2,Z(2))", 6, "unexpected '2'", ("LPAREN",)),
+    ("PAT(S(2),)", 9, "expected a ring expression", _RING_START),
+    ("PAT(S(),Z(2))", 6, "unexpected ')'", ("NAT",)),
+    ("(Z(2)", 5, "unexpected end of input", ("RPAREN",)),
+    ("()", 1, "expected a ring expression", _RING_START),
+    ("Z(2) x", 6, "expected a ring expression", _RING_START),
+    ("x Z(2)", 0, "expected a ring expression", _RING_START),
+    ("Z(2) x x Z(3)", 7, "expected a ring expression", _RING_START),
+    ("[1]", 0, "expected a ring expression", _RING_START),
+    (",", 0, "expected a ring expression", _RING_START),
+    # trailing input
+    ("Z(5) y", 5, "trailing input 'y'", ("EOF",)),
+    ("Z(2) Z(3)", 5, "trailing input 'Z'", ("EOF",)),
+    ("Z(2))", 4, "trailing input ')'", ("EOF",)),
+    ("Z(2),", 4, "trailing input ','", ("EOF",)),
+    ("(Z(2)) 7", 7, "trailing input '7'", ("EOF",)),
+    # unexpected characters; a non-decimal digit such as '²' is one too
+    ("Z(2)+Z(3)", 4, "unexpected character '+'", ()),
+    ("Z(-1)", 2, "unexpected character '-'", ()),
+    ("Z(2) x Z(3)!", 11, "unexpected character '!'", ()),
+    ("M(2,Z(3))é", 9, "trailing input 'é'", ("EOF",)),
+    ("GF(2;3)", 4, "unexpected character ';'", ()),
+    ("Z(²)", 2, "unexpected character '²'", ()),
+]
+
+#: text, then its canonical text: every constructor, with extra spaces
+CANONICAL = [
+    ("Z( 6 )", "Z(6)"),
+    (" GF( 2 , 3 ) ", "GF(2,3)"),
+    ("M( 2 ,Z(3))", "M(2,Z(3))"),
+    ("T(3, Z(4))", "T(3,Z(4))"),
+    ("TE( Z(5) )", "TE(Z(5))"),
+    ("PQ(Z(3), [ 0,0,0,1 ])", "PQ(Z(3),[0,0,0,1])"),
+    ("FM(2 ,1, Z(3))", "FM(2,1,Z(3))"),
+    ("GR(Z(3),C( 3 )xC(2))", "GR(Z(3),C(3) x C(2))"),
+    ("MODJ( T(2,Z(4)) )", "MODJ(T(2,Z(4)))"),
+    ("PAT( S(2 ,2), Z(3))", "PAT(S(2,2),Z(3))"),
+    ("PAT(U(3),Z(2))", "PAT(U(3),Z(2))"),
+    ("PAT(Tb(2,2),Z(3))", "PAT(Tb(2,2),Z(3))"),
+    ("PAT(S(3),Z(2))", "PAT(S(3),Z(2))"),
+    ("Z(2)xZ(3) x Z(4)", "((Z(2) x Z(3)) x Z(4))"),
+    ("Z(2) x (Z(3) x Z(4))", "(Z(2) x (Z(3) x Z(4)))"),
+    ("((Z(2)))", "Z(2)"),
+]
+
+
+def _outcome(text):
+    try:
+        return canonical(parse(text))
+    except ParseError as err:
+        message = str(err).split(": ", 1)[1]
+        if err.expected:
+            message = message[: message.rindex(" (expected ")]
+        return err.offset, message, err.expected
+
+
+def test_parse_outcomes_match_the_recorded_corpus():
+    for text, *want in PARSE_ERRORS:
+        assert _outcome(text) == tuple(want), text
+    for text, want in CANONICAL:
+        assert _outcome(text) == want, text
+        assert canonical(parse(want)) == want
 
 
 def test_build_is_deterministic():

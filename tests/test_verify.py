@@ -1,9 +1,10 @@
+import collections
 import re
 
 import pytest
 
 import ringlab as rl
-from ringlab.dsl import estimated_card, parse
+from ringlab import verify
 from ringlab.verify import (
     CATALOG,
     CHECKS,
@@ -28,9 +29,7 @@ def test_catalog_shape():
 
 
 def test_catalog_builds_under_default_guard():
-    for entry in catalog():
-        assert estimated_card(parse(entry.expression)) <= 200000
-    ctx = VerifyContext()
+    ctx = VerifyContext(max_card=200000)  # a larger catalog ring raises GuardError
     for entry in catalog():
         ring = ctx.ring(entry.expression)
         assert ring.card >= 2
@@ -61,6 +60,21 @@ def test_forced_failure_self_test():
     # and an honest entry passes through the same code path
     good = CatalogEntry("EX-SELFTEST2", "Z(5)", (("gwnc", True),), "ok")
     assert check_catalog_entry(ctx, good).status == "pass"
+
+
+def test_run_all_parses_each_text_once(monkeypatch):
+    calls = collections.Counter()
+    parse = verify.parse
+
+    def counting_parse(text):
+        calls[text] += 1
+        return parse(text)
+
+    monkeypatch.setattr(verify, "parse", counting_parse)
+    summary = run_all()
+    assert summary.failed == 0
+    assert len(calls) > 100  # the catalog, the checks' own rings and the pairs' factors
+    assert set(calls.values()) == {1}
 
 
 def test_run_all_single_id():
