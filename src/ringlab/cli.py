@@ -23,7 +23,7 @@ from .core import ConstructionError, GuardError, SettingError
 from .core import is_nilpotent, maybe_memoize
 from . import decompositions as dec
 from . import structure
-from .dsl import ParseError, build, canonical, parse
+from .dsl import ParseError, RingExpr, build, canonical, parse
 from . import verify as verify_mod
 
 CACHE_DIR_ENV = "RINGLAB_CACHE_DIR"
@@ -182,9 +182,7 @@ def _witness_dict(w: dec.Witness | None) -> dict | None:
     }
 
 
-def _classify_payload(expr_text: str, args) -> str:
-    expr = parse(expr_text)
-    key = canonical(expr)
+def _classify_payload(expr: RingExpr, key: str, args) -> str:
     t0 = time.perf_counter()
     ring = build(expr, max_card=args.max_card)
     ring = maybe_memoize(ring)
@@ -231,15 +229,16 @@ def _classify_payload(expr_text: str, args) -> str:
 
 def cmd_classify(args) -> int:
     try:
-        key = canonical(parse(args.expression))
+        expr = parse(args.expression)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    key = canonical(expr)
     cache = _cache_entry(args, key + (":witness" if args.witness else ""))
     payload = _cache_lookup(*cache) if cache else None
     if payload is None:
         try:
-            payload = _classify_payload(args.expression, args)
+            payload = _classify_payload(expr, key, args)
         except GuardError as exc:
             print(str(exc), file=sys.stderr)
             return 3

@@ -1,9 +1,12 @@
 """Builders for the finite ring families under study.
 
 Every construction implements the vectorised ``add_vec``/``neg_vec``/
-``mul_vec`` of ``core.Ring`` and nothing else of the arithmetic.  It fixes
-a canonical element enumeration so that element literals are stable
-across runs:
+``mul_vec`` of ``core.Ring`` and nothing else of the arithmetic.  The
+digit rings (matrix and pattern rings, ``TE``, ``PQ``/``GF`` and ``GR``)
+share all three in ``_DigitRing``: each only builds the term table that
+says which digit products, scaled by which central base elements, sum to
+each digit of a product.  Every construction fixes a canonical element
+enumeration so that element literals are stable across runs:
 
 * ``Zmod(n)``             index = residue.
 * ``MatrixRing``          one digit per coordinate class, mixed radix base
@@ -49,11 +52,12 @@ from .core import (
 def decode_digits(xs, base_card: int, ndigits: int) -> np.ndarray:
     """Split indices into ``ndigits`` base-``base_card`` digits, most significant first."""
     xs = _as_index_array(xs)
-    out = np.empty((len(xs), ndigits), dtype=np.int64)
+    # each digit is a contiguous column, so a digit's base call reads it in order
+    out = np.empty((ndigits, len(xs)), dtype=np.int64)
     rem = xs.copy()
     for pos in range(ndigits - 1, -1, -1):
-        rem, out[:, pos] = np.divmod(rem, base_card)
-    return out
+        rem, out[pos] = np.divmod(rem, base_card)
+    return out.T
 
 def encode_digits(digits, base_card: int) -> np.ndarray:
     digits = np.asarray(digits, dtype=np.int64)
@@ -63,21 +67,18 @@ def encode_digits(digits, base_card: int) -> np.ndarray:
     return acc
 
 
-def decode_digits_le(xs, base_card: int, ndigits: int) -> np.ndarray:
-    """Little-endian variant: digit i is the coefficient of weight ``base_card**i``."""
-    return decode_digits(xs, base_card, ndigits)[:, ::-1]
-
-
-def encode_digits_le(digits, base_card: int) -> np.ndarray:
-    return encode_digits(np.asarray(digits)[..., ::-1], base_card)
-
-
 class _DigitRing(Ring):
     """A ring whose elements are ``ndigits`` digits over one base ring,
-    added and negated digit by digit."""
+    added and negated digit by digit and multiplied through one term table.
+
+    Digits are most significant first.  ``_terms[p]`` lists the terms
+    (a, b, t) of digit p of a product: digit p of x*y is the sum of
+    t*(x_a*y_b) over them, with t a central element of the base.  A
+    construction only builds this table."""
 
     base: Ring
     ndigits: int
+    _terms: list[list[tuple[int, int, int]]]
 
     def _digitwise(self, op, *operands) -> np.ndarray:
         digits = [decode_digits(xs, self.base.card, self.ndigits) for xs in operands]
@@ -92,28 +93,34 @@ class _DigitRing(Ring):
     def neg_vec(self, xs) -> np.ndarray:
         return self._digitwise(self.base.neg_vec, _as_index_array(xs))
 
+    def _term_sum(self, A: np.ndarray, B: np.ndarray, terms) -> np.ndarray:
+        """The sum of t*(a*b) over ``terms`` for the elements whose digits
+        are the rows of ``A`` and ``B``."""
+        R = self.base
+        acc = None
+        for a, b, t in terms:
+            term = R.mul_vec(A[:, a], B[:, b])
+            if t != R.one:
+                term = R.mul_vec(t, term)
+            acc = term if acc is None else R.add_vec(acc, term)
+        return np.full(len(A), R.zero, dtype=np.int64) if acc is None else acc
+
+    def mul_vec(self, xs, ys) -> np.ndarray:
+        A, B = (decode_digits(v, self.base.card, self.ndigits) for v in _pair(xs, ys))
+        out = np.zeros(len(A), dtype=np.int64)
+        for terms in self._terms:
+            out = out * self.base.card + self._term_sum(A, B, terms)
+        return out
+
+    def _little_endian_terms(self, terms) -> None:
+        """Set ``_terms`` from a table indexed least significant digit first,
+        as polynomial degrees and group elements are."""
+        top = self.ndigits - 1
+        self._terms = [[(top - a, top - b, t) for a, b, t in ts] for ts in terms[::-1]]
+
     def _coeffs(self, a: int) -> list[int]:
         """The digits of one element, least significant first."""
-        return [int(c) for c in decode_digits_le(self._check(a), self.base.card, self.ndigits)[0]]
-
-
-#: pairs per base ``*_vec`` call of a polynomial or group-ring product: n
-#: products of elements with d coefficients go in row blocks of
-#: ``_COEFF_BLOCK // d``, and each call covers d coefficients of a block.
-#: Calls on arrays several times larger ran slower per element
-_COEFF_BLOCK = 8192
-
-
-def _in_row_blocks(mul_block, xs, ys, width: int) -> np.ndarray:
-    """``mul_block`` over row blocks of ``_COEFF_BLOCK // width`` products,
-    ``width`` the coefficients per element."""
-    xs, ys = _pair(xs, ys)
-    step = max(1, _COEFF_BLOCK // width)
-    if len(xs) <= step:
-        return mul_block(xs, ys)
-    return np.concatenate(
-        [mul_block(xs[lo : lo + step], ys[lo : lo + step]) for lo in range(0, len(xs), step)]
-    )
+        return [int(c) for c in decode_digits(self._check(a), self.base.card, self.ndigits)[0, ::-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +164,9 @@ class MatrixRing(_DigitRing):
     ``classes`` lists the free coordinates grouped by forced equality; each
     class is one digit, first class most significant, and coordinates in no
     class are zero.  The optional ``twist(i, l, j)``, a base element,
-    multiplies the term ``a_il * b_lj`` of a product's (i, j) entry.  A
-    product computes only the class representatives, summing over the l
-    that both factors' supports allow.
+    multiplies the term ``a_il * b_lj`` of a product's (i, j) entry.  The
+    term table has one digit per class, its representative's entry: the
+    terms over the l that both factors' supports allow.
 
     Multiplicative closure is checked at construction on products of
     impulses, one class set to x and the rest zero: every element is a sum
@@ -189,7 +196,7 @@ class MatrixRing(_DigitRing):
         self.one = int(encode_digits(diagonal, base.card))
         self._column = {c: d for d, cls in enumerate(self.classes) for c in cls}
         # per entry (i, j): the digits of a_il and b_lj, and the twist
-        self._terms = {
+        self._entry_terms = {
             (i, j): [
                 (self._column[i, l], self._column[l, j], base.one if twist is None else twist(i, l, j))
                 for l in range(k)
@@ -198,26 +205,13 @@ class MatrixRing(_DigitRing):
             for i in range(k)
             for j in range(k)
         }
+        self._terms = [self._entry_terms[rep] for rep in self._reps]
         self._verify_closure()
 
     def _entry(self, A: np.ndarray, B: np.ndarray, i: int, j: int) -> np.ndarray:
         """Entry (i, j) of the products of the elements whose digits are the
         rows of ``A`` and ``B``."""
-        R = self.base
-        acc = None
-        for a, b, t in self._terms[i, j]:
-            term = R.mul_vec(A[:, a], B[:, b])
-            if t != R.one:
-                term = R.mul_vec(t, term)
-            acc = term if acc is None else R.add_vec(acc, term)
-        return np.full(len(A), R.zero, dtype=np.int64) if acc is None else acc
-
-    def mul_vec(self, xs, ys) -> np.ndarray:
-        A, B = (decode_digits(v, self.base.card, self.ndigits) for v in _pair(xs, ys))
-        out = np.zeros(len(A), dtype=np.int64)
-        for i, j in self._reps:
-            out = out * self.base.card + self._entry(A, B, i, j)
-        return out
+        return self._term_sum(A, B, self._entry_terms[i, j])
 
     def _verify_closure(self) -> None:
         n, card = self.ndigits, self.base.card
@@ -231,7 +225,7 @@ class MatrixRing(_DigitRing):
         for cls in self.classes:
             for i, j in cls[1:]:
                 ok &= self._entry(A, B, i, j) == self._entry(A, B, *cls[0])
-        for i, j in set(self._terms) - set(self._column):
+        for i, j in set(self._entry_terms) - set(self._column):
             ok &= self._entry(A, B, i, j) == self.base.zero
         if not ok.all():
             bad = int(np.argmin(ok))
@@ -514,14 +508,7 @@ class TrivialExtension(_DigitRing):
         self.zero = base.zero * base.card + base.zero
         self.one = base.one * base.card + base.zero
         self.label = f"TE({base.label})"
-
-    def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        rx, mx = np.divmod(xs, self.base.card)
-        ry, my = np.divmod(ys, self.base.card)
-        r = self.base.mul_vec(rx, ry)
-        m = self.base.add_vec(self.base.mul_vec(rx, my), self.base.mul_vec(mx, ry))
-        return r * self.base.card + m
+        self._terms = [[(0, 0, base.one)], [(0, 1, base.one), (1, 0, base.one)]]
 
     def format_element(self, a: int) -> str:
         r, m = divmod(self._check(a), self.base.card)
@@ -565,30 +552,22 @@ class PolyQuotient(_DigitRing):
         self.one = base.one  # constant-term digit is least significant
         poly = "[" + ",".join(str(c) for c in modulus) + "]"
         self.label = label if label is not None else f"PQ({base.label},{poly})"
-        # x**degree == sum_i reduction[i] * x**i
-        self._reduction = [base.neg(c) for c in modulus[:-1]]
-
-    def mul_vec(self, xs, ys) -> np.ndarray:
-        return _in_row_blocks(self._mul_block, xs, ys, self.degree)
-
-    def _mul_block(self, xs, ys) -> np.ndarray:
-        """Per coefficient a_i one base ``mul_vec`` of a_i with every b_j,
-        added onto degrees i .. i+d-1; then each degree t >= d, from the
-        top, folded onto degrees t-d .. t-1 through x**d mod f: 4d - 2 base
-        calls for any number of products.  Coefficients are rows, so every
-        call reads contiguous blocks."""
-        R, d, n = self.base, self.degree, len(xs)
-        ca = decode_digits_le(xs, R.card, d).T
-        cb = np.ascontiguousarray(decode_digits_le(ys, R.card, d).T).ravel()
-        conv = np.full((2 * d - 1, n), R.zero, dtype=np.int64)
+        # powers[m][i] is the coefficient of x**i in x**m mod f, m < 2d - 1:
+        # x**(m+1) shifts x**m up a degree and folds its top coefficient c
+        # back through x**d = -(f_0 + ... + f_(d-1) x**(d-1))
+        d = self.degree
+        powers = [[base.one if i == m else base.zero for i in range(d)] for m in range(d)]
+        for _ in range(d - 1):
+            c = powers[-1][-1]
+            shifted = [base.zero] + powers[-1][:-1]
+            powers.append([base.sub(s, base.mul(c, f)) for s, f in zip(shifted, modulus[:-1])])
+        terms = [[] for _ in range(d)]
         for i in range(d):
-            terms = R.mul_vec(np.tile(ca[i], d), cb)
-            conv[i : i + d] = R.add_vec(conv[i : i + d].ravel(), terms).reshape(d, n)
-        reduction = np.repeat(self._reduction, n)
-        for t in range(2 * d - 2, d - 1, -1):
-            terms = R.mul_vec(np.tile(conv[t], d), reduction)
-            conv[t - d : t] = R.add_vec(conv[t - d : t].ravel(), terms).reshape(d, n)
-        return encode_digits_le(conv[:d].T, R.card)
+            for j in range(d):
+                for p, t in enumerate(powers[i + j]):
+                    if t != base.zero:
+                        terms[p].append((i, j, t))
+        self._little_endian_terms(terms)
 
     def format_element(self, a: int) -> str:
         coeffs = self._coeffs(a)
@@ -766,25 +745,16 @@ class GroupRing(_DigitRing):
         self.zero = 0
         self.one = base.one  # coefficient 1 at the identity g0
         self.label = f"GR({base.label},{group.label})"
-        # _solve[i, k] is the j with g_i g_j = g_k
-        self._solve = np.argsort(group.table, axis=1)
-
-    def mul_vec(self, xs, ys) -> np.ndarray:
-        return _in_row_blocks(self._mul_block, xs, ys, self.group.order)
-
-    def _mul_block(self, xs, ys) -> np.ndarray:
-        """Per coefficient a_i one base ``mul_vec`` of a_i with every b_j,
-        ordered by the k with g_i g_j = g_k, and the m of them summed:
-        2m - 1 base calls for any number of products."""
-        R, m, n = self.base, self.group.order, len(xs)
-        ca = decode_digits_le(xs, R.card, m).T
-        cb = decode_digits_le(ys, R.card, m).T
-        terms = (R.mul_vec(np.tile(ca[i], m), cb[self._solve[i]].ravel()) for i in range(m))
-        return encode_digits_le(reduce(R.add_vec, terms).reshape(m, n).T, R.card)
+        # g_i g_j = g_k puts a_i b_j into coefficient k
+        terms = [[] for _ in range(group.order)]
+        for i in range(group.order):
+            for j in range(group.order):
+                terms[group.table[i, j]].append((i, j, base.one))
+        self._little_endian_terms(terms)
 
     def _augment(self, xs) -> np.ndarray:
         """Coefficient sums, the images under the map onto the base ring."""
-        return reduce(self.base.add_vec, decode_digits_le(xs, self.base.card, self.ndigits).T)
+        return reduce(self.base.add_vec, decode_digits(xs, self.base.card, self.ndigits).T)
 
     def augmentation(self, a: int) -> int:
         return int(self._augment(self._check(a))[0])

@@ -184,17 +184,24 @@ class RingData:
         self._inverses = inv
         return inv
 
+    def _factor_mask(self, prop: str) -> np.ndarray | None:
+        """The mask ``prop`` of a direct product L x R read off its factors':
+        the pair (l, r), index l * |R| + r, is in it when both are.  None
+        when the ring is no direct product."""
+        parts = self.ring.factors()
+        if parts is None:
+            return None
+        left, right = (getattr(ring_data(p), prop) for p in parts)
+        return (left[:, None] & right[None, :]).ravel()
+
     @property
     def idem_mask(self) -> np.ndarray:
-        if self._idem_mask is not None:
-            return self._idem_mask
-        parts = self.ring.factors()
-        if parts is not None:
-            li, ri = (ring_data(p).idem_mask for p in parts)
-            self._idem_mask = (li[:, None] & ri[None, :]).ravel()
-        else:
-            ar = np.arange(self.ring.card, dtype=np.int64)
-            self._idem_mask = self.ring.mul_vec(ar, ar) == ar
+        if self._idem_mask is None:
+            mask = self._factor_mask("idem_mask")
+            if mask is None:
+                ar = np.arange(self.ring.card, dtype=np.int64)
+                mask = self.ring.mul_vec(ar, ar) == ar
+            self._idem_mask = mask
         return self._idem_mask
 
     @property
@@ -207,20 +214,13 @@ class RingData:
         nil and contains every nil left ideal (Lam, *A First Course in
         Noncommutative Rings*, §4), so only the nilpotents are candidates,
         all tested together by ``_left_quasi_regular``."""
-        if self._jac_mask is not None:
-            return self._jac_mask
-        ring = self.ring
-        parts = ring.factors()
-        if parts is not None:
-            left, right = parts
-            lj = ring_data(left).jacobson_mask
-            rj = ring_data(right).jacobson_mask
-            self._jac_mask = (lj[:, None] & rj[None, :]).ravel()
-            return self._jac_mask
-        mask = np.zeros(ring.card, dtype=bool)
-        mask[self._left_quasi_regular(np.flatnonzero(self.nil_mask))] = True
-        self._jac_mask = mask
-        return mask
+        if self._jac_mask is None:
+            mask = self._factor_mask("jacobson_mask")
+            if mask is None:
+                mask = np.zeros(self.ring.card, dtype=bool)
+                mask[self._left_quasi_regular(np.flatnonzero(self.nil_mask))] = True
+            self._jac_mask = mask
+        return self._jac_mask
 
     def left_quasi_regular(self, x: int) -> bool:
         """Whether 1 - r*x is a unit for every r, that is x lies in J; only
@@ -251,23 +251,17 @@ class RingData:
         """Z(R) as the elements commuting with every additive generator:
         [x, r] is additive in r, so that is 2k ``mul_vec`` calls of at most
         card products, k = ``len(additive_generators(ring))``."""
-        if self._center_mask is not None:
-            return self._center_mask
-        ring = self.ring
-        parts = ring.factors()
-        if parts is not None:
-            left, right = parts
-            lc = ring_data(left).center_mask
-            rc = ring_data(right).center_mask
-            self._center_mask = (lc[:, None] & rc[None, :]).ravel()
-            return self._center_mask
-        cand = np.arange(ring.card, dtype=np.int64)
-        for g in additive_generators(ring):
-            cand = cand[ring.mul_vec(cand, g) == ring.mul_vec(g, cand)]
-        mask = np.zeros(ring.card, dtype=bool)
-        mask[cand] = True
-        self._center_mask = mask
-        return mask
+        if self._center_mask is None:
+            mask = self._factor_mask("center_mask")
+            if mask is None:
+                ring = self.ring
+                cand = np.arange(ring.card, dtype=np.int64)
+                for g in additive_generators(ring):
+                    cand = cand[ring.mul_vec(cand, g) == ring.mul_vec(g, cand)]
+                mask = np.zeros(ring.card, dtype=bool)
+                mask[cand] = True
+            self._center_mask = mask
+        return self._center_mask
 
     # -- clean-family witness engine ------------------------------------------
     def witness_ranks(self, nil: bool) -> WitnessRanks:

@@ -1,7 +1,9 @@
 """The vectorised arithmetic of every construction against plain integer
-arithmetic mod n, its contract on empty inputs, and the impulse closure
+arithmetic mod n (over a non-commutative base, against the base ring's own
+scalar operations), its contract on empty inputs, and the impulse closure
 check of pattern rings against an exhaustive scan."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -111,12 +113,65 @@ def digitwise_add(n, k):
     return lambda a, b: index([x + y for x, y in zip(digits(a, n, k), digits(b, n, k))], n)
 
 
+def over_base(base):
+    """Scalar ``mul`` and ``add`` of a base ring, memoised: the oracles below
+    compose a digit ring's product from them, so the factor order of every
+    base product shows when the base is not commutative."""
+    return functools.cache(base.mul), functools.cache(base.add)
+
+
+def te_mul_over(base):
+    mul, add = over_base(base)
+    n = base.card
+
+    def oracle(a, b):
+        (r, m), (s, t) = divmod(a, n), divmod(b, n)
+        return mul(r, s) * n + add(mul(r, t), mul(m, s))
+
+    return oracle
+
+
+def group_ring_mul_over(base, group_mul, order):
+    mul, add = over_base(base)
+    n = base.card
+
+    def oracle(a, b):
+        ca, cb = digits(a, n, order)[::-1], digits(b, n, order)[::-1]
+        out = [base.zero] * order
+        for g, h in itertools.product(range(order), repeat=2):
+            out[group_mul(g, h)] = add(out[group_mul(g, h)], mul(ca[g], cb[h]))
+        return index(out[::-1], n)
+
+    return oracle
+
+
+def matrix_mul_over(base, k):
+    """Product in M(k, base), entries row-major, (0,0) most significant."""
+    mul, add = over_base(base)
+    n = base.card
+
+    def oracle(a, b):
+        A, B = digits(a, n, k * k), digits(b, n, k * k)
+        entry = lambda i, j: functools.reduce(add, (mul(A[i * k + l], B[l * k + j]) for l in range(k)))
+        return index([entry(i, j) for i in range(k) for j in range(k)], n)
+
+    return oracle
+
+
+def digitwise_add_over(base, k):
+    _, add = over_base(base)
+    n = base.card
+    return lambda a, b: index([add(x, y) for x, y in zip(digits(a, n, k), digits(b, n, k))], n)
+
+
 def te_double_classes():
     diag = tuple((i, i) for i in range(4))
     return [diag, ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3),)]
 
 
 Z12 = rl.zmod(12)
+#: not commutative, so a digit ring over it sees a swapped factor order
+T2Z2 = rl.build("T(2,Z(2))")
 
 #: ring, plain mul over integers, plain add over integers
 CASES = {
@@ -162,6 +217,13 @@ CASES = {
         product_mul(mod(4), te_mul(2), 4),
         product_mul(lambda a, b: (a + b) % 4, digitwise_add(2, 2), 4),
     ),
+    "TE(T(2,Z(2)))": (rl.build("TE(T(2,Z(2)))"), te_mul_over(T2Z2), digitwise_add_over(T2Z2, 2)),
+    "GR(T(2,Z(2)),C(2))": (
+        rl.build("GR(T(2,Z(2)),C(2))"),
+        group_ring_mul_over(T2Z2, lambda g, h: (g + h) % 2, 2),
+        digitwise_add_over(T2Z2, 2),
+    ),
+    "M(2,T(2,Z(2)))": (rl.build("M(2,T(2,Z(2)))"), matrix_mul_over(T2Z2, 2), digitwise_add_over(T2Z2, 4)),
     "Z(12)/(4)": (
         rl.quotient_by_ideal(Z12, rl.ideal_generated(Z12, [4])),
         mod(4),

@@ -232,6 +232,18 @@ def test_cache_hit_is_byte_identical(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == [entry]  # no temporary file left
 
 
+def test_classify_parses_its_expression_once(capsys, tmp_path, monkeypatch):
+    """A cache miss parses once: the cache key and the build read the same
+    parsed expression."""
+    texts = []
+    parse = cli.parse
+    monkeypatch.setattr(cli, "parse", lambda text: texts.append(text) or parse(text))
+    code, out, _ = run_cli(capsys, "classify", "M(2,Z(3))", "--json", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["expression"] == "M(2,Z(3))"
+    assert texts == ["M(2,Z(3))"]
+
+
 def test_cache_corruption_is_ignored(capsys, tmp_path):
     args = ("classify", "Z(6)", "--json", "--cache-dir", str(tmp_path))
     run_cli(capsys, *args)
