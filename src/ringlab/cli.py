@@ -1,14 +1,19 @@
 """Command-line front end: classify rings, inspect elements, run the
 verification harness, list the catalog.
 
-Exit codes: 0 success (classification truth is data, not exit status),
-1 harness failures, 2 bad input (parse error, failed construction
-precondition, unparsable environment setting), 3 guard exceeded.
+Exit codes, mapped from the library's exceptions in ``main`` alone: 0
+success (classification truth is data, not exit status), 1 harness
+failures, 2 bad input (parse error, failed construction precondition,
+unparsable environment setting), 3 guard exceeded; each error is one
+stderr line.  The result cache is best effort: a directory or entry that
+cannot be written leaves the request uncached, with one stderr line.
+JSON records are the records' own fields (``vars``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -144,7 +149,6 @@ def _cache_entry(args, key: str) -> tuple[Path, str] | None:
     raw = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     if raw is None:
         return None
-    Path(raw).mkdir(parents=True, exist_ok=True)
     key = f"{_source_digest()} {key}"
     return Path(raw) / f"{hashlib.sha256(key.encode()).hexdigest()}.json", key
 
@@ -161,25 +165,21 @@ def _cache_lookup(path: Path, key: str) -> str | None:
 
 def _cache_store(path: Path, key: str, payload: str) -> None:
     """Write to a temporary file and rename it into place, so that a reader
-    sees either no entry or a whole one."""
+    sees either no entry or a whole one; an entry that cannot be written
+    leaves the request uncached."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps({"key": key, "payload": payload}), encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(json.dumps({"key": key, "payload": payload}), encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"result not cached: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _witness_dict(w: dec.Witness | None) -> dict | None:
-    if w is None:
-        return None
-    return {
-        "sign": w.sign,
-        "idempotent": w.idempotent,
-        "rest": w.rest,
-        "commuting": w.commuting,
-    }
 
 
 def _classify_payload(expr: RingExpr, key: str, args) -> str:
@@ -216,7 +216,7 @@ def _classify_payload(expr: RingExpr, key: str, args) -> str:
                 rows = []
                 for a in range(ring.card):
                     ok, w = predicate(ring, a)
-                    rows.append({"element": a, "holds": ok, "witness": _witness_dict(w)})
+                    rows.append({"element": a, "holds": ok, "witness": w and vars(w)})
                 witnesses[kind] = rows
         else:
             witnesses["note"] = (
@@ -228,20 +228,12 @@ def _classify_payload(expr: RingExpr, key: str, args) -> str:
 
 
 def cmd_classify(args) -> int:
-    try:
-        expr = parse(args.expression)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    expr = parse(args.expression)
     key = canonical(expr)
     cache = _cache_entry(args, key + (":witness" if args.witness else ""))
     payload = _cache_lookup(*cache) if cache else None
     if payload is None:
-        try:
-            payload = _classify_payload(expr, key, args)
-        except GuardError as exc:
-            print(str(exc), file=sys.stderr)
-            return 3
+        payload = _classify_payload(expr, key, args)
         if cache:
             _cache_store(*cache, payload)
     if args.json:
@@ -278,16 +270,8 @@ def _print_classify_text(report: dict, args) -> None:
 
 
 def cmd_element(args) -> int:
-    try:
-        expr = parse(args.expression)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ring = maybe_memoize(build(expr, max_card=args.max_card))
-    except GuardError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
+    expr = parse(args.expression)
+    ring = maybe_memoize(build(expr, max_card=args.max_card))
     a = args.index
     if not 0 <= a < ring.card:
         print(f"element index {a} out of range for card {ring.card}", file=sys.stderr)
@@ -309,7 +293,7 @@ def cmd_element(args) -> int:
     }
     for kind, predicate in dec.ELEMENT_PREDICATES.items():
         ok, w = predicate(ring, a)
-        payload["predicates"][kind] = {"holds": ok, "witness": _witness_dict(w)}
+        payload["predicates"][kind] = {"holds": ok, "witness": w and vars(w)}
     if args.json:
         print(_dump(payload))
         return 0
@@ -347,15 +331,7 @@ def cmd_verify(args) -> int:
                 "failed": summary.failed,
                 "skipped": summary.skipped,
             },
-            "results": [
-                {
-                    "id": r.id,
-                    "status": r.status,
-                    "description": r.description,
-                    "details": r.details,
-                }
-                for r in summary.results
-            ],
+            "results": [vars(r) for r in summary.results],
         }
         print(_dump(payload))
     else:
@@ -371,15 +347,8 @@ def cmd_verify(args) -> int:
 def cmd_catalog(args) -> int:
     entries = verify_mod.catalog()
     if args.json:
-        payload = [
-            {
-                "id": e.id,
-                "expression": e.expression,
-                "expected": {k: v for k, v in e.expected},
-                "source": e.source,
-            }
-            for e in entries
-        ]
+        # ``expected`` is a tuple of (flag, value) pairs, an object in JSON
+        payload = [{**vars(e), "expected": dict(e.expected)} for e in entries]
         print(_dump(payload))
         return 0
     for e in entries:
@@ -436,9 +405,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
     except (ConstructionError, SettingError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
+    except GuardError as exc:
+        print(exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

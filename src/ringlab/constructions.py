@@ -187,7 +187,7 @@ class MatrixRing(_DigitRing):
         self.base = base
         self.classes = tuple(tuple(cls) for cls in classes)
         self.ndigits = len(self.classes)
-        self.card = check_guard(base.card**self.ndigits, max_card)
+        self.card = check_guard(base.card, max_card, exponent=self.ndigits)
         self.label = label
         k = self.size = 1 + max(max(c) for cls in self.classes for c in cls)
         self._reps = [cls[0] for cls in self.classes]
@@ -256,6 +256,7 @@ def matrix_ring(k: int, base: Ring, max_card: int | None = None) -> MatrixRing:
     """Full ``k x k`` matrix ring over a base ring."""
     if k < 1:
         raise ConstructionError(f"matrix size must be >= 1, got {k}")
+    check_guard(base.card, max_card, exponent=k * k)  # before the k*k classes
     return MatrixRing(base, _full_classes(k), f"M({k},{base.label})", max_card=max_card)
 
 
@@ -369,23 +370,13 @@ def double_extension_pattern() -> Pattern:
     return Pattern(4, (diag, ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3),)), "DT")
 
 
+#: family -> its one- and two-argument patterns, such as S(2), S(2,2),
+#: Tb(2,2), U(3); the parser rejects a family or an arity not listed here
 _BUILTIN_PATTERNS = {
     "S": (s_pattern, s_nm_pattern),
     "Tb": (None, t_nm_pattern),
     "U": (u_pattern, None),
 }
-
-
-def builtin_pattern(name: str, args: tuple[int, ...]) -> Pattern:
-    """Resolve a built-in pattern name such as S(2), S(2,2), Tb(2,2), U(3)."""
-    if name not in _BUILTIN_PATTERNS:
-        raise ConstructionError(f"unknown pattern family {name!r}")
-    one_arg, two_arg = _BUILTIN_PATTERNS[name]
-    if len(args) == 1 and one_arg is not None:
-        return one_arg(args[0])
-    if len(args) == 2 and two_arg is not None:
-        return two_arg(args[0], args[1])
-    raise ConstructionError(f"pattern {name} does not take {len(args)} argument(s)")
 
 
 def pattern_subring(pattern: Pattern, base: Ring, max_card: int | None = None) -> MatrixRing:
@@ -398,6 +389,7 @@ def pattern_subring(pattern: Pattern, base: Ring, max_card: int | None = None) -
 def upper_triangular(k: int, base: Ring, max_card: int | None = None) -> MatrixRing:
     if k < 1:
         raise ConstructionError(f"matrix size must be >= 1, got {k}")
+    check_guard(base.card, max_card, exponent=k * (k + 1) // 2)  # before the classes
     return MatrixRing(
         base, upper_triangular_pattern(k).classes, f"T({k},{base.label})", max_card=max_card
     )
@@ -426,6 +418,7 @@ def formal_matrix(n: int, s: int, base: Ring, max_card: int | None = None) -> Ma
     if n < 2:
         raise ConstructionError(f"formal matrix size must be >= 2, got {n}")
     powers = [base.one, _central_twist(base, s), base.mul(s, s)]
+    check_guard(base.card, max_card, exponent=n * n)  # before the n*n classes
     return MatrixRing(
         base,
         _full_classes(n),
@@ -504,7 +497,7 @@ class TrivialExtension(_DigitRing):
 
     def __init__(self, base: Ring, max_card: int | None = None) -> None:
         self.base = base
-        self.card = check_guard(base.card * base.card, max_card)
+        self.card = check_guard(base.card, max_card, exponent=2)
         self.zero = base.zero * base.card + base.zero
         self.one = base.one * base.card + base.zero
         self.label = f"TE({base.label})"
@@ -547,7 +540,7 @@ class PolyQuotient(_DigitRing):
         self.base = base
         self.modulus = modulus
         self.degree = self.ndigits = len(modulus) - 1
-        self.card = check_guard(base.card**self.degree, max_card)
+        self.card = check_guard(base.card, max_card, exponent=self.degree)
         self.zero = 0
         self.one = base.one  # constant-term digit is least significant
         poly = "[" + ",".join(str(c) for c in modulus) + "]"
@@ -640,7 +633,7 @@ def gf(p: int, k: int, max_card: int | None = None) -> PolyQuotient:
         raise ConstructionError(f"{p} is not prime")
     if not 1 <= k <= 4:
         raise ConstructionError(f"extension degree must be in 1..4, got {k}")
-    card = check_guard(p**k, max_card)
+    card = check_guard(p, max_card, exponent=k)
     base = Zmod(p)
     modulus = None
     for t in range(card):
@@ -741,7 +734,7 @@ class GroupRing(_DigitRing):
         self.base = base
         self.group = group
         self.ndigits = group.order
-        self.card = check_guard(base.card**group.order, max_card)
+        self.card = check_guard(base.card, max_card, exponent=group.order)
         self.zero = 0
         self.one = base.one  # coefficient 1 at the identity g0
         self.label = f"GR({base.label},{group.label})"

@@ -27,9 +27,12 @@ MEMO_THRESHOLD_ENV = "RINGLAB_MEMO_THRESHOLD"
 
 
 class GuardError(ValueError):
-    """A construction or table would exceed the configured size guard."""
+    """A construction or table would exceed the configured size guard.
 
-    def __init__(self, required: int, limit: int, what: str = "card"):
+    ``required`` is the size, or the text ``base^exponent`` of a power of
+    2^100 or more, which ``check_guard`` refuses without forming it."""
+
+    def __init__(self, required: int | str, limit: int, what: str = "card"):
         self.required = required
         self.limit = limit
         self.what = what
@@ -62,12 +65,22 @@ def default_memo_threshold() -> int:
     return _env_int(MEMO_THRESHOLD_ENV, DEFAULT_MEMO_THRESHOLD)
 
 
-def check_guard(required: int, max_card: int | None, what: str = "card") -> int:
-    """Raise :class:`GuardError` when ``required`` exceeds the active guard."""
+def check_guard(
+    required: int, max_card: int | None, what: str = "card", exponent: int = 1
+) -> int:
+    """Return ``required**exponent``, or raise :class:`GuardError` when it
+    exceeds the active guard.  The power is at least 2**bits, so it is
+    refused unformed once bits reaches the guard's bit length; from 2^100 on
+    (above 10^30) the message writes it as a power."""
     limit = default_max_card() if max_card is None else max_card
-    if required > limit:
-        raise GuardError(required, limit, what)
-    return required
+    bits = exponent * (required.bit_length() - 1)
+    if bits < max(limit.bit_length(), 100):
+        power = required**exponent
+        if power <= limit:
+            return power
+        if bits < 100:
+            raise GuardError(power, limit, what)
+    raise GuardError(required if exponent == 1 else f"{required}^{exponent}", limit, what)
 
 
 def _as_index_array(xs) -> np.ndarray:

@@ -215,7 +215,7 @@ _CONSTRUCTORS = {
         PatExpr,
         (_PATTERN, _RING),
         lambda name, args, ring, max_card: cons.pattern_subring(
-            cons.builtin_pattern(name, args), ring, max_card
+            cons._BUILTIN_PATTERNS[name][len(args) - 1](*args), ring, max_card
         ),
     ),
 }
@@ -251,7 +251,11 @@ class _Parser:
         return tok
 
     def nat(self) -> int:
-        return int(self.take("NAT").value)
+        tok = self.take("NAT")
+        try:
+            return int(tok.value)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(tok.offset, f"number of {len(tok.value)} digits is too long") from None
 
     def ring(self) -> RingExpr:
         node = self.atom()

@@ -29,8 +29,8 @@ masks and ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -498,10 +498,19 @@ def wedderburn_fingerprint(ring: Ring) -> WedderburnFingerprint:
 # classical predicates
 
 
+STRUCTURAL_NOTES = (
+    "semilocal: every finite ring is artinian, hence semilocal",
+    "two_primal: the prime radical is identified with the Jacobson radical, "
+    "valid for finite rings where J is nilpotent",
+)
+
+
 @dataclass(frozen=True)
 class StructuralFlags:
     """Record of classical ring-theoretic predicates; ``structural_predicates``
-    says which follow from finite-ring identities and which are scanned."""
+    says which follow from finite-ring identities and which are scanned.
+    The unit-shape flags uu, wuu and uwnc are report flags
+    (``decompositions.REPORT_FLAGS``), decided there with counterexamples."""
 
     commutative: bool
     local: bool
@@ -519,30 +528,10 @@ class StructuralFlags:
     strongly_pi_regular: bool
     semisimple: bool
     semilocal: bool
-    uu: bool
-    wuu: bool
-    uwnc: bool
-    notes: tuple[str, ...] = field(default=())
+    notes: ClassVar[tuple[str, ...]] = STRUCTURAL_NOTES
 
     def as_dict(self) -> dict[str, bool]:
-        d = {
-            k: getattr(self, k)
-            for k in (
-                "commutative", "local", "abelian", "reduced", "boolean",
-                "ni", "nr", "two_primal", "regular", "strongly_regular",
-                "exchange", "weakly_exchange", "semipotent",
-                "strongly_pi_regular", "semisimple", "semilocal",
-                "uu", "wuu", "uwnc",
-            )
-        }
-        return d
-
-
-STRUCTURAL_NOTES = (
-    "semilocal: every finite ring is artinian, hence semilocal",
-    "two_primal: the prime radical is identified with the Jacobson radical, "
-    "valid for finite rings where J is nilpotent",
-)
+        return dict(vars(self))
 
 
 #: the commutativity decider under its record name; it lives in ``core``
@@ -623,29 +612,6 @@ def is_strongly_pi_regular(ring: Ring) -> bool:
     return True
 
 
-def is_uu(ring: Ring) -> bool:
-    """Units are unipotent: U(R) inside 1 + Nil(R)."""
-    data = ring_data(ring)
-    uidx = np.flatnonzero(data.unit_mask)
-    return bool(data.nil_mask[ring.sub_vec(uidx, ring.one)].all())
-
-
-def is_wuu(ring: Ring) -> bool:
-    """U(R) equals Nil(R) +- 1 as sets."""
-    data = ring_data(ring)
-    nidx = np.flatnonzero(data.nil_mask)
-    mask = np.zeros(ring.card, dtype=bool)
-    mask[ring.add_vec(nidx, ring.one)] = True
-    mask[ring.sub_vec(nidx, ring.one)] = True
-    return bool(np.array_equal(mask, data.unit_mask))
-
-
-def is_uwnc(ring: Ring) -> bool:
-    """Every unit is weakly nil-clean."""
-    data = ring_data(ring)
-    return bool(data.decomposes("weakly_nil_clean")[data.unit_mask].all())
-
-
 def structural_predicates(ring: Ring) -> StructuralFlags:
     """Decide every classical predicate of a finite ring.  A finite ring is
     artinian, hence semiperfect and strongly pi-regular with J nilpotent, so
@@ -677,8 +643,4 @@ def structural_predicates(ring: Ring) -> StructuralFlags:
         strongly_pi_regular=True,
         semisimple=semisimple,
         semilocal=True,
-        uu=is_uu(ring),
-        wuu=is_wuu(ring),
-        uwnc=is_uwnc(ring),
-        notes=STRUCTURAL_NOTES,
     )

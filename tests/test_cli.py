@@ -118,6 +118,63 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, argv, env):
     assert "Traceback" not in err
 
 
+_RING_START = "(expected Z, GF, M, T, TE, PQ, FM, GR, MODJ, PAT, ()"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("classify", "M(2,"), 2, f"parse error: at offset 4: expected a ring expression {_RING_START}"),
+        (("element", "M(2,", "0"), 2, f"parse error: at offset 4: expected a ring expression {_RING_START}"),
+        # a literal longer than int() converts
+        (("classify", f"Z({'9' * 5000})"), 2, "parse error: at offset 2: number of 5000 digits is too long"),
+        (("element", f"M({'1' * 5000},Z(2))", "0"), 2, "parse error: at offset 2: number of 5000 digits is too long"),
+        (("classify", "GF(4,1)"), 2, "bad input: 4 is not prime"),
+        (("element", "FM(2,7,Z(4))", "0"), 2, "bad input: twist 7 is not an element of Z(4)"),
+        (("element", "Z(4)", "4"), 2, "element index 4 out of range for card 4"),
+        (("classify", "M(3,Z(5))"), 3, "card 1953125 exceeds guard 200000"),
+        (("element", "M(3,Z(5))", "0"), 3, "card 1953125 exceeds guard 200000"),
+        # cards of 2^100 and more are written as powers, never formed
+        (("classify", "M(300,Z(2))"), 3, "card 2^90000 exceeds guard 200000"),
+        (("element", "M(300,Z(2))", "0"), 3, "card 2^90000 exceeds guard 200000"),
+        (("classify", "M(3000,Z(2))"), 3, "card 2^9000000 exceeds guard 200000"),
+        (("classify", "T(3000,Z(2))"), 3, "card 2^4501500 exceeds guard 200000"),
+        (("classify", f"PQ(Z(2),[{'0,' * 20000}1])"), 3, "card 2^20000 exceeds guard 200000"),
+    ],
+)
+def test_exit_codes_through_main(capsys, argv, code, message):
+    """``main`` maps every library error to its exit code and one stderr
+    line; it returns, never raises."""
+    assert run_cli(capsys, *argv) == (code, "", message + "\n")
+
+
+def without_timings(out):
+    payload = json.loads(out)
+    payload.pop("timings")
+    return payload
+
+
+def test_unusable_cache_dir_leaves_the_request_uncached(capsys, tmp_path):
+    _, plain, _ = run_cli(capsys, "classify", "Z(6)", "--json")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "classify", "Z(6)", "--json", "--cache-dir", str(blocker / "x"))
+    assert code == 0
+    assert without_timings(out) == without_timings(plain)
+    assert err.startswith("result not cached: ") and err.count("\n") == 1
+    # an entry path that cannot be replaced: a miss, recomputed, not stored
+    cache = tmp_path / "cache"
+    run_cli(capsys, "classify", "Z(6)", "--json", "--cache-dir", str(cache))
+    [entry] = cache_entries(cache)
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run_cli(capsys, "classify", "Z(6)", "--json", "--cache-dir", str(cache))
+    assert code == 0
+    assert without_timings(out) == without_timings(plain)
+    assert err.startswith("result not cached: ") and err.count("\n") == 1
+    assert list(cache.iterdir()) == [entry] and entry.is_dir()  # no temporary file left
+
+
 def test_classify_witness_flag(capsys):
     code, out, _ = run_cli(capsys, "classify", "Z(6)", "--json", "--witness")
     report = json.loads(out)

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 import ringlab as rl
-from ringlab import structure
+from ringlab import constructions as cons, structure
 from ringlab.constructions import Pattern, decode_digits
 from ringlab.core import ConstructionError
 from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
@@ -79,6 +79,45 @@ def test_matrix_ring_guard():
     assert small.card == 16
     with pytest.raises(rl.GuardError):
         rl.matrix_ring(2, rl.zmod(2), max_card=15)
+
+
+@pytest.mark.parametrize(
+    "expr, required",
+    [
+        ("M(3000,Z(2))", "2^9000000"),
+        ("T(3000,Z(2))", "2^4501500"),
+        ("FM(3000,1,Z(2))", "2^9000000"),
+        # an exponent at the guard's bit length, below 10^30: still exact
+        ("M(5,Z(2))", 2**25),
+        ("T(6,Z(2))", 2**21),
+        ("FM(5,1,Z(2))", 2**25),
+    ],
+)
+def test_matrix_guards_refuse_before_building_classes(monkeypatch, expr, required):
+    def unreachable(k):
+        raise AssertionError(f"coordinate classes of size {k} built over the guard")
+
+    monkeypatch.setattr(cons, "_full_classes", unreachable)
+    monkeypatch.setattr(cons, "upper_triangular_pattern", unreachable)
+    with pytest.raises(rl.GuardError) as err:
+        rl.build(expr)
+    assert err.value.required == required
+    assert str(err.value) == f"card {required} exceeds guard 200000"
+
+
+def test_guard_writes_huge_powers_without_forming_them():
+    # base**exponent at or above 2**100 is written as a power
+    with pytest.raises(rl.GuardError, match=r"^card 2\^90000 exceeds guard 200000$"):
+        rl.build("M(300,Z(2))")
+    degree = 20000
+    with pytest.raises(rl.GuardError, match=r"^card 2\^20000 exceeds guard 200000$"):
+        rl.build(f"PQ(Z(2),[{'0,' * degree}1])")
+    # below 2**100 the card is exact, however far above the guard
+    with pytest.raises(rl.GuardError) as err:
+        rl.build("M(9,Z(2))")
+    assert err.value.required == 2**81
+    # a raised guard compares the formed power
+    assert rl.build("M(3,Z(4))", max_card=2**18).card == 4**9
 
 
 def test_upper_triangular_cards_and_radical():

@@ -247,6 +247,9 @@ PARSE_ERRORS = [
     ("M(2,Z(3))é", 9, "trailing input 'é'", ("EOF",)),
     ("GF(2;3)", 4, "unexpected character ';'", ()),
     ("Z(²)", 2, "unexpected character '²'", ()),
+    # a literal longer than int() converts
+    (f"Z({'9' * 5000})", 2, "number of 5000 digits is too long", ()),
+    (f"PQ(Z(2),[1,{'1' * 5000}])", 11, "number of 5000 digits is too long", ()),
 ]
 
 #: text, then its canonical text: every constructor, with extra spaces

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import ringlab as rl
 from ringlab import structure
 from ringlab.core import additive_generators, additive_span
+from ringlab.decompositions import REPORT_FLAGS
 from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
 
 from conftest import (
@@ -170,9 +173,10 @@ def test_two_primal_is_radical_equals_nilpotents():
 
 def test_structural_predicate_examples(z6, m2z2):
     z2 = rl.structural_predicates(rl.zmod(2))
-    assert z2.boolean and z2.local and z2.uu
+    assert z2.boolean and z2.local and rl.ring_flag(rl.zmod(2), "uu")
     m = rl.structural_predicates(m2z2)
-    assert not m.abelian and not m.uu  # GL_2(F_2) has an element of order 3
+    # GL_2(F_2) has an element of order 3
+    assert not m.abelian and not rl.ring_flag(m2z2, "uu")
     s6 = rl.structural_predicates(z6)
     assert s6.reduced and s6.regular and not s6.local
     assert s6.semilocal and any("semilocal" in note for note in s6.notes)
@@ -181,13 +185,20 @@ def test_structural_predicate_examples(z6, m2z2):
 def test_structural_record_shape(z6):
     flags = rl.structural_predicates(z6)
     d = flags.as_dict()
-    assert set(d) >= {
+    assert set(d) == {
         "commutative", "local", "abelian", "reduced", "boolean", "ni", "nr",
         "two_primal", "regular", "strongly_regular", "exchange",
         "weakly_exchange", "semipotent", "strongly_pi_regular", "semisimple",
-        "semilocal", "uu", "wuu", "uwnc",
+        "semilocal",
     }
     assert all(isinstance(v, bool) for v in d.values())
+    # the unit-shape flags are decided once, as report flags
+    assert {"uu", "wuu", "uwnc"} <= set(REPORT_FLAGS)
+    assert not {f.name for f in dataclasses.fields(rl.StructuralFlags)} & set(REPORT_FLAGS)
+    report = rl.classify(z6)
+    assert {name: report.flags[name] for name in ("uu", "wuu", "uwnc")} == {
+        "uu": False, "wuu": True, "uwnc": True,
+    }
 
 
 @pytest.mark.parametrize(
