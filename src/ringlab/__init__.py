@@ -45,10 +45,8 @@ from .structure import (
     is_nil_subset,
     jacobson,
     mod_j,
-    nilpotency_index,
     nilpotents,
     structural_predicates,
-    unit_inverses,
     units,
     wedderburn_fingerprint,
 )
@@ -65,7 +63,6 @@ from .decompositions import (
     elem_is_weakly_nil_clean,
     flag_counterexample,
     gwnc,
-    gwnc_witness,
     ring_flag,
     validate_witness,
 )

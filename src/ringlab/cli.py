@@ -360,17 +360,14 @@ def cmd_catalog(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """``--json`` and ``--max-card``, which classify, element and verify
+    read; catalog reads only ``--json`` and classify alone the cache."""
     parser.add_argument("--json", action="store_true", help="structured output")
     parser.add_argument(
         "--max-card",
         type=int,
         default=None,
         help="construction guard (default RINGLAB_MAX_CARD or 200000)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result cache directory (default RINGLAB_CACHE_DIR; unset disables)",
     )
 
 
@@ -385,6 +382,11 @@ def main(argv=None) -> int:
     p.add_argument("expression")
     p.add_argument("--witness", action="store_true", help="include decomposition witnesses")
     _add_common(p)
+    p.add_argument(
+        "--cache-dir",
+        default=None,
+        help="result cache directory (default RINGLAB_CACHE_DIR; unset disables)",
+    )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("element", help="per-element predicates and witnesses")
@@ -399,7 +401,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", help="list the named ring catalog")
-    _add_common(p)
+    p.add_argument("--json", action="store_true", help="structured output")
     p.set_defaults(func=cmd_catalog)
 
     args = parser.parse_args(argv)

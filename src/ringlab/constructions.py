@@ -28,7 +28,6 @@ enumeration so that element literals are stable across runs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -629,11 +628,12 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
 def gf(p: int, k: int, max_card: int | None = None) -> PolyQuotient:
     """Field of order ``p**k`` as the quotient by the lexicographically
     smallest monic irreducible of degree ``k`` over ``Z(p)``."""
-    if not _is_prime(p):
-        raise ConstructionError(f"{p} is not prime")
     if not 1 <= k <= 4:
         raise ConstructionError(f"extension degree must be in 1..4, got {k}")
+    # the guard bounds the trial division of the primality test
     card = check_guard(p, max_card, exponent=k)
+    if not _is_prime(p):
+        raise ConstructionError(f"{p} is not prime")
     base = Zmod(p)
     modulus = None
     for t in range(card):
@@ -674,23 +674,13 @@ class FiniteGroup:
         for a in range(n):
             if not np.array_equal(table[table[a]], table[a][table]):
                 raise ConstructionError(f"Cayley table is not associative (a={a})")
-        inv = np.full(n, -1, dtype=np.int64)
         for a in range(n):
             hits = np.flatnonzero(table[a] == 0)
             if len(hits) != 1 or table[int(hits[0]), a] != 0:
                 raise ConstructionError(f"element {a} lacks a two-sided inverse")
-            inv[a] = hits[0]
         self.order = n
         self.table = table
-        self.identity = 0
         self.label = label
-        self._inv = inv
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self._inv[a])
 
     @property
     def is_abelian(self) -> bool:
@@ -744,16 +734,6 @@ class GroupRing(_DigitRing):
             for j in range(group.order):
                 terms[group.table[i, j]].append((i, j, base.one))
         self._little_endian_terms(terms)
-
-    def _augment(self, xs) -> np.ndarray:
-        """Coefficient sums, the images under the map onto the base ring."""
-        return reduce(self.base.add_vec, decode_digits(xs, self.base.card, self.ndigits).T)
-
-    def augmentation(self, a: int) -> int:
-        return int(self._augment(self._check(a))[0])
-
-    def augmentation_ideal(self) -> Subset:
-        return Subset(self, self._augment(np.arange(self.card)) == self.base.zero)
 
     def format_element(self, a: int) -> str:
         terms = []

@@ -194,16 +194,6 @@ class PropertyReport:
     counterexamples: dict[str, int]
     structural: StructuralFlags
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "card": self.card,
-            "flags": dict(self.flags),
-            "counterexamples": dict(self.counterexamples),
-            "structural": self.structural.as_dict(),
-            "notes": list(self.structural.notes),
-        }
-
 
 class RingAnalysis:
     """Lazily computed ring-level flags with deterministic counterexamples.
@@ -300,9 +290,3 @@ def gwnc(ring: Ring) -> tuple[bool, int | None]:
     analysis = _analysis(ring)
     holds = analysis.flag("gwnc")
     return holds, analysis.counterexample("gwnc")
-
-
-def gwnc_witness(ring: Ring, a: int) -> Witness | None:
-    """Deterministic weakly-nil-clean witness for one element, or None."""
-    ok, w = elem_is_weakly_nil_clean(ring, a)
-    return w if ok else None

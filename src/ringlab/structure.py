@@ -11,8 +11,7 @@ every element walks its powers, all of them in one array with walks that
 double per round, and stops at the first power whose status is known or
 that lies below it in index order and walks itself.  Only the least
 element of an orbit walks all of it, so a cyclic unit group of order q
-costs about card * log(card) products, not q * card.  Inverses follow
-from where each unit's walk stopped.
+costs about card * log(card) products, not q * card.
 
 The center and commutativity are decided on the additive generators of
 ``core.additive_generators`` (at most log2(card) of them), because the
@@ -23,8 +22,8 @@ nilpotents are tested for left quasi-regularity.
 The witness ranks of the clean families come from a sign pass, one
 addition per (target, idempotent) pair and ``minus`` read off ``plus`` at
 the negatives, and a commuting pass with the products, which runs only
-when a strongly kind asks for it.  Direct products combine their factors'
-masks and ranks.
+when a strongly kind asks for it.  A direct product reads its status,
+masks and ranks off its factors' through one rule, ``RingData._product``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .core import Ring, Subset, additive_generators, is_nilpotent, ring_is_commutative
+from .core import Ring, Subset, additive_generators, ring_is_commutative
 from .constructions import QuotientRing, quotient_by_ideal
 
 _UNKNOWN, _UNIT, _NILPOTENT, _NEITHER = 0, 1, 2, 3
@@ -74,32 +73,35 @@ class RingData:
     def __init__(self, ring: Ring) -> None:
         self.ring = ring
         self._status: np.ndarray | None = None
-        self._inverses: np.ndarray | None = None
         self._idem_mask: np.ndarray | None = None
+        self._idem_indices: np.ndarray | None = None
         self._jac_mask: np.ndarray | None = None
         self._center_mask: np.ndarray | None = None
-        #: (a**(j-1), a**j) per element a whose power walk stopped at a**j
-        self._stops: tuple[np.ndarray, np.ndarray] | None = None
         self._ranks: dict[bool, WitnessRanks] = {}
         self._strong: dict[bool, np.ndarray] = {}
+
+    def _product(self, read, combine=np.logical_and) -> np.ndarray | None:
+        """For a direct product L x R, ``combine`` of the arrays ``read``
+        gives on L's data, a column, and on R's, a row, flat so that the
+        pair (l, r) sits at index l * |R| + r.  None when the ring is no
+        direct product."""
+        parts = self.ring.factors()
+        if parts is None:
+            return None
+        left, right = (read(ring_data(p)) for p in parts)
+        return combine(left[:, None], right[None, :]).ravel()
 
     # -- unit / nilpotent pass ----------------------------------------------
     def _orbit_status(self) -> np.ndarray:
         if self._status is not None:
             return self._status
+        # a pair is a unit, or nilpotent, exactly when both parts are
+        self._status = self._product(
+            RingData._orbit_status, lambda l, r: np.where(l == r, l, _NEITHER)
+        )
+        if self._status is not None:
+            return self._status
         ring = self.ring
-        parts = ring.factors()
-        if parts is not None:
-            left, right = parts
-            ls = ring_data(left)._orbit_status()
-            rs = ring_data(right)._orbit_status()
-            lu, ru = ls == _UNIT, rs == _UNIT
-            ln, rn = ls == _NILPOTENT, rs == _NILPOTENT
-            status = np.full(ring.card, _NEITHER, dtype=np.int8)
-            status[(lu[:, None] & ru[None, :]).ravel()] = _UNIT
-            status[(ln[:, None] & rn[None, :]).ravel()] = _NILPOTENT
-            self._status = status
-            return status
         status = np.zeros(ring.card, dtype=np.int8)
         # the powers of a share its status and hold exactly one idempotent:
         # one for a unit, zero for a nilpotent and another one for neither
@@ -109,12 +111,10 @@ class RingData:
         # so every other element a walks its powers until one has a status
         # or lies below a in index order; that power walks itself and a
         # waits on it, so only the least element of an orbit walks all of
-        # it.  Walks double per round: a**(k+1..2k) = a**k * a**(1..k).
-        # Where the walk of a stops at t = a**j, ``stop_at`` keeps t and
-        # ``before`` a**(j-1), the two factors of a**-1 = a**(j-1) * t**-1.
+        # it.  Walks double per round: a**(k+1..2k) = a**k * a**(1..k), and
+        # ``stop_at`` keeps the power where the walk of a stopped.
         a = np.flatnonzero(status == _UNKNOWN)
         powers = a[:, None]
-        before = np.empty(ring.card, dtype=np.int64)
         stop_at = np.empty(ring.card, dtype=np.int64)
         while len(a):
             n, k = powers.shape
@@ -123,19 +123,15 @@ class RingData:
             done = stop.any(axis=1)
             at = stop[done].argmax(axis=1)
             stopped, t = a[done], block[done, at]
-            powers = np.concatenate((powers, block), axis=1)
             status[stopped] = status[t]
             stop_at[stopped] = t
-            before[stopped] = powers[done, k + at - 1]
-            a, powers = a[~done], powers[~done]
-        self._stops = (before, stop_at)
+            a, powers = a[~done], np.concatenate((powers[~done], block[~done]), axis=1)
         waiting = np.flatnonzero(status == _UNKNOWN)
-        waits_on = stop_at.copy()
         while len(waiting):
-            found = status[waits_on[waiting]]
+            found = status[stop_at[waiting]]
             status[waiting] = found
             waiting = waiting[found == _UNKNOWN]
-            waits_on[waiting] = waits_on[waits_on[waiting]]
+            stop_at[waiting] = stop_at[stop_at[waiting]]
         self._status = status
         return status
 
@@ -148,56 +144,9 @@ class RingData:
         return self._orbit_status() == _NILPOTENT
 
     @property
-    def inverses(self) -> np.ndarray:
-        """Index of the inverse per unit, -1 elsewhere."""
-        if self._inverses is not None:
-            return self._inverses
-        ring = self.ring
-        parts = ring.factors()
-        if parts is not None:
-            left, right = parts
-            li = ring_data(left).inverses
-            ri = ring_data(right).inverses
-            inv = np.where(
-                (li[:, None] >= 0) & (ri[None, :] >= 0),
-                li[:, None] * right.card + ri[None, :],
-                -1,
-            ).ravel()
-            self._inverses = inv
-            return inv
-        # the walk of a unit a in the status pass stopped at a power t =
-        # a**j, so a**-1 = a**(j-1) * t**-1, where t is one or a unit that
-        # walked too; a round folds the next step of each chain into a's
-        units = np.flatnonzero(self.unit_mask)
-        factor, link = self._stops
-        self._stops = None
-        inv = np.full(ring.card, -1, dtype=np.int64)
-        inv[ring.one] = ring.one
-        waiting = units[units != ring.one]
-        while len(waiting):
-            target = link[waiting]
-            ready = inv[target] >= 0
-            inv[waiting[ready]] = ring.mul_vec(factor[waiting[ready]], inv[target[ready]])
-            waiting, target = waiting[~ready], target[~ready]
-            factor[waiting] = ring.mul_vec(factor[waiting], factor[target])
-            link[waiting] = link[target]
-        self._inverses = inv
-        return inv
-
-    def _factor_mask(self, prop: str) -> np.ndarray | None:
-        """The mask ``prop`` of a direct product L x R read off its factors':
-        the pair (l, r), index l * |R| + r, is in it when both are.  None
-        when the ring is no direct product."""
-        parts = self.ring.factors()
-        if parts is None:
-            return None
-        left, right = (getattr(ring_data(p), prop) for p in parts)
-        return (left[:, None] & right[None, :]).ravel()
-
-    @property
     def idem_mask(self) -> np.ndarray:
         if self._idem_mask is None:
-            mask = self._factor_mask("idem_mask")
+            mask = self._product(lambda d: d.idem_mask)
             if mask is None:
                 ar = np.arange(self.ring.card, dtype=np.int64)
                 mask = self.ring.mul_vec(ar, ar) == ar
@@ -206,7 +155,11 @@ class RingData:
 
     @property
     def idem_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.idem_mask)
+        """The idempotents ascending; the witness code reads their count and
+        ranks on every call, so they are kept."""
+        if self._idem_indices is None:
+            self._idem_indices = np.flatnonzero(self.idem_mask)
+        return self._idem_indices
 
     @property
     def jacobson_mask(self) -> np.ndarray:
@@ -215,7 +168,7 @@ class RingData:
         Noncommutative Rings*, §4), so only the nilpotents are candidates,
         all tested together by ``_left_quasi_regular``."""
         if self._jac_mask is None:
-            mask = self._factor_mask("jacobson_mask")
+            mask = self._product(lambda d: d.jacobson_mask)
             if mask is None:
                 mask = np.zeros(self.ring.card, dtype=bool)
                 mask[self._left_quasi_regular(np.flatnonzero(self.nil_mask))] = True
@@ -252,7 +205,7 @@ class RingData:
         [x, r] is additive in r, so that is 2k ``mul_vec`` calls of at most
         card products, k = ``len(additive_generators(ring))``."""
         if self._center_mask is None:
-            mask = self._factor_mask("center_mask")
+            mask = self._product(lambda d: d.center_mask)
             if mask is None:
                 ring = self.ring
                 cand = np.arange(ring.card, dtype=np.int64)
@@ -323,12 +276,23 @@ def _target_pairs(data: RingData, nil: bool):
         yield targets[t], idem[rank], rank
 
 
-def _combine_ranks(l: np.ndarray, r: np.ndarray, lm: int, rm: int) -> np.ndarray:
-    """Ranks of a direct product from its factors' (``lm`` and ``rm`` their
-    |Id|): (a, b) decomposes with e = (f, g) exactly when a does with f and
-    b with g, so the first such e has rank ``l*rm + r``."""
-    hit = (l < lm)[:, None] & (r < rm)[None, :]
-    return np.where(hit, l[:, None] * rm + r[None, :], lm * rm).ravel()
+def _product_ranks(data: RingData, ranks_of) -> np.ndarray | None:
+    """The ranks of a direct product L x R from the ranks ``ranks_of`` gives
+    on its factors: (a, b) decomposes with e = (f, g) exactly when a does
+    with f and b with g, and the pairs ascend as (rank f, rank g) do, so
+    the first such e has rank ``l * |Id(R)| + r``, or ``|Id(L)| * |Id(R)|``
+    where none does.  None when the ring is no direct product."""
+    sizes = []  # |Id(L)|, |Id(R)|, as ``_product`` reads L, then R
+
+    def read(factor: RingData) -> np.ndarray:
+        sizes.append(len(factor.idem_indices))
+        return ranks_of(factor)
+
+    def combine(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+        lm, rm = sizes
+        return np.where((l < lm) & (r < rm), l * rm + r, lm * rm)
+
+    return data._product(read, combine)
 
 
 def _sign_ranks(data: RingData, nil: bool) -> WitnessRanks:
@@ -340,15 +304,11 @@ def _sign_ranks(data: RingData, nil: bool) -> WitnessRanks:
     ``plus`` read at -a, one ``neg_vec`` over the carrier.  A direct
     product combines its factors' ranks sign by sign."""
     ring = data.ring
-    parts = ring.factors()
-    if parts is not None:
-        lr, rr = (ring_data(p).witness_ranks(nil) for p in parts)
-        return WitnessRanks(
-            _combine_ranks(lr.plus, rr.plus, lr.missing, rr.missing),
-            _combine_ranks(lr.minus, rr.minus, lr.missing, rr.missing),
-            lr.missing * rr.missing,
-        )
     missing = len(data.idem_indices)
+    plus = _product_ranks(data, lambda d: d.witness_ranks(nil).plus)
+    if plus is not None:
+        minus = _product_ranks(data, lambda d: d.witness_ranks(nil).minus)
+        return WitnessRanks(plus, minus, missing)
     plus = np.full(ring.card, missing, dtype=np.int64)
     for r, e, rank in _target_pairs(data, nil):
         np.minimum.at(plus, ring.add_vec(r, e), rank)
@@ -361,13 +321,10 @@ def _strong_ranks(data: RingData, nil: bool) -> np.ndarray:
     with r*e = e*r.  Ranks ascend from chunk to chunk, so an element that
     already has a commuting witness keeps it: commutation is tested only
     for the others.  A direct product combines its factors' ranks."""
+    strong = _product_ranks(data, lambda d: d.strong_ranks(nil))
+    if strong is not None:
+        return strong
     ring = data.ring
-    parts = ring.factors()
-    if parts is not None:
-        l, r = (ring_data(p) for p in parts)
-        return _combine_ranks(
-            l.strong_ranks(nil), r.strong_ranks(nil), len(l.idem_indices), len(r.idem_indices)
-        )
     missing = len(data.idem_indices)
     strong = np.full(ring.card, missing, dtype=np.int64)
     for r, e, rank in _target_pairs(data, nil):
@@ -387,11 +344,6 @@ def units(ring: Ring) -> Subset:
     """All elements with a two-sided inverse (one-sided suffices in a
     finite ring: ab = 1 forces ba = 1)."""
     return Subset(ring, ring_data(ring).unit_mask.copy())
-
-
-def unit_inverses(ring: Ring) -> np.ndarray:
-    """Inverse index per element, -1 for non-units."""
-    return ring_data(ring).inverses.copy()
 
 
 def nilpotents(ring: Ring) -> Subset:
@@ -414,11 +366,6 @@ def is_nil_subset(ring: Ring, subset: Subset) -> bool:
     if subset.ring is not ring:
         raise ValueError("subset belongs to a different ring")
     return bool(np.all(~subset.mask | ring_data(ring).nil_mask))
-
-
-def nilpotency_index(ring: Ring, a: int) -> int | None:
-    ok, k = is_nilpotent(ring, a)
-    return k if ok else None
 
 
 def mod_j(ring: Ring) -> QuotientRing:

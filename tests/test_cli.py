@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -140,12 +141,19 @@ _RING_START = "(expected Z, GF, M, T, TE, PQ, FM, GR, MODJ, PAT, ()"
         (("classify", "M(3000,Z(2))"), 3, "card 2^9000000 exceeds guard 200000"),
         (("classify", "T(3000,Z(2))"), 3, "card 2^4501500 exceeds guard 200000"),
         (("classify", f"PQ(Z(2),[{'0,' * 20000}1])"), 3, "card 2^20000 exceeds guard 200000"),
+        # the guard comes before the primality test, so it bounds its trial
+        # division, and a non-prime above the guard is refused by the guard
+        (("classify", "GF(10000000000000061,1)"), 3, "card 10000000000000061 exceeds guard 200000"),
+        (("classify", "GF(1000000,1)"), 3, "card 1000000 exceeds guard 200000"),
     ],
 )
 def test_exit_codes_through_main(capsys, argv, code, message):
     """``main`` maps every library error to its exit code and one stderr
-    line; it returns, never raises."""
+    line; it returns, never raises, and none of these inputs does work
+    before it is refused."""
+    start = time.perf_counter()
     assert run_cli(capsys, *argv) == (code, "", message + "\n")
+    assert time.perf_counter() - start < 5
 
 
 def without_timings(out):
@@ -341,6 +349,25 @@ def test_cache_misses_after_source_edit(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert "stale" not in out
     assert len(cache_entries(tmp_path)) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("element", "Z(4)", "1", "--cache-dir", "x"),
+        ("verify", "--only", "L-2.2", "--cache-dir", "x"),
+        ("catalog", "--cache-dir", "x"),
+        ("catalog", "--max-card", "10"),
+    ],
+)
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    """Each command registers only the options it reads."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert "Traceback" not in err
 
 
 def test_threads_flag_is_rejected(capsys):

@@ -6,7 +6,7 @@ import sympy
 
 import ringlab as rl
 from ringlab import constructions as cons, structure
-from ringlab.constructions import Pattern, decode_digits
+from ringlab.constructions import Pattern
 from ringlab.core import ConstructionError
 from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
 
@@ -268,18 +268,6 @@ def test_group_ring():
     z2c3 = rl.group_ring(rl.zmod(2), rl.cyclic_group(3))
     assert len(oracle_units(z2c3)) == 3
     assert len(rl.units(z2c3)) == 3
-
-
-def test_augmentation():
-    rg = rl.group_ring(rl.zmod(2), rl.cyclic_group(2))
-    delta = rg.augmentation_ideal()
-    assert len(delta) == 2  # {0, g0 + g1}
-    assert rl.is_nil_subset(rg, delta)
-    for a in rg.elements():
-        total = rg.augmentation(a)
-        assert total == sum(
-            int(c) for c in decode_digits(np.array([a]), 2, 2)[0]
-        ) % 2
 
 
 def test_ideal_generated(z12):

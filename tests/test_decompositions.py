@@ -199,10 +199,10 @@ def test_gwnc_examples():
 
 
 def test_gwnc_witness(z6):
-    w = rl.gwnc_witness(z6, 2)
-    assert w is not None
+    ok, w = rl.elem_is_weakly_nil_clean(z6, 2)
+    assert ok and w is not None
     rl.validate_witness(z6, 2, "weakly_nil_clean", w)
-    assert rl.gwnc_witness(rl.zmod(5), 2) is None
+    assert rl.elem_is_weakly_nil_clean(rl.zmod(5), 2) == (False, None)
 
 
 def test_diagram_edges_hold_in_reports():
@@ -282,6 +282,8 @@ RANK_EXPRS = sorted(
     | set(AXIOM_SUITE_EXTRAS)
     | set(LADDER_RUNGS)
     | {"M(2,Z(2)) x Z(4)", "T(2,Z(4)) x Z(3)", "Z(6) x T(2,Z(3))"}
+    # nested products: the factors' ranks combine at both levels
+    | {"(Z(2) x Z(3)) x Z(4)", "T(2,Z(2)) x (Z(3) x Z(4))"}
 )
 
 
