@@ -28,7 +28,7 @@ from .core import ConstructionError, GuardError, SettingError
 from .core import is_nilpotent, maybe_memoize
 from . import decompositions as dec
 from . import structure
-from .dsl import ParseError, RingExpr, build, canonical, parse
+from .dsl import ParseError, Term, build, canonical, parse
 from . import verify as verify_mod
 
 CACHE_DIR_ENV = "RINGLAB_CACHE_DIR"
@@ -182,7 +182,7 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _classify_payload(expr: RingExpr, key: str, args) -> str:
+def _classify_payload(expr: Term, key: str, args) -> str:
     t0 = time.perf_counter()
     ring = build(expr, max_card=args.max_card)
     ring = maybe_memoize(ring)

@@ -370,11 +370,12 @@ def double_extension_pattern() -> Pattern:
 
 
 #: family -> its one- and two-argument patterns, such as S(2), S(2,2),
-#: Tb(2,2), U(3); the parser rejects a family or an arity not listed here
+#: Tb(2,2), U(3), each with its class count; the parser rejects a family or
+#: an arity not listed here
 _BUILTIN_PATTERNS = {
-    "S": (s_pattern, s_nm_pattern),
-    "Tb": (None, t_nm_pattern),
-    "U": (u_pattern, None),
+    "S": ((s_pattern, lambda n: 1 + n * (n - 1) // 2), (s_nm_pattern, lambda n, m: n * m)),
+    "Tb": (None, (t_nm_pattern, lambda n, m: n + m - 1)),
+    "U": ((u_pattern, lambda n: 2 * n - 2), None),
 }
 
 
@@ -383,6 +384,17 @@ def pattern_subring(pattern: Pattern, base: Ring, max_card: int | None = None) -
     return MatrixRing(
         base, pattern.classes, f"PAT({pattern.name},{base.label})", max_card=max_card
     )
+
+
+def builtin_pattern_subring(
+    frame: tuple[str, tuple[int, ...]], base: Ring, max_card: int | None = None
+) -> MatrixRing:
+    """``pattern_subring`` of a built-in frame, given as its family and
+    naturals, such as ``("S", (2, 2))``."""
+    family, naturals = frame
+    pattern, classes = _BUILTIN_PATTERNS[family][len(naturals) - 1]
+    check_guard(base.card, max_card, exponent=classes(*naturals))  # before the coordinates
+    return pattern_subring(pattern(*naturals), base, max_card)
 
 
 def upper_triangular(k: int, base: Ring, max_card: int | None = None) -> MatrixRing:

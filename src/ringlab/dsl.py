@@ -9,12 +9,14 @@ associates left)::
     poly    := "[" nat { "," nat } "]"
     pattern := NAME "(" nat [ "," nat ] ")"
 
-Each constructor NAME is one row of ``_CONSTRUCTORS`` (ring atoms) or
-``_GROUP_ATOMS``: its node class, its argument kinds in field order and its
-builder, which takes the fields in that order.  Parsing, ``canonical`` and
-``build`` read the row; only the ``x`` products and the pattern argument
-(a family of ``constructions._BUILTIN_PATTERNS`` and its naturals) are
-special.
+Every node of a parsed expression is a :class:`Term`: a constructor NAME
+and its fields.  Each NAME is one row of ``_CONSTRUCTORS`` (ring atoms) or
+``_GROUP_ATOMS``: its argument kinds in field order and its builder, which
+takes the fields in that order.  Parsing, ``canonical`` and ``build`` find
+the row by the term's name, so a new constructor is one new row; only the
+``x`` products are special, terms named ``"x"`` with two factors.  A
+pattern argument is one field, a family of
+``constructions._BUILTIN_PATTERNS`` and its naturals.
 
 Polynomial literals are ascending-degree coefficient lists of base-ring
 element indices and must be monic; the ``s`` literal of ``FM`` is a
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .core import Ring
 from . import constructions as cons
 from . import structure
 
@@ -46,89 +47,18 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # abstract syntax
 
-
-class RingExpr:
-    pass
-
-
-class GroupExpr:
-    pass
+# the name of a product term, as it is written
+_PRODUCT = "x"
 
 
 @dataclass(frozen=True)
-class ZExpr(RingExpr):
-    n: int
+class Term:
+    """One node of an expression: a constructor's row key and its fields in
+    row order, where a ring or group argument is a term and a pattern is
+    ``(family, naturals)``; or a product, named ``"x"``, of two terms."""
 
-
-@dataclass(frozen=True)
-class GFExpr(RingExpr):
-    p: int
-    k: int
-
-
-@dataclass(frozen=True)
-class MatExpr(RingExpr):
-    size: int
-    ring: RingExpr
-
-
-@dataclass(frozen=True)
-class TriExpr(RingExpr):
-    size: int
-    ring: RingExpr
-
-
-@dataclass(frozen=True)
-class TEExpr(RingExpr):
-    ring: RingExpr
-
-
-@dataclass(frozen=True)
-class PQExpr(RingExpr):
-    ring: RingExpr
-    poly: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FMExpr(RingExpr):
-    size: int
-    s: int
-    ring: RingExpr
-
-
-@dataclass(frozen=True)
-class GRExpr(RingExpr):
-    ring: RingExpr
-    group: GroupExpr
-
-
-@dataclass(frozen=True)
-class ModJExpr(RingExpr):
-    ring: RingExpr
-
-
-@dataclass(frozen=True)
-class PatExpr(RingExpr):
     name: str
-    args: tuple[int, ...]
-    ring: RingExpr
-
-
-@dataclass(frozen=True)
-class ProductExpr(RingExpr):
-    left: RingExpr
-    right: RingExpr
-
-
-@dataclass(frozen=True)
-class CyclicExpr(GroupExpr):
-    n: int
-
-
-@dataclass(frozen=True)
-class GroupProductExpr(GroupExpr):
-    left: GroupExpr
-    right: GroupExpr
+    args: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -188,43 +118,34 @@ class _Nat(NamedTuple):
     noun: str
 
 
-# the other argument kinds, each named after the parser method that reads
-# it; a pattern argument fills two fields, its family and its naturals
+# the other argument kinds, each named after the parser method that reads it
 _RING, _GROUP, _POLY, _PATTERN = "ring", "group", "poly", "pattern"
 
 
 class _Row(NamedTuple):
-    node: type
     kinds: tuple  # one per argument, in field order
     builder: Callable  # builder(*fields, max_card), sub-expressions built
 
 
 _CONSTRUCTORS = {
-    "Z": _Row(ZExpr, (_Nat(2, "modulus"),), cons.zmod),
-    "GF": _Row(GFExpr, (_Nat(2, "field characteristic"), _Nat(1, "extension degree")), cons.gf),
-    "M": _Row(MatExpr, (_Nat(1, "matrix size"), _RING), cons.matrix_ring),
-    "T": _Row(TriExpr, (_Nat(1, "matrix size"), _RING), cons.upper_triangular),
-    "TE": _Row(TEExpr, (_RING,), cons.trivial_extension),
-    "PQ": _Row(PQExpr, (_RING, _POLY), cons.poly_quot),
+    "Z": _Row((_Nat(2, "modulus"),), cons.zmod),
+    "GF": _Row((_Nat(2, "field characteristic"), _Nat(1, "extension degree")), cons.gf),
+    "M": _Row((_Nat(1, "matrix size"), _RING), cons.matrix_ring),
+    "T": _Row((_Nat(1, "matrix size"), _RING), cons.upper_triangular),
+    "TE": _Row((_RING,), cons.trivial_extension),
+    "PQ": _Row((_RING, _POLY), cons.poly_quot),
     "FM": _Row(
-        FMExpr, (_Nat(2, "formal matrix size"), _Nat(0, "twist index"), _RING), cons.formal_matrix
+        (_Nat(2, "formal matrix size"), _Nat(0, "twist index"), _RING), cons.formal_matrix
     ),
-    "GR": _Row(GRExpr, (_RING, _GROUP), cons.group_ring),
-    "MODJ": _Row(ModJExpr, (_RING,), lambda ring, max_card: structure.mod_j(ring)),
-    "PAT": _Row(
-        PatExpr,
-        (_PATTERN, _RING),
-        lambda name, args, ring, max_card: cons.pattern_subring(
-            cons._BUILTIN_PATTERNS[name][len(args) - 1](*args), ring, max_card
-        ),
-    ),
+    "GR": _Row((_RING, _GROUP), cons.group_ring),
+    "MODJ": _Row((_RING,), lambda ring, max_card: structure.mod_j(ring)),
+    "PAT": _Row((_PATTERN, _RING), cons.builtin_pattern_subring),
 }
 _GROUP_ATOMS = {
-    "C": _Row(
-        CyclicExpr, (_Nat(1, "cyclic group order"),), lambda n, max_card: cons.cyclic_group(n)
-    ),
+    "C": _Row((_Nat(1, "cyclic group order"),), lambda n, max_card: cons.cyclic_group(n)),
 }
-_ROW_OF = {row.node: (name, row) for name, row in (_CONSTRUCTORS | _GROUP_ATOMS).items()}
+# the rows of a ring argument and of a group argument
+_TABLES = {_RING: _CONSTRUCTORS, _GROUP: _GROUP_ATOMS}
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +178,20 @@ class _Parser:
         except ValueError:  # more digits than int() converts
             raise ParseError(tok.offset, f"number of {len(tok.value)} digits is too long") from None
 
-    def ring(self) -> RingExpr:
-        node = self.atom()
+    def ring(self) -> Term:
+        return self.product(self.atom)
+
+    def group(self) -> Term:
+        return self.product(lambda: self.call(_GROUP_ATOMS, "group constructor"))
+
+    def product(self, atom: Callable[[], Term]) -> Term:
+        node = atom()
         while self.peek().kind == "X":
             self.take("X")
-            node = ProductExpr(node, self.atom())
+            node = Term(_PRODUCT, (node, atom()))
         return node
 
-    def atom(self) -> RingExpr:
+    def atom(self) -> Term:
         tok = self.peek()
         if tok.kind == "LPAREN":
             self.take("LPAREN")
@@ -279,14 +206,7 @@ class _Parser:
             )
         return self.call(_CONSTRUCTORS, "constructor")
 
-    def group(self) -> GroupExpr:
-        node = self.call(_GROUP_ATOMS, "group constructor")
-        while self.peek().kind == "X":
-            self.take("X")
-            node = GroupProductExpr(node, self.call(_GROUP_ATOMS, "group constructor"))
-        return node
-
-    def call(self, table: dict[str, _Row], noun: str):
+    def call(self, table: dict[str, _Row], noun: str) -> Term:
         """One constructor and its arguments, read as its row says."""
         tok = self.take("NAME")
         row = table.get(tok.value)
@@ -302,12 +222,10 @@ class _Parser:
                 if n < kind.least:
                     raise ParseError(tok.offset, f"{kind.noun} must be >= {kind.least}, got {n}")
                 fields.append(n)
-            elif kind is _PATTERN:
-                fields.extend(self.pattern())
             else:
                 fields.append(getattr(self, kind)())
         self.take("RPAREN")
-        return row.node(*fields)
+        return Term(tok.value, tuple(fields))
 
     def pattern(self) -> tuple[str, tuple[int, ...]]:
         tok = self.take("NAME")
@@ -343,7 +261,7 @@ class _Parser:
         return tuple(coeffs)
 
 
-def parse(text: str) -> RingExpr:
+def parse(text: str) -> Term:
     """Parse a ring expression; raises :class:`ParseError` with position."""
     parser = _Parser(text)
     node = parser.ring()
@@ -357,46 +275,44 @@ def parse(text: str) -> RingExpr:
 # canonical text
 
 
-def canonical(expr: RingExpr | GroupExpr) -> str:
-    """Stable fully parenthesized rendering; ``parse(canonical(e)) == e``."""
-    if isinstance(expr, ProductExpr):
-        return f"({canonical(expr.left)} x {canonical(expr.right)})"
-    if isinstance(expr, GroupProductExpr):
+def canonical(expr: Term, kind: str = _RING) -> str:
+    """Stable fully parenthesized rendering; ``parse(canonical(e)) == e``.
+    ``kind`` names the table of ``expr``'s row: ``_GROUP`` for a group
+    argument."""
+    if expr.name == _PRODUCT:
+        left, right = (canonical(e, kind) for e in expr.args)
         # group atoms cannot nest in parens, so group products stay flat
-        return f"{canonical(expr.left)} x {canonical(expr.right)}"
-    name, row = _ROW_OF[type(expr)]
-    fields = iter(vars(expr).values())
-    args = []
-    for kind in row.kinds:
-        value = next(fields)
-        if kind is _RING or kind is _GROUP:
-            value = canonical(value)
-        elif kind is _POLY:
-            value = "[" + ",".join(map(str, value)) + "]"
-        elif kind is _PATTERN:
-            value = f"{value}({','.join(map(str, next(fields)))})"
-        args.append(str(value))
-    return f"{name}({','.join(args)})"
+        return f"({left} x {right})" if kind is _RING else f"{left} x {right}"
+    kinds = _TABLES[kind][expr.name].kinds
+    return f"{expr.name}({','.join(map(_field_text, kinds, expr.args))})"
+
+
+def _field_text(kind, value) -> str:
+    if kind in _TABLES:
+        return canonical(value, kind)
+    if kind is _POLY:
+        return f"[{','.join(map(str, value))}]"
+    if kind is _PATTERN:
+        family, naturals = value
+        return f"{family}({','.join(map(str, naturals))})"
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def build(expr: RingExpr | GroupExpr | str, max_card: int | None = None):
-    """Evaluate an expression (or its text) under the card guard: its row's
-    builder on its fields, sub-expressions built first.  A group expression
-    gives its ``FiniteGroup``."""
+def build(expr: Term | str, max_card: int | None = None, kind: str = _RING):
+    """Evaluate a ring expression (or its text) under the card guard: its
+    row's builder on its fields, sub-expressions built first.  ``kind``
+    names the table of ``expr``'s row, as in :func:`canonical`."""
     if isinstance(expr, str):
         expr = parse(expr)
-    if isinstance(expr, ProductExpr):
-        return cons.direct_product(
-            build(expr.left, max_card), build(expr.right, max_card), max_card=max_card
-        )
-    if isinstance(expr, GroupProductExpr):
-        return cons.group_product(build(expr.left), build(expr.right))
-    args = [
-        build(v, max_card) if isinstance(v, (RingExpr, GroupExpr)) else v
-        for v in vars(expr).values()
-    ]
-    return _ROW_OF[type(expr)][1].builder(*args, max_card)
+    if expr.name == _PRODUCT:
+        left, right = (build(e, max_card, kind) for e in expr.args)
+        if kind is _GROUP:
+            return cons.group_product(left, right)
+        return cons.direct_product(left, right, max_card=max_card)
+    row = _TABLES[kind][expr.name]
+    args = [build(v, max_card, k) if k in _TABLES else v for k, v in zip(row.kinds, expr.args)]
+    return row.builder(*args, max_card)

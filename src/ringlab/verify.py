@@ -28,7 +28,7 @@ from .core import (
 from . import constructions as cons
 from . import decompositions as dec
 from . import structure
-from .dsl import RingExpr, build, canonical, parse
+from .dsl import Term, build, canonical, parse
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,9 @@ class VerifyContext:
             default_memo_threshold() if memo_threshold is None else memo_threshold
         )
         self._rings: dict[str, Ring] = {}  # keyed by canonical text
-        self._parsed: dict[str, tuple[str, RingExpr]] = {}
+        self._parsed: dict[str, tuple[str, Term]] = {}
 
-    def parsed(self, text: str) -> tuple[str, RingExpr]:
+    def parsed(self, text: str) -> tuple[str, Term]:
         """Canonical text and expression of a ring text, parsed once per run."""
         hit = self._parsed.get(text)
         if hit is None:

@@ -5,17 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import ringlab as rl
-from ringlab.dsl import (
-    CyclicExpr,
-    GFExpr,
-    GRExpr,
-    MatExpr,
-    PQExpr,
-    ProductExpr,
-    TEExpr,
-    TriExpr,
-    ZExpr,
-)
+from ringlab.dsl import Term
 
 
 @pytest.fixture(scope="session")
@@ -471,26 +461,46 @@ def direct_tables(ring):
     )
 
 
+def term_of(name, *args):
+    """The term ``name(args)``, fields in row order; ``"x"`` is a product."""
+    return Term(name, args)
+
+
+def _terms(name, *fields):
+    """Terms named ``name`` with one field drawn from each strategy."""
+    return st.tuples(*fields).map(lambda args: Term(name, args))
+
+
+_CYCLIC = _terms("C", st.integers(1, 5))
+_PATTERNS = st.one_of(
+    st.tuples(st.sampled_from(["S", "U"]), st.tuples(st.integers(2, 4))),
+    st.tuples(st.sampled_from(["S", "Tb"]), st.tuples(st.integers(2, 3), st.integers(2, 3))),
+)
+
+
 @st.composite
 def ring_expr_strategy(draw, depth=2):
+    """Ring terms with ``depth`` constructors above a ``Z`` or ``GF`` leaf:
+    every row of ``dsl._CONSTRUCTORS`` and ``dsl._GROUP_ATOMS``, ring
+    products and group products.  An ``FM`` twist is 0 or 1, an element of
+    every base."""
     if depth == 0:
         return draw(
-            st.one_of(
-                st.integers(2, 12).map(ZExpr),
-                st.builds(GFExpr, st.sampled_from([2, 3, 5]), st.integers(1, 4)),
-            )
+            _terms("Z", st.integers(2, 12))
+            | _terms("GF", st.sampled_from([2, 3, 5]), st.integers(1, 4))
         )
-    inner = draw(ring_expr_strategy(depth=depth - 1))
-    choice = draw(st.integers(0, 5))
-    if choice == 0:
-        return MatExpr(draw(st.integers(1, 3)), inner)
-    if choice == 1:
-        return TEExpr(inner)
-    if choice == 2:
-        coeffs = tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=3))) + (1,)
-        return PQExpr(inner, coeffs)
-    if choice == 3:
-        return GRExpr(inner, CyclicExpr(draw(st.integers(1, 5))))
-    if choice == 4:
-        return ProductExpr(inner, draw(ring_expr_strategy(depth=0)))
-    return TriExpr(draw(st.integers(1, 3)), inner)
+    inner = ring_expr_strategy(depth=depth - 1)
+    coeffs = st.lists(st.integers(0, 9), min_size=1, max_size=3).map(lambda c: (*c, 1))
+    return draw(
+        st.one_of(
+            _terms("M", st.integers(1, 3), inner),
+            _terms("T", st.integers(1, 3), inner),
+            _terms("TE", inner),
+            _terms("PQ", inner, coeffs),
+            _terms("FM", st.integers(2, 3), st.integers(0, 1), inner),
+            _terms("GR", inner, _CYCLIC | _terms("x", _CYCLIC, _CYCLIC)),
+            _terms("MODJ", inner),
+            _terms("PAT", _PATTERNS, inner),
+            _terms("x", inner, ring_expr_strategy(depth=0)),
+        )
+    )

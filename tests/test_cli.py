@@ -145,6 +145,10 @@ _RING_START = "(expected Z, GF, M, T, TE, PQ, FM, GR, MODJ, PAT, ()"
         # division, and a non-prime above the guard is refused by the guard
         (("classify", "GF(10000000000000061,1)"), 3, "card 10000000000000061 exceeds guard 200000"),
         (("classify", "GF(1000000,1)"), 3, "card 1000000 exceeds guard 200000"),
+        # a pattern frame is refused on its class count, before it is listed
+        (("classify", "PAT(S(2000),Z(2))"), 3, "card 2^1999001 exceeds guard 200000"),
+        (("classify", "PAT(U(2000),Z(2))"), 3, "card 2^3998 exceeds guard 200000"),
+        (("classify", "PAT(Tb(1000,1000),Z(2))"), 3, "card 2^1999 exceeds guard 200000"),
     ],
 )
 def test_exit_codes_through_main(capsys, argv, code, message):

@@ -141,6 +141,30 @@ def test_u3_pattern_builds():
     assert ring.card == 16
 
 
+def test_builtin_pattern_class_counts_match_their_frames():
+    """``PAT`` checks the guard on a family's class count before it lists
+    the frame, so each count must be the frame's."""
+    for family, arities in cons._BUILTIN_PATTERNS.items():
+        for arity, entry in enumerate(arities, 1):
+            if entry is None:
+                continue
+            pattern, classes = entry
+            for naturals in itertools.product(range(2, 8), repeat=arity):
+                assert classes(*naturals) == len(pattern(*naturals).classes), (family, naturals)
+
+
+def test_builtin_pattern_guard_comes_before_the_frame(monkeypatch):
+    def refuse(*naturals):
+        raise AssertionError("the frame was listed")
+
+    for family, arities in list(cons._BUILTIN_PATTERNS.items()):
+        entries = tuple(entry and (refuse, entry[1]) for entry in arities)
+        monkeypatch.setitem(cons._BUILTIN_PATTERNS, family, entries)
+    for frame in [("S", (2000,)), ("S", (20, 20)), ("Tb", (1000, 1000)), ("U", (2000,))]:
+        with pytest.raises(rl.GuardError):
+            cons.builtin_pattern_subring(frame, rl.zmod(2))
+
+
 def test_pattern_closure_violation_names_a_witness():
     # Toeplitz superdiagonal inside a 3x3 frame with (0,2) forced to zero:
     # the square of such a matrix picks up b*b at (0,2).

@@ -1,48 +1,34 @@
-import random
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringlab as rl
-from ringlab.dsl import (
-    CyclicExpr,
-    FMExpr,
-    GFExpr,
-    GRExpr,
-    GroupProductExpr,
-    MatExpr,
-    ModJExpr,
-    ParseError,
-    PatExpr,
-    PQExpr,
-    ProductExpr,
-    TEExpr,
-    TriExpr,
-    ZExpr,
-    build,
-    canonical,
-    parse,
-)
+from ringlab import dsl
+from ringlab.dsl import ParseError, Term, build, canonical, parse
 
-from conftest import ring_expr_strategy
+from conftest import ring_expr_strategy, term_of
+
+
+def Z(n):
+    return term_of("Z", n)
 
 
 def test_parse_examples():
-    assert parse("M(2,Z(3))") == MatExpr(2, ZExpr(3))
-    assert parse("Z(2) x Z(3) x Z(3)") == ProductExpr(
-        ProductExpr(ZExpr(2), ZExpr(3)), ZExpr(3)
+    assert parse("M(2,Z(3))") == term_of("M", 2, Z(3))
+    assert parse("Z(2) x Z(3) x Z(3)") == term_of("x", term_of("x", Z(2), Z(3)), Z(3))
+    assert parse("GR(Z(2),C(2) x C(2))") == term_of(
+        "GR", Z(2), term_of("x", term_of("C", 2), term_of("C", 2))
     )
-    assert parse("GR(Z(2),C(2) x C(2))") == GRExpr(
-        ZExpr(2), GroupProductExpr(CyclicExpr(2), CyclicExpr(2))
-    )
-    assert parse("PAT(S(2,2),Z(3))") == PatExpr("S", (2, 2), ZExpr(3))
-    assert parse("PQ(Z(2),[0,0,1])") == PQExpr(ZExpr(2), (0, 0, 1))
-    assert parse("MODJ(Z(12))") == ModJExpr(ZExpr(12))
+    assert parse("PAT(S(2,2),Z(3))") == term_of("PAT", ("S", (2, 2)), Z(3))
+    assert parse("PQ(Z(2),[0,0,1])") == term_of("PQ", Z(2), (0, 0, 1))
+    assert parse("MODJ(Z(12))") == term_of("MODJ", Z(12))
+    # a term is not a tuple, such as a polynomial or a pattern field
+    assert parse("Z(3)") != ("Z", (3,))
 
 
 def test_whitespace_insensitive():
-    assert parse("Z( 6 )") == ZExpr(6)
+    assert parse("Z( 6 )") == Z(6)
     assert parse("Z(2)xZ(3)") == parse("Z(2) x Z(3)")
     assert parse(" M( 2 , Z(3) ) ") == parse("M(2,Z(3))")
 
@@ -89,56 +75,45 @@ def test_canonical_examples():
     assert canonical(parse("GR(Z(2),C(2) x C(2))")) == "GR(Z(2),C(2) x C(2))"
 
 
-def _random_ring_expr(rng, depth):
-    if depth == 0:
-        if rng.random() < 0.7:
-            return ZExpr(rng.randint(2, 12))
-        return GFExpr(rng.choice([2, 3, 5, 7]), rng.randint(1, 4))
-    inner = _random_ring_expr(rng, depth - 1)
-    pick = rng.randrange(9)
-    if pick == 0:
-        return MatExpr(rng.randint(1, 3), inner)
-    if pick == 1:
-        return TriExpr(rng.randint(1, 3), inner)
-    if pick == 2:
-        return TEExpr(inner)
-    if pick == 3:
-        coeffs = tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 3))) + (1,)
-        return PQExpr(inner, coeffs)
-    if pick == 4:
-        return FMExpr(rng.randint(2, 3), rng.randint(0, 9), inner)
-    if pick == 5:
-        grp = CyclicExpr(rng.randint(1, 6))
-        if rng.random() < 0.4:
-            grp = GroupProductExpr(grp, CyclicExpr(rng.randint(1, 4)))
-        return GRExpr(inner, grp)
-    if pick == 6:
-        return ModJExpr(inner)
-    if pick == 7:
-        name = rng.choice(["S", "Tb", "U"])
-        if name == "S":
-            args = (rng.randint(2, 4),) if rng.random() < 0.5 else (2, rng.randint(2, 4))
-        elif name == "Tb":
-            args = (2, rng.randint(2, 4))
-        else:
-            args = (rng.randint(2, 4),)
-        return PatExpr(name, args, inner)
-    return ProductExpr(inner, _random_ring_expr(rng, depth - 1))
-
-
-def test_roundtrip_on_1000_random_expressions():
-    rng = random.Random(20240811)
-    for _ in range(1000):
-        expr = _random_ring_expr(rng, rng.randint(0, 3))
-        text = canonical(expr)
-        assert parse(text) == expr
-        assert canonical(parse(text)) == text
-
-
-@given(ring_expr_strategy())
+@given(st.integers(0, 3).flatmap(lambda depth: ring_expr_strategy(depth=depth)))
 @settings(max_examples=200, deadline=None)
 def test_roundtrip_property(expr):
-    assert parse(canonical(expr)) == expr
+    text = canonical(expr)
+    assert parse(text) == expr
+    assert canonical(parse(text)) == text
+
+
+#: one canonical text per row of the constructor tables and the card it
+#: builds; the group atom ``C`` is read inside a group ring
+EVERY_ROW = {
+    "Z": ("Z(6)", 6),
+    "GF": ("GF(2,3)", 8),
+    "M": ("M(2,Z(2))", 16),
+    "T": ("T(2,Z(3))", 27),
+    "TE": ("TE(Z(4))", 16),
+    "PQ": ("PQ(Z(2),[1,1,1])", 4),
+    "FM": ("FM(2,1,Z(2))", 16),
+    "GR": ("GR(Z(2),C(2) x C(2))", 16),
+    "MODJ": ("MODJ(Z(12))", 6),
+    "PAT": ("PAT(S(2,2),Z(2))", 16),
+    "C": ("GR(Z(3),C(3))", 27),
+}
+
+
+def _names(term):
+    yield term.name
+    for arg in term.args:
+        if isinstance(arg, Term):
+            yield from _names(arg)
+
+
+def test_every_row_parses_renders_and_builds():
+    assert EVERY_ROW.keys() == dsl._CONSTRUCTORS.keys() | dsl._GROUP_ATOMS.keys()
+    for name, (text, card) in EVERY_ROW.items():
+        expr = parse(text)
+        assert name in _names(expr)
+        assert canonical(expr) == text
+        assert build(expr).card == card
 
 
 def test_build_examples():
