@@ -7,10 +7,14 @@ GNC/GSNC/GWNC, and the unit-shape conditions UU/WUU/UWNC.
 
 Witness tie-breaking is fixed everywhere: elements ascending, idempotents
 ascending, sign + before -, so reports are reproducible bit for bit.
-Element predicates, flags and counterexamples are all lookups into the
-witness ranks that ``structure.RingData`` computes once per ring and
-family (see ``RingData.witness_keys``), except the clean-family flags that
-hold on every finite ring (``FINITE_RING_IDENTITIES``).
+Element predicates are lookups into the witness ranks that
+``structure.RingData`` computes once per ring and family (see
+``RingData.witness_keys``).  The flags and counterexamples of the
+nil-clean, weakly nil-clean and GNC/GWNC/UWNC kinds read the same ranks.
+The strongly nil-clean kinds and UU/WUU read Nil(R) at a - a**2, a + a**2
+and a -+ 1 (``RingData.nil_at``), so no flag runs the commuting pass; it
+serves the strongly witnesses only.  The clean-family flags hold on every
+finite ring (``FINITE_RING_IDENTITIES``).
 
 The strongly-weakly variants hold for an element when it or its negative
 decomposes strongly; some authors instead ask for a commuting weakly
@@ -75,18 +79,23 @@ FINITE_RING_IDENTITIES = (
     "strongly_weakly_clean",
 )
 
-#: quantified flag -> (element kind, domain): the flag holds when every
-#: element of the domain decomposes; on "all or negative" it suffices that
-#: the element or its negative does
-_QUANTIFIED = {
-    "nil_clean": ("nil_clean", "all"),
-    "strongly_nil_clean": ("strongly_nil_clean", "all"),
-    "weakly_nil_clean": ("weakly_nil_clean", "all"),
-    "strongly_weakly_nil_clean": ("strongly_nil_clean", "all or negative"),
-    "gnc": ("nil_clean", "non-units"),
-    "gsnc": ("strongly_nil_clean", "non-units"),
-    "gwnc": ("weakly_nil_clean", "non-units"),
-    "uwnc": ("weakly_nil_clean", "units"),
+#: flag -> the mask of the elements that satisfy it: the flag holds when
+#: every element does, and its counterexample is the first that does not.
+#: A flag on the non-units or the units lets every other element pass
+_SATISFIED = {
+    "nil_clean": lambda d: d.decomposes("nil_clean"),
+    "strongly_nil_clean": lambda d: d.nil_at("a-a^2"),
+    "weakly_nil_clean": lambda d: d.decomposes("weakly_nil_clean"),
+    # a or -a is strongly nil-clean, -a exactly when a + a**2 is nilpotent
+    "strongly_weakly_nil_clean": lambda d: d.nil_at("a-a^2") | d.nil_at("a+a^2"),
+    "gnc": lambda d: d.decomposes("nil_clean") | d.unit_mask,
+    "gsnc": lambda d: d.nil_at("a-a^2") | d.unit_mask,
+    "gwnc": lambda d: d.decomposes("weakly_nil_clean") | d.unit_mask,
+    "uwnc": lambda d: d.decomposes("weakly_nil_clean") | ~d.unit_mask,
+    # every unit u has u - 1 nilpotent
+    "uu": lambda d: d.nil_at("a-1") | ~d.unit_mask,
+    # the units are exactly Nil(R) +- 1 (1 + q is a unit for q nilpotent)
+    "wuu": lambda d: (d.nil_at("a-1") | d.nil_at("a+1")) == d.unit_mask,
 }
 
 
@@ -198,8 +207,8 @@ class PropertyReport:
 class RingAnalysis:
     """Lazily computed ring-level flags with deterministic counterexamples.
 
-    Each quantified flag reads one mask of ``RingData.decomposes``, so the
-    lowest-index counterexample is the first failing element of its domain."""
+    Each flag reads one mask of ``_SATISFIED``, so the lowest-index
+    counterexample is the first failing element of its domain."""
 
     def __init__(self, ring: Ring) -> None:
         self.ring = ring
@@ -208,31 +217,13 @@ class RingAnalysis:
         self._cx: dict[str, int | None] = {}
 
     def _compute(self, name: str) -> bool:
-        ring = self.ring
-        data = self.data
-        everyone = np.arange(ring.card, dtype=np.int64)
         if name in FINITE_RING_IDENTITIES:
-            bad = np.zeros(ring.card, dtype=bool)
-        elif name in _QUANTIFIED:
-            kind, domain = _QUANTIFIED[name]
-            ok = data.decomposes(kind)
-            if domain == "all or negative":
-                ok = ok | ok[ring.neg_vec(everyone)]
-            elif domain == "non-units":
-                ok = ok | data.unit_mask
-            elif domain == "units":
-                ok = ok | ~data.unit_mask
-            bad = ~ok
-        elif name == "uu":  # a unit u with u - 1 not nilpotent
-            bad = data.unit_mask & ~data.nil_mask[ring.sub_vec(everyone, ring.one)]
-        elif name == "wuu":  # a unit outside Nil(R) +- 1, or a non-unit inside
-            near_one = data.nil_mask[ring.sub_vec(everyone, ring.one)]
-            near_one |= data.nil_mask[ring.add_vec(everyone, ring.one)]
-            bad = near_one != data.unit_mask
+            self._cx[name] = None
+        elif name in _SATISFIED:
+            failing = np.flatnonzero(~_SATISFIED[name](self.data))
+            self._cx[name] = int(failing[0]) if len(failing) else None
         else:
             raise ValueError(f"unknown flag {name!r}")
-        failing = np.flatnonzero(bad)
-        self._cx[name] = int(failing[0]) if len(failing) else None
         self._flags[name] = self._cx[name] is None
         return self._flags[name]
 

@@ -19,10 +19,16 @@ commutator [x, r] is additive in r.  J is nil and contains every nil left
 ideal (Lam, *A First Course in Noncommutative Rings*, §4), so only the
 nilpotents are tested for left quasi-regularity.
 
+The report flags that ask for commuting decompositions or for units
+near +-1 read Nil(R) at a fixed polynomial image of every element
+(``RingData.nil_at``): a is strongly nil-clean exactly when a - a**2 is
+nilpotent (Diesl 2013, *Nil clean rings*, J. Algebra 383), -a exactly when
+a + a**2 is, and a lies in Nil(R) +- 1 exactly when a -+ 1 is nilpotent.
+
 The witness ranks of the clean families come from a sign pass, one
 addition per (target, idempotent) pair and ``minus`` read off ``plus`` at
-the negatives, and a commuting pass with the products, which runs only
-when a strongly kind asks for it.  A direct product reads its status,
+the negatives, and a commuting pass with the products, which runs only for
+the witnesses of the strongly kinds.  A direct product reads its status,
 masks and ranks off its factors' through one rule, ``RingData._product``.
 """
 
@@ -48,6 +54,9 @@ DECOMPOSITION_KINDS = (
 )
 
 
+#: the polynomial images p(a) at which ``RingData.nil_at`` reads Nil(R)
+NIL_IMAGES = ("a-1", "a+1", "a-a^2", "a+a^2")
+
 #: pairs per step of the sign and commuting passes (target, idempotent)
 #: and of the J test (row, candidate); bounds their temporaries without
 #: looping over idempotents or candidates in Python.  4096 and 16384 took
@@ -58,13 +67,21 @@ _PAIR_CHUNK = 8192
 class WitnessRanks(NamedTuple):
     """Per element a, the rank in ascending order of the first idempotent e
     with ``a - e`` in the target set (``plus``) and the first with ``a + e``
-    in it (``minus``); ``missing`` (= |Id|) where none does.  The ranks of
-    the first e that also commutes with ``a - e`` are
-    ``RingData.strong_ranks``, computed only when a strongly kind asks."""
+    in it (``minus``), the two rows of ``signs``; ``missing`` (= |Id|)
+    where none does.  The ranks of the first e that also commutes with
+    ``a - e`` are ``RingData.strong_ranks``, computed only for the
+    witnesses of the strongly kinds."""
 
-    plus: np.ndarray
-    minus: np.ndarray
+    signs: np.ndarray
     missing: int
+
+    @property
+    def plus(self) -> np.ndarray:
+        return self.signs[0]
+
+    @property
+    def minus(self) -> np.ndarray:
+        return self.signs[1]
 
 
 class RingData:
@@ -79,17 +96,20 @@ class RingData:
         self._center_mask: np.ndarray | None = None
         self._ranks: dict[bool, WitnessRanks] = {}
         self._strong: dict[bool, np.ndarray] = {}
+        self._nil_images: np.ndarray | None = None
 
     def _product(self, read, combine=np.logical_and) -> np.ndarray | None:
         """For a direct product L x R, ``combine`` of the arrays ``read``
         gives on L's data, a column, and on R's, a row, flat so that the
-        pair (l, r) sits at index l * |R| + r.  None when the ring is no
-        direct product."""
+        pair (l, r) sits at index l * |R| + r of the last axis; a leading
+        axis, a stack of arrays read together, is kept.  None when the
+        ring is no direct product."""
         parts = self.ring.factors()
         if parts is None:
             return None
         left, right = (read(ring_data(p)) for p in parts)
-        return combine(left[:, None], right[None, :]).ravel()
+        out = combine(left[..., :, None], right[..., None, :])
+        return out.reshape(*out.shape[:-2], -1)
 
     # -- unit / nilpotent pass ----------------------------------------------
     def _orbit_status(self) -> np.ndarray:
@@ -203,18 +223,48 @@ class RingData:
     def center_mask(self) -> np.ndarray:
         """Z(R) as the elements commuting with every additive generator:
         [x, r] is additive in r, so that is 2k ``mul_vec`` calls of at most
-        card products, k = ``len(additive_generators(ring))``."""
+        card products, k = ``len(additive_generators(ring))``.  A
+        commutative ring, decided on k(k-1)/2 generator pairs, is its own
+        center and forms none of them."""
         if self._center_mask is None:
             mask = self._product(lambda d: d.center_mask)
             if mask is None:
                 ring = self.ring
-                cand = np.arange(ring.card, dtype=np.int64)
-                for g in additive_generators(ring):
-                    cand = cand[ring.mul_vec(cand, g) == ring.mul_vec(g, cand)]
-                mask = np.zeros(ring.card, dtype=bool)
-                mask[cand] = True
+                if ring_is_commutative(ring):
+                    mask = np.ones(ring.card, dtype=bool)
+                else:
+                    cand = np.arange(ring.card, dtype=np.int64)
+                    for g in additive_generators(ring):
+                        cand = cand[ring.mul_vec(cand, g) == ring.mul_vec(g, cand)]
+                    mask = np.zeros(ring.card, dtype=bool)
+                    mask[cand] = True
             self._center_mask = mask
         return self._center_mask
+
+    def nil_at(self, image: str) -> np.ndarray:
+        """Mask of the elements a whose image p(a), one of ``NIL_IMAGES``,
+        is nilpotent."""
+        return self.nil_images()[NIL_IMAGES.index(image)]
+
+    def nil_images(self) -> np.ndarray:
+        """The masks of ``nil_at`` stacked in ``NIL_IMAGES`` order, computed
+        together (one square and four sums over the carrier) and cached.
+        p acts componentwise and so does nilpotency, so a direct product
+        combines its factors' masks."""
+        if self._nil_images is None:
+            stack = self._product(RingData.nil_images)
+            if stack is None:
+                ring = self.ring
+                a = np.arange(ring.card, dtype=np.int64)
+                square = ring.mul_vec(a, a)
+                stack = self.nil_mask[np.stack((
+                    ring.sub_vec(a, ring.one),
+                    ring.add_vec(a, ring.one),
+                    ring.sub_vec(a, square),
+                    ring.add_vec(a, square),
+                ))]
+            self._nil_images = stack
+        return self._nil_images
 
     # -- clean-family witness engine ------------------------------------------
     def witness_ranks(self, nil: bool) -> WitnessRanks:
@@ -229,7 +279,8 @@ class RingData:
     def strong_ranks(self, nil: bool) -> np.ndarray:
         """Per element a, the rank of the first idempotent e with ``a - e``
         in the target set and commuting with e, ``|Id|`` where none does;
-        cached, and computed only for the strongly kinds."""
+        cached, and computed only for the witnesses of the strongly kinds:
+        the report flags read ``nil_at("a-a^2")``."""
         cached = self._strong.get(nil)
         if cached is None:
             cached = self._strong[nil] = _strong_ranks(self, nil)
@@ -302,18 +353,16 @@ def _sign_ranks(data: RingData, nil: bool) -> WitnessRanks:
     the lowest rank that reaches it.  Nil and U are closed under negation,
     so a + e lies in the target set exactly when -a - e does: ``minus`` is
     ``plus`` read at -a, one ``neg_vec`` over the carrier.  A direct
-    product combines its factors' ranks sign by sign."""
+    product combines its factors' ranks, both signs in one read."""
     ring = data.ring
     missing = len(data.idem_indices)
-    plus = _product_ranks(data, lambda d: d.witness_ranks(nil).plus)
-    if plus is not None:
-        minus = _product_ranks(data, lambda d: d.witness_ranks(nil).minus)
-        return WitnessRanks(plus, minus, missing)
-    plus = np.full(ring.card, missing, dtype=np.int64)
-    for r, e, rank in _target_pairs(data, nil):
-        np.minimum.at(plus, ring.add_vec(r, e), rank)
-    minus = plus[ring.neg_vec(np.arange(ring.card, dtype=np.int64))]
-    return WitnessRanks(plus, minus, missing)
+    signs = _product_ranks(data, lambda d: d.witness_ranks(nil).signs)
+    if signs is None:
+        signs = np.full((2, ring.card), missing, dtype=np.int64)
+        for r, e, rank in _target_pairs(data, nil):
+            np.minimum.at(signs[0], ring.add_vec(r, e), rank)
+        signs[1] = signs[0, ring.neg_vec(np.arange(ring.card, dtype=np.int64))]
+    return WitnessRanks(signs, missing)
 
 
 def _strong_ranks(data: RingData, nil: bool) -> np.ndarray:

@@ -311,7 +311,8 @@ def test_sign_pass_work_and_lazy_strong_pass(expr):
     """On computed rings above the table threshold, the flags that read
     only the sign pass make no product, one addition per chunk of
     (nilpotent, idempotent) pairs, and leave the commuting ranks
-    uncomputed; a later strongly kind computes them."""
+    uncomputed; the strongly flag agrees with them, and the strongly
+    witnesses compute them."""
     ring = rl.build(expr)
     data = ring_data(ring)
     idem = len(data.idem_indices)  # the status and idempotent passes are not counted
@@ -341,3 +342,62 @@ def test_sign_pass_work_and_lazy_strong_pass(expr):
     assert rl.ring_flag(ring, "strongly_nil_clean") == (cx is None)
     assert np.array_equal(data.strong_ranks(True), plus_strong)
     assert set(data._strong) == {True}
+
+
+#: the rings of the benchmark's flags_large workload, above the table
+#: threshold: three products and one computed ring
+FLAGS_LARGE_RINGS = (
+    "T(3,Z(4)) x Z(8)",
+    "M(2,Z(5)) x Z(64)",
+    "M(2,Z(3)) x T(2,Z(4))",
+    "M(2,Z(9))",
+)
+
+
+@pytest.mark.parametrize(
+    "expr", RANK_EXPRS + sorted(S3_RINGS) + ["T(3,Z(4))"] + list(FLAGS_LARGE_RINGS)
+)
+def test_nil_images_match_the_commuting_pass_and_the_translates_of_nil(expr):
+    """``nil_at`` against what the flags read before: a - a**2 nilpotent
+    exactly where the commuting pass finds a strongly nil-clean
+    decomposition of a, a + a**2 exactly where it finds one of -a, and
+    a -+ 1 nilpotent exactly on the translates Nil(R) +- 1, with tables and
+    without."""
+    computed = s3_group_ring(S3_RINGS[expr]) if expr in S3_RINGS else rl.build(expr)
+    for ring in {computed, maybe_memoize(computed)}:
+        data = ring_data(ring)
+        strong = data.decomposes("strongly_nil_clean")
+        everyone = np.arange(ring.card, dtype=np.int64)
+        nil = np.flatnonzero(data.nil_mask)
+        minus_one, plus_one = (np.zeros(ring.card, dtype=bool) for _ in range(2))
+        minus_one[ring.add_vec(nil, ring.one)] = True
+        plus_one[ring.sub_vec(nil, ring.one)] = True
+        assert np.array_equal(data.nil_at("a-a^2"), strong), (expr, ring)
+        assert np.array_equal(data.nil_at("a+a^2"), strong[ring.neg_vec(everyone)]), (expr, ring)
+        assert np.array_equal(data.nil_at("a-1"), minus_one), (expr, ring)
+        assert np.array_equal(data.nil_at("a+1"), plus_one), (expr, ring)
+
+
+def test_flags_of_a_product_read_its_factors():
+    """All 14 flags of a computed product form no sum, negation or product
+    on its carrier, and no flag runs the commuting pass on it or on its
+    factors."""
+    ring = rl.build("T(3,Z(4)) x Z(8)")
+    calls = []
+
+    def counting(name):
+        op = getattr(ring, name)
+
+        def counted(*args):
+            calls.append(name)
+            return op(*args)
+
+        return counted
+
+    for name in ("add_vec", "sub_vec", "neg_vec", "mul_vec"):
+        setattr(ring, name, counting(name))
+    for name in REPORT_FLAGS:
+        rl.ring_flag(ring, name)
+    assert calls == []
+    for part in (ring, *ring.factors()):
+        assert ring_data(part)._strong == {}, part

@@ -383,6 +383,30 @@ def test_center_jacobson_commutativity_work_is_near_linear(expr):
 
 
 @pytest.mark.parametrize(
+    "expr", ["GF(3,3)", "TE(Z(27))", "GR(Z(2),C(2) x C(2) x C(2))", "PQ(Z(2),[1,1,0,0,0,0,0,1])"]
+)
+def test_center_of_a_commutative_ring_forms_no_carrier_product(expr):
+    """A commutative ring without tables is its own center: the generator
+    pairs that decide commutativity are its only products, none of them
+    as long as the carrier.  The carrier scan is the oracle."""
+    ring = rl.build(expr)
+    data = structure.ring_data(ring)
+    sizes = []
+    mul_vec = ring.mul_vec
+
+    def counted(xs, ys):
+        out = mul_vec(xs, ys)
+        sizes.append(out.size)
+        return out
+
+    ring.mul_vec = counted
+    assert data.center_mask.all()
+    assert 0 < max(sizes) < ring.card
+    ring.mul_vec = mul_vec
+    assert np.array_equal(data.center_mask, scan_center(ring))
+
+
+@pytest.mark.parametrize(
     "expr", ["T(2,Z(4))", "M(2,Z(6))", "TE(Z(27))", "GR(Z(2),C(2) x C(2) x C(2))"]
 )
 def test_additive_span_walk(expr):
