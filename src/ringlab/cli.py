@@ -212,12 +212,12 @@ def _classify_payload(expr: Term, key: str, args) -> str:
     if args.witness:
         witnesses: dict[str, object] = {}
         if ring.card <= _WITNESS_TABLE_LIMIT:
-            for kind, predicate in dec.ELEMENT_PREDICATES.items():
-                rows = []
-                for a in range(ring.card):
-                    ok, w = predicate(ring, a)
-                    rows.append({"element": a, "holds": ok, "witness": w and vars(w)})
-                witnesses[kind] = rows
+            everyone = np.arange(ring.card, dtype=np.int64)
+            for kind in dec.ELEMENT_PREDICATES:
+                witnesses[kind] = [
+                    {"element": a, "holds": ok, "witness": w and vars(w)}
+                    for a, (ok, w) in enumerate(dec.witnesses(ring, kind, everyone))
+                ]
         else:
             witnesses["note"] = (
                 f"per-element witness table omitted for card > {_WITNESS_TABLE_LIMIT}; "

@@ -15,7 +15,7 @@ walks a ring once and keeps the list on it.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -208,13 +208,6 @@ class Subset:
             )
         self.ring = ring
         self.mask = mask
-
-    @classmethod
-    def from_indices(cls, ring: Ring, indices: Iterable[int]) -> "Subset":
-        mask = np.zeros(ring.card, dtype=bool)
-        for i in indices:
-            mask[ring._check(int(i))] = True
-        return cls(ring, mask)
 
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)

@@ -7,14 +7,13 @@ GNC/GSNC/GWNC, and the unit-shape conditions UU/WUU/UWNC.
 
 Witness tie-breaking is fixed everywhere: elements ascending, idempotents
 ascending, sign + before -, so reports are reproducible bit for bit.
-Element predicates are lookups into the witness ranks that
-``structure.RingData`` computes once per ring and family (see
-``RingData.witness_keys``).  The flags and counterexamples of the
-nil-clean, weakly nil-clean and GNC/GWNC/UWNC kinds read the same ranks.
-The strongly nil-clean kinds and UU/WUU read Nil(R) at a - a**2, a + a**2
-and a -+ 1 (``RingData.nil_at``), so no flag runs the commuting pass; it
-serves the strongly witnesses only.  The clean-family flags hold on every
-finite ring (``FINITE_RING_IDENTITIES``).
+Element predicates read the first witness off one scan of the idempotents
+per element (``idempotent_scan``); the ``classify --witness`` table scans
+the whole carrier once per kind.  The flags and counterexamples of the
+nil-clean, weakly nil-clean and GNC/GWNC/UWNC kinds read the nil sign pass
+of ``structure.RingData``; the strongly nil-clean kinds and UU/WUU read
+Nil(R) at a - a**2, a + a**2 and a -+ 1 (``RingData.nil_at``).  The
+clean-family flags hold on every finite ring (``FINITE_RING_IDENTITIES``).
 
 The strongly-weakly variants hold for an element when it or its negative
 decomposes strongly; some authors instead ask for a commuting weakly
@@ -70,8 +69,8 @@ REPORT_FLAGS: tuple[str, ...] = (
 #: flags that hold on every finite ring: a finite ring is semiperfect,
 #: hence clean, and strongly pi-regular, hence strongly clean (Nicholson
 #: 1999, *Strongly clean rings and Fitting's lemma*); weakly clean and
-#: strongly weakly clean follow.  The clean family's U x Id witness pass
-#: stays their oracle in the tests and runs only for witnesses
+#: strongly weakly clean follow.  The tests keep the U x Id pass as their
+#: oracle
 FINITE_RING_IDENTITIES = (
     "clean",
     "strongly_clean",
@@ -140,18 +139,55 @@ def validate_witness(ring: Ring, a: int, kind: str, w: Witness) -> None:
         raise ValueError(f"strong witness for {a} in {ring.label} does not commute")
 
 
-def _witness(ring: Ring, a: int, kind: str) -> tuple[bool, Witness | None]:
-    """The first witness in the fixed order (idempotents ascending, sign +
-    before -), read off the ring's witness keys."""
+def idempotent_scan(ring: Ring, kind: str, elements) -> np.ndarray:
+    """Witness key of each of ``elements`` for one decomposition kind:
+    ``2*rank`` for ``a = rest + e``, ``2*rank + 1`` for ``a = rest - e``
+    and ``2*|Id|`` when there is none, e the idempotent of that rank.  Keys
+    ascend in the fixed witness order.  Every element meets every
+    idempotent in one ``sub_vec`` (rest = a - e) and, for the weakly kinds,
+    one ``add_vec`` (rest = a + e), len(elements) * |Id| pairs each; the
+    strongly kinds test commutation on the candidates only."""
+    if kind not in ELEMENT_PREDICATES:
+        raise ValueError(f"unknown decomposition kind {kind!r}")
     data = ring_data(ring)
-    key = int(data.witness_keys(kind, a))
-    rank, minus = divmod(key, 2)
-    if rank == len(data.idem_indices):
-        return False, None
-    e = int(data.idem_indices[rank])
-    rest = ring.add(a, e) if minus else ring.sub(a, e)
-    commuting = ring.mul(e, rest) == ring.mul(rest, e)
-    return True, Witness(sign=-1 if minus else 1, idempotent=e, rest=rest, commuting=commuting)
+    target = data.nil_mask if "nil" in kind else data.unit_mask
+    idem = data.idem_indices
+    elements = np.asarray(elements, dtype=np.int64)
+    a, e = np.repeat(elements, len(idem)), np.tile(idem, len(elements))
+    # per pair (a, e): column 0 holds a = rest + e, column 1 a = rest - e
+    hits = np.zeros((len(a), 2), dtype=bool)
+    rest = ring.sub_vec(a, e)
+    hits[:, 0] = target[rest]
+    if kind.startswith("strongly"):
+        cand = np.flatnonzero(hits[:, 0])
+        hits[cand, 0] = ring.mul_vec(e[cand], rest[cand]) == ring.mul_vec(rest[cand], e[cand])
+    if kind.startswith("weakly"):
+        hits[:, 1] = target[ring.add_vec(a, e)]
+    # so a row lists an element's candidates in the fixed order, and the
+    # key is the column of its first hit
+    hits = hits.reshape(len(elements), 2 * len(idem))
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), 2 * len(idem))
+
+
+def witnesses(ring: Ring, kind: str, elements) -> list[tuple[bool, Witness | None]]:
+    """The first witness of each of ``elements`` in the fixed order
+    (idempotents ascending, sign + before -), read off its key."""
+    idem = ring_data(ring).idem_indices
+    out: list[tuple[bool, Witness | None]] = []
+    for a, key in zip(elements, idempotent_scan(ring, kind, elements)):
+        rank, minus = divmod(int(key), 2)
+        if rank == len(idem):
+            out.append((False, None))
+            continue
+        a, e = int(a), int(idem[rank])
+        rest = ring.add(a, e) if minus else ring.sub(a, e)
+        commuting = ring.mul(e, rest) == ring.mul(rest, e)
+        out.append((True, Witness(sign=-1 if minus else 1, idempotent=e, rest=rest, commuting=commuting)))
+    return out
+
+
+def _witness(ring: Ring, a: int, kind: str) -> tuple[bool, Witness | None]:
+    return witnesses(ring, kind, [a])[0]
 
 
 def elem_is_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:

@@ -25,11 +25,12 @@ near +-1 read Nil(R) at a fixed polynomial image of every element
 nilpotent (Diesl 2013, *Nil clean rings*, J. Algebra 383), -a exactly when
 a + a**2 is, and a lies in Nil(R) +- 1 exactly when a -+ 1 is nilpotent.
 
-The witness ranks of the clean families come from a sign pass, one
-addition per (target, idempotent) pair and ``minus`` read off ``plus`` at
-the negatives, and a commuting pass with the products, which runs only for
-the witnesses of the strongly kinds.  A direct product reads its status,
-masks and ranks off its factors' through one rule, ``RingData._product``.
+The flags of the nil-clean and weakly nil-clean kinds read the witness
+ranks of a sign pass over the (nilpotent, idempotent) pairs, ``minus``
+read off ``plus`` at the negatives.  The witnesses of single elements come
+from ``decompositions.idempotent_scan``, not from these ranks.  A direct
+product reads its status, masks and ranks off its factors' through one
+rule, ``RingData._product``.
 """
 
 from __future__ import annotations
@@ -44,33 +45,21 @@ from .constructions import QuotientRing, quotient_by_ideal
 
 _UNKNOWN, _UNIT, _NILPOTENT, _NEITHER = 0, 1, 2, 3
 
-DECOMPOSITION_KINDS = (
-    "clean",
-    "strongly_clean",
-    "weakly_clean",
-    "nil_clean",
-    "strongly_nil_clean",
-    "weakly_nil_clean",
-)
-
-
 #: the polynomial images p(a) at which ``RingData.nil_at`` reads Nil(R)
 NIL_IMAGES = ("a-1", "a+1", "a-a^2", "a+a^2")
 
-#: pairs per step of the sign and commuting passes (target, idempotent)
-#: and of the J test (row, candidate); bounds their temporaries without
-#: looping over idempotents or candidates in Python.  4096 and 16384 took
-#: as long as 8192 on M(3,Z(4))
+#: pairs per step of the sign pass (nilpotent, idempotent) and of the J
+#: test (row, candidate); bounds their temporaries without looping over
+#: idempotents or candidates in Python.  4096 and 16384 took as long as
+#: 8192 on M(3,Z(4))
 _PAIR_CHUNK = 8192
 
 
 class WitnessRanks(NamedTuple):
     """Per element a, the rank in ascending order of the first idempotent e
-    with ``a - e`` in the target set (``plus``) and the first with ``a + e``
-    in it (``minus``), the two rows of ``signs``; ``missing`` (= |Id|)
-    where none does.  The ranks of the first e that also commutes with
-    ``a - e`` are ``RingData.strong_ranks``, computed only for the
-    witnesses of the strongly kinds."""
+    with ``a - e`` nilpotent (``plus``) and the first with ``a + e``
+    nilpotent (``minus``), the two rows of ``signs``; ``missing`` (= |Id|)
+    where none does.  The flags read them through ``RingData.decomposes``."""
 
     signs: np.ndarray
     missing: int
@@ -94,8 +83,8 @@ class RingData:
         self._idem_indices: np.ndarray | None = None
         self._jac_mask: np.ndarray | None = None
         self._center_mask: np.ndarray | None = None
-        self._ranks: dict[bool, WitnessRanks] = {}
-        self._strong: dict[bool, np.ndarray] = {}
+        self._commutative: bool | None = None
+        self._ranks: WitnessRanks | None = None
         self._nil_images: np.ndarray | None = None
 
     def _product(self, read, combine=np.logical_and) -> np.ndarray | None:
@@ -220,6 +209,14 @@ class RingData:
         return cand
 
     @property
+    def commutative(self) -> bool:
+        """``ring_is_commutative``, decided once: the center and the
+        structural record both read it."""
+        if self._commutative is None:
+            self._commutative = ring_is_commutative(self.ring)
+        return self._commutative
+
+    @property
     def center_mask(self) -> np.ndarray:
         """Z(R) as the elements commuting with every additive generator:
         [x, r] is additive in r, so that is 2k ``mul_vec`` calls of at most
@@ -230,7 +227,7 @@ class RingData:
             mask = self._product(lambda d: d.center_mask)
             if mask is None:
                 ring = self.ring
-                if ring_is_commutative(ring):
+                if self.commutative:
                     mask = np.ones(ring.card, dtype=bool)
                 else:
                     cand = np.arange(ring.card, dtype=np.int64)
@@ -266,45 +263,22 @@ class RingData:
             self._nil_images = stack
         return self._nil_images
 
-    # -- clean-family witness engine ------------------------------------------
-    def witness_ranks(self, nil: bool) -> WitnessRanks:
-        """Witness ranks of both signs for the nil-clean family (target set
-        Nil) or, when ``nil`` is false, the clean family (target set U);
-        cached."""
-        cached = self._ranks.get(nil)
-        if cached is None:
-            cached = self._ranks[nil] = _sign_ranks(self, nil)
-        return cached
-
-    def strong_ranks(self, nil: bool) -> np.ndarray:
-        """Per element a, the rank of the first idempotent e with ``a - e``
-        in the target set and commuting with e, ``|Id|`` where none does;
-        cached, and computed only for the witnesses of the strongly kinds:
-        the report flags read ``nil_at("a-a^2")``."""
-        cached = self._strong.get(nil)
-        if cached is None:
-            cached = self._strong[nil] = _strong_ranks(self, nil)
-        return cached
-
-    def witness_keys(self, kind: str, idx=slice(None)) -> np.ndarray:
-        """Witness key of each element of ``idx`` for one decomposition kind:
-        ``2*rank`` for ``a = rest + e``, ``2*rank + 1`` for ``a = rest - e``
-        and ``2*|Id|`` when there is none.  Keys ascend in the fixed witness
-        order, idempotents ascending with + before -.  Plain kinds read
-        ``plus``, weakly kinds both signs, strongly kinds ``strong_ranks``."""
-        if kind not in DECOMPOSITION_KINDS:
-            raise ValueError(f"unknown decomposition kind {kind!r}")
-        nil = "nil" in kind
-        if kind.startswith("strongly"):
-            return 2 * self.strong_ranks(nil)[idx]
-        ranks = self.witness_ranks(nil)
-        if kind.startswith("weakly"):
-            return np.minimum(2 * ranks.plus[idx], 2 * ranks.minus[idx] + 1)
-        return 2 * ranks.plus[idx]
+    # -- nil-clean flags ----------------------------------------------------
+    def witness_ranks(self) -> WitnessRanks:
+        """Witness ranks of both signs over Nil(R); cached."""
+        if self._ranks is None:
+            self._ranks = _sign_ranks(self)
+        return self._ranks
 
     def decomposes(self, kind: str) -> np.ndarray:
-        """Mask of the elements with a decomposition of the given kind."""
-        return self.witness_keys(kind) < 2 * len(self.idem_indices)
+        """Mask of the elements with a decomposition of kind ``nil_clean``
+        (a - e nilpotent) or ``weakly_nil_clean`` (a - e or a + e)."""
+        ranks = self.witness_ranks()
+        if kind == "nil_clean":
+            return ranks.plus < ranks.missing
+        if kind == "weakly_nil_clean":
+            return ranks.signs.min(axis=0) < ranks.missing
+        raise ValueError(f"the sign pass decides no kind {kind!r}")
 
 
 def ring_data(ring: Ring) -> RingData:
@@ -313,18 +287,6 @@ def ring_data(ring: Ring) -> RingData:
         data = RingData(ring)
         ring._ringlab_data = data
     return data
-
-
-def _target_pairs(data: RingData, nil: bool):
-    """The pairs (r, e) of a target r and an idempotent e of rank ``rank``,
-    as arrays ``(r, e, rank)`` of at most ``_PAIR_CHUNK`` pairs, ranks
-    ascending from chunk to chunk."""
-    targets = np.flatnonzero(data.nil_mask if nil else data.unit_mask)
-    idem = data.idem_indices
-    total = len(targets) * len(idem)
-    for lo in range(0, total, _PAIR_CHUNK):
-        rank, t = np.divmod(np.arange(lo, min(lo + _PAIR_CHUNK, total)), len(targets))
-        yield targets[t], idem[rank], rank
 
 
 def _product_ranks(data: RingData, ranks_of) -> np.ndarray | None:
@@ -346,43 +308,27 @@ def _product_ranks(data: RingData, ranks_of) -> np.ndarray | None:
     return data._product(read, combine)
 
 
-def _sign_ranks(data: RingData, nil: bool) -> WitnessRanks:
-    """One vectorised pass over the pairs (r, e) of a target r and an
-    idempotent e of rank i: ``np.minimum.at`` writes i at r + e into
-    ``plus``.  For a fixed e the map is a bijection, so each element keeps
-    the lowest rank that reaches it.  Nil and U are closed under negation,
-    so a + e lies in the target set exactly when -a - e does: ``minus`` is
-    ``plus`` read at -a, one ``neg_vec`` over the carrier.  A direct
-    product combines its factors' ranks, both signs in one read."""
+def _sign_ranks(data: RingData) -> WitnessRanks:
+    """One vectorised pass over the pairs (r, e) of a nilpotent r and an
+    idempotent e of rank i, ``_PAIR_CHUNK`` at a time: ``np.minimum.at``
+    writes i at r + e into ``plus``.  For a fixed e the map is a
+    bijection, so each element keeps the lowest rank that reaches it.  Nil
+    is closed under negation, so a + e is nilpotent exactly when -a - e
+    is: ``minus`` is ``plus`` read at -a, one ``neg_vec`` over the
+    carrier.  A direct product combines its factors' ranks, both signs in
+    one read."""
     ring = data.ring
     missing = len(data.idem_indices)
-    signs = _product_ranks(data, lambda d: d.witness_ranks(nil).signs)
+    signs = _product_ranks(data, lambda d: d.witness_ranks().signs)
     if signs is None:
         signs = np.full((2, ring.card), missing, dtype=np.int64)
-        for r, e, rank in _target_pairs(data, nil):
-            np.minimum.at(signs[0], ring.add_vec(r, e), rank)
+        nil, idem = np.flatnonzero(data.nil_mask), data.idem_indices
+        total = len(nil) * missing
+        for lo in range(0, total, _PAIR_CHUNK):
+            rank, r = np.divmod(np.arange(lo, min(lo + _PAIR_CHUNK, total)), len(nil))
+            np.minimum.at(signs[0], ring.add_vec(nil[r], idem[rank]), rank)
         signs[1] = signs[0, ring.neg_vec(np.arange(ring.card, dtype=np.int64))]
     return WitnessRanks(signs, missing)
-
-
-def _strong_ranks(data: RingData, nil: bool) -> np.ndarray:
-    """The pass of ``_sign_ranks`` for the plus sign, keeping only the pairs
-    with r*e = e*r.  Ranks ascend from chunk to chunk, so an element that
-    already has a commuting witness keeps it: commutation is tested only
-    for the others.  A direct product combines its factors' ranks."""
-    strong = _product_ranks(data, lambda d: d.strong_ranks(nil))
-    if strong is not None:
-        return strong
-    ring = data.ring
-    missing = len(data.idem_indices)
-    strong = np.full(ring.card, missing, dtype=np.int64)
-    for r, e, rank in _target_pairs(data, nil):
-        a = ring.add_vec(r, e)
-        open_ = strong[a] == missing
-        r, e, a, rank = r[open_], e[open_], a[open_], rank[open_]
-        commuting = ring.mul_vec(r, e) == ring.mul_vec(e, r)
-        np.minimum.at(strong, a[commuting], rank[commuting])
-    return strong
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +476,8 @@ class StructuralFlags:
         return dict(vars(self))
 
 
-#: the commutativity decider under its record name; it lives in ``core``
-#: because the constructions need it too
-is_commutative = ring_is_commutative
+def is_commutative(ring: Ring) -> bool:
+    return ring_data(ring).commutative
 
 
 def is_local(ring: Ring) -> bool:

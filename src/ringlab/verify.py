@@ -193,7 +193,7 @@ class VerifyContext:
 
     def pair_ring(self, a: str, b: str) -> Ring:
         """Direct product of two catalog rings, sharing the cached factors;
-        left without tables, so its invariants and witness ranks come from
+        left without tables, so its invariants and nil sign ranks come from
         the factors'."""
         key = self.pair_text(a, b)
         ring = self._rings.get(key)
@@ -331,12 +331,11 @@ def _check_l22(ctx: VerifyContext, details: list[str]) -> bool:
     for entry in CATALOG:
         ring = ctx.ring(entry.expression)
         data = structure.ring_data(ring)
-        wnc = data.decomposes("weakly_nil_clean")
-        wc = data.decomposes("weakly_clean")
-        ar = np.arange(ring.card, dtype=np.int64)
-        bad = wnc & ~wc[ring.neg_vec(ar)]
-        if bad.any():
-            a = int(np.flatnonzero(bad)[0])
+        wnc = np.flatnonzero(data.decomposes("weakly_nil_clean"))
+        keys = dec.idempotent_scan(ring, "weakly_clean", ring.neg_vec(wnc))
+        bad = wnc[keys == 2 * len(data.idem_indices)]
+        if len(bad):
+            a = int(bad[0])
             details.append(
                 f"FAIL {entry.expression}: element {a} is weakly nil-clean but "
                 f"-{a} is not weakly clean; {_repro(entry.expression)}"

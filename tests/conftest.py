@@ -200,9 +200,10 @@ def scan_nil_closure(ring):
 def scan_witness_ranks(ring, nil):
     """(plus, plus_strong, minus, missing) by one combined pass over the
     pairs (r, e) of a target r and an idempotent e, with an addition for
-    each sign and the commutation products on every chunk: the pass
-    ``witness_ranks`` and ``strong_ranks`` replaced, run flat over the
-    carrier also for a direct product.  Reads the library's masks, which
+    each sign and the commutation products on every chunk, run flat over
+    the carrier also for a direct product: the oracle of the nil sign pass
+    (``RingData.witness_ranks``) and of the keys of
+    ``decompositions.idempotent_scan``.  Reads the library's masks, which
     ``oracle_status`` and ``oracle_idempotents`` check."""
     data = rl.structure.ring_data(ring)
     idem = data.idem_indices

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import ringlab as rl
+from ringlab import decompositions
 from ringlab.core import maybe_memoize
 from ringlab.decompositions import (
     DIAGRAM_EDGES,
     ELEMENT_PREDICATES,
     FINITE_RING_IDENTITIES,
     REPORT_FLAGS,
+    idempotent_scan,
 )
 from ringlab.structure import _PAIR_CHUNK, ring_data
 from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
@@ -266,12 +268,12 @@ S3_RINGS = {"GR(Z(2),S3)": 2, "GR(Z(3),S3)": 3}
 @pytest.mark.parametrize("expr", IDENTITY_EXPRS + sorted(S3_RINGS))
 def test_clean_family_identities_hold_by_the_witness_pass(expr):
     """The clean-family flags ``classify`` sets by identity (every finite
-    ring is clean and strongly clean) against the U x Id witness pass:
-    every element decomposes in every clean kind."""
+    ring is clean and strongly clean) against the U x Id pass of the
+    oracle: every element has a clean and a strongly clean decomposition,
+    so it is weakly clean too."""
     ring = s3_group_ring(S3_RINGS[expr]) if expr in S3_RINGS else rl.build(expr)
-    data = ring_data(ring)
-    for kind in ("clean", "strongly_clean", "weakly_clean"):
-        assert data.decomposes(kind).all(), (expr, kind)
+    plus, plus_strong, _, missing = scan_witness_ranks(ring, False)
+    assert (plus < missing).all() and (plus_strong < missing).all(), expr
     for name in FINITE_RING_IDENTITIES:
         assert rl.ring_flag(ring, name) and rl.flag_counterexample(ring, name) is None
 
@@ -288,31 +290,41 @@ RANK_EXPRS = sorted(
 
 
 @pytest.mark.parametrize("expr", RANK_EXPRS + sorted(S3_RINGS))
-def test_sign_and_strong_ranks_match_the_combined_scan(expr):
-    """The sign pass (``minus`` read off ``plus`` at -a) and the separate
-    commuting pass against the combined pass they replaced, for both
-    families, with tables and without: a product without tables combines
-    its factors' ranks, the scan always runs flat over the carrier."""
+def test_sign_pass_and_idempotent_scan_match_the_combined_scan(expr):
+    """The nil sign pass (``minus`` read off ``plus`` at -a) and the keys of
+    ``idempotent_scan`` over the whole carrier, all six kinds, against the
+    combined pass of the oracle, with tables and without: a product
+    without tables combines its factors' ranks, the oracle always runs
+    flat over the carrier."""
     computed = s3_group_ring(S3_RINGS[expr]) if expr in S3_RINGS else rl.build(expr)
     tabled = maybe_memoize(computed)
+    everyone = np.arange(computed.card, dtype=np.int64)
     for nil in (True, False):
         plus, plus_strong, minus, missing = scan_witness_ranks(tabled, nil)
+        family = "nil_clean" if nil else "clean"
+        keys = {
+            family: 2 * plus,
+            "strongly_" + family: 2 * plus_strong,
+            "weakly_" + family: np.minimum(2 * plus, 2 * minus + 1),
+        }
         for ring in {computed, tabled}:
-            data = ring_data(ring)
-            ranks = data.witness_ranks(nil)
-            assert np.array_equal(ranks.plus, plus), (expr, ring, nil)
-            assert np.array_equal(ranks.minus, minus), (expr, ring, nil)
-            assert ranks.missing == missing, (expr, ring, nil)
-            assert np.array_equal(data.strong_ranks(nil), plus_strong), (expr, ring, nil)
+            if nil:
+                ranks = ring_data(ring).witness_ranks()
+                assert np.array_equal(ranks.plus, plus), (expr, ring)
+                assert np.array_equal(ranks.minus, minus), (expr, ring)
+                assert ranks.missing == missing, (expr, ring)
+            for kind, want in keys.items():
+                got = idempotent_scan(ring, kind, everyone)
+                assert np.array_equal(got, want), (expr, ring, kind)
 
 
 @pytest.mark.parametrize("expr", ["M(3,Z(3))", "FM(2,2,Z(8))"])
-def test_sign_pass_work_and_lazy_strong_pass(expr):
+def test_sign_pass_work_and_strong_keys(expr):
     """On computed rings above the table threshold, the flags that read
-    only the sign pass make no product, one addition per chunk of
-    (nilpotent, idempotent) pairs, and leave the commuting ranks
-    uncomputed; the strongly flag agrees with them, and the strongly
-    witnesses compute them."""
+    only the sign pass make no product and one addition per chunk of
+    (nilpotent, idempotent) pairs; the strongly flag agrees with the
+    oracle's commuting ranks, and so do the strongly keys of the scan on a
+    sample of elements and the counterexample."""
     ring = rl.build(expr)
     data = ring_data(ring)
     idem = len(data.idem_indices)  # the status and idempotent passes are not counted
@@ -332,16 +344,18 @@ def test_sign_pass_work_and_lazy_strong_pass(expr):
     for name in ("gwnc", "nil_clean", "weakly_nil_clean", "uwnc"):
         rl.ring_flag(ring, name)
     assert calls == {"add_vec": math.ceil(nil * idem / _PAIR_CHUNK), "mul_vec": 0}
-    assert data._strong == {}
     plus, plus_strong, minus, missing = scan_witness_ranks(ring, True)
-    ranks = data.witness_ranks(True)
+    ranks = data.witness_ranks()
     assert np.array_equal(ranks.plus, plus) and np.array_equal(ranks.minus, minus)
     failing = np.flatnonzero(plus_strong == missing)
     cx = int(failing[0]) if len(failing) else None
     assert rl.flag_counterexample(ring, "strongly_nil_clean") == cx
     assert rl.ring_flag(ring, "strongly_nil_clean") == (cx is None)
-    assert np.array_equal(data.strong_ranks(True), plus_strong)
-    assert set(data._strong) == {True}
+    sample = np.arange(0, ring.card, ring.card // 64)
+    if cx is not None:
+        sample = np.append(sample, cx)
+    got = idempotent_scan(ring, "strongly_nil_clean", sample)
+    assert np.array_equal(got, 2 * plus_strong[sample])
 
 
 #: the rings of the benchmark's flags_large workload, above the table
@@ -357,31 +371,37 @@ FLAGS_LARGE_RINGS = (
 @pytest.mark.parametrize(
     "expr", RANK_EXPRS + sorted(S3_RINGS) + ["T(3,Z(4))"] + list(FLAGS_LARGE_RINGS)
 )
-def test_nil_images_match_the_commuting_pass_and_the_translates_of_nil(expr):
-    """``nil_at`` against what the flags read before: a - a**2 nilpotent
-    exactly where the commuting pass finds a strongly nil-clean
-    decomposition of a, a + a**2 exactly where it finds one of -a, and
-    a -+ 1 nilpotent exactly on the translates Nil(R) +- 1, with tables and
-    without."""
+def test_nil_images_match_the_strong_ranks_and_the_translates_of_nil(expr):
+    """``nil_at`` against the oracle's definitions: a - a**2 nilpotent
+    exactly where the combined pass finds a strongly nil-clean
+    decomposition of a (``plus_strong``), a + a**2 exactly where it finds
+    one of -a, and a -+ 1 nilpotent exactly on the translates Nil(R) +- 1,
+    with tables and without."""
     computed = s3_group_ring(S3_RINGS[expr]) if expr in S3_RINGS else rl.build(expr)
-    for ring in {computed, maybe_memoize(computed)}:
+    tabled = maybe_memoize(computed)
+    _, plus_strong, _, missing = scan_witness_ranks(tabled, True)
+    strong = plus_strong < missing
+    everyone = np.arange(computed.card, dtype=np.int64)
+    negated = strong[tabled.neg_vec(everyone)]
+    for ring in {computed, tabled}:
         data = ring_data(ring)
-        strong = data.decomposes("strongly_nil_clean")
-        everyone = np.arange(ring.card, dtype=np.int64)
         nil = np.flatnonzero(data.nil_mask)
         minus_one, plus_one = (np.zeros(ring.card, dtype=bool) for _ in range(2))
         minus_one[ring.add_vec(nil, ring.one)] = True
         plus_one[ring.sub_vec(nil, ring.one)] = True
         assert np.array_equal(data.nil_at("a-a^2"), strong), (expr, ring)
-        assert np.array_equal(data.nil_at("a+a^2"), strong[ring.neg_vec(everyone)]), (expr, ring)
+        assert np.array_equal(data.nil_at("a+a^2"), negated), (expr, ring)
         assert np.array_equal(data.nil_at("a-1"), minus_one), (expr, ring)
         assert np.array_equal(data.nil_at("a+1"), plus_one), (expr, ring)
 
 
-def test_flags_of_a_product_read_its_factors():
+def no_scan(*args):
+    raise AssertionError("idempotent_scan called")
+
+
+def test_flags_of_a_product_read_its_factors(monkeypatch):
     """All 14 flags of a computed product form no sum, negation or product
-    on its carrier, and no flag runs the commuting pass on it or on its
-    factors."""
+    on its carrier, and none of them scans idempotents per element."""
     ring = rl.build("T(3,Z(4)) x Z(8)")
     calls = []
 
@@ -396,8 +416,64 @@ def test_flags_of_a_product_read_its_factors():
 
     for name in ("add_vec", "sub_vec", "neg_vec", "mul_vec"):
         setattr(ring, name, counting(name))
+    monkeypatch.setattr(decompositions, "idempotent_scan", no_scan)
     for name in REPORT_FLAGS:
         rl.ring_flag(ring, name)
     assert calls == []
-    for part in (ring, *ring.factors()):
-        assert ring_data(part)._strong == {}, part
+
+
+#: ``element M(2,Z(18)) 5``: (holds, (sign, idempotent, rest, commuting))
+#: per kind, recorded from the rank passes the scan replaced
+M2Z18_ELEMENT_5 = {
+    "clean": (True, (1, 5832, 99149, True)),
+    "strongly_clean": (True, (1, 5832, 99149, True)),
+    "weakly_clean": (True, (1, 5832, 99149, True)),
+    "nil_clean": (False, None),
+    "strongly_nil_clean": (False, None),
+    "weakly_nil_clean": (True, (-1, 1, 6, True)),
+}
+
+
+def test_element_predicates_scan_only_the_idempotents():
+    """The six predicates on one element of a ring of card 104976 fill no
+    rank cache, and none of their sums, differences or products is longer
+    than |Id|; the status and idempotent passes are not counted."""
+    ring = rl.build("M(2,Z(18))")
+    data = ring_data(ring)
+    idem = len(data.idem_indices)
+    data.unit_mask, data.nil_mask
+    sizes = []
+
+    def counting(name):
+        op = getattr(ring, name)
+
+        def counted(xs, ys):
+            out = op(xs, ys)
+            sizes.append(np.size(out))
+            return out
+
+        return counted
+
+    for name in ("add_vec", "sub_vec", "mul_vec"):
+        setattr(ring, name, counting(name))
+    for kind, predicate in ELEMENT_PREDICATES.items():
+        ok, w = predicate(ring, 5)
+        got = None if w is None else (w.sign, w.idempotent, w.rest, w.commuting)
+        assert (ok, got) == M2Z18_ELEMENT_5[kind], kind
+    assert 0 < max(sizes) <= idem
+    assert data._ranks is None
+
+
+@pytest.mark.parametrize("expr", ["M(2,Z(6))", "T(2,Z(4)) x Z(3)"])
+def test_classify_fills_only_the_nil_sign_pass(monkeypatch, expr):
+    """``classify`` without witnesses scans no element's idempotents; the
+    nil sign pass it fills, on a product also on the factors, matches the
+    oracle."""
+    ring = rl.build(expr)
+    monkeypatch.setattr(decompositions, "idempotent_scan", no_scan)
+    rl.classify(ring)
+    for part in (ring, *(ring.factors() or ())):
+        ranks = ring_data(part)._ranks
+        plus, _, minus, missing = scan_witness_ranks(part, True)
+        assert np.array_equal(ranks.plus, plus) and np.array_equal(ranks.minus, minus), part
+        assert ranks.missing == missing

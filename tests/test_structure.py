@@ -5,7 +5,7 @@ import pytest
 
 import ringlab as rl
 from ringlab import structure
-from ringlab.core import additive_generators, additive_span
+from ringlab.core import additive_generators, additive_span, ring_is_commutative
 from ringlab.decompositions import REPORT_FLAGS
 from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
 
@@ -100,7 +100,7 @@ def test_mod_j(z6):
 def test_is_nil_subset(z6, z12):
     assert rl.is_nil_subset(z12, rl.jacobson(z12))
     assert not rl.is_nil_subset(z6, rl.units(z6))
-    assert rl.is_nil_subset(z6, rl.Subset.from_indices(z6, [0]))
+    assert rl.is_nil_subset(z6, rl.Subset(z6, np.arange(6) == 0))
     for expr in SMALL_RINGS:
         ring = rl.build(expr)
         assert rl.is_nil_subset(ring, rl.jacobson(ring))
@@ -375,11 +375,33 @@ def test_center_jacobson_commutativity_work_is_near_linear(expr):
     data.center_mask
     assert 0 < pairs <= 2 * k * ring.card
     pairs = 0
-    structure.is_commutative(ring)
+    structure.is_commutative(ring)  # decided by the center, not again
+    assert pairs == 0
+    ring_is_commutative(ring)
     assert pairs <= 2 * k * k
     pairs = 0
     data.jacobson_mask
     assert 0 < pairs <= nil * ring.card
+
+
+@pytest.mark.parametrize("expr", ["M(2,Z(7))", "GF(3,3)", "M(2,Z(2)) x Z(4)"])
+def test_classify_decides_commutativity_once(monkeypatch, expr):
+    """The center and the structural record of one ``classify`` share one
+    ``ring_is_commutative`` call per ring, with tables and without; a
+    product without tables also decides each factor's for its center."""
+    calls = []
+
+    def counted(ring):
+        calls.append(ring)
+        return ring_is_commutative(ring)
+
+    monkeypatch.setattr(structure, "ring_is_commutative", counted)
+    for ring in (rl.build(expr), rl.maybe_memoize(rl.build(expr))):
+        calls.clear()
+        report = rl.classify(ring)
+        structure.ring_data(ring).center_mask
+        assert calls.count(ring) == 1 and len(set(map(id, calls))) == len(calls), (expr, ring)
+        assert report.structural.commutative == scan_commutative(ring)
 
 
 @pytest.mark.parametrize(
