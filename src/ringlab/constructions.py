@@ -814,14 +814,6 @@ class QuotientRing(Ring):
         self.one = int(self._coset_of[base.one])
         self.label = label if label is not None else f"({base.label}/I{len(ideal)})"
 
-    def project(self, a: int) -> int:
-        """Coset index of a base-ring element."""
-        return int(self._coset_of[self.base._check(a)])
-
-    def lift(self, c: int) -> int:
-        """Smallest base-ring member of a coset."""
-        return int(self._reps[self._check(c)])
-
     def add_vec(self, xs, ys) -> np.ndarray:
         xs, ys = _pair(xs, ys)
         return self._coset_of[self.base.add_vec(self._reps[xs], self._reps[ys])]

@@ -25,18 +25,18 @@ near +-1 read Nil(R) at a fixed polynomial image of every element
 nilpotent (Diesl 2013, *Nil clean rings*, J. Algebra 383), -a exactly when
 a + a**2 is, and a lies in Nil(R) +- 1 exactly when a -+ 1 is nilpotent.
 
-The flags of the nil-clean and weakly nil-clean kinds read the witness
-ranks of a sign pass over the (nilpotent, idempotent) pairs, ``minus``
-read off ``plus`` at the negatives.  The witnesses of single elements come
-from ``decompositions.idempotent_scan``, not from these ranks.  A direct
-product reads its status, masks and ranks off its factors' through one
-rule, ``RingData._product``.
+The flags of the nil-clean and weakly nil-clean kinds read two masks,
+Nil(R) + Id(R) and Nil(R) - Id(R), off one sign pass over the (nilpotent,
+idempotent) pairs (``RingData.nil_signs``), the second read off the first
+at the negatives.  The witnesses of single elements come from
+``decompositions.idempotent_scan``.  A direct product reads its status and
+masks off its factors' through one rule, ``RingData._product``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,24 +55,6 @@ NIL_IMAGES = ("a-1", "a+1", "a-a^2", "a+a^2")
 _PAIR_CHUNK = 8192
 
 
-class WitnessRanks(NamedTuple):
-    """Per element a, the rank in ascending order of the first idempotent e
-    with ``a - e`` nilpotent (``plus``) and the first with ``a + e``
-    nilpotent (``minus``), the two rows of ``signs``; ``missing`` (= |Id|)
-    where none does.  The flags read them through ``RingData.decomposes``."""
-
-    signs: np.ndarray
-    missing: int
-
-    @property
-    def plus(self) -> np.ndarray:
-        return self.signs[0]
-
-    @property
-    def minus(self) -> np.ndarray:
-        return self.signs[1]
-
-
 class RingData:
     """Lazily computed invariant cache attached to one ring."""
 
@@ -84,7 +66,7 @@ class RingData:
         self._jac_mask: np.ndarray | None = None
         self._center_mask: np.ndarray | None = None
         self._commutative: bool | None = None
-        self._ranks: WitnessRanks | None = None
+        self._nil_signs: np.ndarray | None = None
         self._nil_images: np.ndarray | None = None
 
     def _product(self, read, combine=np.logical_and) -> np.ndarray | None:
@@ -264,20 +246,35 @@ class RingData:
         return self._nil_images
 
     # -- nil-clean flags ----------------------------------------------------
-    def witness_ranks(self) -> WitnessRanks:
-        """Witness ranks of both signs over Nil(R); cached."""
-        if self._ranks is None:
-            self._ranks = _sign_ranks(self)
-        return self._ranks
+    def nil_signs(self) -> np.ndarray:
+        """The masks of a in Nil(R) + Id(R) and of a in Nil(R) - Id(R),
+        stacked and cached.  One pass over the pairs (r, e) of a nilpotent
+        and an idempotent, ``_PAIR_CHUNK`` at a time, marks r + e.  Nil is
+        closed under negation, so a + e is nilpotent exactly when -a - e is:
+        the second row is the first read at -a, one ``neg_vec`` over the
+        carrier.  A sign decomposes a pair exactly when it decomposes both
+        parts, so a direct product combines its factors' rows."""
+        if self._nil_signs is None:
+            stack = self._product(RingData.nil_signs)
+            if stack is None:
+                ring = self.ring
+                nil, idem = np.flatnonzero(self.nil_mask), self.idem_indices
+                plus = np.zeros(ring.card, dtype=bool)
+                total = len(nil) * len(idem)
+                for lo in range(0, total, _PAIR_CHUNK):
+                    rank, r = np.divmod(np.arange(lo, min(lo + _PAIR_CHUNK, total)), len(nil))
+                    plus[ring.add_vec(nil[r], idem[rank])] = True
+                stack = np.stack((plus, plus[ring.neg_vec(np.arange(ring.card, dtype=np.int64))]))
+            self._nil_signs = stack
+        return self._nil_signs
 
     def decomposes(self, kind: str) -> np.ndarray:
         """Mask of the elements with a decomposition of kind ``nil_clean``
         (a - e nilpotent) or ``weakly_nil_clean`` (a - e or a + e)."""
-        ranks = self.witness_ranks()
         if kind == "nil_clean":
-            return ranks.plus < ranks.missing
+            return self.nil_signs()[0]
         if kind == "weakly_nil_clean":
-            return ranks.signs.min(axis=0) < ranks.missing
+            return self.nil_signs().any(axis=0)
         raise ValueError(f"the sign pass decides no kind {kind!r}")
 
 
@@ -287,48 +284,6 @@ def ring_data(ring: Ring) -> RingData:
         data = RingData(ring)
         ring._ringlab_data = data
     return data
-
-
-def _product_ranks(data: RingData, ranks_of) -> np.ndarray | None:
-    """The ranks of a direct product L x R from the ranks ``ranks_of`` gives
-    on its factors: (a, b) decomposes with e = (f, g) exactly when a does
-    with f and b with g, and the pairs ascend as (rank f, rank g) do, so
-    the first such e has rank ``l * |Id(R)| + r``, or ``|Id(L)| * |Id(R)|``
-    where none does.  None when the ring is no direct product."""
-    sizes = []  # |Id(L)|, |Id(R)|, as ``_product`` reads L, then R
-
-    def read(factor: RingData) -> np.ndarray:
-        sizes.append(len(factor.idem_indices))
-        return ranks_of(factor)
-
-    def combine(l: np.ndarray, r: np.ndarray) -> np.ndarray:
-        lm, rm = sizes
-        return np.where((l < lm) & (r < rm), l * rm + r, lm * rm)
-
-    return data._product(read, combine)
-
-
-def _sign_ranks(data: RingData) -> WitnessRanks:
-    """One vectorised pass over the pairs (r, e) of a nilpotent r and an
-    idempotent e of rank i, ``_PAIR_CHUNK`` at a time: ``np.minimum.at``
-    writes i at r + e into ``plus``.  For a fixed e the map is a
-    bijection, so each element keeps the lowest rank that reaches it.  Nil
-    is closed under negation, so a + e is nilpotent exactly when -a - e
-    is: ``minus`` is ``plus`` read at -a, one ``neg_vec`` over the
-    carrier.  A direct product combines its factors' ranks, both signs in
-    one read."""
-    ring = data.ring
-    missing = len(data.idem_indices)
-    signs = _product_ranks(data, lambda d: d.witness_ranks().signs)
-    if signs is None:
-        signs = np.full((2, ring.card), missing, dtype=np.int64)
-        nil, idem = np.flatnonzero(data.nil_mask), data.idem_indices
-        total = len(nil) * missing
-        for lo in range(0, total, _PAIR_CHUNK):
-            rank, r = np.divmod(np.arange(lo, min(lo + _PAIR_CHUNK, total)), len(nil))
-            np.minimum.at(signs[0], ring.add_vec(nil[r], idem[rank]), rank)
-        signs[1] = signs[0, ring.neg_vec(np.arange(ring.card, dtype=np.int64))]
-    return WitnessRanks(signs, missing)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +319,7 @@ def is_nil_subset(ring: Ring, subset: Subset) -> bool:
 
 
 def mod_j(ring: Ring) -> QuotientRing:
-    """Quotient by the Jacobson radical, with its projection map."""
+    """Quotient by the Jacobson radical."""
     return quotient_by_ideal(ring, jacobson(ring), label=f"MODJ({ring.label})")
 
 

@@ -193,7 +193,7 @@ class VerifyContext:
 
     def pair_ring(self, a: str, b: str) -> Ring:
         """Direct product of two catalog rings, sharing the cached factors;
-        left without tables, so its invariants and nil sign ranks come from
+        left without tables, so its invariants and nil sign masks come from
         the factors'."""
         key = self.pair_text(a, b)
         ring = self._rings.get(key)

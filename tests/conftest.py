@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 import ringlab as rl
+from ringlab.constructions import _BUILTIN_PATTERNS
 from ringlab.dsl import Term
 
 
@@ -202,9 +203,10 @@ def scan_witness_ranks(ring, nil):
     pairs (r, e) of a target r and an idempotent e, with an addition for
     each sign and the commutation products on every chunk, run flat over
     the carrier also for a direct product: the oracle of the nil sign pass
-    (``RingData.witness_ranks``) and of the keys of
-    ``decompositions.idempotent_scan``.  Reads the library's masks, which
-    ``oracle_status`` and ``oracle_idempotents`` check."""
+    (``RingData.nil_signs`` holds ``plus < missing`` and ``minus <
+    missing``) and of the keys of ``decompositions.idempotent_scan``.
+    Reads the library's masks, which ``oracle_status`` and
+    ``oracle_idempotents`` check."""
     data = rl.structure.ring_data(ring)
     idem = data.idem_indices
     targets = np.flatnonzero(data.nil_mask if nil else data.unit_mask)
@@ -505,3 +507,53 @@ def ring_expr_strategy(draw, depth=2):
             _terms("x", inner, ring_expr_strategy(depth=0)),
         )
     )
+
+
+def _frame_exponent(frame):
+    """The class count of a ``PAT`` frame: its card is |R| to that power."""
+    family, naturals = frame
+    return _BUILTIN_PATTERNS[family][len(naturals) - 1][1](*naturals)
+
+
+@st.composite
+def bounded_ring_expr_strategy(draw, max_card, depth=2):
+    """Terms shaped as ``ring_expr_strategy`` draws them, with card at most
+    ``max_card``, so that building them under that guard fails only on a
+    construction's preconditions."""
+    return draw(_bounded_ring(max_card, depth))[0]
+
+
+@st.composite
+def _bounded_ring(draw, max_card, depth):
+    """(term, card): each constructor takes only the fields that keep its
+    card, a power of its argument's or a product, at most ``max_card``.
+    ``MODJ(R)`` counts as |R|, an upper bound."""
+    if depth == 0:
+        leaves = [(Term("Z", (n,)), n) for n in range(2, 13)]
+        leaves += [(Term("GF", (p, k)), p**k) for p in (2, 3, 5) for k in range(1, 5)]
+        return draw(st.sampled_from([leaf for leaf in leaves if leaf[1] <= max_card]))
+    ring, card = draw(_bounded_ring(max_card, depth - 1))
+    cyclic = [(Term("C", (n,)), n) for n in range(1, 6)]
+    groups = cyclic + [(Term("x", (g, h)), m * n) for g, m in cyclic for h, n in cyclic]
+    frames = [(f, (n,)) for f in ("S", "U") for n in (2, 3, 4)]
+    frames += [(f, (n, m)) for f in ("S", "Tb") for n in (2, 3) for m in (2, 3)]
+    # (name, fields with None for the ring argument, card exponent); a PQ
+    # row holds its degree in place of the polynomial
+    rows = [("MODJ", (None,), 1), ("TE", (None,), 2)]
+    rows += [("M", (n, None), n * n) for n in (1, 2, 3)]
+    rows += [("T", (n, None), n * (n + 1) // 2) for n in (1, 2, 3)]
+    rows += [("FM", (n, s, None), n * n) for n in (2, 3) for s in (0, 1)]
+    rows += [("GR", (None, g), k) for g, k in groups]
+    rows += [("PAT", (frame, None), _frame_exponent(frame)) for frame in frames]
+    rows += [("PQ", (None, degree), degree) for degree in (1, 2, 3)]
+    rows = [row for row in rows if card ** row[2] <= max_card]
+    names = {row[0] for row in rows} | ({"x"} if 2 * card <= max_card else set())
+    name = draw(st.sampled_from(sorted(names)))
+    if name == "x":
+        right, right_card = draw(_bounded_ring(max_card // card, 0))
+        return Term("x", (ring, right)), card * right_card
+    _, fields, k = draw(st.sampled_from([row for row in rows if row[0] == name]))
+    if name == "PQ":
+        coeffs = draw(st.lists(st.integers(0, 9), min_size=fields[1], max_size=fields[1]))
+        fields = (None, (*coeffs, 1))
+    return Term(name, tuple(ring if f is None else f for f in fields)), card**k

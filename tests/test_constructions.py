@@ -320,8 +320,6 @@ def test_quotient_by_ideal(z12):
     q = rl.quotient_by_ideal(z12, ideal)
     assert q.card == 6
     assert flags_of(q) == flags_of(rl.zmod(6))
-    assert q.project(7) == q.project(1)
-    assert q.lift(q.project(7)) == 1
     trivial = rl.quotient_by_ideal(z12, rl.ideal_generated(z12, [0]))
     assert trivial.card == 12
     assert flags_of(trivial) == flags_of(z12)

@@ -7,13 +7,13 @@ from ringlab import cli, core, structure, verify
 from ringlab.core import additive_generators, additive_span, check_ring_axioms
 
 from conftest import (
+    bounded_ring_expr_strategy,
     direct_tables,
     index_of,
     mat_add_mod,
     mat_mul_mod,
     mat_of,
     oracle_nilpotents,
-    ring_expr_strategy,
 )
 
 
@@ -203,7 +203,7 @@ def test_tables_match_direct_build(expr):
     assert_tables_match_direct(structure.mod_j(rl.memoize(ring)))
 
 
-@given(ring_expr_strategy())
+@given(bounded_ring_expr_strategy(max_card=256))
 @settings(max_examples=50, deadline=None)
 def test_generated_tables_match_direct_build_property(expr):
     try:

@@ -284,18 +284,23 @@ RANK_EXPRS = sorted(
     | set(AXIOM_SUITE_EXTRAS)
     | set(LADDER_RUNGS)
     | {"M(2,Z(2)) x Z(4)", "T(2,Z(4)) x Z(3)", "Z(6) x T(2,Z(3))"}
-    # nested products: the factors' ranks combine at both levels
+    # nested products: the factors' masks combine at both levels
     | {"(Z(2) x Z(3)) x Z(4)", "T(2,Z(2)) x (Z(3) x Z(4))"}
 )
 
 
+def sign_masks(plus, minus, missing):
+    """The stack ``RingData.nil_signs`` keeps, read off the oracle's ranks."""
+    return np.stack((plus < missing, minus < missing))
+
+
 @pytest.mark.parametrize("expr", RANK_EXPRS + sorted(S3_RINGS))
 def test_sign_pass_and_idempotent_scan_match_the_combined_scan(expr):
-    """The nil sign pass (``minus`` read off ``plus`` at -a) and the keys of
-    ``idempotent_scan`` over the whole carrier, all six kinds, against the
-    combined pass of the oracle, with tables and without: a product
-    without tables combines its factors' ranks, the oracle always runs
-    flat over the carrier."""
+    """The masks of the nil sign pass (Nil - Id read off Nil + Id at -a) and
+    the keys of ``idempotent_scan`` over the whole carrier, all six kinds,
+    against the combined pass of the oracle, with tables and without: a
+    product without tables combines its factors' masks, the oracle always
+    runs flat over the carrier."""
     computed = s3_group_ring(S3_RINGS[expr]) if expr in S3_RINGS else rl.build(expr)
     tabled = maybe_memoize(computed)
     everyone = np.arange(computed.card, dtype=np.int64)
@@ -309,10 +314,8 @@ def test_sign_pass_and_idempotent_scan_match_the_combined_scan(expr):
         }
         for ring in {computed, tabled}:
             if nil:
-                ranks = ring_data(ring).witness_ranks()
-                assert np.array_equal(ranks.plus, plus), (expr, ring)
-                assert np.array_equal(ranks.minus, minus), (expr, ring)
-                assert ranks.missing == missing, (expr, ring)
+                signs = sign_masks(plus, minus, missing)
+                assert np.array_equal(ring_data(ring).nil_signs(), signs), (expr, ring)
             for kind, want in keys.items():
                 got = idempotent_scan(ring, kind, everyone)
                 assert np.array_equal(got, want), (expr, ring, kind)
@@ -322,9 +325,10 @@ def test_sign_pass_and_idempotent_scan_match_the_combined_scan(expr):
 def test_sign_pass_work_and_strong_keys(expr):
     """On computed rings above the table threshold, the flags that read
     only the sign pass make no product and one addition per chunk of
-    (nilpotent, idempotent) pairs; the strongly flag agrees with the
-    oracle's commuting ranks, and so do the strongly keys of the scan on a
-    sample of elements and the counterexample."""
+    (nilpotent, idempotent) pairs, and their masks match the oracle's; the
+    strongly flag agrees with the oracle's commuting ranks, and so do the
+    strongly keys of the scan on a sample of elements and the
+    counterexample."""
     ring = rl.build(expr)
     data = ring_data(ring)
     idem = len(data.idem_indices)  # the status and idempotent passes are not counted
@@ -345,8 +349,7 @@ def test_sign_pass_work_and_strong_keys(expr):
         rl.ring_flag(ring, name)
     assert calls == {"add_vec": math.ceil(nil * idem / _PAIR_CHUNK), "mul_vec": 0}
     plus, plus_strong, minus, missing = scan_witness_ranks(ring, True)
-    ranks = data.witness_ranks()
-    assert np.array_equal(ranks.plus, plus) and np.array_equal(ranks.minus, minus)
+    assert np.array_equal(data.nil_signs(), sign_masks(plus, minus, missing))
     failing = np.flatnonzero(plus_strong == missing)
     cx = int(failing[0]) if len(failing) else None
     assert rl.flag_counterexample(ring, "strongly_nil_clean") == cx
@@ -436,8 +439,8 @@ M2Z18_ELEMENT_5 = {
 
 def test_element_predicates_scan_only_the_idempotents():
     """The six predicates on one element of a ring of card 104976 fill no
-    rank cache, and none of their sums, differences or products is longer
-    than |Id|; the status and idempotent passes are not counted."""
+    sign-pass cache, and none of their sums, differences or products is
+    longer than |Id|; the status and idempotent passes are not counted."""
     ring = rl.build("M(2,Z(18))")
     data = ring_data(ring)
     idem = len(data.idem_indices)
@@ -461,19 +464,19 @@ def test_element_predicates_scan_only_the_idempotents():
         got = None if w is None else (w.sign, w.idempotent, w.rest, w.commuting)
         assert (ok, got) == M2Z18_ELEMENT_5[kind], kind
     assert 0 < max(sizes) <= idem
-    assert data._ranks is None
+    assert data._nil_signs is None
 
 
 @pytest.mark.parametrize("expr", ["M(2,Z(6))", "T(2,Z(4)) x Z(3)"])
 def test_classify_fills_only_the_nil_sign_pass(monkeypatch, expr):
     """``classify`` without witnesses scans no element's idempotents; the
-    nil sign pass it fills, on a product also on the factors, matches the
-    oracle."""
+    nil sign pass it fills, on a product also on the factors, is one bool
+    stack of two masks that matches the oracle."""
     ring = rl.build(expr)
     monkeypatch.setattr(decompositions, "idempotent_scan", no_scan)
     rl.classify(ring)
     for part in (ring, *(ring.factors() or ())):
-        ranks = ring_data(part)._ranks
+        signs = ring_data(part)._nil_signs
         plus, _, minus, missing = scan_witness_ranks(part, True)
-        assert np.array_equal(ranks.plus, plus) and np.array_equal(ranks.minus, minus), part
-        assert ranks.missing == missing
+        assert signs.dtype == bool and signs.shape == (2, part.card), part
+        assert np.array_equal(signs, sign_masks(plus, minus, missing)), part

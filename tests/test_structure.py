@@ -210,7 +210,7 @@ def test_structural_record_shape(z6):
         "T(2,Z(2)) x (Z(3) x Z(4))",
     ],
 )
-def test_status_and_inverse_passes_match_power_walk(expr):
+def test_status_pass_matches_power_walk(expr):
     """The unit/nilpotent status pass against a walk of every element's
     powers and against the units found by search."""
     ring = rl.build(expr)
