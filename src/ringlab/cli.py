@@ -319,11 +319,7 @@ def cmd_verify(args) -> int:
     if args.only is not None and args.only not in verify_mod.CHECKS:
         print(f"unknown check id {args.only!r}", file=sys.stderr)
         return 2
-    summary = verify_mod.run_all(
-        max_card=args.max_card,
-        memo_threshold=None,
-        only=args.only,
-    )
+    summary = verify_mod.run_all(max_card=args.max_card, only=args.only)
     if args.json:
         payload = {
             "summary": {

@@ -713,6 +713,8 @@ class FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ConstructionError(f"cyclic group order must be >= 1, got {n}")
+    if n > _GROUP_ORDER_LIMIT:  # before the n x n table is formed
+        raise ConstructionError(f"group order must be in 1..{_GROUP_ORDER_LIMIT}")
     ar = np.arange(n, dtype=np.int64)
     table = (ar[:, None] + ar[None, :]) % n
     return FiniteGroup(table, f"C({n})")

@@ -4,7 +4,7 @@ A ring lives on the carrier ``0 .. card-1``; elements are plain ints and
 are meaningful only relative to the ring that produced them.  A ring is
 defined by its numpy-vectorised ``add_vec``/``neg_vec``/``mul_vec``, which
 the bulk scans are built on; the scalar ``add``/``neg``/``mul`` are derived
-from them.  ``memoize`` copies a ring of card up to the table threshold
+from them.  ``memoize`` copies a ring of card up to ``MEMO_THRESHOLD``
 into int32 operation tables (``TableRing``): a direct product combines its
 factors' tables, any other ring is evaluated only on the rows of its
 additive generators (their ``mul`` rows in one call), and the other rows
@@ -20,10 +20,9 @@ from typing import Iterator
 import numpy as np
 
 DEFAULT_MAX_CARD = 200_000
-DEFAULT_MEMO_THRESHOLD = 2048
+MEMO_THRESHOLD = 2048
 
 MAX_CARD_ENV = "RINGLAB_MAX_CARD"
-MEMO_THRESHOLD_ENV = "RINGLAB_MEMO_THRESHOLD"
 
 
 class GuardError(ValueError):
@@ -47,22 +46,14 @@ class SettingError(ValueError):
     """An environment setting does not parse."""
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def default_max_card() -> int:
+    raw = os.environ.get(MAX_CARD_ENV)
     if raw is None or raw == "":
-        return default
+        return DEFAULT_MAX_CARD
     try:
         return int(raw)
     except ValueError:
-        raise SettingError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def default_max_card() -> int:
-    return _env_int(MAX_CARD_ENV, DEFAULT_MAX_CARD)
-
-
-def default_memo_threshold() -> int:
-    return _env_int(MEMO_THRESHOLD_ENV, DEFAULT_MEMO_THRESHOLD)
+        raise SettingError(f"{MAX_CARD_ENV} must be an integer, got {raw!r}") from None
 
 
 def check_guard(
@@ -401,25 +392,23 @@ class TableRing(Ring):
         return self.source.format_element(a)
 
 
-def memoize(ring: Ring, threshold: int | None = None) -> Ring:
+def memoize(ring: Ring) -> Ring:
     """Return a table-backed ring with unchanged observable behaviour.
 
-    Refuses rings whose card exceeds the threshold (default 2048,
-    overridable via ``RINGLAB_MEMO_THRESHOLD``); the caller then keeps
-    using the computed ring.
+    Refuses rings whose card exceeds ``MEMO_THRESHOLD``; the caller then
+    keeps using the computed ring.
     """
-    limit = default_memo_threshold() if threshold is None else threshold
-    if ring.card > limit:
-        raise GuardError(ring.card, limit, what="memo table card")
+    if ring.card > MEMO_THRESHOLD:
+        raise GuardError(ring.card, MEMO_THRESHOLD, what="memo table card")
     if isinstance(ring, TableRing):
         return ring
     return TableRing(ring)
 
 
-def maybe_memoize(ring: Ring, threshold: int | None = None) -> Ring:
+def maybe_memoize(ring: Ring) -> Ring:
     """``memoize`` when the threshold allows it, else the ring unchanged."""
     try:
-        return memoize(ring, threshold)
+        return memoize(ring)
     except GuardError:
         return ring
 

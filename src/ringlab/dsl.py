@@ -22,12 +22,13 @@ Polynomial literals are ascending-degree coefficient lists of base-ring
 element indices and must be monic; the ``s`` literal of ``FM`` is a
 canonical element index of the base ring.  ``canonical`` emits the fully
 parenthesized single-space form that round-trips through ``parse`` and is
-stable across releases (cache-key contract).
+stable across releases (cache-key contract).  An expression nests at most
+``MAX_DEPTH`` levels; ``parse`` refuses a deeper one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import constructions as cons
@@ -55,10 +56,16 @@ _PRODUCT = "x"
 class Term:
     """One node of an expression: a constructor's row key and its fields in
     row order, where a ring or group argument is a term and a pattern is
-    ``(family, naturals)``; or a product, named ``"x"``, of two terms."""
+    ``(family, naturals)``; or a product, named ``"x"``, of two terms.
+    ``height`` counts the levels of terms from this one down."""
 
     name: str
     args: tuple
+    height: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        below = [a.height for a in self.args if isinstance(a, Term)]
+        object.__setattr__(self, "height", 1 + max(below, default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +158,26 @@ _TABLES = {_RING: _CONSTRUCTORS, _GROUP: _GROUP_ATOMS}
 # ---------------------------------------------------------------------------
 # recursive-descent parser
 
+#: the most levels an expression nests: the ring and group expressions open
+#: at one token, which parsing recurses through, and the height of its term,
+#: which ``canonical`` and ``build`` do (its canonical text opens no more)
+MAX_DEPTH = 64
+
 
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # the ring and group expressions open
+
+    def bound(self, tok: _Token, levels: int) -> None:
+        if levels > MAX_DEPTH:
+            raise ParseError(tok.offset, f"expression nests deeper than {MAX_DEPTH} levels")
+
+    def term(self, tok: _Token, name: str, args: tuple) -> Term:
+        node = Term(name, args)
+        self.bound(tok, node.height)
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -185,10 +207,12 @@ class _Parser:
         return self.product(lambda: self.call(_GROUP_ATOMS, "group constructor"))
 
     def product(self, atom: Callable[[], Term]) -> Term:
+        self.depth += 1
+        self.bound(self.peek(), self.depth)
         node = atom()
         while self.peek().kind == "X":
-            self.take("X")
-            node = Term(_PRODUCT, (node, atom()))
+            node = self.term(self.take("X"), _PRODUCT, (node, atom()))
+        self.depth -= 1
         return node
 
     def atom(self) -> Term:
@@ -225,7 +249,7 @@ class _Parser:
             else:
                 fields.append(getattr(self, kind)())
         self.take("RPAREN")
-        return Term(tok.value, tuple(fields))
+        return self.term(tok, tok.value, tuple(fields))
 
     def pattern(self) -> tuple[str, tuple[int, ...]]:
         tok = self.take("NAME")

@@ -360,16 +360,21 @@ def wedderburn_fingerprint(ring: Ring) -> WedderburnFingerprint:
         raise ValueError(
             f"{ring.label} has a nonzero Jacobson radical; fingerprint its mod-j quotient"
         )
-    central = data.idem_mask & data.center_mask
-    central[ring.zero] = False
-    cidx = np.flatnonzero(central)
-    f, e = np.repeat(cidx, len(cidx)), np.tile(cidx, len(cidx))
-    # e is primitive when the only nonzero central f with f*e == f is e
-    below = (ring.mul_vec(f, e) == f).reshape(len(cidx), len(cidx))
-    primitive = cidx[below.sum(axis=0) == 1]
+    cidx = np.flatnonzero(data.idem_mask & data.center_mask)
+    # split 1 into orthogonal central idempotents: a part e with some e*f
+    # other than 0 and e becomes e*f and e - e*f, else it is primitive
+    parts, primitive = [ring.one], []
+    while parts:
+        e = parts.pop()
+        below = ring.mul_vec(e, cidx)
+        proper = below[(below != ring.zero) & (below != e)]
+        if len(proper):
+            parts += [int(proper[0]), ring.sub(e, int(proper[0]))]
+        else:
+            primitive.append(e)
     ar = np.arange(ring.card, dtype=np.int64)
     blocks = []
-    for e in primitive:
+    for e in sorted(primitive):
         # e is central, so its block eRe is eR and the block's center
         # Z(eR) = eZ(R) = Z(R) ∩ eR, a field of order q
         block = np.zeros(ring.card, dtype=bool)

@@ -22,7 +22,6 @@ from .core import (
     TableRing,
     check_ring_axioms,
     default_max_card,
-    default_memo_threshold,
     maybe_memoize,
 )
 from . import constructions as cons
@@ -156,15 +155,10 @@ class VerifySummary:
 
 
 class VerifyContext:
-    """Shared ring/flag cache for one harness run.  Every ring a check uses
-    comes from ``ring``, ``pair_ring`` or ``adopt``, so one card guard and
-    one memo threshold hold for the whole run."""
+    """Shared ring/flag cache for one harness run, under one card guard."""
 
-    def __init__(self, max_card: int | None = None, memo_threshold: int | None = None) -> None:
+    def __init__(self, max_card: int | None = None) -> None:
         self.max_card = default_max_card() if max_card is None else max_card
-        self.memo_threshold = (
-            default_memo_threshold() if memo_threshold is None else memo_threshold
-        )
         self._rings: dict[str, Ring] = {}  # keyed by canonical text
         self._parsed: dict[str, tuple[str, Term]] = {}
 
@@ -183,13 +177,8 @@ class VerifyContext:
         key, expr = self.parsed(text)
         ring = self._rings.get(key)
         if ring is None:
-            ring = build(expr, max_card=self.max_card)
-            ring = maybe_memoize(ring, self.memo_threshold)
-            self._rings[key] = ring
+            ring = self._rings[key] = maybe_memoize(build(expr, max_card=self.max_card))
         return ring
-
-    def adopt(self, ring: Ring) -> Ring:
-        return maybe_memoize(ring, self.memo_threshold)
 
     def pair_ring(self, a: str, b: str) -> Ring:
         """Direct product of two catalog rings, sharing the cached factors;
@@ -438,7 +427,7 @@ def _check_p28(ctx: VerifyContext, details: list[str]) -> bool:
             if not structure.is_nil_subset(ring, ideal):
                 details.append(f"FAIL {expr}: enumerated ideal of size {len(ideal)} is not nil")
                 continue
-            quotient = ctx.adopt(cons.quotient_by_ideal(ring, ideal))
+            quotient = maybe_memoize(cons.quotient_by_ideal(ring, ideal))
             rhs, _ = dec.gwnc(quotient)
             ran = True
             if lhs != rhs:
@@ -485,7 +474,7 @@ def _dt_frame_agrees(ctx: VerifyContext, n: int) -> tuple[bool, str]:
     the base-n digits a, b, c, d, so the coordinate map is the identity and
     the two rings' operations must agree on every pair."""
     tt = ctx.ring(f"TE(TE(Z({n})))")
-    frame = ctx.adopt(cons.pattern_subring(cons.double_extension_pattern(), cons.zmod(n)))
+    frame = maybe_memoize(cons.pattern_subring(cons.double_extension_pattern(), cons.zmod(n)))
     if tt.card != frame.card:
         return False, f"DT frame over Z({n}): card mismatch"
     if tt.one != frame.one:
@@ -770,7 +759,7 @@ def _check_t236(ctx: VerifyContext, details: list[str]) -> bool:
         ring = ctx.ring(expr)
         lhs = ctx.gwnc(expr)
         j_nil = structure.is_nil_subset(ring, structure.jacobson(ring))
-        quotient = ctx.adopt(structure.mod_j(ring))
+        quotient = maybe_memoize(structure.mod_j(ring))
         fp = structure.wedderburn_fingerprint(quotient).blocks
         rhs = (
             (structure.is_local(ring) and j_nil)
@@ -800,7 +789,7 @@ def _check_p241(ctx: VerifyContext, details: list[str]) -> bool:
         lhs = _guarded_gwnc(ctx, details, derived)
         if lhs is None:
             continue
-        quotient = ctx.adopt(structure.mod_j(ctx.ring(base)))
+        quotient = maybe_memoize(structure.mod_j(ctx.ring(base)))
         rhs = structure.is_boolean_ring(quotient)
         ran = True
         _gwnc_agrees(details, derived, lhs, "base radical quotient boolean", rhs)
@@ -1024,25 +1013,18 @@ def _run(check_id: str, description: str, body, ctx: VerifyContext) -> CheckResu
 
 
 def run_check(
-    check_id: str,
-    max_card: int | None = None,
-    memo_threshold: int | None = None,
-    ctx: VerifyContext | None = None,
+    check_id: str, max_card: int | None = None, ctx: VerifyContext | None = None
 ) -> CheckResult:
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}")
     if ctx is None:
-        ctx = VerifyContext(max_card=max_card, memo_threshold=memo_threshold)
+        ctx = VerifyContext(max_card=max_card)
     description, body = CHECKS[check_id]
     return _run(check_id, description, body, ctx)
 
 
-def run_all(
-    max_card: int | None = None,
-    memo_threshold: int | None = None,
-    only: str | None = None,
-) -> VerifySummary:
-    ctx = VerifyContext(max_card=max_card, memo_threshold=memo_threshold)
+def run_all(max_card: int | None = None, only: str | None = None) -> VerifySummary:
+    ctx = VerifyContext(max_card=max_card)
     ids = sorted(CHECKS) if only is None else [only]
     results = [run_check(i, ctx=ctx) for i in ids]
     return VerifySummary(results)
@@ -1064,14 +1046,14 @@ AXIOM_SUITE_EXTRAS = (
 )
 
 
-def axiom_suite(max_card: int = 512, guard: int | None = None) -> list[str]:
+def axiom_suite() -> list[str]:
     """Run the exhaustive ring-axiom suite over every catalog construction
-    small enough, returning the labels checked."""
-    ctx = VerifyContext(max_card=guard)
+    within ``check_ring_axioms``'s card guard, returning the labels checked."""
+    ctx = VerifyContext()
     checked = []
     for expr in [e.expression for e in CATALOG] + list(AXIOM_SUITE_EXTRAS):
         ring = ctx.ring(expr)
-        if ring.card <= max_card:
-            check_ring_axioms(ring, max_card=max_card)
+        if ring.card <= 512:
+            check_ring_axioms(ring)
             checked.append(expr)
     return checked

@@ -104,7 +104,7 @@ def test_classify_env_guard(capsys, monkeypatch):
         (("classify", "GF(4,1)"), {}),
         (("classify", "PQ(Z(3),[0,3,1])"), {}),
         (("element", "GF(4,1)", "0"), {}),
-        (("element", "Z(4)", "1"), {"RINGLAB_MEMO_THRESHOLD": "x"}),
+        (("classify", "(" * 1000 + "Z(2)" + ")" * 1000), {}),
         (("classify", "M(2,Z(4))"), {"RINGLAB_MAX_CARD": "abc"}),
         (("classify", "FM(2,7,Z(4))"), {}),
     ],

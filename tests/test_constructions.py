@@ -283,6 +283,11 @@ def test_groups():
     assert klein.is_abelian and klein.is_p_group(2)
     with pytest.raises(ConstructionError):
         rl.FiniteGroup([[0, 1], [1, 1]], "bad")
+    # the order limit holds before the n x n Cayley table is formed: C(10^6)
+    # would need 8 TB
+    for n in (513, 10**6):
+        with pytest.raises(ConstructionError, match=r"group order must be in 1\.\.512"):
+            rl.cyclic_group(n)
 
 
 def test_group_ring():

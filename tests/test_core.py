@@ -105,24 +105,14 @@ def test_memoize_refuses_above_threshold():
     with pytest.raises(rl.GuardError) as err:
         rl.memoize(big)
     assert err.value.required == 19683
-    small = rl.zmod(6)
-    with pytest.raises(rl.GuardError):
-        rl.memoize(small, threshold=3)
-    assert rl.maybe_memoize(small, threshold=0) is small
-    assert isinstance(rl.maybe_memoize(small), rl.TableRing)
+    assert err.value.limit == core.MEMO_THRESHOLD == 2048
+    assert rl.maybe_memoize(big) is big
+    assert isinstance(rl.maybe_memoize(rl.zmod(6)), rl.TableRing)
 
 
 def test_memoize_idempotent(z6):
     table = rl.memoize(z6)
     assert rl.memoize(table) is table
-
-
-def test_memoize_threshold_env(monkeypatch):
-    monkeypatch.setenv("RINGLAB_MEMO_THRESHOLD", "4")
-    with pytest.raises(rl.GuardError):
-        rl.memoize(rl.zmod(6))
-    assert isinstance(rl.maybe_memoize(rl.zmod(4)), rl.TableRing)
-    assert not isinstance(rl.maybe_memoize(rl.zmod(6)), rl.TableRing)
 
 
 def test_subset_operations(z6):

@@ -266,6 +266,47 @@ def test_parse_outcomes_match_the_recorded_corpus():
         assert canonical(parse(want)) == want
 
 
+def _nested(levels, opening):
+    return opening * levels + "Z(2)" + ")" * levels
+
+
+def _product(factors):
+    return " x ".join(["Z(2)"] * factors)
+
+
+_DEEP = dsl.MAX_DEPTH
+
+#: an expression at the nesting bound, the same one level deeper, and the offset
+#: of the token that opens the level too many
+NESTING = [
+    # Z(2) within MAX_DEPTH - 1 parentheses or ring arguments: refused at
+    # the start of the expression one level too deep
+    (_nested(_DEEP - 1, "("), _nested(_DEEP, "("), _DEEP),
+    (_nested(_DEEP - 1, "M(1,"), _nested(_DEEP, "M(1,"), 4 * _DEEP),
+    (_nested(_DEEP - 1, "("), _nested(1000, "("), _DEEP),
+    # a product of k factors is a term of height k, refused at its last x;
+    # a constructor is one level higher than its arguments
+    (_product(_DEEP), _product(_DEEP + 1), 7 * _DEEP - 2),
+    (f"M(1,({_product(_DEEP - 1)}))", f"M(1,({_product(_DEEP)}))", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "text, deeper, offset",
+    NESTING,
+    ids=["parentheses", "arguments", "1000 parentheses", "factors", "constructor of factors"],
+)
+def test_nesting_bound(text, deeper, offset):
+    """At the bound an expression parses and round-trips; one level more is
+    a ParseError at the token that opens it, raised before the recursion
+    of parsing, ``canonical`` or ``build`` can exhaust the stack."""
+    expr = parse(text)
+    assert parse(canonical(expr)) == expr
+    with pytest.raises(ParseError, match=f"nests deeper than {_DEEP} levels") as err:
+        parse(deeper)
+    assert err.value.offset == offset
+
+
 def test_build_is_deterministic():
     a = build("T(2,Z(4))")
     b = build("T(2,Z(4))")

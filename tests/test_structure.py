@@ -136,6 +136,27 @@ def test_fingerprint_requires_semisimple(z12):
         rl.wedderburn_fingerprint(z12)
 
 
+def test_fingerprint_splits_one_by_central_idempotents():
+    """Z(2)^12 has c = 4096 central idempotents and k = 12 blocks.
+    Splitting 1 takes 2k - 1 calls of c products, and each block one row
+    of card products; all pairs of nonzero central idempotents were 16.8M."""
+    ring = rl.build(" x ".join(["Z(2)"] * 12))
+    data = structure.ring_data(ring)
+    data.jacobson_mask, data.idem_mask, data.center_mask  # computed uncounted
+    products = []
+    mul_vec = ring.mul_vec
+
+    def counted(xs, ys):
+        out = mul_vec(xs, ys)
+        products.append(out.size)
+        return out
+
+    ring.mul_vec = counted
+    assert rl.wedderburn_fingerprint(ring).blocks == ((1, 2),) * 12
+    c, k = 4096, 12
+    assert sorted(products) == [c] * (2 * k - 1) + [ring.card] * k
+
+
 def test_local_iff_nonunits_equal_radical():
     for expr, expected in (
         ("Z(4)", True),
