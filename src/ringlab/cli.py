@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -145,12 +146,14 @@ def _source_digest() -> str:
 
 def _cache_entry(args, key: str) -> tuple[Path, str] | None:
     """The entry file of a request and the key it must hold: the source
-    digest plus the canonical key, so other sources never replay it."""
+    digest plus the canonical key, so other sources never replay it.
+    Entries live in one directory per source digest."""
     raw = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
     if raw is None:
         return None
-    key = f"{_source_digest()} {key}"
-    return Path(raw) / f"{hashlib.sha256(key.encode()).hexdigest()}.json", key
+    digest = _source_digest()
+    key = f"{digest} {key}"
+    return Path(raw) / digest / f"{hashlib.sha256(key.encode()).hexdigest()}.json", key
 
 
 def _cache_lookup(path: Path, key: str) -> str | None:
@@ -163,13 +166,36 @@ def _cache_lookup(path: Path, key: str) -> str | None:
         return None
 
 
+def _is_digest(name: str) -> bool:
+    return len(name) == 64 and all(c in "0123456789abcdef" for c in name)
+
+
+def _remove_stale_entries(current: Path) -> None:
+    """Remove the directories of other source digests beside ``current``,
+    and the entry files of the flat layout that preceded them, whose
+    sources can no longer be current.  A failed removal is ignored."""
+    with contextlib.suppress(OSError):
+        for other in current.parent.iterdir():
+            if other != current and _is_digest(other.name) and other.is_dir():
+                shutil.rmtree(other, ignore_errors=True)
+            elif other.suffix == ".json" and _is_digest(other.stem):
+                with contextlib.suppress(OSError):
+                    other.unlink()
+
+
 def _cache_store(path: Path, key: str, payload: str) -> None:
     """Write to a temporary file and rename it into place, so that a reader
     sees either no entry or a whole one; an entry that cannot be written
-    leaves the request uncached."""
+    leaves the request uncached.  The store that creates its digest's
+    directory removes the stale ones."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            path.parent.mkdir(parents=True)
+        except FileExistsError:
+            pass
+        else:
+            _remove_stale_entries(path.parent)
         tmp.write_text(json.dumps({"key": key, "payload": payload}), encoding="utf-8")
         os.replace(tmp, path)
     except OSError as exc:
@@ -367,7 +393,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it took most of
+    a cached request's time."""
     parser = argparse.ArgumentParser(
         prog="ringlab",
         description="classify finite rings by clean-family decompositions",
@@ -399,8 +428,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("catalog", help="list the named ring catalog")
     p.add_argument("--json", action="store_true", help="structured output")
     p.set_defaults(func=cmd_catalog)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -738,7 +738,7 @@ class GroupRing(_DigitRing):
         self.base = base
         self.group = group
         self.ndigits = group.order
-        self.card = check_guard(base.card, max_card, exponent=group.order)
+        self.card = group_ring_card(base, group.order, max_card)
         self.zero = 0
         self.one = base.one  # coefficient 1 at the identity g0
         self.label = f"GR({base.label},{group.label})"
@@ -755,6 +755,16 @@ class GroupRing(_DigitRing):
             if c != self.base.zero:
                 terms.append(f"{self.base.format_element(c)}*g{i}")
         return " + ".join(terms) if terms else self.base.format_element(self.base.zero)
+
+
+def group_ring_card(base: Ring, order: int, max_card: int | None = None) -> int:
+    """The card |base|^order of a group ring over a group of that order.
+    An order above the group limit is refused first, then the card by the
+    guard, so a caller that knows the order can refuse the ring before its
+    group's table is formed and validated."""
+    if order > _GROUP_ORDER_LIMIT:
+        raise ConstructionError(f"group order {order} exceeds limit {_GROUP_ORDER_LIMIT}")
+    return check_guard(base.card, max_card, exponent=order)
 
 
 def group_ring(base: Ring, group: FiniteGroup, max_card: int | None = None) -> GroupRing:

@@ -5,7 +5,7 @@ are meaningful only relative to the ring that produced them.  A ring is
 defined by its numpy-vectorised ``add_vec``/``neg_vec``/``mul_vec``, which
 the bulk scans are built on; the scalar ``add``/``neg``/``mul`` are derived
 from them.  ``memoize`` copies a ring of card up to ``MEMO_THRESHOLD``
-into int32 operation tables (``TableRing``): a direct product combines its
+into 16-bit operation tables (``TableRing``): a direct product combines its
 factors' tables, any other ring is evaluated only on the rows of its
 additive generators (their ``mul`` rows in one call), and the other rows
 are gathered from those in cache-sized blocks.  ``additive_generators``
@@ -21,6 +21,11 @@ import numpy as np
 
 DEFAULT_MAX_CARD = 200_000
 MEMO_THRESHOLD = 2048
+
+#: the entry type of every operation table: each entry is an element index
+#: below ``MEMO_THRESHOLD``
+TABLE_DTYPE = np.int16
+assert MEMO_THRESHOLD <= np.iinfo(TABLE_DTYPE).max + 1
 
 MAX_CARD_ENV = "RINGLAB_MAX_CARD"
 
@@ -248,15 +253,15 @@ def _product_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``out[(a,b),(c,d)] = left[a,c]·|R| + right[b,d]`` for the index
     a·|R| + b of the direct product."""
     nl, nr = len(left), len(right)
-    out = np.empty((nl, nr, nl, nr), dtype=np.int32)
+    out = np.empty((nl, nr, nl, nr), dtype=TABLE_DTYPE)
     np.multiply(left[:, None, :, None], nr, out=out)
     out += right[None, :, None, :]
     return out.reshape(nl * nr, nl * nr)
 
 
 def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
-    """The int32 ``add`` and ``mul`` tables of ``source``, and the additive
-    generators when the build walked them.
+    """The ``add`` and ``mul`` tables of ``source`` (``TABLE_DTYPE``), and
+    the additive generators when the build walked them.
 
     A direct product L x R combines its factors' tables, whose arrays a
     ``TableRing`` factor lends and any other factor builds here, so the
@@ -281,11 +286,11 @@ def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] |
     ar = np.arange(n, dtype=np.int64)
     if n <= _DIRECT_BUILD_CARD:
         left, right = np.repeat(ar, n), np.tile(ar, n)
-        add = source.add_vec(left, right).astype(np.int32).reshape(n, n)
-        return add, source.mul_vec(left, right).astype(np.int32).reshape(n, n), None
+        add = source.add_vec(left, right).astype(TABLE_DTYPE).reshape(n, n)
+        return add, source.mul_vec(left, right).astype(TABLE_DTYPE).reshape(n, n), None
     rows = max(1, _GATHER_BLOCK // n)
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
+    add = np.empty((n, n), dtype=TABLE_DTYPE)
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
     add[source.zero] = ar
     reached = ar == source.zero
     gens, steps = [], []
@@ -354,8 +359,9 @@ def additive_generators(ring: Ring) -> list[int]:
 
 
 class TableRing(Ring):
-    """Operationally identical copy of a ring backed by int32 lookup tables,
-    built by ``_operation_tables``."""
+    """Operationally identical copy of a ring backed by ``TABLE_DTYPE``
+    lookup tables, built by ``_operation_tables``: 4·card² bytes for ``add``
+    and ``mul`` together.  The vector ops still return int64."""
 
     def __init__(self, source: Ring) -> None:
         n = source.card
@@ -365,7 +371,7 @@ class TableRing(Ring):
         self.one = source.one
         self.label = source.label
         self._add, self._mul, self._additive_generators = _operation_tables(source)
-        self._neg = source.neg_vec(np.arange(n, dtype=np.int64)).astype(np.int32)
+        self._neg = source.neg_vec(np.arange(n, dtype=np.int64)).astype(TABLE_DTYPE)
 
     # direct lookups: the per-element paths call the scalar ops one by one
     def add(self, a: int, b: int) -> int:
@@ -387,6 +393,10 @@ class TableRing(Ring):
     def mul_vec(self, xs, ys) -> np.ndarray:
         xs, ys = _pair(xs, ys)
         return self._mul[xs, ys].astype(np.int64)
+
+    def sub_vec(self, xs, ys) -> np.ndarray:
+        xs, ys = _pair(xs, ys)
+        return self._add[xs, self._neg[ys]].astype(np.int64)
 
     def format_element(self, a: int) -> str:
         return self.source.format_element(a)

@@ -338,5 +338,19 @@ def build(expr: Term | str, max_card: int | None = None, kind: str = _RING):
             return cons.group_product(left, right)
         return cons.direct_product(left, right, max_card=max_card)
     row = _TABLES[kind][expr.name]
-    args = [build(v, max_card, k) if k in _TABLES else v for k, v in zip(row.kinds, expr.args)]
+    args = []
+    for k, v in zip(row.kinds, expr.args):
+        if k is _GROUP:  # GR(R, G): R is built, G not yet
+            cons.group_ring_card(args[0], _group_order(v), max_card)
+        args.append(build(v, max_card, k) if k in _TABLES else v)
     return row.builder(*args, max_card)
+
+
+def _group_order(expr: Term) -> int:
+    """|G| read off a group term, so that a group ring is refused before
+    G's Cayley table is validated (|G| gathers of |G|² entries): ``C(n)``
+    has order n, and a product multiplies its factors' orders."""
+    if expr.name == _PRODUCT:
+        left, right = map(_group_order, expr.args)
+        return left * right
+    return expr.args[0]

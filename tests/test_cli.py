@@ -184,7 +184,7 @@ def test_unusable_cache_dir_leaves_the_request_uncached(capsys, tmp_path):
     assert code == 0
     assert without_timings(out) == without_timings(plain)
     assert err.startswith("result not cached: ") and err.count("\n") == 1
-    assert list(cache.iterdir()) == [entry] and entry.is_dir()  # no temporary file left
+    assert list(entry.parent.iterdir()) == [entry] and entry.is_dir()  # no temporary file left
 
 
 def test_classify_witness_flag(capsys):
@@ -287,7 +287,7 @@ def test_catalog_json_schema(capsys):
 
 
 def cache_entries(path):
-    return sorted(path.glob("*.json"))
+    return sorted(path.glob("*/*.json"))
 
 
 def test_cache_hit_is_byte_identical(capsys, tmp_path):
@@ -298,7 +298,8 @@ def test_cache_hit_is_byte_identical(capsys, tmp_path):
     assert (code1, out1) == (code2, out2)
     assert out1 == out2  # byte identical, timings included: a replay
     assert cache_entries(tmp_path) == [entry]
-    assert list(tmp_path.iterdir()) == [entry]  # no temporary file left
+    assert list(tmp_path.iterdir()) == [entry.parent]  # one directory: the sources' digest
+    assert list(entry.parent.iterdir()) == [entry]  # no temporary file left
 
 
 def test_classify_parses_its_expression_once(capsys, tmp_path, monkeypatch):
@@ -348,10 +349,33 @@ def test_cache_misses_after_source_edit(capsys, tmp_path, monkeypatch):
     stored["payload"] = '{"stale": true}'
     entry.write_text(json.dumps(stored))
     assert run_cli(capsys, *args)[1] == '{"stale": true}\n'  # the entry is read
-    monkeypatch.setattr(cli, "_source_digest", lambda: "edited sources")
+    monkeypatch.setattr(cli, "_source_digest", lambda: "e" * 64)
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     assert "stale" not in out
+    assert [e.parent.name for e in cache_entries(tmp_path)] == ["e" * 64]
+    assert not entry.parent.exists()  # the old sources' directory is gone
+
+
+def test_new_sources_remove_stale_entries_only(capsys, tmp_path, monkeypatch):
+    """The store that creates its digest's directory removes the other
+    digests' directories and the entry files of the flat layout, and
+    leaves every other file alone."""
+    old, flat = tmp_path / ("a" * 64), tmp_path / f"{'b' * 64}.json"
+    old.mkdir()
+    (old / f"{'c' * 64}.json").write_text("{}")
+    flat.write_text("{}")
+    keep = [tmp_path / "notes", tmp_path / f"{'d' * 63}.json", tmp_path / ("f" * 64)]
+    keep[0].mkdir()
+    for path in keep[1:]:
+        path.write_text("")
+    args = ("classify", "Z(6)", "--json", "--cache-dir", str(tmp_path))
+    run_cli(capsys, *args)
+    [entry] = cache_entries(tmp_path)
+    assert sorted(tmp_path.iterdir()) == sorted([entry.parent, *keep])
+    # a store into an existing directory lists nothing
+    monkeypatch.setattr(cli, "_remove_stale_entries", None)
+    assert run_cli(capsys, "classify", "Z(4)", "--json", "--cache-dir", str(tmp_path))[0] == 0
     assert len(cache_entries(tmp_path)) == 2
 
 
@@ -372,6 +396,32 @@ def test_options_a_command_does_not_read_are_rejected(capsys, argv):
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
     assert "Traceback" not in err
+
+
+def test_main_builds_its_parser_once(capsys):
+    cli._parser.cache_clear()
+    parsers = []
+    for _ in range(2):
+        assert run_cli(capsys, "catalog", "--json")[0] == 0
+        parsers.append(cli._parser())
+    assert parsers[0] is parsers[1]
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_parser_keeps_no_options_between_calls(capsys):
+    code, out, _ = run_cli(capsys, "classify", "Z(6)", "--witness", "--json")
+    assert code == 0 and "witnesses" in json.loads(out)
+    code, out, _ = run_cli(capsys, "classify", "Z(6)", "--json")
+    assert code == 0 and "witnesses" not in json.loads(out)
+
+
+def test_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify"])
+    assert exc.value.code == 2
+    assert "usage: ringlab classify" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "classify", "Z(5)", "--json")
+    assert code == 0 and json.loads(out)["card"] == 5
 
 
 def test_threads_flag_is_rejected(capsys):

@@ -290,6 +290,21 @@ def test_groups():
             rl.cyclic_group(n)
 
 
+@pytest.mark.parametrize("expr", ["GR(Z(2),C(512))", "GR(Z(2),C(2) x C(256))"])
+def test_group_ring_guard_comes_before_the_group(monkeypatch, expr):
+    """The order of a group term is read off it, so the guard refuses
+    card 2^512 before the group's Cayley table is validated."""
+    def refuse(*args):
+        raise AssertionError("the group was built")
+
+    monkeypatch.setattr(rl.FiniteGroup, "__init__", refuse)
+    with pytest.raises(rl.GuardError, match=r"^card 2\^512 exceeds guard 200000$"):
+        rl.build(expr)
+    # the order limit comes first, before either factor is built
+    with pytest.raises(ConstructionError, match=r"^group order 1024 exceeds limit 512$"):
+        rl.build("GR(Z(2),C(512) x C(2))")
+
+
 def test_group_ring():
     rg = rl.group_ring(rl.zmod(2), rl.cyclic_group(2))
     assert rg.card == 4

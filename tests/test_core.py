@@ -110,6 +110,32 @@ def test_memoize_refuses_above_threshold():
     assert isinstance(rl.maybe_memoize(rl.zmod(6)), rl.TableRing)
 
 
+@pytest.mark.parametrize("expr", ["Z(2048)", "Z(2) x Z(1024)"])
+def test_tables_at_the_threshold_have_two_byte_entries(expr):
+    """Every entry is an index below ``MEMO_THRESHOLD``, which 16 bits
+    hold; the product's tables come from its factors' tables."""
+    assert core.MEMO_THRESHOLD <= np.iinfo(core.TABLE_DTYPE).max + 1
+    ring = rl.build(expr)
+    assert ring.card == core.MEMO_THRESHOLD
+    table = rl.memoize(ring)
+    for got, want in zip((table._add, table._mul, table._neg), direct_tables(ring)):
+        assert got.itemsize == 2
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("expr", ["Z(12)", "M(2,Z(3))", "T(2,Z(6))"])
+def test_table_sub_vec_is_add_of_neg(expr):
+    ring = rl.build(expr)
+    table = rl.memoize(ring)
+    ar = np.arange(ring.card)
+    left, right = np.repeat(ar, ring.card), np.tile(ar, ring.card)
+    got = table.sub_vec(left, right)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, table.add_vec(left, table.neg_vec(right)))
+    assert np.array_equal(got, ring.sub_vec(left, right))
+    assert table.sub_vec(5, ar).tolist() == [ring.sub(5, int(b)) for b in ar]
+
+
 def test_memoize_idempotent(z6):
     table = rl.memoize(z6)
     assert rl.memoize(table) is table
@@ -182,7 +208,7 @@ TABLE_EXPRS = sorted(
 def assert_tables_match_direct(ring):
     table = rl.memoize(ring)
     for got, want in zip((table._add, table._mul, table._neg), direct_tables(ring)):
-        assert got.dtype == np.int32
+        assert got.dtype == core.TABLE_DTYPE
         assert np.array_equal(got, want)
 
 
