@@ -303,7 +303,6 @@ def cmd_element(args) -> int:
         print(f"element index {a} out of range for card {ring.card}", file=sys.stderr)
         return 2
     data = structure.ring_data(ring)
-    ar = np.arange(ring.card, dtype=np.int64)
     nil, nil_index = is_nilpotent(ring, a)
     payload = {
         "expression": canonical(expr),
@@ -313,7 +312,7 @@ def cmd_element(args) -> int:
         "is_nilpotent": nil,
         "nilpotency_index": nil_index,
         "is_idempotent": bool(data.idem_mask[a]),
-        "is_central": bool(np.array_equal(ring.mul_vec(a, ar), ring.mul_vec(ar, a))),
+        "is_central": data.is_central(a),
         "in_jacobson": data.left_quasi_regular(a),
         "predicates": {},
     }

@@ -53,9 +53,12 @@ def decode_digits(xs, base_card: int, ndigits: int) -> np.ndarray:
     xs = _as_index_array(xs)
     # each digit is a contiguous column, so a digit's base call reads it in order
     out = np.empty((ndigits, len(xs)), dtype=np.int64)
-    rem = xs.copy()
+    rem = xs
+    # numpy divides by a scalar faster than it takes ``divmod``
     for pos in range(ndigits - 1, -1, -1):
-        rem, out[pos] = np.divmod(rem, base_card)
+        high = rem // base_card
+        np.subtract(rem, high * base_card, out=out[pos])
+        rem = high
     return out.T
 
 def encode_digits(digits, base_card: int) -> np.ndarray:
@@ -469,27 +472,26 @@ class DirectProduct(Ring):
     def factors(self) -> tuple[Ring, Ring]:
         return self.left, self.right
 
-    def _split(self, a: int) -> tuple[int, int]:
-        return divmod(self._check(a), self.right.card)
+    def _split(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The components (l, r) of the indices l·|R| + r; numpy divides by
+        a scalar faster than it takes ``divmod``."""
+        lx = xs // self.right.card
+        return lx, xs - lx * self.right.card
 
     def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        lx, rx = np.divmod(xs, self.right.card)
-        ly, ry = np.divmod(ys, self.right.card)
+        (lx, rx), (ly, ry) = map(self._split, _pair(xs, ys))
         return self.left.add_vec(lx, ly) * self.right.card + self.right.add_vec(rx, ry)
 
     def neg_vec(self, xs) -> np.ndarray:
-        lx, rx = np.divmod(_as_index_array(xs), self.right.card)
+        lx, rx = self._split(_as_index_array(xs))
         return self.left.neg_vec(lx) * self.right.card + self.right.neg_vec(rx)
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        lx, rx = np.divmod(xs, self.right.card)
-        ly, ry = np.divmod(ys, self.right.card)
+        (lx, rx), (ly, ry) = map(self._split, _pair(xs, ys))
         return self.left.mul_vec(lx, ly) * self.right.card + self.right.mul_vec(rx, ry)
 
     def format_element(self, a: int) -> str:
-        la, ra = self._split(a)
+        la, ra = divmod(self._check(a), self.right.card)
         return f"({self.left.format_element(la)}, {self.right.format_element(ra)})"
 
 

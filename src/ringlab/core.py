@@ -251,11 +251,12 @@ def _tables_of(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
 
 def _product_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``out[(a,b),(c,d)] = left[a,c]·|R| + right[b,d]`` for the index
-    a·|R| + b of the direct product."""
+    a·|R| + b of the direct product: the rows ``left[a]·|R|``, each entry
+    repeated |R| times, plus the rows ``right[b]`` tiled |L| times, one
+    broadcast whose inner axis is a whole table row."""
     nl, nr = len(left), len(right)
-    out = np.empty((nl, nr, nl, nr), dtype=TABLE_DTYPE)
-    np.multiply(left[:, None, :, None], nr, out=out)
-    out += right[None, :, None, :]
+    out = np.empty((nl, nr, nl * nr), dtype=TABLE_DTYPE)
+    np.add(np.repeat(left * nr, nr, axis=1)[:, None, :], np.tile(right, nl)[None, :, :], out=out)
     return out.reshape(nl * nr, nl * nr)
 
 

@@ -8,12 +8,13 @@ GNC/GSNC/GWNC, and the unit-shape conditions UU/WUU/UWNC.
 Witness tie-breaking is fixed everywhere: elements ascending, idempotents
 ascending, sign + before -, so reports are reproducible bit for bit.
 Element predicates read the first witness off one scan of the idempotents
-per element (``idempotent_scan``); the ``classify --witness`` table scans
-the whole carrier once per kind.  The flags and counterexamples of the
-nil-clean, weakly nil-clean and GNC/GWNC/UWNC kinds read the nil sign pass
-of ``structure.RingData``; the strongly nil-clean kinds and UU/WUU read
-Nil(R) at a - a**2, a + a**2 and a -+ 1 (``RingData.nil_at``).  The
-clean-family flags hold on every finite ring (``FINITE_RING_IDENTITIES``).
+per element (``idempotent_scan``), a direct product off its factors'
+scans; the ``classify --witness`` table scans the whole carrier once per
+kind.  The flags and counterexamples of the nil-clean, weakly nil-clean
+and GNC/GWNC/UWNC kinds read the nil sign pass of ``structure.RingData``;
+the strongly nil-clean kinds and UU/WUU read Nil(R) at a - a**2, a + a**2
+and a -+ 1 (``RingData.nil_at``).  The clean-family flags hold on every
+finite ring (``FINITE_RING_IDENTITIES``).
 
 The strongly-weakly variants hold for an element when it or its negative
 decomposes strongly; some authors instead ask for a commuting weakly
@@ -143,18 +144,55 @@ def idempotent_scan(ring: Ring, kind: str, elements) -> np.ndarray:
     """Witness key of each of ``elements`` for one decomposition kind:
     ``2*rank`` for ``a = rest + e``, ``2*rank + 1`` for ``a = rest - e``
     and ``2*|Id|`` when there is none, e the idempotent of that rank.  Keys
-    ascend in the fixed witness order.  Every element meets every
-    idempotent in one ``sub_vec`` (rest = a - e) and, for the weakly kinds,
-    one ``add_vec`` (rest = a + e), len(elements) * |Id| pairs each; the
-    strongly kinds test commutation on the candidates only."""
+    ascend in the fixed witness order, so the key is the column of the first
+    hit in an element's row of ``_hits``, or on a direct product the least
+    over both signs of the sign's first rank (``_sign_ranks``)."""
     if kind not in ELEMENT_PREDICATES:
         raise ValueError(f"unknown decomposition kind {kind!r}")
+    elements = np.asarray(elements, dtype=np.int64)
+    if ring.factors() is not None:
+        ranks, missing = _sign_ranks(ring, kind, elements)
+        return np.where(ranks < missing, 2 * ranks + _SIGN_COLUMNS, 2 * missing).min(axis=1)
+    hits = _hits(ring, kind, elements).reshape(len(elements), -1)
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1])
+
+
+#: the key column of each sign, + then -
+_SIGN_COLUMNS = np.array([0, 1])
+
+
+def _sign_ranks(ring: Ring, kind: str, elements: np.ndarray) -> tuple[np.ndarray, int]:
+    """(ranks, |Id|): ``ranks[i, s]`` is the rank of the first idempotent e
+    with a = rest + e (s = 0) or a = rest - e (s = 1) a decomposition of
+    a = ``elements[i]`` of that kind, |Id| when there is none.  On a direct
+    product L x R the idempotents are the pairs, ascending as (rank in L,
+    rank in R), and a sign decomposes a pair exactly when it decomposes
+    both parts: rest is a unit or nilpotent, and commutes with e, exactly
+    when both parts are and do.  So the first rank of a sign is read off
+    the factors' first ranks of that sign."""
+    parts = ring.factors()
+    if parts is None:
+        hits = _hits(ring, kind, elements)
+        return np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1]), hits.shape[1]
+    left, right = parts
+    high = elements // right.card
+    (lr, nl), (rr, nr) = (
+        _sign_ranks(part, kind, x) for part, x in ((left, high), (right, elements - high * right.card))
+    )
+    return np.where((lr < nl) & (rr < nr), lr * nr + rr, nl * nr), nl * nr
+
+
+def _hits(ring: Ring, kind: str, elements: np.ndarray) -> np.ndarray:
+    """``hits[i, rank, s]``: whether a = rest + e (s = 0) or a = rest - e
+    (s = 1) is a decomposition of a = ``elements[i]`` of that kind, e the
+    idempotent of that rank.  Every element meets every idempotent in one
+    ``sub_vec`` (rest = a - e) and, for the weakly kinds, one ``add_vec``
+    (rest = a + e), len(elements) * |Id| pairs each; the strongly kinds
+    test commutation on the candidates only."""
     data = ring_data(ring)
     target = data.nil_mask if "nil" in kind else data.unit_mask
     idem = data.idem_indices
-    elements = np.asarray(elements, dtype=np.int64)
     a, e = np.repeat(elements, len(idem)), np.tile(idem, len(elements))
-    # per pair (a, e): column 0 holds a = rest + e, column 1 a = rest - e
     hits = np.zeros((len(a), 2), dtype=bool)
     rest = ring.sub_vec(a, e)
     hits[:, 0] = target[rest]
@@ -163,10 +201,7 @@ def idempotent_scan(ring: Ring, kind: str, elements) -> np.ndarray:
         hits[cand, 0] = ring.mul_vec(e[cand], rest[cand]) == ring.mul_vec(rest[cand], e[cand])
     if kind.startswith("weakly"):
         hits[:, 1] = target[ring.add_vec(a, e)]
-    # so a row lists an element's candidates in the fixed order, and the
-    # key is the column of its first hit
-    hits = hits.reshape(len(elements), 2 * len(idem))
-    return np.where(hits.any(axis=1), hits.argmax(axis=1), 2 * len(idem))
+    return hits.reshape(len(elements), len(idem), 2)
 
 
 def witnesses(ring: Ring, kind: str, elements) -> list[tuple[bool, Witness | None]]:

@@ -17,7 +17,8 @@ The center and commutativity are decided on the additive generators of
 ``core.additive_generators`` (at most log2(card) of them), because the
 commutator [x, r] is additive in r.  J is nil and contains every nil left
 ideal (Lam, *A First Course in Noncommutative Rings*, §4), so only the
-nilpotents are tested for left quasi-regularity.
+nilpotents are tested for left quasi-regularity, and only against the
+nilpotent rows (``RingData._left_quasi_regular``).
 
 The report flags that ask for commuting decompositions or for units
 near +-1 read Nil(R) at a fixed polynomial image of every element
@@ -30,7 +31,9 @@ Nil(R) + Id(R) and Nil(R) - Id(R), off one sign pass over the (nilpotent,
 idempotent) pairs (``RingData.nil_signs``), the second read off the first
 at the negatives.  The witnesses of single elements come from
 ``decompositions.idempotent_scan``.  A direct product reads its status and
-masks off its factors' through one rule, ``RingData._product``.
+masks off its factors' through one rule, ``RingData._product``, and the
+centrality and J membership of one element through another,
+``RingData._factorwise``.
 """
 
 from __future__ import annotations
@@ -81,6 +84,17 @@ class RingData:
         left, right = (read(ring_data(p)) for p in parts)
         out = combine(left[..., :, None], right[..., None, :])
         return out.reshape(*out.shape[:-2], -1)
+
+    def _factorwise(self, a: int, holds) -> bool | None:
+        """For a direct product L x R, whether ``holds(data, x)`` is true on
+        both components of a = l·|R| + r, each asked of its factor's data.
+        None when the ring is no direct product."""
+        parts = self.ring.factors()
+        if parts is None:
+            return None
+        left, right = parts
+        l, r = divmod(a, right.card)
+        return holds(ring_data(left), l) and holds(ring_data(right), r)
 
     # -- unit / nilpotent pass ----------------------------------------------
     def _orbit_status(self) -> np.ndarray:
@@ -157,7 +171,8 @@ class RingData:
         """J(R) as the nilpotents x with 1 - r*x a unit for every r.  J is
         nil and contains every nil left ideal (Lam, *A First Course in
         Noncommutative Rings*, §4), so only the nilpotents are candidates,
-        all tested together by ``_left_quasi_regular``."""
+        all tested together by ``_left_quasi_regular`` against the
+        nilpotent rows."""
         if self._jac_mask is None:
             mask = self._product(lambda d: d.jacobson_mask)
             if mask is None:
@@ -167,23 +182,33 @@ class RingData:
         return self._jac_mask
 
     def left_quasi_regular(self, x: int) -> bool:
-        """Whether 1 - r*x is a unit for every r, that is x lies in J; only
-        a nilpotent can (J is nil)."""
-        if not self.nil_mask[x]:
-            return False
-        return len(self._left_quasi_regular(np.array([x], dtype=np.int64))) == 1
+        """Whether x lies in J: J(L x R) = J(L) x J(R), so a pair does
+        exactly when both parts do.  Otherwise only a nilpotent can (J is
+        nil), tested by ``_left_quasi_regular``."""
+        inside = self._factorwise(x, RingData.left_quasi_regular)
+        if inside is None:
+            inside = bool(self.nil_mask[x]) and len(
+                self._left_quasi_regular(np.array([x], dtype=np.int64))
+            ) == 1
+        return inside
 
     def _left_quasi_regular(self, cand: np.ndarray) -> np.ndarray:
-        """The candidates x with 1 - r*x a unit for every r.  All open
-        candidates meet a block of rows r in one ``mul_vec`` of about
-        ``_PAIR_CHUNK`` pairs; a candidate leaves at its first failure, and
-        the walk stops when none is left, so it costs at most
-        len(cand) * card products."""
+        """The nilpotent candidates x with 1 - r*x a unit for every
+        nilpotent r, which are exactly those in J.  A nilpotent x outside J
+        has a nonzero nilpotent image N in a block M_n(F_q) of R/J; with N =
+        P·E·P^-1, E in Jordan form, r' = P·E^T·P^-1 is nilpotent and r'·N a
+        nonzero idempotent, so 1 - r'·N is no unit, and every lift r of r'
+        is nilpotent (J is nilpotent) with 1 - r*x no unit.  All open
+        candidates meet a block of nilpotent rows r in one ``mul_vec`` of
+        about ``_PAIR_CHUNK`` pairs; a candidate leaves at its first
+        failure, and the walk stops when none is left, so it costs at most
+        len(cand) * |Nil| products."""
         ring = self.ring
         status = self._orbit_status()
+        rows = np.flatnonzero(status == _NILPOTENT)
         lo = 0
-        while len(cand) and lo < ring.card:
-            rs = np.arange(lo, min(lo + max(1, _PAIR_CHUNK // len(cand)), ring.card))
+        while len(cand) and lo < len(rows):
+            rs = rows[lo : lo + max(1, _PAIR_CHUNK // len(cand))]
             rx = ring.mul_vec(np.repeat(rs, len(cand)), np.tile(cand, len(rs)))
             unit = status[ring.sub_vec(ring.one, rx)] == _UNIT
             cand = cand[unit.reshape(len(rs), len(cand)).all(axis=0)]
@@ -197,6 +222,17 @@ class RingData:
         if self._commutative is None:
             self._commutative = ring_is_commutative(self.ring)
         return self._commutative
+
+    def is_central(self, a: int) -> bool:
+        """Whether a commutes with every element: Z(L x R) = Z(L) x Z(R), so
+        a pair does exactly when both parts do.  Otherwise a*r and r*a are
+        compared over the carrier, two ``mul_vec`` calls, which on a small
+        ring costs less than the generator walk of ``center_mask``."""
+        central = self._factorwise(a, RingData.is_central)
+        if central is None:
+            ar = np.arange(self.ring.card, dtype=np.int64)
+            central = bool(np.array_equal(self.ring.mul_vec(a, ar), self.ring.mul_vec(ar, a)))
+        return central
 
     @property
     def center_mask(self) -> np.ndarray:

@@ -20,6 +20,7 @@ from .core import (
     Ring,
     Subset,
     TableRing,
+    additive_span,
     check_ring_axioms,
     default_max_card,
     maybe_memoize,
@@ -403,16 +404,17 @@ def _check_l26(ctx: VerifyContext, details: list[str]) -> bool:
 
 def _nil_ideals(ring: Ring) -> list[Subset]:
     """All ideals generated by at most two radical elements (deduplicated);
-    every such ideal sits inside J, hence is nil in a finite ring."""
-    jac = structure.jacobson(ring)
-    jidx = [int(i) for i in jac.indices()]
-    seen: dict[tuple[int, ...], Subset] = {}
-    gens_pool: list[tuple[int, ...]] = [(j,) for j in jidx]
-    gens_pool += [tuple(p) for p in itertools.combinations(jidx, 2)]
-    for gens in gens_pool:
-        ideal = cons.ideal_generated(ring, gens)
-        key = tuple(int(i) for i in ideal.indices())
-        seen.setdefault(key, ideal)
+    every such ideal sits inside J, hence is nil in a finite ring.  The
+    ideal generated by {a, b} is I(a) + I(b), the additive span of the
+    union, so each principal ideal I(j) is generated once and the others
+    are the sums of two distinct ones."""
+    seen: dict[bytes, Subset] = {}
+    for j in structure.jacobson(ring):
+        ideal = cons.ideal_generated(ring, [j])
+        seen.setdefault(ideal.mask.tobytes(), ideal)
+    for a, b in itertools.combinations(list(seen.values()), 2):
+        mask = additive_span(ring, np.flatnonzero(a.mask | b.mask))[0]
+        seen.setdefault(mask.tobytes(), Subset(ring, mask))
     return list(seen.values())
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -135,6 +136,26 @@ def scan_jacobson(ring):
     return mask
 
 
+def scan_left_quasi_regular(ring):
+    """Mask of the nilpotents x with 1 - r*x a unit for every r of the
+    carrier, all candidates against blocks of rows in one ``mul_vec`` each:
+    the all-rows pass that ``RingData._left_quasi_regular`` replaced by the
+    nilpotent rows.  Reads the library's units and nilpotents, which
+    ``oracle_status`` checks."""
+    data = rl.structure.ring_data(ring)
+    cand = np.flatnonzero(data.nil_mask)
+    lo = 0
+    while len(cand) and lo < ring.card:
+        rs = np.arange(lo, min(lo + max(1, 8192 // len(cand)), ring.card))
+        rx = ring.mul_vec(np.repeat(rs, len(cand)), np.tile(cand, len(rs)))
+        unit = data.unit_mask[ring.sub_vec(ring.one, rx)]
+        cand = cand[unit.reshape(len(rs), len(cand)).all(axis=0)]
+        lo += len(rs)
+    mask = np.zeros(ring.card, dtype=bool)
+    mask[cand] = True
+    return mask
+
+
 def scan_commutative(ring):
     """Whether every row of the product equals its column: the scan
     ``ring_is_commutative`` replaced."""
@@ -250,6 +271,19 @@ def scan_ideal(ring, gens):
         if np.array_equal(new, mask):
             return mask
         mask = new
+
+
+def scan_nil_ideals(ring):
+    """Masks of the ideals generated by one member of J or by two, one
+    ``ideal_generated`` call per member and per pair, deduplicated: the
+    enumeration ``verify._nil_ideals`` replaced by sums of principal
+    ideals."""
+    jidx = [int(i) for i in rl.jacobson(ring).indices()]
+    seen = {}
+    for gens in [(j,) for j in jidx] + list(itertools.combinations(jidx, 2)):
+        ideal = rl.constructions.ideal_generated(ring, gens)
+        seen.setdefault(ideal.mask.tobytes(), ideal.mask)
+    return list(seen.values())
 
 
 def scan_is_ideal(ring, mask):

@@ -2,6 +2,7 @@ import json
 import time
 
 import jsonschema
+import numpy as np
 import pytest
 
 import ringlab as rl
@@ -226,6 +227,52 @@ def test_element_central_and_jacobson_match_masks(capsys, monkeypatch, expr):
         report = json.loads(out)
         expected = (bool(center[a]), bool(jacobson[a]))
         assert (report["is_central"], report["in_jacobson"]) == expected, a
+
+
+#: computed products, one nested, whose memoized copies have no factors
+PRODUCT_EXPRS = ["M(2,Z(2)) x Z(4)", "T(2,Z(4)) x Z(3)", "(Z(2) x M(2,Z(2))) x Z(3)"]
+
+
+@pytest.mark.parametrize("expr", PRODUCT_EXPRS)
+def test_element_of_a_product_answers_as_its_tables_do(capsys, monkeypatch, expr):
+    """Every element of a computed product, which answers centrality, J and
+    the witness scans from its factors, against the same ring as tables,
+    which takes the flat paths: the same stdout, byte for byte."""
+    computed = rl.build(expr)
+    tabled = rl.memoize(rl.build(expr))
+    assert computed.factors() is not None and tabled.factors() is None
+    monkeypatch.setattr(cli, "maybe_memoize", lambda ring: ring)
+    replies = []
+    for ring in (computed, tabled):
+        monkeypatch.setattr(cli, "build", lambda *args, ring=ring, **kwargs: ring)
+        replies.append([run_cli(capsys, "element", expr, str(a), "--json") for a in range(ring.card)])
+    assert replies[0] == replies[1]
+    answers = {(r["is_central"], r["in_jacobson"]) for r in (json.loads(out) for _, out, _ in replies[0])}
+    assert {True, False} == {central for central, _ in answers} == {inside for _, inside in answers}
+
+
+def test_element_of_a_product_forms_no_product_over_its_carrier(capsys, monkeypatch):
+    """``element`` on a computed product above the table threshold leaves
+    its centrality, J and witness questions to the factors.  The product's
+    own operations serve only the power walk of ``is_nilpotent`` and the
+    scalar products of each witness: a few hundred products in all, where
+    the centrality test alone compared two rows of card products."""
+    ring = rl.build("M(2,Z(5)) x Z(64)")
+    formed = []
+    for name in ("add_vec", "mul_vec", "neg_vec", "sub_vec"):
+        op = getattr(ring, name)
+
+        def counted(*args, op=op):
+            formed.append(np.broadcast(*map(np.asarray, args)).size)
+            return op(*args)
+
+        setattr(ring, name, counted)
+    monkeypatch.setattr(cli, "build", lambda *args, **kwargs: ring)
+    for a in (12345, 320, 2):  # not nilpotent; nilpotent outside J; in J
+        code, _, _ = run_cli(capsys, "element", "M(2,Z(5)) x Z(64)", str(a), "--json")
+        assert code == 0
+        assert sum(formed) < 1024, (a, formed)
+        formed.clear()
 
 
 def test_element_decoded_display(capsys):

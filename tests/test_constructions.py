@@ -465,3 +465,21 @@ def test_dt_tower_matches_pattern_flags():
         tower = rl.trivial_extension(rl.trivial_extension(rl.zmod(n)))
         frame = rl.pattern_subring(rl.double_extension_pattern(), rl.zmod(n))
         assert flags_of(tower) == flags_of(frame)
+
+
+@pytest.mark.parametrize("base", range(2, 10))
+@pytest.mark.parametrize("size", [0, 1, 8192])
+def test_digit_codecs_round_trip(base, size):
+    """``decode_digits`` against Python's divmod digits, most significant
+    first, and ``encode_digits`` back, on empty, single and long arrays."""
+    ndigits = 5
+    xs = np.random.default_rng(base * size).integers(0, base**ndigits, size)
+    digits = cons.decode_digits(xs, base, ndigits)
+    assert digits.shape == (size, ndigits)
+    for x, row in zip(xs[:64], digits):
+        want = []
+        for _ in range(ndigits):
+            x, d = divmod(int(x), base)
+            want.append(d)
+        assert row.tolist() == want[::-1]
+    assert np.array_equal(cons.encode_digits(digits, base), xs)

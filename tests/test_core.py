@@ -182,7 +182,8 @@ def test_axiom_checker_accepts_and_rejects(z6):
 #: the harness rings, the classify ladder's rungs with tables, Z(2048) (one
 #: generator, eleven doublings), cards 64 and 65 on both sides of the
 #: direct-build rule, commutative and not, and products: of three factors,
-#: with a quotient factor, and above card 64 from factors of at most 64
+#: with a quotient factor, above card 64 from factors of at most 64, and
+#: with a left factor smaller than the right one
 TABLE_EXPRS = sorted(
     {entry.expression for entry in verify.CATALOG}
     | set(verify.AXIOM_SUITE_EXTRAS)
@@ -201,6 +202,7 @@ TABLE_EXPRS = sorted(
         "GF(2,2) x GF(2,3) x Z(9)",
         "MODJ(M(2,Z(4))) x Z(9)",
         "T(2,Z(4)) x Z(5)",
+        "Z(3) x M(2,Z(4))",
     }
 )
 

@@ -361,6 +361,39 @@ def test_sign_pass_work_and_strong_keys(expr):
     assert np.array_equal(got, 2 * plus_strong[sample])
 
 
+def forbid_product_ops(ring):
+    """Make every operation of ``ring`` and of each product among its
+    factors raise."""
+
+    def forbidden(*args):
+        raise AssertionError("an operation of a product was called")
+
+    while ring.factors() is not None:
+        for name in ("add_vec", "sub_vec", "mul_vec", "neg_vec"):
+            setattr(ring, name, forbidden)
+        left, right = ring.factors()
+        forbid_product_ops(right)
+        ring = left
+
+
+@pytest.mark.parametrize(
+    "expr", ["M(2,Z(2)) x Z(4)", "T(2,Z(4)) x Z(3)", "(Z(2) x M(2,Z(2))) x Z(3)"]
+)
+def test_scan_of_a_product_reads_its_factors(expr):
+    """The keys of ``idempotent_scan`` on a computed product, nested too,
+    come from its factors' first ranks per sign with no operation of a
+    product, and equal the flat scan of the same ring as tables, whose
+    keys the combined-scan test checks, for all six kinds."""
+    computed = rl.build(expr)
+    tabled = maybe_memoize(rl.build(expr))
+    everyone = np.arange(computed.card, dtype=np.int64)
+    want = {kind: idempotent_scan(tabled, kind, everyone) for kind in ELEMENT_PREDICATES}
+    forbid_product_ops(computed)
+    for kind, keys in want.items():
+        assert np.array_equal(idempotent_scan(computed, kind, everyone), keys), kind
+        assert np.array_equal(idempotent_scan(computed, kind, everyone[::-3]), keys[::-3]), kind
+
+
 #: the rings of the benchmark's flags_large workload, above the table
 #: threshold: three products and one computed ring
 FLAGS_LARGE_RINGS = (

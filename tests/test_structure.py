@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
 
 import ringlab as rl
 from ringlab import structure
@@ -11,6 +12,7 @@ from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
 
 from conftest import (
     LADDER_RUNGS,
+    bounded_ring_expr_strategy,
     oracle_center,
     oracle_idempotents,
     oracle_jacobson_two_sided,
@@ -22,6 +24,7 @@ from conftest import (
     scan_commutative,
     scan_exchange,
     scan_jacobson,
+    scan_left_quasi_regular,
     scan_nil_closure,
 )
 
@@ -489,3 +492,59 @@ def test_nonabelian_group_rings_against_bruteforce(n, center, jac):
     assert data.center_mask.sum() == center
     assert set(np.flatnonzero(data.jacobson_mask)) == oracle_jacobson_two_sided(ring)
     assert data.jacobson_mask.sum() == jac
+
+
+#: the harness rings, the ladder's rungs, and rings whose J is a proper part
+#: of Nil, where the nilpotent rows must still reject every nilpotent
+#: outside J: matrix rings over local rings, a pattern ring, and a product
+#: of such a ring with a local one
+NIL_ROW_EXPRS = sorted(
+    {e.expression for e in CATALOG}
+    | set(AXIOM_SUITE_EXTRAS)
+    | set(LADDER_RUNGS)
+    | {"M(2,Z(4))", "M(2,TE(Z(2)))", "PAT(S(3),Z(4))", "M(2,Z(2)) x Z(8)", "M(2,Z(9))"}
+)
+
+
+def assert_nil_rows_match_all_rows(ring):
+    """J from the nilpotent rows against the all-rows pass; a product is
+    taken flat, as its tables, so that its own rows are walked."""
+    data = structure.ring_data(ring)
+    want = scan_left_quasi_regular(ring)
+    assert np.array_equal(data.jacobson_mask, want), ring
+    for x in np.flatnonzero(data.nil_mask)[:: max(1, int(data.nil_mask.sum()) // 16)]:
+        assert data.left_quasi_regular(int(x)) == want[x], (ring, x)
+
+
+@pytest.mark.parametrize("expr", NIL_ROW_EXPRS)
+def test_nil_rows_decide_jacobson_as_all_rows_do(expr):
+    assert_nil_rows_match_all_rows(rl.maybe_memoize(rl.build(expr)))
+
+
+@given(bounded_ring_expr_strategy(max_card=256))
+@settings(max_examples=40, deadline=None)
+def test_nil_rows_decide_jacobson_as_all_rows_do_property(expr):
+    try:
+        ring = rl.build(expr, max_card=256)
+    except (rl.ConstructionError, rl.GuardError):
+        reject()
+    assert_nil_rows_match_all_rows(rl.maybe_memoize(ring))
+
+
+def test_jacobson_meets_the_nilpotent_rows_only():
+    """J of computed ``T(2,Z(8))`` (J = Nil, 128 of 512 elements: every
+    member passes every row) forms |Nil|**2 row products, where the
+    all-rows pass formed |Nil| * card."""
+    ring = rl.build("T(2,Z(8))")
+    data = structure.ring_data(ring)
+    nil = int(data.nil_mask.sum())
+    formed = []
+    mul_vec = ring.mul_vec
+
+    def counted(xs, ys):
+        formed.append(np.broadcast(np.asarray(xs), np.asarray(ys)).size)
+        return mul_vec(xs, ys)
+
+    ring.mul_vec = counted
+    assert int(data.jacobson_mask.sum()) == nil == 128
+    assert sum(formed) == nil * nil

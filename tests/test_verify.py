@@ -167,3 +167,20 @@ def test_nil_ideal_enumeration_on_te_z6():
     assert sizes[0] == 1 and sizes[-1] == 6
     for ideal in ideals:
         assert rl.is_nil_subset(ring, ideal)
+
+
+@pytest.mark.parametrize(
+    "expr", ["T(2,Z(4))", "TE(Z(6))", "PQ(Z(3),[0,0,1])", "T(3,Z(2))", "TE(Z(4))"]
+)
+def test_nil_ideals_match_the_pairwise_enumeration(expr):
+    """The principal ideals and their pairwise sums against one
+    ``ideal_generated`` call per member of J and per pair: the same masks,
+    each once."""
+    from conftest import scan_nil_ideals
+    from ringlab.verify import _nil_ideals
+
+    ring = VerifyContext().ring(expr)
+    got = [ideal.mask.tobytes() for ideal in _nil_ideals(ring)]
+    want = [mask.tobytes() for mask in scan_nil_ideals(ring)]
+    assert len(got) == len(set(got)) == len(want)
+    assert set(got) == set(want)
