@@ -20,7 +20,6 @@ from .constructions import (
     direct_product,
     double_extension_pattern,
     formal_matrix,
-    generalized_matrix_ring,
     gf,
     group_product,
     group_ring,
@@ -55,12 +54,6 @@ from .decompositions import (
     PropertyReport,
     Witness,
     classify,
-    elem_is_clean,
-    elem_is_nil_clean,
-    elem_is_strongly_clean,
-    elem_is_strongly_nil_clean,
-    elem_is_weakly_clean,
-    elem_is_weakly_nil_clean,
     flag_counterexample,
     gwnc,
     ring_flag,
@@ -72,7 +65,6 @@ from .verify import (
     CheckResult,
     VerifyContext,
     VerifySummary,
-    catalog,
     run_all,
     run_check,
 )

@@ -5,8 +5,10 @@ Exit codes, mapped from the library's exceptions in ``main`` alone: 0
 success (classification truth is data, not exit status), 1 harness
 failures, 2 bad input (parse error, failed construction precondition,
 unparsable environment setting), 3 guard exceeded; each error is one
-stderr line.  The result cache is best effort: a directory or entry that
-cannot be written leaves the request uncached, with one stderr line.
+stderr line.  The result cache is off unless ``--cache-dir`` or
+``RINGLAB_CACHE_DIR`` names a directory (unset or empty disables it), and
+best effort: a directory or entry that cannot be written leaves the
+request uncached, with one stderr line.
 JSON records are the records' own fields (``vars``).
 """
 
@@ -149,7 +151,7 @@ def _cache_entry(args, key: str) -> tuple[Path, str] | None:
     digest plus the canonical key, so other sources never replay it.
     Entries live in one directory per source digest."""
     raw = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
-    if raw is None:
+    if not raw:
         return None
     digest = _source_digest()
     key = f"{digest} {key}"
@@ -366,13 +368,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    entries = verify_mod.catalog()
     if args.json:
         # ``expected`` is a tuple of (flag, value) pairs, an object in JSON
-        payload = [{**vars(e), "expected": dict(e.expected)} for e in entries]
+        payload = [{**vars(e), "expected": dict(e.expected)} for e in verify_mod.CATALOG]
         print(_dump(payload))
         return 0
-    for e in entries:
+    for e in verify_mod.CATALOG:
         flags = " ".join(
             f"{_FLAG_SHORT.get(k, k)}={'+' if v else '-'}" for k, v in e.expected
         )
@@ -409,7 +410,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-dir",
         default=None,
-        help="result cache directory (default RINGLAB_CACHE_DIR; unset disables)",
+        help="result cache directory (default RINGLAB_CACHE_DIR; unset or empty disables)",
     )
     p.set_defaults(func=cmd_classify)
 

@@ -157,7 +157,7 @@ def zmod(n: int, max_card: int | None = None) -> Zmod:
 
 
 # ---------------------------------------------------------------------------
-# matrix rings: full, triangular, pattern, formal and generalized
+# matrix rings: full, triangular, pattern and formal
 
 
 class MatrixRing(_DigitRing):
@@ -210,11 +210,6 @@ class MatrixRing(_DigitRing):
         self._terms = [self._entry_terms[rep] for rep in self._reps]
         self._verify_closure()
 
-    def _entry(self, A: np.ndarray, B: np.ndarray, i: int, j: int) -> np.ndarray:
-        """Entry (i, j) of the products of the elements whose digits are the
-        rows of ``A`` and ``B``."""
-        return self._term_sum(A, B, self._entry_terms[i, j])
-
     def _verify_closure(self) -> None:
         n, card = self.ndigits, self.base.card
         digits = np.full((n * card, n), self.base.zero, dtype=np.int64)
@@ -223,12 +218,14 @@ class MatrixRing(_DigitRing):
         right = encode_digits(np.where(np.eye(n, dtype=bool), self.base.one, self.base.zero), card)
         left, right = np.repeat(left, n), np.tile(right, len(left))
         A, B = decode_digits(left, card, n), decode_digits(right, card, n)
+        terms = self._entry_terms
         ok = np.ones(len(left), dtype=bool)
         for cls in self.classes:
-            for i, j in cls[1:]:
-                ok &= self._entry(A, B, i, j) == self._entry(A, B, *cls[0])
-        for i, j in set(self._entry_terms) - set(self._column):
-            ok &= self._entry(A, B, i, j) == self.base.zero
+            rep = self._term_sum(A, B, terms[cls[0]])
+            for ij in cls[1:]:
+                ok &= self._term_sum(A, B, terms[ij]) == rep
+        for ij in set(terms) - set(self._column):
+            ok &= self._term_sum(A, B, terms[ij]) == self.base.zero
         if not ok.all():
             bad = int(np.argmin(ok))
             raise ConstructionError(
@@ -438,18 +435,6 @@ def formal_matrix(n: int, s: int, base: Ring, max_card: int | None = None) -> Ma
         _full_classes(n),
         f"FM({n},{s},{base.label})",
         twist=lambda i, l, j: powers[1 + (i == j) - (i == l) - (l == j)],
-        max_card=max_card,
-    )
-
-
-def generalized_matrix_ring(base: Ring, s: int, max_card: int | None = None) -> MatrixRing:
-    """2x2 generalized matrix ring K_s(R): cross products pick up a factor s."""
-    s = _central_twist(base, s)
-    return MatrixRing(
-        base,
-        _full_classes(2),
-        f"K({s},{base.label})",
-        twist=lambda i, l, j: s if i == j != l else base.one,
         max_card=max_card,
     )
 

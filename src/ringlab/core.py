@@ -144,19 +144,6 @@ class Ring:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def power(self, a: int, k: int) -> int:
-        """``a**k`` by iterated multiplication; ``a**0`` is ``one``."""
-        if k < 0:
-            raise ValueError(f"exponent must be >= 0, got {k}")
-        self._check(a)
-        acc = self.one
-        for _ in range(k):
-            acc = self.mul(acc, a)
-        return acc
-
-    def elements(self) -> range:
-        return range(self.card)
-
     def _check(self, a: int) -> int:
         if not 0 <= a < self.card:
             raise IndexError(f"element index {a} out of range for {self.label}")
@@ -216,9 +203,6 @@ class Subset:
 
     def __iter__(self) -> Iterator[int]:
         return (int(i) for i in np.flatnonzero(self.mask))
-
-    def complement(self) -> "Subset":
-        return Subset(self.ring, ~self.mask)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subset):

@@ -24,6 +24,7 @@ clean decomposition of the element itself, which is a different predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -221,45 +222,24 @@ def witnesses(ring: Ring, kind: str, elements) -> list[tuple[bool, Witness | Non
     return out
 
 
-def _witness(ring: Ring, a: int, kind: str) -> tuple[bool, Witness | None]:
-    return witnesses(ring, kind, [a])[0]
+def _element_predicate(kind: str) -> Callable[[Ring, int], tuple[bool, Witness | None]]:
+    return lambda ring, a: witnesses(ring, kind, [ring._check(a)])[0]
 
 
-def elem_is_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
-    """a = e + u with e idempotent and u a unit."""
-    return _witness(ring, ring._check(a), "clean")
-
-
-def elem_is_strongly_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
-    return _witness(ring, ring._check(a), "strongly_clean")
-
-
-def elem_is_weakly_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
-    """a - e or a + e is a unit for some idempotent e."""
-    return _witness(ring, ring._check(a), "weakly_clean")
-
-
-def elem_is_nil_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
-    """a = e + q with e idempotent and q nilpotent."""
-    return _witness(ring, ring._check(a), "nil_clean")
-
-
-def elem_is_strongly_nil_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
-    return _witness(ring, ring._check(a), "strongly_nil_clean")
-
-
-def elem_is_weakly_nil_clean(ring: Ring, a: int) -> tuple[bool, Witness | None]:
-    """a - e or a + e is nilpotent for some idempotent e."""
-    return _witness(ring, ring._check(a), "weakly_nil_clean")
-
-
+#: kind -> ``(ring, a) -> (holds, first witness)`` for one element, e an
+#: idempotent, u a unit and q a nilpotent: clean a = e + u, weakly clean
+#: a = u + e or a = u - e, nil-clean a = e + q, weakly nil-clean a = q + e
+#: or a = q - e, and the strongly kinds ask e to commute with u or q
 ELEMENT_PREDICATES = {
-    "clean": elem_is_clean,
-    "strongly_clean": elem_is_strongly_clean,
-    "weakly_clean": elem_is_weakly_clean,
-    "nil_clean": elem_is_nil_clean,
-    "strongly_nil_clean": elem_is_strongly_nil_clean,
-    "weakly_nil_clean": elem_is_weakly_nil_clean,
+    kind: _element_predicate(kind)
+    for kind in (
+        "clean",
+        "strongly_clean",
+        "weakly_clean",
+        "nil_clean",
+        "strongly_nil_clean",
+        "weakly_nil_clean",
+    )
 }
 
 

@@ -445,8 +445,9 @@ STRUCTURAL_NOTES = (
 
 @dataclass(frozen=True)
 class StructuralFlags:
-    """Record of classical ring-theoretic predicates; ``structural_predicates``
-    says which follow from finite-ring identities and which are scanned.
+    """Record of classical ring-theoretic predicates: ``structural_predicates``
+    reads each off an identity of finite rings, off masks or, commutative,
+    off the additive generators.
     The unit-shape flags uu, wuu and uwnc are report flags
     (``decompositions.REPORT_FLAGS``), decided there with counterexamples."""
 

@@ -21,7 +21,6 @@ from .core import (
     Subset,
     TableRing,
     additive_span,
-    check_ring_axioms,
     default_max_card,
     maybe_memoize,
 )
@@ -104,10 +103,6 @@ CATALOG: tuple[CatalogEntry, ...] = (
     CatalogEntry("CAT-25", "GR(Z(4),C(2))", (), "filler"),
     CatalogEntry("CAT-26", "FM(2,2,Z(4))", (), "filler"),
 )
-
-
-def catalog() -> tuple[CatalogEntry, ...]:
-    return CATALOG
 
 
 GROUP_RINGS: tuple[tuple[str, str], ...] = (
@@ -720,9 +715,8 @@ def _check_l233(ctx: VerifyContext, details: list[str]) -> bool:
         mat_expr = f"M(2,{field_expr})"
         ring = ctx.ring(mat_expr)
         base_card = ctx.ring(field_expr).card
-        for a in scalars:
-            idx = a * base_card**3  # entry (0,0) most significant
-            ok, _ = dec.elem_is_weakly_nil_clean(ring, idx)
+        diagonals = [a * base_card**3 for a in scalars]  # entry (0,0) most significant
+        for a, (ok, _) in zip(scalars, dec.witnesses(ring, "weakly_nil_clean", diagonals)):
             if ok:
                 details.append(
                     f"FAIL {mat_expr}: diag({a},0) unexpectedly weakly nil-clean; "
@@ -1030,32 +1024,3 @@ def run_all(max_card: int | None = None, only: str | None = None) -> VerifySumma
     ids = sorted(CHECKS) if only is None else [only]
     results = [run_check(i, ctx=ctx) for i in ids]
     return VerifySummary(results)
-
-
-#: constructions the ring-axiom suite checks besides the catalog
-AXIOM_SUITE_EXTRAS = (
-    "T(3,Z(2))",
-    "T(2,Z(4))",
-    "TE(Z(6))",
-    "PQ(Z(3),[0,0,1])",
-    "GR(Z(2),C(4))",
-    "GR(Z(2),C(2) x C(2))",
-    "FM(2,2,Z(4))",
-    "PAT(S(2,2),Z(2))",
-    "PAT(Tb(2,2),Z(3))",
-    "PAT(U(3),Z(2))",
-    "MODJ(Z(12))",
-)
-
-
-def axiom_suite() -> list[str]:
-    """Run the exhaustive ring-axiom suite over every catalog construction
-    within ``check_ring_axioms``'s card guard, returning the labels checked."""
-    ctx = VerifyContext()
-    checked = []
-    for expr in [e.expression for e in CATALOG] + list(AXIOM_SUITE_EXTRAS):
-        ring = ctx.ring(expr)
-        if ring.card <= 512:
-            check_ring_axioms(ring)
-            checked.append(expr)
-    return checked

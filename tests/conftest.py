@@ -6,8 +6,10 @@ import pytest
 from hypothesis import strategies as st
 
 import ringlab as rl
-from ringlab.constructions import _BUILTIN_PATTERNS
+from ringlab.constructions import _BUILTIN_PATTERNS, MatrixRing
+from ringlab.core import check_ring_axioms
 from ringlab.dsl import Term
+from ringlab.verify import CATALOG, VerifyContext
 
 
 @pytest.fixture(scope="session")
@@ -429,6 +431,47 @@ LADDER_RUNGS = (
     "GR(Z(2),C(2) x C(2) x C(2))",
     "M(2,Z(7))",
 )
+
+
+#: constructions the ring-axiom tests check besides the catalog
+AXIOM_SUITE_EXTRAS = (
+    "T(3,Z(2))",
+    "T(2,Z(4))",
+    "TE(Z(6))",
+    "PQ(Z(3),[0,0,1])",
+    "GR(Z(2),C(4))",
+    "GR(Z(2),C(2) x C(2))",
+    "FM(2,2,Z(4))",
+    "PAT(S(2,2),Z(2))",
+    "PAT(Tb(2,2),Z(3))",
+    "PAT(U(3),Z(2))",
+    "MODJ(Z(12))",
+)
+
+
+def axiom_checked_expressions():
+    """Run ``check_ring_axioms`` on every catalog and ``AXIOM_SUITE_EXTRAS``
+    ring within its card guard (512); return the expressions checked."""
+    ctx = VerifyContext()
+    checked = []
+    for expr in [e.expression for e in CATALOG] + list(AXIOM_SUITE_EXTRAS):
+        ring = ctx.ring(expr)
+        if ring.card <= 512:
+            check_ring_axioms(ring)
+            checked.append(expr)
+    return checked
+
+
+def k_ring(base, s):
+    """The generalized matrix ring K_s(R): 2 x 2 matrices over ``base``
+    whose products a_il * b_lj with i = j != l pick up the central factor
+    ``s``.  No expression builds it."""
+    return MatrixRing(
+        base,
+        [((i, j),) for i in range(2) for j in range(2)],
+        f"K({s},{base.label})",
+        twist=lambda i, l, j: s if i == j != l else base.one,
+    )
 
 
 #: Cayley table of S3 on the permutations 012, 102, 021, 210, 120, 201 of

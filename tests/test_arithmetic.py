@@ -12,7 +12,7 @@ import pytest
 import ringlab as rl
 from ringlab.constructions import Pattern
 
-from conftest import S3_TABLE, s3_group_ring
+from conftest import S3_TABLE, k_ring, s3_group_ring
 
 
 def digits(a, n, k):
@@ -195,7 +195,7 @@ CASES = {
     "FM(2,3,Z(4))": (rl.build("FM(2,3,Z(4))"), classes_mul(full(2), 4, fm_twist(4, 3)), digitwise_add(4, 4)),
     "FM(3,0,Z(2))": (rl.build("FM(3,0,Z(2))"), classes_mul(full(3), 2, fm_twist(2, 0)), digitwise_add(2, 9)),
     "K(2,Z(4))": (
-        rl.generalized_matrix_ring(rl.zmod(4), 2),
+        k_ring(rl.zmod(4), 2),
         classes_mul(full(2), 4, lambda i, l, j: 2 if i == j != l else 1),
         digitwise_add(4, 4),
     ),
@@ -271,7 +271,7 @@ EMPTY_CASES = [
 @pytest.mark.parametrize("expr", EMPTY_CASES + ["K", "table"])
 def test_vector_ops_accept_empty_arrays(expr):
     if expr == "K":
-        ring = rl.generalized_matrix_ring(rl.zmod(3), 2)
+        ring = k_ring(rl.zmod(3), 2)
     elif expr == "table":
         ring = rl.memoize(rl.build("M(2,Z(2))"))
     else:

@@ -426,6 +426,22 @@ def test_new_sources_remove_stale_entries_only(capsys, tmp_path, monkeypatch):
     assert len(cache_entries(tmp_path)) == 2
 
 
+def test_empty_cache_setting_disables_the_cache(capsys, tmp_path, monkeypatch):
+    """An empty ``RINGLAB_CACHE_DIR`` is unset: it names no directory, so
+    nothing is stored in the working directory and no digest-named entry
+    there is removed as stale."""
+    decoys = [tmp_path / ("a" * 64), tmp_path / f"{'b' * 64}.json"]
+    decoys[0].mkdir()
+    decoys[1].write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.CACHE_DIR_ENV, "")
+    code, out, _ = run_cli(capsys, "classify", "Z(2)", "--json")
+    assert code == 0
+    assert json.loads(out)["card"] == 2
+    assert sorted(tmp_path.iterdir()) == decoys
+    assert decoys[1].read_text() == "{}"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -7,6 +9,7 @@ from ringlab import cli, core, structure, verify
 from ringlab.core import additive_generators, additive_span, check_ring_axioms
 
 from conftest import (
+    AXIOM_SUITE_EXTRAS,
     bounded_ring_expr_strategy,
     direct_tables,
     index_of,
@@ -20,20 +23,20 @@ from conftest import (
 def test_zmod_add_mul_examples(z6):
     assert z6.add(4, 5) == 3
     assert z6.mul(4, 5) == 2
-    for a in z6.elements():
+    for a in range(z6.card):
         assert z6.add(a, z6.zero) == a
         assert z6.mul(a, z6.one) == a
 
 
 def test_add_commutes(z6):
-    for a in z6.elements():
-        for b in z6.elements():
+    for a in range(z6.card):
+        for b in range(z6.card):
             assert z6.add(a, b) == z6.add(b, a)
 
 
 def test_matrix_ops_against_matrix_oracle(m2z2):
-    for a in m2z2.elements():
-        for b in m2z2.elements():
+    for a in range(m2z2.card):
+        for b in range(m2z2.card):
             A, B = mat_of(a, 2, 2), mat_of(b, 2, 2)
             assert m2z2.add(a, b) == index_of(mat_add_mod(A, B, 2, 2), 2, 2)
             assert m2z2.mul(a, b) == index_of(mat_mul_mod(A, B, 2, 2), 2, 2)
@@ -46,19 +49,9 @@ def test_triangular_mul_against_matrix_oracle():
     def lift(a):  # digits of (0,0), (0,1), (1,1), most significant first
         return [[a // 9, a // 3 % 3], [0, a % 3]]
 
-    for a in T.elements():
-        for b in T.elements():
+    for a in range(T.card):
+        for b in range(T.card):
             assert lift(T.mul(a, b)) == mat_mul_mod(lift(a), lift(b), 2, 3)
-
-
-def test_power_examples(z12):
-    assert z12.power(6, 2) == 0
-    for a in z12.elements():
-        assert z12.power(a, 1) == a
-        assert z12.power(a, 0) == z12.one
-    assert rl.zmod(5).power(2, 4) == 1
-    with pytest.raises(ValueError):
-        z12.power(2, -1)
 
 
 def test_is_nilpotent(z12):
@@ -72,13 +65,13 @@ def test_nilpotency_index_is_minimal():
     rings += [rl.build(e) for e in ("M(2,Z(4))", "T(3,Z(2))", "TE(Z(9))", "GF(3,2)")]
     for ring in rings:
         nilpotents = oracle_nilpotents(ring)
-        for a in ring.elements():
+        for a in range(ring.card):
             ok, k = rl.is_nilpotent(ring, a)
             assert ok == (a in nilpotents), (ring.label, a)
             if ok:
-                assert ring.power(a, k) == ring.zero
+                assert functools.reduce(ring.mul, [a] * k) == ring.zero
                 if k > 1:
-                    assert ring.power(a, k - 1) != ring.zero
+                    assert functools.reduce(ring.mul, [a] * (k - 1)) != ring.zero
 
 
 def test_index_bounds_are_contract_violations(z6):
@@ -148,7 +141,6 @@ def test_subset_operations(z6):
     assert len(s) == 2
     assert np.flatnonzero(s.mask | t.mask).tolist() == [0, 1, 5]
     assert np.flatnonzero(s.mask & t.mask).tolist() == [1]
-    assert sorted(s.complement()) == [0, 2, 3, 4]
     assert s == rl.Subset(z6, np.isin(np.arange(6), [5, 1]))
     assert s != rl.Subset(rl.zmod(6), np.isin(np.arange(6), [1, 5]))  # another ring
     with pytest.raises(ValueError):
@@ -186,7 +178,7 @@ def test_axiom_checker_accepts_and_rejects(z6):
 #: with a left factor smaller than the right one
 TABLE_EXPRS = sorted(
     {entry.expression for entry in verify.CATALOG}
-    | set(verify.AXIOM_SUITE_EXTRAS)
+    | set(AXIOM_SUITE_EXTRAS)
     | {
         "M(3,Z(2))",
         "M(2,Z(6))",

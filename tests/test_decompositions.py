@@ -14,9 +14,10 @@ from ringlab.decompositions import (
     idempotent_scan,
 )
 from ringlab.structure import _PAIR_CHUNK, ring_data
-from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
+from ringlab.verify import CATALOG
 
 from conftest import (
+    AXIOM_SUITE_EXTRAS,
     LADDER_RUNGS,
     oracle_counterexample,
     oracle_idempotents,
@@ -41,65 +42,65 @@ WITNESS_RINGS = [
 
 def test_units_are_clean_with_zero_idempotent(z6):
     for u in rl.units(z6):
-        ok, w = rl.elem_is_clean(z6, u)
+        ok, w = ELEMENT_PREDICATES["clean"](z6, u)
         assert ok and w.idempotent == 0 and w.rest == u
 
 
 def test_clean_witness_tiebreak(z6):
     # 3 - e fails for e in {0, 1, 3}; e = 4 gives the unit 5
-    ok, w = rl.elem_is_clean(z6, 3)
+    ok, w = ELEMENT_PREDICATES["clean"](z6, 3)
     assert ok and w.idempotent == 4 and w.rest == 5 and w.sign == 1
 
 
 def test_all_elements_clean_in_local_ring():
     z4 = rl.zmod(4)
-    assert all(rl.elem_is_clean(z4, a)[0] for a in z4.elements())
+    assert all(ELEMENT_PREDICATES["clean"](z4, a)[0] for a in range(z4.card))
 
 
 def test_nil_clean_examples():
     z4 = rl.zmod(4)
-    ok, w = rl.elem_is_nil_clean(z4, 3)
+    ok, w = ELEMENT_PREDICATES["nil_clean"](z4, 3)
     assert ok and w.idempotent == 1 and w.rest == 2
-    ok, w = rl.elem_is_strongly_nil_clean(z4, 0)
+    ok, w = ELEMENT_PREDICATES["strongly_nil_clean"](z4, 0)
     assert ok and w.idempotent == 0 and w.rest == 0
-    assert not rl.elem_is_nil_clean(rl.zmod(3), 2)[0]
+    assert not ELEMENT_PREDICATES["nil_clean"](rl.zmod(3), 2)[0]
 
 
 def test_weakly_nil_clean_examples():
     z3 = rl.zmod(3)
-    ok, w = rl.elem_is_weakly_nil_clean(z3, 2)
+    ok, w = ELEMENT_PREDICATES["weakly_nil_clean"](z3, 2)
     assert ok and w.sign == -1 and w.idempotent == 1 and w.rest == 0
-    assert not rl.elem_is_weakly_nil_clean(rl.zmod(5), 2)[0]
+    assert not ELEMENT_PREDICATES["weakly_nil_clean"](rl.zmod(5), 2)[0]
 
 
 def test_lemma_2_32_element_is_not_weakly_nil_clean():
     m2z5 = rl.matrix_ring(2, rl.zmod(5))
     for a in (2, 3):  # outside {0, 1, -1} in Z(5)
         idx = a * 5**3  # diag(a, 0), entry (0,0) most significant
-        assert not rl.elem_is_weakly_nil_clean(m2z5, idx)[0]
+        assert not ELEMENT_PREDICATES["weakly_nil_clean"](m2z5, idx)[0]
         assert oracle_weakly_nil_clean_elem(m2z5, idx) is False
 
 
 def test_weakly_clean_examples(z6):
-    assert rl.elem_is_weakly_clean(z6, 3)[0]
+    assert ELEMENT_PREDICATES["weakly_clean"](z6, 3)[0]
     for u in rl.units(z6):
-        ok, w = rl.elem_is_weakly_clean(z6, u)
+        ok, w = ELEMENT_PREDICATES["weakly_clean"](z6, u)
         assert ok and w.idempotent == 0
 
 
 def test_negatives_of_weakly_nil_clean_are_weakly_clean():
     for expr in WITNESS_RINGS:
         ring = rl.build(expr)
-        for a in ring.elements():
-            if rl.elem_is_weakly_nil_clean(ring, a)[0]:
-                assert rl.elem_is_weakly_clean(ring, ring.neg(a))[0], (expr, a)
+        for a in range(ring.card):
+            if ELEMENT_PREDICATES["weakly_nil_clean"](ring, a)[0]:
+                assert ELEMENT_PREDICATES["weakly_clean"](ring, ring.neg(a))[0], (expr, a)
 
 
 @pytest.mark.parametrize("expr", WITNESS_RINGS)
 def test_witness_validity_pass(expr):
     ring = rl.build(expr)
     for kind, predicate in ELEMENT_PREDICATES.items():
-        for a in ring.elements():
+        for a in range(ring.card):
             ok, w = predicate(ring, a)
             if ok:
                 rl.validate_witness(ring, a, kind, w)
@@ -118,13 +119,13 @@ def test_element_predicates_match_bruteforce():
         nil = oracle_nilpotents(ring)
         units = oracle_units(ring)
         idem = oracle_idempotents(ring)
-        for a in ring.elements():
+        for a in range(ring.card):
             wnc = any(ring.sub(a, e) in nil or ring.add(a, e) in nil for e in idem)
-            assert rl.elem_is_weakly_nil_clean(ring, a)[0] == wnc
+            assert ELEMENT_PREDICATES["weakly_nil_clean"](ring, a)[0] == wnc
             nc = any(ring.sub(a, e) in nil for e in idem)
-            assert rl.elem_is_nil_clean(ring, a)[0] == nc
+            assert ELEMENT_PREDICATES["nil_clean"](ring, a)[0] == nc
             clean = any(ring.sub(a, e) in units for e in idem)
-            assert rl.elem_is_clean(ring, a)[0] == clean
+            assert ELEMENT_PREDICATES["clean"](ring, a)[0] == clean
 
 
 ORACLE_PRODUCTS = [
@@ -151,7 +152,7 @@ def test_witnesses_and_counterexamples_match_oracle(expr, tables):
     if tables:
         ring = maybe_memoize(ring)
     for kind, predicate in ELEMENT_PREDICATES.items():
-        for a in ring.elements():
+        for a in range(ring.card):
             ok, w = predicate(ring, a)
             got = None if w is None else (w.sign, w.idempotent, w.rest, w.commuting)
             assert ok == (got is not None)
@@ -182,7 +183,7 @@ def test_counterexample_is_lowest_failing_index():
     units = oracle_units(prod)
     failing = [
         a
-        for a in prod.elements()
+        for a in range(prod.card)
         if a not in units
         and not any(prod.sub(a, e) in nil or prod.add(a, e) in nil for e in idem)
     ]
@@ -201,10 +202,10 @@ def test_gwnc_examples():
 
 
 def test_gwnc_witness(z6):
-    ok, w = rl.elem_is_weakly_nil_clean(z6, 2)
+    ok, w = ELEMENT_PREDICATES["weakly_nil_clean"](z6, 2)
     assert ok and w is not None
     rl.validate_witness(z6, 2, "weakly_nil_clean", w)
-    assert rl.elem_is_weakly_nil_clean(rl.zmod(5), 2) == (False, None)
+    assert ELEMENT_PREDICATES["weakly_nil_clean"](rl.zmod(5), 2) == (False, None)
 
 
 def test_diagram_edges_hold_in_reports():
@@ -219,14 +220,14 @@ def test_strongly_weakly_variants_match_definition():
         ring = rl.build(expr)
         flags = rl.classify(ring).flags
         swnc = all(
-            rl.elem_is_strongly_nil_clean(ring, a)[0]
-            or rl.elem_is_strongly_nil_clean(ring, ring.neg(a))[0]
-            for a in ring.elements()
+            ELEMENT_PREDICATES["strongly_nil_clean"](ring, a)[0]
+            or ELEMENT_PREDICATES["strongly_nil_clean"](ring, ring.neg(a))[0]
+            for a in range(ring.card)
         )
         swc = all(
-            rl.elem_is_strongly_clean(ring, a)[0]
-            or rl.elem_is_strongly_clean(ring, ring.neg(a))[0]
-            for a in ring.elements()
+            ELEMENT_PREDICATES["strongly_clean"](ring, a)[0]
+            or ELEMENT_PREDICATES["strongly_clean"](ring, ring.neg(a))[0]
+            for a in range(ring.card)
         )
         assert flags["strongly_weakly_nil_clean"] == swnc
         assert flags["strongly_weakly_clean"] == swc

@@ -8,9 +8,10 @@ import ringlab as rl
 from ringlab import structure
 from ringlab.core import additive_generators, additive_span, ring_is_commutative
 from ringlab.decompositions import REPORT_FLAGS
-from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG
+from ringlab.verify import CATALOG
 
 from conftest import (
+    AXIOM_SUITE_EXTRAS,
     LADDER_RUNGS,
     bounded_ring_expr_strategy,
     oracle_center,
@@ -299,7 +300,7 @@ def test_finite_ring_identities_match_bruteforce_deciders():
     """Every predicate ``structural_predicates`` decides by a finite-ring
     identity agrees with the brute-force decider it replaced (``nr`` is
     scanned only where ``ni`` fails)."""
-    from ringlab.verify import AXIOM_SUITE_EXTRAS, CATALOG, VerifyContext
+    from ringlab.verify import VerifyContext
 
     ctx = VerifyContext()
     exprs = [e.expression for e in CATALOG] + list(AXIOM_SUITE_EXTRAS)

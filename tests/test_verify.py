@@ -10,16 +10,16 @@ from ringlab.verify import (
     CHECKS,
     CatalogEntry,
     VerifyContext,
-    axiom_suite,
-    catalog,
     check_catalog_entry,
     run_all,
     run_check,
 )
 
+from conftest import axiom_checked_expressions
+
 
 def test_catalog_shape():
-    entries = catalog()
+    entries = CATALOG
     assert len(entries) == 26
     asserted = [e for e in entries if e.expected]
     assert len(asserted) == 11
@@ -30,7 +30,7 @@ def test_catalog_shape():
 
 def test_catalog_builds_under_default_guard():
     ctx = VerifyContext(max_card=200000)  # a larger catalog ring raises GuardError
-    for entry in catalog():
+    for entry in CATALOG:
         ring = ctx.ring(entry.expression)
         assert ring.card >= 2
 
@@ -144,7 +144,7 @@ def test_fail_details_carry_reproduction_command():
 
 
 def test_axiom_suite_covers_small_constructions():
-    checked = axiom_suite()
+    checked = axiom_checked_expressions()
     assert "Z(6)" in checked
     assert "M(2,Z(2))" in checked
     assert "PAT(U(3),Z(2))" in checked
