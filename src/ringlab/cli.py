@@ -5,8 +5,8 @@ Exit codes, mapped from the library's exceptions in ``main`` alone: 0
 success (classification truth is data, not exit status), 1 harness
 failures, 2 bad input (parse error, failed construction precondition,
 unparsable environment setting), 3 guard exceeded; each error is one
-stderr line.  The result cache is off unless ``--cache-dir`` or
-``RINGLAB_CACHE_DIR`` names a directory (unset or empty disables it), and
+stderr line.  The result cache is off unless ``--cache-dir``, when given,
+or else ``RINGLAB_CACHE_DIR`` names a directory (empty disables it), and
 best effort: a directory or entry that cannot be written leaves the
 request uncached, with one stderr line.
 JSON records are the records' own fields (``vars``).
@@ -150,7 +150,7 @@ def _cache_entry(args, key: str) -> tuple[Path, str] | None:
     """The entry file of a request and the key it must hold: the source
     digest plus the canonical key, so other sources never replay it.
     Entries live in one directory per source digest."""
-    raw = args.cache_dir or os.environ.get(CACHE_DIR_ENV)
+    raw = os.environ.get(CACHE_DIR_ENV) if args.cache_dir is None else args.cache_dir
     if not raw:
         return None
     digest = _source_digest()

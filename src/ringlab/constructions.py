@@ -89,6 +89,9 @@ class _DigitRing(Ring):
             out = out * self.base.card + op(*(d[:, pos] for d in digits))
         return out
 
+    def digits(self) -> tuple[Ring, int]:
+        return self.base, self.ndigits
+
     def add_vec(self, xs, ys) -> np.ndarray:
         return self._digitwise(self.base.add_vec, *_pair(xs, ys))
 
@@ -592,20 +595,13 @@ def _is_prime(n: int) -> bool:
 
 
 def _poly_divides(div: list[int], poly: list[int], p: int) -> bool:
-    rem = list(poly)
-    dd = len(div) - 1
-    inv_lead = pow(div[-1], p - 2, p)
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        factor = rem[-1] * inv_lead % p
-        shift = len(rem) - 1 - dd
+    """Whether the monic ``div`` divides ``poly`` over Z(p), both constant
+    term first: long division from the top coefficient down."""
+    rem, top = list(poly), len(div) - 1
+    for shift in range(len(rem) - 1 - top, -1, -1):
+        factor = rem[shift + top]
         for i, c in enumerate(div):
             rem[shift + i] = (rem[shift + i] - factor * c) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
     return not any(rem)
 
 

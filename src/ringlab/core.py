@@ -6,14 +6,15 @@ defined by its numpy-vectorised ``add_vec``/``neg_vec``/``mul_vec``, which
 the bulk scans are built on; the scalar ``add``/``neg``/``mul`` are derived
 from them.  ``memoize`` copies a ring of card up to ``MEMO_THRESHOLD``
 into 16-bit operation tables (``TableRing``): a direct product combines its
-factors' tables, any other ring is evaluated only on the rows of its
-additive generators (their ``mul`` rows in one call), and the other rows
-are gathered from those in cache-sized blocks.  ``additive_generators``
+factors' tables and a digit ring folds its base's ``add`` table; the ``mul``
+table takes one call on the k² pairs of additive generators, and the rest
+is gathered by distributivity in cache-sized blocks.  ``additive_generators``
 walks a ring once and keeps the list on it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Iterator
 
@@ -131,6 +132,10 @@ class Ring:
         a·|R| + b, else None."""
         return None
 
+    def digits(self) -> tuple["Ring", int] | None:
+        """(base, n) when this ring adds digit by digit over n base digits, high first."""
+        return None
+
     # -- scalar operations, checked and evaluated through the vector ones ----
     def add(self, a: int, b: int) -> int:
         return int(self.add_vec(self._check(a), self._check(b))[0])
@@ -218,19 +223,14 @@ class Subset:
         return f"<Subset of {self.ring.label} card={len(self)} {{{', '.join(map(str, members))}{tail}}}>"
 
 
-#: up to this card one n² evaluation beats the generator build's per-row cost
+#: up to this card one n² evaluation beats the generator build's fixed cost of
+#: about 0.2 ms: of the harness rings, those of card 64 split evenly
 _DIRECT_BUILD_CARD = 64
 
 #: table entries per gather of the generator build, so that its index and
 #: result blocks stay in cache instead of being n²/2-entry temporaries per
 #: step; 8k took about as long, 128k up to 1.5x longer on Z(2048)
 _GATHER_BLOCK = 1 << 15
-
-
-def _tables_of(ring: Ring) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(ring, TableRing):
-        return ring._add, ring._mul
-    return _operation_tables(ring)[:2]
 
 
 def _product_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -244,45 +244,55 @@ def _product_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out.reshape(nl * nr, nl * nr)
 
 
-def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
-    """The ``add`` and ``mul`` tables of ``source`` (``TABLE_DTYPE``), and
-    the additive generators when the build walked them.
+def _direct_table(op, n: int, dtype=TABLE_DTYPE) -> np.ndarray:
+    ar = np.arange(n, dtype=np.int64)
+    return op(np.repeat(ar, n), np.tile(ar, n)).astype(dtype).reshape(n, n)
 
-    A direct product L x R combines its factors' tables, whose arrays a
-    ``TableRing`` factor lends and any other factor builds here, so the
-    product's own operations are never called.  Otherwise up to
-    ``_DIRECT_BUILD_CARD`` all pairs are evaluated.  Above it only additive
-    generators g, each the smallest element not yet reached, are: the
-    reached set S grows to S ∪ (S + h) for h = g, 2g, 4g, ... while that adds
-    elements, and a new row t = s + h is ``add[t] = add[h][add[s]]`` (+ is
-    associative and commutative).  The walk reads only ``add``, so the
-    generators' ``mul`` rows are one ``mul_vec`` call after it, and the
-    steps then give ``mul[t] = add[mul[s], mul[h]]`` (right
-    distributivity).  Both gathers run over row blocks of about
-    ``_GATHER_BLOCK`` entries.  The generators are those of
-    ``additive_generators``; the walk is fused here because it fills the
-    table rows as it goes.
-    """
-    factors = source.factors()
-    if factors is not None:
-        (add_l, mul_l), (add_r, mul_r) = map(_tables_of, factors)
-        return _product_table(add_l, add_r), _product_table(mul_l, mul_r), None
+
+def _add_table(ring: Ring) -> np.ndarray:
+    """The ``add`` table alone: lent by a ``TableRing``, combined from the
+    factors', folded from the base's once per digit, else evaluated."""
+    if isinstance(ring, TableRing):
+        return ring._add
+    if ring.factors() is not None:
+        return _product_table(*map(_add_table, ring.factors()))
+    if ring.digits() is not None:
+        base, ndigits = ring.digits()
+        return functools.reduce(_product_table, [_add_table(base)] * ndigits)
+    if ring.card <= _DIRECT_BUILD_CARD:
+        return _direct_table(ring.add_vec, ring.card)
+    return _walk(ring)[0]
+
+
+def _blocks(t: np.ndarray, s: np.ndarray, n: int):
+    """A step's (t, s) blocks of about ``_GATHER_BLOCK`` entries in rows of n;
+    a run of consecutive rows becomes a slice, which numpy reads as a view."""
+    rows = max(1, _GATHER_BLOCK // n)
+    run = s[-1] - s[0] == len(s) - 1 and (np.diff(t) == 1).all()
+    for lo in range(0, len(t), rows):
+        tb, sb = t[lo : lo + rows], s[lo : lo + rows]
+        yield (slice(tb[0], tb[-1] + 1), slice(sb[0], sb[-1] + 1)) if run else (tb, sb)
+
+
+def _walk(source: Ring, add: np.ndarray | None = None) -> tuple[np.ndarray, list[int], list]:
+    """(add, generators, steps) of the walk of ``additive_generators``:
+    each generator g is the smallest element not yet reached, and the
+    reached set grows by the steps t = s + h, h = g, 2g, 4g, ..., while
+    they add elements.  A given ``add`` is only read; else each generator's
+    row is one ``add_vec`` call and a new row is ``add[t] = add[h][add[s]]``."""
     n = source.card
     ar = np.arange(n, dtype=np.int64)
-    if n <= _DIRECT_BUILD_CARD:
-        left, right = np.repeat(ar, n), np.tile(ar, n)
-        add = source.add_vec(left, right).astype(TABLE_DTYPE).reshape(n, n)
-        return add, source.mul_vec(left, right).astype(TABLE_DTYPE).reshape(n, n), None
-    rows = max(1, _GATHER_BLOCK // n)
-    add = np.empty((n, n), dtype=TABLE_DTYPE)
-    mul = np.empty((n, n), dtype=TABLE_DTYPE)
-    add[source.zero] = ar
+    fill = add is None
+    if fill:
+        add = np.empty((n, n), dtype=TABLE_DTYPE)
+        add[source.zero] = ar
     reached = ar == source.zero
     gens, steps = [], []
     while not reached.all():
         g = int(np.argmin(reached))
         gens.append(g)
-        add[g] = source.add_vec(g, ar)
+        if fill:
+            add[g] = source.add_vec(g, ar)
         reached[g] = True
         h = g
         while True:
@@ -292,22 +302,56 @@ def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] |
             if not fresh.any():
                 break
             s, t = s[fresh], t[fresh]
-            for lo in range(0, len(t), rows):
-                add[t[lo : lo + rows]] = np.take(add[h], add[s[lo : lo + rows]])
+            if fill:
+                for tb, sb in _blocks(t, s, n):
+                    add[tb] = np.take(add[h], add[sb])
             reached[t] = True
             steps.append((t, s, h))
             h = int(add[h, h])
-    mul[source.zero] = source.zero
-    mul[gens] = source.mul_vec(np.repeat(gens, n), np.tile(ar, len(gens))).reshape(-1, n)
+    return add, gens, steps
+
+
+def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
+    """The ``add`` and ``mul`` tables of ``source`` (``TABLE_DTYPE``), and
+    the additive generators when the build walked them.
+
+    A ``TableRing`` lends its tables and a direct product combines its
+    factors'.  Up to ``_DIRECT_BUILD_CARD`` a ring is evaluated on all
+    pairs.  Above it ``_walk`` reads the generators and steps (t, s, h) off
+    ``add``, which a digit ring folds from its base's.  The k generators'
+    products are one ``mul_vec`` call of k² pairs; their rows follow by left
+    distributivity, g(s + h) = gs + gh, and every other row by right
+    distributivity, mul[t] = add[mul[s], mul[h]], gathered in int32 blocks.
+    """
+    if isinstance(source, TableRing):
+        return source._add, source._mul, source._additive_generators
+    factors = source.factors()
+    if factors is not None:
+        (add_l, mul_l, _), (add_r, mul_r, _) = map(_operation_tables, factors)
+        return _product_table(add_l, add_r), _product_table(mul_l, mul_r), None
+    n = source.card
+    if n <= _DIRECT_BUILD_CARD:
+        return _direct_table(source.add_vec, n), _direct_table(source.mul_vec, n), None
+    add, gens, steps = _walk(source, None if source.digits() is None else _add_table(source))
     flat = add.ravel()
-    index = np.empty((rows, n), dtype=np.intp)
+    g, k = np.asarray(gens, dtype=np.int64), len(gens)
+    # the generators' rows as columns, so that their gathers read rows
+    left = np.full((n, k), source.zero, dtype=TABLE_DTYPE)
+    left[g] = source.mul_vec(np.tile(g, k), np.repeat(g, k)).reshape(k, k)
     for t, s, h in steps:
-        for lo in range(0, len(t), rows):
-            sb = s[lo : lo + rows]
-            block = index[: len(sb)]
-            np.multiply(mul[sb], n, out=block, dtype=np.intp)
+        left[t] = np.take(flat, left[s] * np.int32(n) + left[h])
+    mul = np.empty((n, n), dtype=TABLE_DTYPE)
+    mul[source.zero] = source.zero
+    mul[g] = left.T
+    for t, s, h in steps:
+        for tb, sb in _blocks(t, s, n):
+            block = mul[sb] * np.int32(n)
             block += mul[h]
-            mul[t[lo : lo + rows]] = np.take(flat, block)
+            if isinstance(tb, slice):
+                # "clip" (the indices are valid) lets take write into the view unbuffered
+                np.take(flat, block, out=mul[tb], mode="clip")
+            else:
+                mul[tb] = np.take(flat, block)
     return add, mul, gens
 
 
@@ -433,11 +477,7 @@ def check_ring_axioms(ring: Ring, max_card: int = 512) -> None:
         raise ValueError(f"{ring.label}: zero equals one")
 
     ar = np.arange(n, dtype=np.int64)
-    add = np.empty((n, n), dtype=np.int64)
-    mul = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        add[a] = ring.add_vec(a, ar)
-        mul[a] = ring.mul_vec(a, ar)
+    add, mul = (_direct_table(op, n, np.int64) for op in (ring.add_vec, ring.mul_vec))
     neg = ring.neg_vec(ar)
 
     for name, table in (("add", add), ("mul", mul)):

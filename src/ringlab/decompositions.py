@@ -23,6 +23,7 @@ clean decomposition of the element itself, which is a different predicate.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -262,7 +263,7 @@ class RingAnalysis:
     counterexample is the first failing element of its domain."""
 
     def __init__(self, ring: Ring) -> None:
-        self.ring = ring
+        self._ring = weakref.ref(ring)  # held weakly, as ``RingData`` holds it
         self.data = ring_data(ring)
         self._flags: dict[str, bool] = {}
         self._cx: dict[str, int | None] = {}
@@ -295,11 +296,11 @@ class RingAnalysis:
             if self._cx.get(name) is not None
         }
         return PropertyReport(
-            label=self.ring.label,
-            card=self.ring.card,
+            label=self._ring().label,
+            card=self._ring().card,
             flags=flags,
             counterexamples=cx,
-            structural=structural_predicates(self.ring),
+            structural=structural_predicates(self._ring()),
         )
 
 

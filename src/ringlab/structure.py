@@ -38,6 +38,7 @@ centrality and J membership of one element through another,
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -62,7 +63,9 @@ class RingData:
     """Lazily computed invariant cache attached to one ring."""
 
     def __init__(self, ring: Ring) -> None:
-        self.ring = ring
+        # held weakly: the ring holds this cache, so a strong reference back
+        # would keep a dropped ring and its tables alive until the cyclic GC
+        self._ring = weakref.ref(ring)
         self._status: np.ndarray | None = None
         self._idem_mask: np.ndarray | None = None
         self._idem_indices: np.ndarray | None = None
@@ -78,7 +81,7 @@ class RingData:
         pair (l, r) sits at index l * |R| + r of the last axis; a leading
         axis, a stack of arrays read together, is kept.  None when the
         ring is no direct product."""
-        parts = self.ring.factors()
+        parts = self._ring().factors()
         if parts is None:
             return None
         left, right = (read(ring_data(p)) for p in parts)
@@ -89,7 +92,7 @@ class RingData:
         """For a direct product L x R, whether ``holds(data, x)`` is true on
         both components of a = l·|R| + r, each asked of its factor's data.
         None when the ring is no direct product."""
-        parts = self.ring.factors()
+        parts = self._ring().factors()
         if parts is None:
             return None
         left, right = parts
@@ -106,7 +109,7 @@ class RingData:
         )
         if self._status is not None:
             return self._status
-        ring = self.ring
+        ring = self._ring()
         status = np.zeros(ring.card, dtype=np.int8)
         # the powers of a share its status and hold exactly one idempotent:
         # one for a unit, zero for a nilpotent and another one for neither
@@ -153,8 +156,8 @@ class RingData:
         if self._idem_mask is None:
             mask = self._product(lambda d: d.idem_mask)
             if mask is None:
-                ar = np.arange(self.ring.card, dtype=np.int64)
-                mask = self.ring.mul_vec(ar, ar) == ar
+                ar = np.arange(self._ring().card, dtype=np.int64)
+                mask = self._ring().mul_vec(ar, ar) == ar
             self._idem_mask = mask
         return self._idem_mask
 
@@ -176,7 +179,7 @@ class RingData:
         if self._jac_mask is None:
             mask = self._product(lambda d: d.jacobson_mask)
             if mask is None:
-                mask = np.zeros(self.ring.card, dtype=bool)
+                mask = np.zeros(self._ring().card, dtype=bool)
                 mask[self._left_quasi_regular(np.flatnonzero(self.nil_mask))] = True
             self._jac_mask = mask
         return self._jac_mask
@@ -203,7 +206,7 @@ class RingData:
         about ``_PAIR_CHUNK`` pairs; a candidate leaves at its first
         failure, and the walk stops when none is left, so it costs at most
         len(cand) * |Nil| products."""
-        ring = self.ring
+        ring = self._ring()
         status = self._orbit_status()
         rows = np.flatnonzero(status == _NILPOTENT)
         lo = 0
@@ -220,7 +223,7 @@ class RingData:
         """``ring_is_commutative``, decided once: the center and the
         structural record both read it."""
         if self._commutative is None:
-            self._commutative = ring_is_commutative(self.ring)
+            self._commutative = ring_is_commutative(self._ring())
         return self._commutative
 
     def is_central(self, a: int) -> bool:
@@ -230,8 +233,8 @@ class RingData:
         ring costs less than the generator walk of ``center_mask``."""
         central = self._factorwise(a, RingData.is_central)
         if central is None:
-            ar = np.arange(self.ring.card, dtype=np.int64)
-            central = bool(np.array_equal(self.ring.mul_vec(a, ar), self.ring.mul_vec(ar, a)))
+            ar = np.arange(self._ring().card, dtype=np.int64)
+            central = bool(np.array_equal(self._ring().mul_vec(a, ar), self._ring().mul_vec(ar, a)))
         return central
 
     @property
@@ -244,7 +247,7 @@ class RingData:
         if self._center_mask is None:
             mask = self._product(lambda d: d.center_mask)
             if mask is None:
-                ring = self.ring
+                ring = self._ring()
                 if self.commutative:
                     mask = np.ones(ring.card, dtype=bool)
                 else:
@@ -269,7 +272,7 @@ class RingData:
         if self._nil_images is None:
             stack = self._product(RingData.nil_images)
             if stack is None:
-                ring = self.ring
+                ring = self._ring()
                 a = np.arange(ring.card, dtype=np.int64)
                 square = ring.mul_vec(a, a)
                 stack = self.nil_mask[np.stack((
@@ -293,7 +296,7 @@ class RingData:
         if self._nil_signs is None:
             stack = self._product(RingData.nil_signs)
             if stack is None:
-                ring = self.ring
+                ring = self._ring()
                 nil, idem = np.flatnonzero(self.nil_mask), self.idem_indices
                 plus = np.zeros(ring.card, dtype=bool)
                 total = len(nil) * len(idem)

@@ -442,6 +442,21 @@ def test_empty_cache_setting_disables_the_cache(capsys, tmp_path, monkeypatch):
     assert decoys[1].read_text() == "{}"
 
 
+def test_empty_cache_dir_flag_overrides_the_cache_setting(capsys, tmp_path, monkeypatch):
+    """A given ``--cache-dir`` takes precedence over ``RINGLAB_CACHE_DIR``
+    even when it is empty, which disables the cache: the directory the
+    setting names stays empty, and so does the working directory."""
+    named, cwd = tmp_path / "named", tmp_path / "cwd"
+    named.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv(cli.CACHE_DIR_ENV, str(named))
+    code, out, err = run_cli(capsys, "classify", "Z(6)", "--json", "--cache-dir", "")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["card"] == 6
+    assert list(named.iterdir()) == list(cwd.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -175,7 +175,9 @@ def test_axiom_checker_accepts_and_rejects(z6):
 #: generator, eleven doublings), cards 64 and 65 on both sides of the
 #: direct-build rule, commutative and not, and products: of three factors,
 #: with a quotient factor, above card 64 from factors of at most 64, and
-#: with a left factor smaller than the right one
+#: with a left factor smaller than the right one; digit rings whose add
+#: table is folded: nested, a pattern ring and a group ring over Z(9), one
+#: digit over a base without tables; and a quotient walked above card 64
 TABLE_EXPRS = sorted(
     {entry.expression for entry in verify.CATALOG}
     | set(AXIOM_SUITE_EXTRAS)
@@ -195,6 +197,12 @@ TABLE_EXPRS = sorted(
         "MODJ(M(2,Z(4))) x Z(9)",
         "T(2,Z(4)) x Z(5)",
         "Z(3) x M(2,Z(4))",
+        "TE(TE(Z(6)))",
+        "PAT(S(3),Z(6))",
+        "GR(Z(9),C(3))",
+        "M(1,Z(100))",
+        "GF(101,1)",
+        "MODJ(M(2,Z(6)))",
     }
 )
 
@@ -267,7 +275,7 @@ def test_table_build_evaluates_generator_rows_above_card_64(expr):
 
     ring.add_vec = counting("add", ring.add_vec)
     ring.mul_vec = counting("mul", ring.mul_vec)
-    rl.memoize(ring)
+    table = rl.memoize(ring)
     n = ring.card
     if ring.factors() is not None:
         # built from the factors' tables
@@ -275,10 +283,56 @@ def test_table_build_evaluates_generator_rows_above_card_64(expr):
     elif n <= 64:
         assert sum(calls["add"]) == sum(calls["mul"]) == n * n
     else:
-        # each generator at least doubles the reached subgroup, and the
-        # generators' mul rows are one call
-        assert len(calls["mul"]) == 1
-        assert sum(calls["add"]) == calls["mul"][0] <= n * int(np.log2(n))
+        # the generators' products are one call of k² pairs; a digit ring
+        # folds its base's add table, a walk ring evaluates the generators'
+        # add rows
+        k = len(table._additive_generators)
+        assert calls["mul"] == [k * k]
+        assert calls["add"] == ([] if ring.digits() is not None else [n] * k)
+
+
+@pytest.mark.parametrize("expr", ["M(1,Z(100))", "GF(101,1)"])
+def test_one_digit_ring_multiplies_its_base_only_on_generator_products(expr):
+    """The add table of a one-digit ring is its base's, built alone: the
+    base's mul_vec sees only the k² generator products, no table of its own."""
+    ring = rl.build(expr)
+    pairs = []
+
+    def counting(xs, ys):
+        out = base_mul(xs, ys)
+        pairs.append(out.size)
+        return out
+
+    base_mul = ring.base.mul_vec
+    ring.base.mul_vec = counting
+    table = rl.memoize(ring)
+    del ring.base.mul_vec
+    assert ring.digits() == (ring.base, 1)
+    assert sum(pairs) == len(table._additive_generators) ** 2 == 1
+    assert_tables_match_direct(ring)
+
+
+def test_digit_ring_over_a_table_ring_reads_its_add_table():
+    """The fold reads the table base's add table; the base's add_vec only
+    sums the terms of the k² generator products, one call of k² pairs per
+    summed term."""
+    base = rl.memoize(rl.build("Z(6)"))
+    ring = rl.matrix_ring(2, base)
+    sizes = []
+
+    def counting(xs, ys):
+        out = base_add(xs, ys)
+        sizes.append(out.size)
+        return out
+
+    base_add = base.add_vec
+    base.add_vec = counting
+    table = rl.memoize(ring)
+    del base.add_vec
+    k = len(table._additive_generators)
+    assert sizes and set(sizes) == {k * k} and k * k < base.card**2
+    for got, want in zip((table._add, table._mul, table._neg), direct_tables(ring)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(

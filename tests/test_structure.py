@@ -1,11 +1,13 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 
 import ringlab as rl
-from ringlab import structure
+from ringlab import decompositions as dec, structure
 from ringlab.core import additive_generators, additive_span, ring_is_commutative
 from ringlab.decompositions import REPORT_FLAGS
 from ringlab.verify import CATALOG
@@ -549,3 +551,23 @@ def test_jacobson_meets_the_nilpotent_rows_only():
     ring.mul_vec = counted
     assert int(data.jacobson_mask.sum()) == nil == 128
     assert sum(formed) == nil * nil
+
+
+def test_a_dropped_table_ring_is_freed_without_the_cycle_collector():
+    """The invariant and flag caches a ring carries hold it weakly, so the
+    last reference going frees the ring and its tables at once."""
+    gc.collect()
+    gc.disable()
+    try:
+        ring = rl.memoize(rl.build("M(2,Z(6))"))
+        dec.classify(ring)
+        data = structure.ring_data(ring)
+        assert data.is_central(5) is False and data.left_quasi_regular(5) is False
+        for predicate in dec.ELEMENT_PREDICATES.values():
+            predicate(ring, 5)
+        assert structure.mod_j(ring).card == ring.card
+        freed = weakref.ref(ring)
+        del ring
+        assert freed() is None
+    finally:
+        gc.enable()
