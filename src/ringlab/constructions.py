@@ -3,10 +3,12 @@
 Every construction implements the vectorised ``add_vec``/``neg_vec``/
 ``mul_vec`` of ``core.Ring`` and nothing else of the arithmetic.  The
 digit rings (matrix and pattern rings, ``TE``, ``PQ``/``GF`` and ``GR``)
-share all three in ``_DigitRing``: each only builds the term table that
-says which digit products, scaled by which central base elements, sum to
-each digit of a product.  Every construction fixes a canonical element
-enumeration so that element literals are stable across runs:
+share all three in ``_DigitRing``, which splits each operand into its
+digits once and calls the base on whole digit rows; each only builds the
+term table that says which digit products, scaled by which central base
+elements, sum to each digit of a product.  Every construction fixes a
+canonical element enumeration so that element literals are stable across
+runs:
 
 * ``Zmod(n)``             index = residue.
 * ``MatrixRing``          one digit per coordinate class, mixed radix base
@@ -37,7 +39,6 @@ from .core import (
     Ring,
     Subset,
     _as_index_array,
-    _pair,
     additive_generators,
     additive_span,
     check_guard,
@@ -49,24 +50,27 @@ from .core import (
 
 
 def decode_digits(xs, base_card: int, ndigits: int) -> np.ndarray:
-    """Split indices into ``ndigits`` base-``base_card`` digits, most significant first."""
+    """Split indices into ``ndigits`` base-``base_card`` digits, most
+    significant first, on a new leading axis: ``out[p]`` has the shape of
+    ``xs`` and is contiguous, so a digit's base call reads it in order."""
     xs = _as_index_array(xs)
-    # each digit is a contiguous column, so a digit's base call reads it in order
-    out = np.empty((ndigits, len(xs)), dtype=np.int64)
+    out = np.empty((ndigits, *xs.shape), dtype=np.int64)
     rem = xs
     # numpy divides by a scalar faster than it takes ``divmod``
-    for pos in range(ndigits - 1, -1, -1):
+    for pos in range(ndigits - 1, 0, -1):
         high = rem // base_card
         np.subtract(rem, high * base_card, out=out[pos])
         rem = high
-    return out.T
+    out[0] = rem
+    return out
 
 def encode_digits(digits, base_card: int) -> np.ndarray:
-    digits = np.asarray(digits, dtype=np.int64)
-    acc = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for pos in range(digits.shape[-1]):
-        acc = acc * base_card + digits[..., pos]
-    return acc
+    """The indices whose digits, most significant first, are the entries
+    of ``digits`` along its leading axis (an array or any iterable)."""
+    acc = 0
+    for digit in digits:
+        acc = acc * base_card + digit
+    return np.asarray(acc, dtype=np.int64)
 
 
 class _DigitRing(Ring):
@@ -76,46 +80,46 @@ class _DigitRing(Ring):
     Digits are most significant first.  ``_terms[p]`` lists the terms
     (a, b, t) of digit p of a product: digit p of x*y is the sum of
     t*(x_a*y_b) over them, with t a central element of the base.  A
-    construction only builds this table."""
+    construction only builds this table.  Each operand is split once,
+    unbroadcast: a sum is one base call on the digit stacks, a product one
+    per term on the digit rows ``X[a]``, ``Y[b]``, which broadcast."""
 
     base: Ring
     ndigits: int
     _terms: list[list[tuple[int, int, int]]]
 
-    def _digitwise(self, op, *operands) -> np.ndarray:
-        digits = [decode_digits(xs, self.base.card, self.ndigits) for xs in operands]
-        out = np.zeros(len(digits[0]), dtype=np.int64)
-        for pos in range(self.ndigits):
-            out = out * self.base.card + op(*(d[:, pos] for d in digits))
-        return out
-
     def digits(self) -> tuple[Ring, int]:
         return self.base, self.ndigits
 
+    def _split(self, *operands) -> list[np.ndarray]:
+        """The operands' digit stacks, padded to one rank so that the digit axis leads."""
+        arrays = [_as_index_array(v) for v in operands]
+        ndim = max(v.ndim for v in arrays)
+        return [decode_digits(v[(None,) * (ndim - v.ndim)], self.base.card, self.ndigits) for v in arrays]
+
     def add_vec(self, xs, ys) -> np.ndarray:
-        return self._digitwise(self.base.add_vec, *_pair(xs, ys))
+        return encode_digits(self.base.add_vec(*self._split(xs, ys)), self.base.card)
 
     def neg_vec(self, xs) -> np.ndarray:
-        return self._digitwise(self.base.neg_vec, _as_index_array(xs))
+        return encode_digits(self.base.neg_vec(*self._split(xs)), self.base.card)
 
-    def _term_sum(self, A: np.ndarray, B: np.ndarray, terms) -> np.ndarray:
-        """The sum of t*(a*b) over ``terms`` for the elements whose digits
-        are the rows of ``A`` and ``B``."""
+    def _term_sum(self, X: np.ndarray, Y: np.ndarray, terms) -> np.ndarray:
+        """The sum of t*(a*b) over ``terms`` for the elements whose digit
+        stacks are ``X`` and ``Y``."""
         R = self.base
         acc = None
         for a, b, t in terms:
-            term = R.mul_vec(A[:, a], B[:, b])
+            term = R.mul_vec(X[a], Y[b])
             if t != R.one:
                 term = R.mul_vec(t, term)
             acc = term if acc is None else R.add_vec(acc, term)
-        return np.full(len(A), R.zero, dtype=np.int64) if acc is None else acc
+        if acc is None:
+            return np.full(np.broadcast_shapes(X.shape[1:], Y.shape[1:]), R.zero, dtype=np.int64)
+        return acc
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        A, B = (decode_digits(v, self.base.card, self.ndigits) for v in _pair(xs, ys))
-        out = np.zeros(len(A), dtype=np.int64)
-        for terms in self._terms:
-            out = out * self.base.card + self._term_sum(A, B, terms)
-        return out
+        X, Y = self._split(xs, ys)
+        return encode_digits((self._term_sum(X, Y, terms) for terms in self._terms), self.base.card)
 
     def _little_endian_terms(self, terms) -> None:
         """Set ``_terms`` from a table indexed least significant digit first,
@@ -125,7 +129,8 @@ class _DigitRing(Ring):
 
     def _coeffs(self, a: int) -> list[int]:
         """The digits of one element, least significant first."""
-        return [int(c) for c in decode_digits(self._check(a), self.base.card, self.ndigits)[0, ::-1]]
+        digits = decode_digits(self._check(a), self.base.card, self.ndigits)[:, 0]
+        return [int(c) for c in digits[::-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -133,26 +138,32 @@ class _DigitRing(Ring):
 
 
 class Zmod(Ring):
-    """Integers modulo ``n``; the index of an element is its residue."""
+    """Integers modulo ``n``; the index of an element is its residue.  Sums
+    and products reduce by one subtraction, several times faster than ``%``."""
 
     def __init__(self, n: int, max_card: int | None = None) -> None:
         if n < 2:
             raise ConstructionError(f"modulus must be >= 2, got {n}")
         self.card = check_guard(n, max_card)
+        if (n - 1) ** 2 > np.iinfo(np.int64).max:
+            raise ConstructionError(f"modulus {n} is too large: (n-1)^2 overflows int64")
         self.zero = 0
         self.one = 1
         self.label = f"Z({n})"
 
     def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        return (xs + ys) % self.card
+        s = _as_index_array(xs) + _as_index_array(ys)
+        s -= self.card * (s >= self.card)
+        return s
 
     def neg_vec(self, xs) -> np.ndarray:
-        return (-_as_index_array(xs)) % self.card
+        xs = _as_index_array(xs)
+        return (self.card - xs) * (xs != 0)
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        return (xs * ys) % self.card
+        p = _as_index_array(xs) * _as_index_array(ys)
+        p -= p // self.card * self.card
+        return p
 
 
 def zmod(n: int, max_card: int | None = None) -> Zmod:
@@ -215,14 +226,13 @@ class MatrixRing(_DigitRing):
 
     def _verify_closure(self) -> None:
         n, card = self.ndigits, self.base.card
-        digits = np.full((n * card, n), self.base.zero, dtype=np.int64)
-        digits[np.arange(n * card), np.repeat(np.arange(n), card)] = np.tile(np.arange(card), n)
-        left = encode_digits(digits, card)
-        right = encode_digits(np.where(np.eye(n, dtype=bool), self.base.one, self.base.zero), card)
-        left, right = np.repeat(left, n), np.tile(right, len(left))
-        A, B = decode_digits(left, card, n), decode_digits(right, card, n)
+        # the digit stacks of the left impulses (class d set to x) as a
+        # column and of the right ones (class d set to one) as a row
+        A = np.full((n, n * card, 1), self.base.zero, dtype=np.int64)
+        A[np.repeat(np.arange(n), card), np.arange(n * card), 0] = np.tile(np.arange(card), n)
+        B = np.where(np.eye(n, dtype=bool), self.base.one, self.base.zero)[:, None, :]
         terms = self._entry_terms
-        ok = np.ones(len(left), dtype=bool)
+        ok = np.ones((n * card, n), dtype=bool)
         for cls in self.classes:
             rep = self._term_sum(A, B, terms[cls[0]])
             for ij in cls[1:]:
@@ -230,14 +240,14 @@ class MatrixRing(_DigitRing):
         for ij in set(terms) - set(self._column):
             ok &= self._term_sum(A, B, terms[ij]) == self.base.zero
         if not ok.all():
-            bad = int(np.argmin(ok))
+            left, right = np.unravel_index(np.argmin(ok), ok.shape)
             raise ConstructionError(
-                f"{self.label} is not multiplicatively closed: "
-                f"witness pair ({int(left[bad])}, {int(right[bad])})"
+                f"{self.label} is not multiplicatively closed: witness pair "
+                f"({int(encode_digits(A[:, left, 0], card))}, {int(encode_digits(B[:, 0, right], card))})"
             )
 
     def format_element(self, a: int) -> str:
-        digits = decode_digits(self._check(a), self.base.card, self.ndigits)[0]
+        digits = decode_digits(self._check(a), self.base.card, self.ndigits)[:, 0]
         rows = [
             "[" + ", ".join(
                 self.base.format_element(
@@ -460,22 +470,23 @@ class DirectProduct(Ring):
     def factors(self) -> tuple[Ring, Ring]:
         return self.left, self.right
 
-    def _split(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _split(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """The components (l, r) of the indices l·|R| + r; numpy divides by
         a scalar faster than it takes ``divmod``."""
+        xs = _as_index_array(xs)
         lx = xs // self.right.card
         return lx, xs - lx * self.right.card
 
     def add_vec(self, xs, ys) -> np.ndarray:
-        (lx, rx), (ly, ry) = map(self._split, _pair(xs, ys))
+        (lx, rx), (ly, ry) = map(self._split, (xs, ys))
         return self.left.add_vec(lx, ly) * self.right.card + self.right.add_vec(rx, ry)
 
     def neg_vec(self, xs) -> np.ndarray:
-        lx, rx = self._split(_as_index_array(xs))
+        lx, rx = self._split(xs)
         return self.left.neg_vec(lx) * self.right.card + self.right.neg_vec(rx)
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        (lx, rx), (ly, ry) = map(self._split, _pair(xs, ys))
+        (lx, rx), (ly, ry) = map(self._split, (xs, ys))
         return self.left.mul_vec(lx, ly) * self.right.card + self.right.mul_vec(rx, ry)
 
     def format_element(self, a: int) -> str:
@@ -762,9 +773,8 @@ def _generator_products(ring: Ring, span: list[int], gens: np.ndarray) -> np.nda
     """r*x and x*r for each generator x of an additive span and each additive
     generator r of ``ring`` (``gens``): by bilinearity the span is a
     two-sided ideal exactly when it holds them all."""
-    xs = np.repeat(np.asarray(span, dtype=np.int64), len(gens))
-    rs = np.tile(gens, len(span))
-    return np.concatenate((ring.mul_vec(rs, xs), ring.mul_vec(xs, rs)))
+    xs = np.asarray(span, dtype=np.int64)[:, None]
+    return np.concatenate((ring.mul_vec(gens, xs).ravel(), ring.mul_vec(xs, gens).ravel()))
 
 
 def ideal_generated(ring: Ring, gens) -> Subset:
@@ -810,15 +820,13 @@ class QuotientRing(Ring):
         self.label = label if label is not None else f"({base.label}/I{len(ideal)})"
 
     def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        return self._coset_of[self.base.add_vec(self._reps[xs], self._reps[ys])]
+        return self._coset_of[self.base.add_vec(np.take(self._reps, xs), np.take(self._reps, ys))]
 
     def neg_vec(self, xs) -> np.ndarray:
-        return self._coset_of[self.base.neg_vec(self._reps[_as_index_array(xs)])]
+        return self._coset_of[self.base.neg_vec(np.take(self._reps, xs))]
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        return self._coset_of[self.base.mul_vec(self._reps[xs], self._reps[ys])]
+        return self._coset_of[self.base.mul_vec(np.take(self._reps, xs), np.take(self._reps, ys))]
 
     def format_element(self, a: int) -> str:
         return f"[{self.base.format_element(int(self._reps[self._check(a)]))}]"

@@ -84,16 +84,6 @@ def _as_index_array(xs) -> np.ndarray:
     return np.atleast_1d(np.asarray(xs, dtype=np.int64))
 
 
-def _pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = _as_index_array(xs), _as_index_array(ys)
-    # equal shapes are the common case inside a construction, and numpy's
-    # broadcast setup is most of a small call's cost
-    if xs.shape == ys.shape:
-        return xs, ys
-    xs, ys = np.broadcast_arrays(xs, ys)
-    return xs, ys
-
-
 class Ring:
     """A finite unital ring on the carrier ``0 .. card-1``.
 
@@ -113,8 +103,11 @@ class Ring:
     _additive_generators: list[int] | None = None
 
     # -- vectorised operations: the interface a construction implements -----
-    # Inputs broadcast like numpy arrays (empty ones included) and are
-    # assumed to be valid indices; outputs are int64 arrays.
+    # Operands are taken as at least 1-d arrays of valid indices and
+    # broadcast like numpy arrays, empty ones included; the output is an
+    # int64 array of their broadcast shape.  So a caller pairs m elements
+    # with k as shapes (m, 1) and (1, k), never as repeated copies, and a
+    # construction splits each operand once.
     def add_vec(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
 
@@ -174,7 +167,7 @@ def is_nilpotent(ring: Ring, a: int) -> tuple[bool, int | None]:
         return True, 1
     powers = np.array([a], dtype=np.int64)
     while True:
-        block = ring.mul_vec(np.full(len(powers), powers[-1]), powers)
+        block = ring.mul_vec(powers[-1], powers)
         zero = np.flatnonzero(block == ring.zero)
         if len(zero):
             return True, len(powers) + int(zero[0]) + 1
@@ -246,7 +239,7 @@ def _product_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _direct_table(op, n: int, dtype=TABLE_DTYPE) -> np.ndarray:
     ar = np.arange(n, dtype=np.int64)
-    return op(np.repeat(ar, n), np.tile(ar, n)).astype(dtype).reshape(n, n)
+    return op(ar[:, None], ar).astype(dtype)
 
 
 def _add_table(ring: Ring) -> np.ndarray:
@@ -337,7 +330,7 @@ def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] |
     g, k = np.asarray(gens, dtype=np.int64), len(gens)
     # the generators' rows as columns, so that their gathers read rows
     left = np.full((n, k), source.zero, dtype=TABLE_DTYPE)
-    left[g] = source.mul_vec(np.tile(g, k), np.repeat(g, k)).reshape(k, k)
+    left[g] = source.mul_vec(g, g[:, None])
     for t, s, h in steps:
         left[t] = np.take(flat, left[s] * np.int32(n) + left[h])
     mul = np.empty((n, n), dtype=TABLE_DTYPE)
@@ -413,19 +406,16 @@ class TableRing(Ring):
         return int(self._mul[self._check(a), self._check(b)])
 
     def add_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        return self._add[xs, ys].astype(np.int64)
+        return self._add[_as_index_array(xs), _as_index_array(ys)].astype(np.int64)
 
     def neg_vec(self, xs) -> np.ndarray:
         return self._neg[_as_index_array(xs)].astype(np.int64)
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        return self._mul[xs, ys].astype(np.int64)
+        return self._mul[_as_index_array(xs), _as_index_array(ys)].astype(np.int64)
 
     def sub_vec(self, xs, ys) -> np.ndarray:
-        xs, ys = _pair(xs, ys)
-        return self._add[xs, self._neg[ys]].astype(np.int64)
+        return self._add[_as_index_array(xs), self._neg[_as_index_array(ys)]].astype(np.int64)
 
     def format_element(self, a: int) -> str:
         return self.source.format_element(a)

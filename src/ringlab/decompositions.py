@@ -189,21 +189,23 @@ def _hits(ring: Ring, kind: str, elements: np.ndarray) -> np.ndarray:
     (s = 1) is a decomposition of a = ``elements[i]`` of that kind, e the
     idempotent of that rank.  Every element meets every idempotent in one
     ``sub_vec`` (rest = a - e) and, for the weakly kinds, one ``add_vec``
-    (rest = a + e), len(elements) * |Id| pairs each; the strongly kinds
+    (rest = a + e) of the elements as a column against the idempotents as
+    a row, len(elements) * |Id| pairs each; the strongly kinds
     test commutation on the candidates only."""
     data = ring_data(ring)
     target = data.nil_mask if "nil" in kind else data.unit_mask
     idem = data.idem_indices
-    a, e = np.repeat(elements, len(idem)), np.tile(idem, len(elements))
-    hits = np.zeros((len(a), 2), dtype=bool)
-    rest = ring.sub_vec(a, e)
-    hits[:, 0] = target[rest]
+    a = elements[:, None]
+    hits = np.zeros((len(a), len(idem), 2), dtype=bool)
+    rest = ring.sub_vec(a, idem)
+    hits[..., 0] = target[rest]
     if kind.startswith("strongly"):
-        cand = np.flatnonzero(hits[:, 0])
-        hits[cand, 0] = ring.mul_vec(e[cand], rest[cand]) == ring.mul_vec(rest[cand], e[cand])
+        i, rank = np.nonzero(hits[..., 0])
+        e, r = idem[rank], rest[i, rank]
+        hits[i, rank, 0] = ring.mul_vec(e, r) == ring.mul_vec(r, e)
     if kind.startswith("weakly"):
-        hits[:, 1] = target[ring.add_vec(a, e)]
-    return hits.reshape(len(elements), len(idem), 2)
+        hits[..., 1] = target[ring.add_vec(a, idem)]
+    return hits
 
 
 def witnesses(ring: Ring, kind: str, elements) -> list[tuple[bool, Witness | None]]:

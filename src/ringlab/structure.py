@@ -52,10 +52,11 @@ _UNKNOWN, _UNIT, _NILPOTENT, _NEITHER = 0, 1, 2, 3
 #: the polynomial images p(a) at which ``RingData.nil_at`` reads Nil(R)
 NIL_IMAGES = ("a-1", "a+1", "a-a^2", "a+a^2")
 
-#: pairs per step of the sign pass (nilpotent, idempotent) and of the J
-#: test (row, candidate); bounds their temporaries without looping over
-#: idempotents or candidates in Python.  4096 and 16384 took as long as
-#: 8192 on M(3,Z(4))
+#: pairs per step, at least one row, of the sign pass (idempotent rows
+#: against all nilpotents) and of the J test (nilpotent rows against all
+#: open candidates), passed as a column and a row that broadcast.  Bounds
+#: their temporaries without a Python loop over idempotents or candidates.
+#: 4096 and 16384 took as long as 8192 on M(3,Z(4))
 _PAIR_CHUNK = 8192
 
 
@@ -125,8 +126,7 @@ class RingData:
         powers = a[:, None]
         stop_at = np.empty(ring.card, dtype=np.int64)
         while len(a):
-            n, k = powers.shape
-            block = ring.mul_vec(np.repeat(powers[:, -1], k), powers.ravel()).reshape(n, k)
+            block = ring.mul_vec(powers[:, -1:], powers)
             stop = (status[block] != _UNKNOWN) | (block < a[:, None])
             done = stop.any(axis=1)
             at = stop[done].argmax(axis=1)
@@ -212,9 +212,9 @@ class RingData:
         lo = 0
         while len(cand) and lo < len(rows):
             rs = rows[lo : lo + max(1, _PAIR_CHUNK // len(cand))]
-            rx = ring.mul_vec(np.repeat(rs, len(cand)), np.tile(cand, len(rs)))
+            rx = ring.mul_vec(rs[:, None], cand)
             unit = status[ring.sub_vec(ring.one, rx)] == _UNIT
-            cand = cand[unit.reshape(len(rs), len(cand)).all(axis=0)]
+            cand = cand[unit.all(axis=0)]
             lo += len(rs)
         return cand
 
@@ -288,7 +288,8 @@ class RingData:
     def nil_signs(self) -> np.ndarray:
         """The masks of a in Nil(R) + Id(R) and of a in Nil(R) - Id(R),
         stacked and cached.  One pass over the pairs (r, e) of a nilpotent
-        and an idempotent, ``_PAIR_CHUNK`` at a time, marks r + e.  Nil is
+        and an idempotent, in steps of about ``_PAIR_CHUNK`` pairs (rows of
+        idempotents against all nilpotents), marks r + e.  Nil is
         closed under negation, so a + e is nilpotent exactly when -a - e is:
         the second row is the first read at -a, one ``neg_vec`` over the
         carrier.  A sign decomposes a pair exactly when it decomposes both
@@ -299,10 +300,9 @@ class RingData:
                 ring = self._ring()
                 nil, idem = np.flatnonzero(self.nil_mask), self.idem_indices
                 plus = np.zeros(ring.card, dtype=bool)
-                total = len(nil) * len(idem)
-                for lo in range(0, total, _PAIR_CHUNK):
-                    rank, r = np.divmod(np.arange(lo, min(lo + _PAIR_CHUNK, total)), len(nil))
-                    plus[ring.add_vec(nil[r], idem[rank])] = True
+                step = max(1, _PAIR_CHUNK // len(nil))
+                for lo in range(0, len(idem), step):
+                    plus[ring.add_vec(nil, idem[lo : lo + step, None])] = True
                 stack = np.stack((plus, plus[ring.neg_vec(np.arange(ring.card, dtype=np.int64))]))
             self._nil_signs = stack
         return self._nil_signs

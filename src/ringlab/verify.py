@@ -477,8 +477,7 @@ def _dt_frame_agrees(ctx: VerifyContext, n: int) -> tuple[bool, str]:
     if tt.one != frame.one:
         return False, f"DT frame over Z({n}): coordinate map misses the identity"
     ar = np.arange(tt.card, dtype=np.int64)
-    left = np.repeat(ar, tt.card)
-    right = np.tile(ar, tt.card)
+    left, right = ar[:, None], ar
     if not np.array_equal(tt.add_vec(left, right), frame.add_vec(left, right)):
         return False, f"DT frame over Z({n}): coordinate map breaks addition"
     if not np.array_equal(tt.mul_vec(left, right), frame.mul_vec(left, right)):

@@ -282,6 +282,59 @@ def test_vector_ops_accept_empty_arrays(expr):
         assert out.shape == (0,)
 
 
+#: every family of ``CASES`` (digit rings, a product, a quotient, digit
+#: rings over digit rings) plus ``Zmod`` alone and a table ring
+BROADCAST_CASES = {
+    **CASES,
+    "Z(7)": (rl.zmod(7), mod(7), lambda a, b: (a + b) % 7),
+    "table M(2,Z(3))": (rl.memoize(rl.build("M(2,Z(3))")), *CASES["M(2,Z(3))"][1:]),
+}
+
+
+def check_broadcast(ring, op, xs, ys, oracle):
+    """``op(xs, ys)`` is an int64 array of the broadcast shape holding the
+    flat evaluation on the broadcast pairs, and the oracle's values."""
+    got = op(xs, ys)
+    left, right = np.broadcast_arrays(np.atleast_1d(xs), np.atleast_1d(ys))
+    shape, left, right = left.shape, left.ravel(), right.ravel()
+    assert got.dtype == np.int64 and got.shape == shape, (ring, op, got.shape, shape)
+    assert np.array_equal(got, op(left, right).reshape(shape)), (ring, op)
+    assert got.ravel().tolist() == [oracle(int(a), int(b)) for a, b in zip(left, right)], (ring, op)
+
+
+@pytest.mark.parametrize("name", sorted(BROADCAST_CASES))
+def test_vector_ops_broadcast_like_numpy(name):
+    """Operands of shapes (m, 1) against (1, k) or (m, k), a scalar or a
+    flat array against a table, and empty operands give the flat evaluation in the broadcast
+    shape, and it agrees with the integer oracles: ``neg_vec`` through
+    a + (-a) = 0 and ``sub_vec`` as a + (-b)."""
+    ring, mul, add = BROADCAST_CASES[name]
+    rng = np.random.default_rng(len(name))
+    xs, ys, table = (rng.integers(0, ring.card, shape) for shape in (7, 5, (7, 5)))
+    neg = dict(zip(range(ring.card), ring.neg_vec(np.arange(ring.card)).tolist()))
+    assert all(add(a, b) == ring.zero for a, b in neg.items())
+    sub = lambda a, b: add(a, neg[b])
+    empty = np.array([], dtype=np.int64)
+    operands = [
+        (xs[:, None], ys[None, :]),
+        (xs[:, None], table),
+        (int(xs[0]), ys),
+        (ys, int(xs[0])),
+        (int(xs[0]), table),
+        (table, ys),
+        (empty[:, None], ys[None, :]),
+        (xs[:, None], empty[None, :]),
+        (int(xs[0]), empty),
+    ]
+    for x, y in operands:
+        for op, oracle in ((ring.add_vec, add), (ring.mul_vec, mul), (ring.sub_vec, sub)):
+            check_broadcast(ring, op, x, y, oracle)
+    for x in (xs[:, None], table, empty[:, None]):
+        got = ring.neg_vec(x)
+        assert got.dtype == np.int64 and got.shape == x.shape
+        assert got.ravel().tolist() == [neg[int(a)] for a in x.ravel()]
+
+
 def closed_by_exhaustion(pattern, n):
     """Whether every product of two pattern matrices over Z(n) is again a
     pattern matrix, by multiplying all pairs: the scan the impulse check

@@ -35,6 +35,25 @@ def test_zmod_basics(z6, z12):
         rl.zmod(1)
 
 
+def test_zmod_refuses_a_modulus_whose_products_overflow():
+    """The largest residue product (n-1)² fits in int64 up to n = 3037000500,
+    and there every operation on the largest residues is exact; one more is
+    refused at construction, as is a modulus that once multiplied wrongly."""
+    n = 3037000500
+    ring = rl.zmod(n, max_card=10**10)
+    xs = np.array([n - 1, n - 2, n - 1, 0, 1], dtype=np.int64)
+    ys = np.array([n - 1, n - 1, 1, n - 1, 0], dtype=np.int64)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    assert ring.mul_vec(xs, ys).tolist() == [a * b % n for a, b in pairs]
+    assert ring.add_vec(xs, ys).tolist() == [(a + b) % n for a, b in pairs]
+    assert ring.sub_vec(xs, ys).tolist() == [(a - b) % n for a, b in pairs]
+    assert ring.neg_vec(xs).tolist() == [-a % n for a in xs.tolist()]
+    assert ring.mul(n - 1, n - 2) == 2
+    for bad in (n + 1, 4000000007):
+        with pytest.raises(ConstructionError, match="too large"):
+            rl.zmod(bad, max_card=10**10)
+
+
 def test_gf_basics():
     g = rl.gf(2, 2)
     assert g.card == 4
@@ -467,19 +486,48 @@ def test_dt_tower_matches_pattern_flags():
         assert flags_of(tower) == flags_of(frame)
 
 
+@pytest.mark.parametrize("expr", ["M(3,Z(3))", "FM(2,2,Z(8))", "GR(Z(2),C(2) x C(2) x C(2))"])
+def test_digit_ring_splits_each_operand_once(monkeypatch, expr):
+    """A digit ring's ``add_vec`` and ``mul_vec`` on operands of shapes
+    (m, 1) and (1, k) split m + k indices into digits, not m * k, and its
+    ``neg_vec`` splits each index once."""
+    ring = rl.build(expr)
+    split = []
+    decode = cons.decode_digits
+
+    def counted(xs, base_card, ndigits):
+        split.append(np.size(xs))
+        return decode(xs, base_card, ndigits)
+
+    monkeypatch.setattr(cons, "decode_digits", counted)
+    xs, ys = np.arange(50)[:, None], np.arange(40)[None, :] * 3
+    for op in (ring.add_vec, ring.mul_vec):
+        split.clear()
+        assert op(xs, ys).shape == (50, 40)
+        assert sum(split) == 50 + 40, (op, split)
+    split.clear()
+    ring.neg_vec(xs)
+    assert sum(split) == 50
+
+
 @pytest.mark.parametrize("base", range(2, 10))
 @pytest.mark.parametrize("size", [0, 1, 8192])
 def test_digit_codecs_round_trip(base, size):
     """``decode_digits`` against Python's divmod digits, most significant
-    first, and ``encode_digits`` back, on empty, single and long arrays."""
+    first on a new leading axis, and ``encode_digits`` back, on empty,
+    single and long arrays, flat and as a column."""
     ndigits = 5
     xs = np.random.default_rng(base * size).integers(0, base**ndigits, size)
     digits = cons.decode_digits(xs, base, ndigits)
-    assert digits.shape == (size, ndigits)
-    for x, row in zip(xs[:64], digits):
+    assert digits.shape == (ndigits, size)
+    for x, column in zip(xs[:64], digits.T):
         want = []
         for _ in range(ndigits):
             x, d = divmod(int(x), base)
             want.append(d)
-        assert row.tolist() == want[::-1]
+        assert column.tolist() == want[::-1]
     assert np.array_equal(cons.encode_digits(digits, base), xs)
+    stack = cons.decode_digits(xs[:, None], base, ndigits)
+    assert stack.shape == (ndigits, size, 1)
+    assert np.array_equal(stack[..., 0], digits)
+    assert np.array_equal(cons.encode_digits(stack, base), xs[:, None])

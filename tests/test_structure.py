@@ -268,7 +268,7 @@ def test_unit_pass_work_is_near_linear_on_prime_order_units(expr, order):
     def counted(xs, ys):
         nonlocal products
         out = mul_vec(xs, ys)
-        products += len(out)
+        products += out.size
         return out
 
     ring.mul_vec = counted
@@ -551,6 +551,47 @@ def test_jacobson_meets_the_nilpotent_rows_only():
     ring.mul_vec = counted
     assert int(data.jacobson_mask.sum()) == nil == 128
     assert sum(formed) == nil * nil
+
+
+def test_passes_hand_the_ring_columns_and_rows_not_repeated_operands():
+    """The status pass, J and the sign pass of computed ``M(2,Z(9))`` pass
+    the two sides of their pairs as a column and a row (or, in the status
+    pass, a column of last powers against the table of powers they
+    multiply), never as repeated or tiled copies: the operands of each
+    call hold at most the rows plus the columns of its result."""
+    ring = rl.build("M(2,Z(9))")
+    data = structure.ring_data(ring)
+    data.idem_mask  # the idempotent pass squares the carrier flat
+    calls = []
+
+    def recording(name):
+        op = getattr(ring, name)
+
+        def recorded(xs, ys):
+            out = op(xs, ys)
+            calls.append((name, np.size(xs), np.size(ys), out.shape))
+            return out
+
+        return recorded
+
+    ring.mul_vec, ring.add_vec = recording("mul_vec"), recording("add_vec")
+
+    def calls_of(compute):
+        calls.clear()
+        compute()
+        return list(calls)
+
+    status = calls_of(lambda: data.unit_mask)
+    jacobson = [c for c in calls_of(lambda: data.jacobson_mask) if c[0] == "mul_vec"]
+    signs = calls_of(data.nil_signs)
+    for name, x, y, (rows, cols) in status:
+        assert name == "mul_vec" and (x, y) == (rows, rows * cols)
+    for calls_of_pass in (jacobson, signs):
+        for _, x, y, (rows, cols) in calls_of_pass:
+            assert x + y <= rows + cols
+    # each pass met many pairs per call
+    assert max(r * c for *_, (r, c) in status) > 1000
+    assert all(len(p) and max(r * c for *_, (r, c) in p) > 4096 for p in (jacobson, signs))
 
 
 def test_a_dropped_table_ring_is_freed_without_the_cycle_collector():
