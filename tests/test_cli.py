@@ -134,12 +134,6 @@ _RING_START = "(expected Z, GF, M, T, TE, PQ, FM, GR, MODJ, PAT, ()"
         (("classify", "GF(4,1)"), 2, "bad input: 4 is not prime"),
         (("element", "FM(2,7,Z(4))", "0"), 2, "bad input: twist 7 is not an element of Z(4)"),
         (("element", "Z(4)", "4"), 2, "element index 4 out of range for card 4"),
-        # (n-1)^2 overflows int64: refused before any arithmetic, not mis-multiplied
-        (
-            ("element", "Z(4000000007)", "5", "--max-card", "10000000000"),
-            2,
-            "bad input: modulus 4000000007 is too large: (n-1)^2 overflows int64",
-        ),
         (("classify", "M(3,Z(5))"), 3, "card 1953125 exceeds guard 200000"),
         (("element", "M(3,Z(5))", "0"), 3, "card 1953125 exceeds guard 200000"),
         # cards of 2^100 and more are written as powers, never formed
@@ -156,6 +150,12 @@ _RING_START = "(expected Z, GF, M, T, TE, PQ, FM, GR, MODJ, PAT, ()"
         (("classify", "PAT(S(2000),Z(2))"), 3, "card 2^1999001 exceeds guard 200000"),
         (("classify", "PAT(U(2000),Z(2))"), 3, "card 2^3998 exceeds guard 200000"),
         (("classify", "PAT(Tb(1000,1000),Z(2))"), 3, "card 2^1999 exceeds guard 200000"),
+        # (n-1)^2 overflows int64: refused before any arithmetic, not mis-multiplied
+        (
+            ("element", "Z(4000000007)", "5", "--max-card", "10000000000"),
+            2,
+            "bad input: modulus 4000000007 is too large: (n-1)^2 overflows int64",
+        ),
     ],
 )
 def test_exit_codes_through_main(capsys, argv, code, message):
