@@ -29,6 +29,7 @@ runs:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,13 +81,17 @@ class _DigitRing(Ring):
     Digits are most significant first.  ``_terms[p]`` lists the terms
     (a, b, t) of digit p of a product: digit p of x*y is the sum of
     t*(x_a*y_b) over them, with t a central element of the base.  A
-    construction only builds this table.  Each operand is split once,
-    unbroadcast: a sum is one base call on the digit stacks, a product one
-    per term on the digit rows ``X[a]``, ``Y[b]``, which broadcast."""
+    construction only builds this table; a polynomial quotient also sets
+    ``_fold``: its ``_terms`` then give wider sums w_k, and digit p is the
+    sum of t*w_k over the pairs (k, t) of ``_fold[p]``.  Each operand is
+    split once, unbroadcast: a sum is one base call on the digit stacks, a
+    product one per term on the digit rows ``X[a]``, ``Y[b]``, which
+    broadcast."""
 
     base: Ring
     ndigits: int
     _terms: list[list[tuple[int, int, int]]]
+    _fold: list[list[tuple[int, int]]] | None = None
 
     def digits(self) -> tuple[Ring, int]:
         return self.base, self.ndigits
@@ -119,7 +124,16 @@ class _DigitRing(Ring):
 
     def mul_vec(self, xs, ys) -> np.ndarray:
         X, Y = self._split(xs, ys)
-        return encode_digits((self._term_sum(X, Y, terms) for terms in self._terms), self.base.card)
+        digits = (self._term_sum(X, Y, terms) for terms in self._terms)
+        if self._fold is not None:
+            wide = list(digits)
+            digits = (self._fold_sum(wide, fold) for fold in self._fold)
+        return encode_digits(digits, self.base.card)
+
+    def _fold_sum(self, wide: list[np.ndarray], fold) -> np.ndarray:
+        """The sum of t*w_k over the pairs (k, t) of ``fold``, which is never empty."""
+        R = self.base
+        return functools.reduce(R.add_vec, (wide[k] if t == R.one else R.mul_vec(t, wide[k]) for k, t in fold))
 
     def _little_endian_terms(self, terms) -> None:
         """Set ``_terms`` from a table indexed least significant digit first,
@@ -566,13 +580,16 @@ class PolyQuotient(_DigitRing):
             c = powers[-1][-1]
             shifted = [base.zero] + powers[-1][:-1]
             powers.append([base.sub(s, base.mul(c, f)) for s, f in zip(shifted, modulus[:-1])])
-        terms = [[] for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                for p, t in enumerate(powers[i + j]):
-                    if t != base.zero:
-                        terms[p].append((i, j, t))
-        self._little_endian_terms(terms)
+        # a product convolves, w_m the sum of x_i*y_j over i + j = m, each
+        # x_i*y_j formed once, and folds x**m back to powers[m]
+        top = d - 1
+        self._terms = [
+            [(top - i, top - (m - i), base.one) for i in range(max(0, m - top), min(m, top) + 1)]
+            for m in range(2 * d - 1)
+        ]
+        self._fold = [
+            [(m, row[p]) for m, row in enumerate(powers) if row[p] != base.zero] for p in range(top, -1, -1)
+        ]
 
     def format_element(self, a: int) -> str:
         coeffs = self._coeffs(a)

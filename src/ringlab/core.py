@@ -8,7 +8,8 @@ from them.  ``memoize`` copies a ring of card up to ``MEMO_THRESHOLD``
 into 16-bit operation tables (``TableRing``): a direct product combines its
 factors' tables and a digit ring folds its base's ``add`` table; the ``mul``
 table takes one call on the k² pairs of additive generators, and the rest
-is gathered by distributivity in cache-sized blocks.  ``additive_generators``
+is gathered by distributivity in cache-sized blocks.  ``maybe_memoize``
+never tabulates a direct product, only its factors.  ``additive_generators``
 walks a ring once and keeps the list on it.
 """
 
@@ -21,7 +22,9 @@ from typing import Iterator
 import numpy as np
 
 DEFAULT_MAX_CARD = 200_000
-MEMO_THRESHOLD = 2048
+#: the largest card tabulated: its 2-byte ``add`` table, 2·card² bytes, still
+#: fits a 2 MiB L2 cache, which the gathers of the ``mul`` fill read at random
+MEMO_THRESHOLD = 1024
 
 #: the entry type of every operation table: each entry is an element index
 #: below ``MEMO_THRESHOLD``
@@ -81,6 +84,8 @@ def check_guard(
 
 
 def _as_index_array(xs) -> np.ndarray:
+    if type(xs) is np.ndarray and xs.dtype == np.int64 and xs.ndim:
+        return xs  # what the conversion returns, without its two calls
     return np.atleast_1d(np.asarray(xs, dtype=np.int64))
 
 
@@ -222,39 +227,49 @@ _DIRECT_BUILD_CARD = 64
 
 #: table entries per gather of the generator build, so that its index and
 #: result blocks stay in cache instead of being n²/2-entry temporaries per
-#: step; 8k took about as long, 128k up to 1.5x longer on Z(2048)
+#: step; on Z(1024) 8k took 1.2x as long, 128k about as long
 _GATHER_BLOCK = 1 << 15
 
+_ONE_POINT = np.zeros((1, 1), dtype=TABLE_DTYPE)  # the one-element ring's add table
 
-def _product_table(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+
+def _product_table(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``out[(a,b),(c,d)] = left[a,c]·|R| + right[b,d]`` for the index
-    a·|R| + b of the direct product: the rows ``left[a]·|R|``, each entry
-    repeated |R| times, plus the rows ``right[b]`` tiled |L| times, one
-    broadcast whose inner axis is a whole table row."""
+    a·|R| + b of the direct product, into ``out`` or a new table: the rows
+    ``left[a]·|R|``, each entry repeated |R| times, plus the rows
+    ``right[b]`` tiled |L| times, one broadcast whose inner axis is a whole
+    table row."""
     nl, nr = len(left), len(right)
-    out = np.empty((nl, nr, nl * nr), dtype=TABLE_DTYPE)
-    np.add(np.repeat(left * nr, nr, axis=1)[:, None, :], np.tile(right, nl)[None, :, :], out=out)
-    return out.reshape(nl * nr, nl * nr)
+    out = np.empty((nl * nr, nl * nr), dtype=TABLE_DTYPE) if out is None else out
+    np.add(np.repeat(left * nr, nr, axis=1)[:, None], np.tile(right, nl), out=out.reshape(nl, nr, -1))
+    return out
 
 
-def _direct_table(op, n: int, dtype=TABLE_DTYPE) -> np.ndarray:
-    ar = np.arange(n, dtype=np.int64)
-    return op(ar[:, None], ar).astype(dtype)
+def _direct_table(op, out: np.ndarray) -> np.ndarray:
+    """``out[a, b] = op(a, b)``, evaluated on all pairs in one call."""
+    ar = np.arange(len(out), dtype=np.int64)
+    out[:] = op(ar[:, None], ar)
+    return out
 
 
-def _add_table(ring: Ring) -> np.ndarray:
-    """The ``add`` table alone: lent by a ``TableRing``, combined from the
-    factors', folded from the base's once per digit, else evaluated."""
+def _add_table(ring: Ring, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``add`` table alone, lent by a ``TableRing``, else into ``out``
+    or a new table: combined from the factors', folded from the base's once
+    per digit, else evaluated."""
     if isinstance(ring, TableRing):
         return ring._add
+    out = np.empty((ring.card, ring.card), dtype=TABLE_DTYPE) if out is None else out
     if ring.factors() is not None:
-        return _product_table(*map(_add_table, ring.factors()))
+        return _product_table(*map(_add_table, ring.factors()), out)
     if ring.digits() is not None:
         base, ndigits = ring.digits()
-        return functools.reduce(_product_table, [_add_table(base)] * ndigits)
+        digit = _add_table(base)
+        head = functools.reduce(_product_table, [digit] * (ndigits - 2), digit) if ndigits > 1 else _ONE_POINT
+        return _product_table(head, digit, out)
     if ring.card <= _DIRECT_BUILD_CARD:
-        return _direct_table(ring.add_vec, ring.card)
-    return _walk(ring)[0]
+        return _direct_table(ring.add_vec, out)
+    _walk(ring, out, fill=True)
+    return out
 
 
 def _blocks(t: np.ndarray, s: np.ndarray, n: int):
@@ -267,17 +282,15 @@ def _blocks(t: np.ndarray, s: np.ndarray, n: int):
         yield (slice(tb[0], tb[-1] + 1), slice(sb[0], sb[-1] + 1)) if run else (tb, sb)
 
 
-def _walk(source: Ring, add: np.ndarray | None = None) -> tuple[np.ndarray, list[int], list]:
-    """(add, generators, steps) of the walk of ``additive_generators``:
-    each generator g is the smallest element not yet reached, and the
-    reached set grows by the steps t = s + h, h = g, 2g, 4g, ..., while
-    they add elements.  A given ``add`` is only read; else each generator's
-    row is one ``add_vec`` call and a new row is ``add[t] = add[h][add[s]]``."""
+def _walk(source: Ring, add: np.ndarray, fill: bool) -> tuple[list[int], list]:
+    """(generators, steps) of the walk of ``additive_generators``: each
+    generator g is the smallest element not yet reached, and the reached
+    set grows by the steps t = s + h, h = g, 2g, 4g, ..., while they add
+    elements.  ``add`` is only read, unless ``fill``: then it is filled on
+    the way, a generator's row by ``add_vec``, a new row as ``add[h][add[s]]``."""
     n = source.card
     ar = np.arange(n, dtype=np.int64)
-    fill = add is None
     if fill:
-        add = np.empty((n, n), dtype=TABLE_DTYPE)
         add[source.zero] = ar
     reached = ar == source.zero
     gens, steps = [], []
@@ -301,31 +314,34 @@ def _walk(source: Ring, add: np.ndarray | None = None) -> tuple[np.ndarray, list
             reached[t] = True
             steps.append((t, s, h))
             h = int(add[h, h])
-    return add, gens, steps
+    return gens, steps
 
 
 def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
     """The ``add`` and ``mul`` tables of ``source`` (``TABLE_DTYPE``), and
     the additive generators when the build walked them.
 
-    A ``TableRing`` lends its tables and a direct product combines its
-    factors'.  Up to ``_DIRECT_BUILD_CARD`` a ring is evaluated on all
-    pairs.  Above it ``_walk`` reads the generators and steps (t, s, h) off
-    ``add``, which a digit ring folds from its base's.  The k generators'
+    A ``TableRing`` lends its tables; else both fill one new array, freed
+    as one block.  A direct product combines its factors'.  Up to
+    ``_DIRECT_BUILD_CARD`` a ring is evaluated on all pairs.  Above it
+    ``_walk`` reads the generators and steps (t, s, h) off ``add``, which a
+    digit ring folds from its base's.  The k generators'
     products are one ``mul_vec`` call of k² pairs; their rows follow by left
     distributivity, g(s + h) = gs + gh, and every other row by right
     distributivity, mul[t] = add[mul[s], mul[h]], gathered in int32 blocks.
     """
     if isinstance(source, TableRing):
         return source._add, source._mul, source._additive_generators
+    n = source.card
+    add, mul = np.empty((2, n, n), dtype=TABLE_DTYPE)
     factors = source.factors()
     if factors is not None:
         (add_l, mul_l, _), (add_r, mul_r, _) = map(_operation_tables, factors)
-        return _product_table(add_l, add_r), _product_table(mul_l, mul_r), None
-    n = source.card
+        return _product_table(add_l, add_r, add), _product_table(mul_l, mul_r, mul), None
     if n <= _DIRECT_BUILD_CARD:
-        return _direct_table(source.add_vec, n), _direct_table(source.mul_vec, n), None
-    add, gens, steps = _walk(source, None if source.digits() is None else _add_table(source))
+        return _direct_table(source.add_vec, add), _direct_table(source.mul_vec, mul), None
+    walked = source.digits() is None
+    gens, steps = _walk(source, add if walked else _add_table(source, add), fill=walked)
     flat = add.ravel()
     g, k = np.asarray(gens, dtype=np.int64), len(gens)
     # the generators' rows as columns, so that their gathers read rows
@@ -333,12 +349,14 @@ def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] |
     left[g] = source.mul_vec(g, g[:, None])
     for t, s, h in steps:
         left[t] = np.take(flat, left[s] * np.int32(n) + left[h])
-    mul = np.empty((n, n), dtype=TABLE_DTYPE)
     mul[source.zero] = source.zero
     mul[g] = left.T
+    # one buffer holds every block's indices
+    buffer = np.empty(max(1, _GATHER_BLOCK // n) * n, dtype=np.int32)
     for t, s, h in steps:
         for tb, sb in _blocks(t, s, n):
-            block = mul[sb] * np.int32(n)
+            rows = mul[sb]
+            block = np.multiply(rows, np.int32(n), out=buffer[: rows.size].reshape(rows.shape))
             block += mul[h]
             if isinstance(tb, slice):
                 # "clip" (the indices are valid) lets take write into the view unbuffered
@@ -422,7 +440,8 @@ class TableRing(Ring):
 
 
 def memoize(ring: Ring) -> Ring:
-    """Return a table-backed ring with unchanged observable behaviour.
+    """Return a table-backed ring with unchanged observable behaviour; a
+    direct product gets one table combined from its factors'.
 
     Refuses rings whose card exceeds ``MEMO_THRESHOLD``; the caller then
     keeps using the computed ring.
@@ -435,11 +454,14 @@ def memoize(ring: Ring) -> Ring:
 
 
 def maybe_memoize(ring: Ring) -> Ring:
-    """``memoize`` when the threshold allows it, else the ring unchanged."""
-    try:
-        return memoize(ring)
-    except GuardError:
-        return ring
+    """``memoize`` when the threshold allows it, else the ring unchanged.  A
+    direct product is rebuilt on its factors' ``maybe_memoize`` under its
+    own card as the guard, so it reads its invariants off their tables."""
+    parts = ring.factors()
+    if parts is None:
+        return memoize(ring) if ring.card <= MEMO_THRESHOLD else ring
+    tabled = tuple(map(maybe_memoize, parts))
+    return ring if tabled == parts else type(ring)(*tabled, max_card=ring.card)
 
 
 def ring_is_commutative(ring: Ring) -> bool:
@@ -467,7 +489,7 @@ def check_ring_axioms(ring: Ring, max_card: int = 512) -> None:
         raise ValueError(f"{ring.label}: zero equals one")
 
     ar = np.arange(n, dtype=np.int64)
-    add, mul = (_direct_table(op, n, np.int64) for op in (ring.add_vec, ring.mul_vec))
+    add, mul = (_direct_table(op, np.empty((n, n), dtype=np.int64)) for op in (ring.add_vec, ring.mul_vec))
     neg = ring.neg_vec(ar)
 
     for name, table in (("add", add), ("mul", mul)):

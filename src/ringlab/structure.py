@@ -288,8 +288,9 @@ class RingData:
     def nil_signs(self) -> np.ndarray:
         """The masks of a in Nil(R) + Id(R) and of a in Nil(R) - Id(R),
         stacked and cached.  One pass over the pairs (r, e) of a nilpotent
-        and an idempotent, in steps of about ``_PAIR_CHUNK`` pairs (rows of
-        idempotents against all nilpotents), marks r + e.  Nil is
+        and an idempotent, in steps of at most ``_PAIR_CHUNK`` pairs (rows of
+        idempotents against all nilpotents, or one row against a run of
+        them once |Nil| exceeds it), marks r + e.  Nil is
         closed under negation, so a + e is nilpotent exactly when -a - e is:
         the second row is the first read at -a, one ``neg_vec`` over the
         carrier.  A sign decomposes a pair exactly when it decomposes both
@@ -300,9 +301,11 @@ class RingData:
                 ring = self._ring()
                 nil, idem = np.flatnonzero(self.nil_mask), self.idem_indices
                 plus = np.zeros(ring.card, dtype=bool)
+                runs = [nil[at : at + _PAIR_CHUNK] for at in range(0, len(nil), _PAIR_CHUNK)]
                 step = max(1, _PAIR_CHUNK // len(nil))
                 for lo in range(0, len(idem), step):
-                    plus[ring.add_vec(nil, idem[lo : lo + step, None])] = True
+                    for run in runs:
+                        plus[ring.add_vec(run, idem[lo : lo + step, None])] = True
                 stack = np.stack((plus, plus[ring.neg_vec(np.arange(ring.card, dtype=np.int64))]))
             self._nil_signs = stack
         return self._nil_signs

@@ -177,9 +177,9 @@ class VerifyContext:
         return ring
 
     def pair_ring(self, a: str, b: str) -> Ring:
-        """Direct product of two catalog rings, sharing the cached factors;
-        left without tables, so its invariants and nil sign masks come from
-        the factors'."""
+        """Direct product of two catalog rings, sharing the cached factors:
+        the rule of ``maybe_memoize``, which tabulates no product, so its
+        invariants and nil sign masks come from the factors'."""
         key = self.pair_text(a, b)
         ring = self._rings.get(key)
         if ring is None:

@@ -202,6 +202,13 @@ CASES = {
     "TE(Z(6))": (rl.build("TE(Z(6))"), te_mul(6), digitwise_add(6, 2)),
     "PQ(Z(4),[1,1,1])": (rl.build("PQ(Z(4),[1,1,1])"), poly_mul(4, (1, 1, 1)), digitwise_add(4, 2)),
     "GF(2,3)": (rl.build("GF(2,3)"), poly_mul(2, rl.gf(2, 3).modulus), digitwise_add(2, 3)),
+    # x^11+x+1: products of degree 11 and up feed two digits each, formed once
+    "PQ(Z(2),[1,1,0,0,0,0,0,0,0,0,0,1])": (
+        rl.build("PQ(Z(2),[1,1,0,0,0,0,0,0,0,0,0,1])"),
+        poly_mul(2, (1, 1) + (0,) * 9 + (1,)),
+        digitwise_add(2, 11),
+    ),
+    "PQ(Z(3),[1,2,0,1])": (rl.build("PQ(Z(3),[1,2,0,1])"), poly_mul(3, (1, 2, 0, 1)), digitwise_add(3, 3)),
     "GF(3,2)": (rl.build("GF(3,2)"), poly_mul(3, rl.gf(3, 2).modulus), digitwise_add(3, 2)),
     "GR(Z(3),C(3))": (rl.build("GR(Z(3),C(3))"), group_ring_mul(3, lambda g, h: (g + h) % 3, 3), digitwise_add(3, 3)),
     "GR(Z(2),C(2) x C(2))": (

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -255,6 +256,38 @@ def test_element_of_a_product_answers_as_its_tables_do(capsys, monkeypatch, expr
     assert replies[0] == replies[1]
     answers = {(r["is_central"], r["in_jacobson"]) for r in (json.loads(out) for _, out, _ in replies[0])}
     assert {True, False} == {central for central, _ in answers} == {inside for _, inside in answers}
+
+
+#: sha256 prefixes of ``classify --json`` without ``timings`` and of the
+#: ``element --json`` replies at ``_sample_indices``, recorded from the build
+#: that tabulated products up to card 2048 whole and computed larger ones
+PRODUCT_DIGESTS = {
+    "M(2,GF(2,2)) x Z(4)": ("44e8a97193cae986", "c35cacdb03e5a2c8"),
+    "M(2,GF(2,2)) x Z(8)": ("2ff4ed3a519f5ed7", "f651ac8aca338fef"),
+    "M(2,Z(3)) x T(2,Z(4))": ("86101e7be5468763", "d97a7cea415b6aeb"),
+    "Z(6) x Z(6)": ("8756839483dff1ab", "a3292d58300f0a3f"),
+    "M(2,Z(2)) x M(2,Z(2))": ("12f158e059c369ae", "628b7201ce9690af"),
+    "M(2,Z(5)) x Z(64)": ("ce778860512335db", "feb6ccdf8828e787"),
+}
+
+
+def _sample_indices(card):
+    return sorted({card * i // 8 for i in range(8)} | {card - 1} | ({700} if card > 700 else set()))
+
+
+@pytest.mark.parametrize("expr", sorted(PRODUCT_DIGESTS))
+def test_products_of_table_factors_answer_as_recorded(capsys, expr):
+    """``maybe_memoize`` tabulates a product's factors, not the product: the
+    replies stay byte for byte those of the whole table or computed ring."""
+    code, out, _ = run_cli(capsys, "classify", expr, "--json")
+    report = json.loads(out)
+    del report["timings"]
+    digest = hashlib.sha256(cli._dump(report).encode()).hexdigest()[:16]
+    replies = hashlib.sha256()
+    for a in _sample_indices(report["card"]):
+        code, out, _ = run_cli(capsys, "element", expr, str(a), "--json")
+        replies.update(f"{code}\n{out}".encode())
+    assert (digest, replies.hexdigest()[:16]) == PRODUCT_DIGESTS[expr]
 
 
 def test_element_of_a_product_forms_no_product_over_its_carrier(capsys, monkeypatch):

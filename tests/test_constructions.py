@@ -510,6 +510,28 @@ def test_digit_ring_splits_each_operand_once(monkeypatch, expr):
     assert sum(split) == 50
 
 
+@pytest.mark.parametrize("expr", ["PQ(Z(2),[1,1,0,0,0,0,0,0,0,0,0,1])", "PQ(Z(3),[1,2,0,1])", "GF(3,2)"])
+def test_polynomial_product_convolves_then_folds(expr):
+    """A product in R[x]/(f) forms each x_i*y_j once, d² base products,
+    sums them by degree and folds each degree back into the d digits,
+    with one more base product per fold coefficient other than 1: x^11+x+1
+    makes 121 products where one term table per digit lists 176."""
+    ring = rl.build(expr)
+    calls = []
+    base_mul = ring.base.mul_vec
+
+    def counted(xs, ys):
+        calls.append(1)
+        return base_mul(xs, ys)
+
+    ring.base.mul_vec = counted
+    ring.mul_vec(np.arange(ring.card)[:, None], np.arange(0, ring.card, 3)[None, :])
+    scaled = sum(t != ring.base.one for fold in ring._fold for _, t in fold)
+    assert len(calls) == ring.degree**2 + scaled
+    if ring.degree == 11:
+        assert scaled == 0 and sum(map(len, ring._fold)) == 31
+
+
 @pytest.mark.parametrize("base", range(2, 10))
 @pytest.mark.parametrize("size", [0, 1, 8192])
 def test_digit_codecs_round_trip(base, size):

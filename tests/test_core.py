@@ -6,6 +6,7 @@ from hypothesis import given, reject, settings
 
 import ringlab as rl
 from ringlab import cli, core, structure, verify
+from ringlab.constructions import DirectProduct
 from ringlab.core import additive_generators, additive_span, check_ring_axioms
 
 from conftest import (
@@ -94,16 +95,28 @@ def test_memoize_is_semantically_identical(z6, m2z3):
 
 
 def test_memoize_refuses_above_threshold():
-    big = rl.build("M(3,Z(3))")
-    with pytest.raises(rl.GuardError) as err:
-        rl.memoize(big)
-    assert err.value.required == 19683
-    assert err.value.limit == core.MEMO_THRESHOLD == 2048
-    assert rl.maybe_memoize(big) is big
+    """Refused, and kept computed by ``maybe_memoize``: cards just above the
+    threshold, the four harness rings of card 1296, and far above it."""
+    refused = {
+        "Z(1025)": 1025,
+        "M(2,Z(6))": 1296,
+        "MODJ(M(2,Z(6)))": 1296,
+        "PAT(S(3),Z(6))": 1296,
+        "TE(TE(Z(6)))": 1296,
+        "Z(2048)": 2048,
+        "M(3,Z(3))": 19683,
+    }
+    for expr, card in refused.items():
+        big = rl.build(expr)
+        with pytest.raises(rl.GuardError) as err:
+            rl.memoize(big)
+        assert err.value.required == card
+        assert err.value.limit == core.MEMO_THRESHOLD == 1024
+        assert rl.maybe_memoize(big) is big
     assert isinstance(rl.maybe_memoize(rl.zmod(6)), rl.TableRing)
 
 
-@pytest.mark.parametrize("expr", ["Z(2048)", "Z(2) x Z(1024)"])
+@pytest.mark.parametrize("expr", ["Z(1024)", "Z(2) x Z(512)"])
 def test_tables_at_the_threshold_have_two_byte_entries(expr):
     """Every entry is an index below ``MEMO_THRESHOLD``, which 16 bits
     hold; the product's tables come from its factors' tables."""
@@ -132,6 +145,62 @@ def test_table_sub_vec_is_add_of_neg(expr):
 def test_memoize_idempotent(z6):
     table = rl.memoize(z6)
     assert rl.memoize(table) is table
+
+
+def _leaves(ring):
+    parts = ring.factors()
+    return [ring] if parts is None else [leaf for part in parts for leaf in _leaves(part)]
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "M(2,GF(2,2)) x Z(4)",
+        "M(2,GF(2,2)) x Z(8)",
+        "M(2,Z(3)) x T(2,Z(4))",
+        "Z(2) x M(2,Z(6)) x T(2,Z(4))",
+        "(Z(6) x Z(6)) x (M(2,Z(2)) x Z(3))",
+    ],
+)
+def test_maybe_memoize_tabulates_the_factors_of_a_product(monkeypatch, expr):
+    """A product, nested or not, comes back as a product of the same shape
+    whose factors at or under the threshold are tables of the same factors;
+    no table of a product is built, and the result is its own
+    ``maybe_memoize``."""
+    built = []
+    tables = core._operation_tables
+
+    def recording(source):
+        built.append(source)
+        return tables(source)
+
+    monkeypatch.setattr(core, "_operation_tables", recording)
+    computed = rl.build(expr)
+    ring = rl.maybe_memoize(computed)
+    assert type(ring) is type(computed) is DirectProduct
+    assert (ring.label, ring.card, ring.zero, ring.one) == (
+        computed.label, computed.card, computed.zero, computed.one
+    )
+    sources = _leaves(computed)
+    for leaf, source in zip(_leaves(ring), sources, strict=True):
+        if source.card <= core.MEMO_THRESHOLD:
+            assert isinstance(leaf, rl.TableRing) and leaf.source is source
+        else:
+            assert leaf is source
+    assert built and all(source.factors() is None for source in built)
+    assert rl.maybe_memoize(ring) is ring
+    ar = np.arange(0, ring.card, ring.card // 64 + 1)
+    for op in ("add_vec", "mul_vec"):
+        assert np.array_equal(getattr(ring, op)(ar[:, None], ar), getattr(computed, op)(ar[:, None], ar))
+
+
+def test_maybe_memoize_keeps_the_guard_a_product_was_built_under(monkeypatch):
+    """The product is rebuilt under its own card, not the default guard."""
+    computed = rl.build("M(2,Z(5)) x Z(512)", max_card=1_000_000)
+    monkeypatch.setenv(core.MAX_CARD_ENV, "1000")
+    ring = rl.maybe_memoize(computed)
+    assert ring.card == computed.card == 320_000
+    assert all(isinstance(part, rl.TableRing) for part in ring.factors())
 
 
 def test_subset_operations(z6):
@@ -171,8 +240,8 @@ def test_axiom_checker_accepts_and_rejects(z6):
         check_ring_axioms(rl.build("M(3,Z(3))"))
 
 
-#: the harness rings, the classify ladder's rungs with tables, Z(2048) (one
-#: generator, eleven doublings), cards 64 and 65 on both sides of the
+#: the harness rings, the classify ladder's rungs, Z(2048) (one generator,
+#: eleven doublings), cards 64 and 65 on both sides of the
 #: direct-build rule, commutative and not, and products: of three factors,
 #: with a quotient factor, above card 64 from factors of at most 64, and
 #: with a left factor smaller than the right one; digit rings whose add
@@ -208,7 +277,11 @@ TABLE_EXPRS = sorted(
 
 
 def assert_tables_match_direct(ring):
-    table = rl.memoize(ring)
+    """The builder against the n² evaluation, through ``TableRing``, which
+    checks no threshold: rings of card 1296 and 2048 are built too."""
+    table = rl.TableRing(ring)
+    # one allocation holds both tables, so they are freed as one block
+    assert table._add.base is table._mul.base is not None
     for got, want in zip((table._add, table._mul, table._neg), direct_tables(ring)):
         assert got.dtype == core.TABLE_DTYPE
         assert np.array_equal(got, want)
@@ -218,7 +291,7 @@ def assert_tables_match_direct(ring):
 def test_tables_match_direct_build(expr):
     ring = rl.build(expr)
     assert_tables_match_direct(ring)
-    assert_tables_match_direct(structure.mod_j(rl.memoize(ring)))
+    assert_tables_match_direct(structure.mod_j(rl.TableRing(ring)))
 
 
 @given(bounded_ring_expr_strategy(max_card=256))
@@ -275,7 +348,7 @@ def test_table_build_evaluates_generator_rows_above_card_64(expr):
 
     ring.add_vec = counting("add", ring.add_vec)
     ring.mul_vec = counting("mul", ring.mul_vec)
-    table = rl.memoize(ring)
+    table = rl.TableRing(ring)
     n = ring.card
     if ring.factors() is not None:
         # built from the factors' tables
@@ -327,7 +400,7 @@ def test_digit_ring_over_a_table_ring_reads_its_add_table():
 
     base_add = base.add_vec
     base.add_vec = counting
-    table = rl.memoize(ring)
+    table = rl.TableRing(ring)
     del base.add_vec
     k = len(table._additive_generators)
     assert sizes and set(sizes) == {k * k} and k * k < base.card**2

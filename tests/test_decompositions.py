@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ringlab as rl
-from ringlab import decompositions
+from ringlab import decompositions, structure
 from ringlab.core import maybe_memoize
 from ringlab.decompositions import (
     DIAGRAM_EDGES,
@@ -320,6 +320,32 @@ def test_sign_pass_and_idempotent_scan_match_the_combined_scan(expr):
             for kind, want in keys.items():
                 got = idempotent_scan(ring, kind, everyone)
                 assert np.array_equal(got, want), (expr, ring, kind)
+
+
+@pytest.mark.parametrize("chunk", [7, 16, 100, 1000])
+@pytest.mark.parametrize("expr", ["T(2,Z(8))", "FM(2,2,Z(4))"])
+def test_sign_pass_splits_rows_longer_than_a_chunk(monkeypatch, expr, chunk):
+    """With |Nil| above ``_PAIR_CHUNK`` an idempotent row is split in runs
+    of nilpotents, so no call of the sign pass exceeds the chunk, one that
+    is no multiple of a run's length included; the masks are the oracle's."""
+    ring = rl.build(expr)
+    data = ring_data(ring)
+    idem, nil = len(data.idem_indices), int(data.nil_mask.sum())
+    sizes = []
+    add = ring.add_vec
+
+    def counted(xs, ys):
+        sizes.append(np.broadcast(np.asarray(xs), np.asarray(ys)).size)
+        return add(xs, ys)
+
+    monkeypatch.setattr(structure, "_PAIR_CHUNK", chunk)
+    ring.add_vec = counted
+    signs = data.nil_signs()
+    assert max(sizes) <= chunk and sum(sizes) == nil * idem
+    if nil > chunk:
+        assert len(sizes) == idem * math.ceil(nil / chunk)
+    plus, _, minus, missing = scan_witness_ranks(ring, True)
+    assert np.array_equal(signs, sign_masks(plus, minus, missing))
 
 
 @pytest.mark.parametrize("expr", ["M(3,Z(3))", "FM(2,2,Z(8))"])

@@ -600,7 +600,7 @@ def test_a_dropped_table_ring_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        ring = rl.memoize(rl.build("M(2,Z(6))"))
+        ring = rl.TableRing(rl.build("M(2,Z(6))"))
         dec.classify(ring)
         data = structure.ring_data(ring)
         assert data.is_central(5) is False and data.left_quasi_regular(5) is False
