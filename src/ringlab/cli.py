@@ -217,9 +217,7 @@ def _classify_payload(expr: Term, key: str, args) -> str:
     t1 = time.perf_counter()
     report = dec.classify(ring)
     data = structure.ring_data(ring)
-    # R/J is R itself when J = 0: fingerprint R, whose J and center are cached
-    semisimple = int(data.jacobson_mask.sum()) == 1
-    fingerprint = structure.wedderburn_fingerprint(ring if semisimple else structure.mod_j(ring))
+    fingerprint = structure.wedderburn_fingerprint(structure.radical_quotient(ring))
     t2 = time.perf_counter()
     payload = {
         "expression": key,

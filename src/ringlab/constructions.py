@@ -3,10 +3,12 @@
 Every construction implements the vectorised ``add_vec``/``neg_vec``/
 ``mul_vec`` of ``core.Ring`` and nothing else of the arithmetic.  The
 digit rings (matrix and pattern rings, ``TE``, ``PQ``/``GF`` and ``GR``)
-share all three in ``_DigitRing``, which splits each operand into its
-digits once and calls the base on whole digit rows; each only builds the
-term table that says which digit products, scaled by which central base
-elements, sum to each digit of a product.  Every construction fixes a
+share all three in ``_DigitRing``, which splits each operand once: into
+its digits for a product, which calls the base on whole digit rows, and
+into runs of digits for a sum, which gathers from the run's ``add`` and
+``neg`` tables.  Each only builds the term table that says which digit
+products, scaled by which central base elements, sum to each digit of a
+product.  Zero is index 0 in every construction.  Every construction fixes a
 canonical element enumeration so that element literals are stable across
 runs:
 
@@ -39,7 +41,10 @@ from .core import (
     ConstructionError,
     Ring,
     Subset,
+    _add_table,
     _as_index_array,
+    _digits_table,
+    _neg_table,
     additive_generators,
     additive_span,
     check_guard,
@@ -67,11 +72,38 @@ def decode_digits(xs, base_card: int, ndigits: int) -> np.ndarray:
 
 def encode_digits(digits, base_card: int) -> np.ndarray:
     """The indices whose digits, most significant first, are the entries
-    of ``digits`` along its leading axis (an array or any iterable)."""
-    acc = 0
+    of ``digits`` along its leading axis (an array or any iterable, of any
+    integer type)."""
+    acc = np.int64(0)
     for digit in digits:
         acc = acc * base_card + digit
     return np.asarray(acc, dtype=np.int64)
+
+
+#: the largest card of a run of digits that sums through tables: its 16-bit
+#: ``add`` table, 128 KiB, stays in cache
+_BLOCK_CARD = 256
+
+
+class _RunTables:
+    """Sums and negatives of runs of ``length`` digits over ``base``, read
+    off the run's ``add`` and ``neg`` tables, which ``core._digits_table``
+    folds from the base's.  Zero is index 0, so a run of fewer digits, the
+    leading run of a ring, reads their corner."""
+
+    def __init__(self, base: Ring, length: int) -> None:
+        self.card = base.card**length
+        self._add = _digits_table(_add_table(base), length).ravel()
+        self._neg = _digits_table(_neg_table(base), length)
+
+    def add_vec(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return np.take(self._add, X * self.card + Y)
+
+    def neg_vec(self, X: np.ndarray) -> np.ndarray:
+        return np.take(self._neg, X)
+
+    def sub_vec(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return np.take(self._add, X * self.card + np.take(self._neg, Y))
 
 
 class _DigitRing(Ring):
@@ -84,29 +116,53 @@ class _DigitRing(Ring):
     construction only builds this table; a polynomial quotient also sets
     ``_fold``: its ``_terms`` then give wider sums w_k, and digit p is the
     sum of t*w_k over the pairs (k, t) of ``_fold[p]``.  Each operand is
-    split once, unbroadcast: a sum is one base call on the digit stacks, a
-    product one per term on the digit rows ``X[a]``, ``Y[b]``, which
-    broadcast."""
+    split once, unbroadcast: a product is one base call per term on the
+    digit rows ``X[a]``, ``Y[b]``, which broadcast.  A sum, a difference or
+    a negative splits each operand into runs of as many digits as fit
+    ``_BLOCK_CARD`` and gathers each run from the ``_RunTables`` built on
+    first use; over a base of larger card a run is one digit and the base
+    adds the digit stacks."""
 
     base: Ring
     ndigits: int
     _terms: list[list[tuple[int, int, int]]]
     _fold: list[list[tuple[int, int]]] | None = None
+    #: (card, count, arithmetic) of the runs, set by ``_runs``
+    _run_ops: tuple[int, int, "_RunTables | Ring"] | None = None
 
     def digits(self) -> tuple[Ring, int]:
         return self.base, self.ndigits
 
-    def _split(self, *operands) -> list[np.ndarray]:
-        """The operands' digit stacks, padded to one rank so that the digit axis leads."""
+    def _split(self, operands, card: int, count: int) -> list[np.ndarray]:
+        """The operands' stacks of ``count`` base-``card`` digits, padded to
+        one rank so that the digit axis leads."""
         arrays = [_as_index_array(v) for v in operands]
         ndim = max(v.ndim for v in arrays)
-        return [decode_digits(v[(None,) * (ndim - v.ndim)], self.base.card, self.ndigits) for v in arrays]
+        return [decode_digits(v[(None,) * (ndim - v.ndim)], card, count) for v in arrays]
+
+    def _runs(self) -> tuple[int, int, "_RunTables | Ring"]:
+        """(card, count, arithmetic) of the runs that sums split operands
+        into: the most digits whose card is at most ``_BLOCK_CARD``, else one
+        digit summed by the base."""
+        if self._run_ops is None:
+            b, length = self.base.card, 1
+            while length < self.ndigits and b ** (length + 1) <= _BLOCK_CARD:
+                length += 1
+            run = self.base if b > _BLOCK_CARD else _RunTables(self.base, length)
+            self._run_ops = (b**length, -(-self.ndigits // length), run)
+        return self._run_ops
 
     def add_vec(self, xs, ys) -> np.ndarray:
-        return encode_digits(self.base.add_vec(*self._split(xs, ys)), self.base.card)
+        card, count, run = self._runs()
+        return encode_digits(run.add_vec(*self._split((xs, ys), card, count)), card)
+
+    def sub_vec(self, xs, ys) -> np.ndarray:
+        card, count, run = self._runs()
+        return encode_digits(run.sub_vec(*self._split((xs, ys), card, count)), card)
 
     def neg_vec(self, xs) -> np.ndarray:
-        return encode_digits(self.base.neg_vec(*self._split(xs)), self.base.card)
+        card, count, run = self._runs()
+        return encode_digits(run.neg_vec(*self._split((xs,), card, count)), card)
 
     def _term_sum(self, X: np.ndarray, Y: np.ndarray, terms) -> np.ndarray:
         """The sum of t*(a*b) over ``terms`` for the elements whose digit
@@ -123,7 +179,7 @@ class _DigitRing(Ring):
         return acc
 
     def mul_vec(self, xs, ys) -> np.ndarray:
-        X, Y = self._split(xs, ys)
+        X, Y = self._split((xs, ys), self.base.card, self.ndigits)
         digits = (self._term_sum(X, Y, terms) for terms in self._terms)
         if self._fold is not None:
             wide = list(digits)

@@ -6,7 +6,8 @@ defined by its numpy-vectorised ``add_vec``/``neg_vec``/``mul_vec``, which
 the bulk scans are built on; the scalar ``add``/``neg``/``mul`` are derived
 from them.  ``memoize`` copies a ring of card up to ``MEMO_THRESHOLD``
 into 16-bit operation tables (``TableRing``): a direct product combines its
-factors' tables and a digit ring folds its base's ``add`` table; the ``mul``
+factors' tables and a digit ring folds its base's ``add`` and ``neg``
+tables, as its sums fold their run tables (``_digits_table``); the ``mul``
 table takes one call on the k² pairs of additive generators, and the rest
 is gathered by distributivity in cache-sized blocks.  ``maybe_memoize``
 never tabulates a direct product, only its factors.  ``additive_generators``
@@ -15,7 +16,6 @@ walks a ring once and keeps the list on it.
 
 from __future__ import annotations
 
-import functools
 import os
 from typing import Iterator
 
@@ -230,19 +230,33 @@ _DIRECT_BUILD_CARD = 64
 #: step; on Z(1024) 8k took 1.2x as long, 128k about as long
 _GATHER_BLOCK = 1 << 15
 
-_ONE_POINT = np.zeros((1, 1), dtype=TABLE_DTYPE)  # the one-element ring's add table
-
-
 def _product_table(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``out[(a,b),(c,d)] = left[a,c]·|R| + right[b,d]`` for the index
     a·|R| + b of the direct product, into ``out`` or a new table: the rows
     ``left[a]·|R|``, each entry repeated |R| times, plus the rows
     ``right[b]`` tiled |L| times, one broadcast whose inner axis is a whole
-    table row."""
+    table row.  Of two ``neg`` tables, 1-d, ``out[(a,b)] = left[a]·|R| + right[b]``."""
     nl, nr = len(left), len(right)
+    if left.ndim == 1:
+        return np.add.outer(left * nr, right).ravel()
     out = np.empty((nl * nr, nl * nr), dtype=TABLE_DTYPE) if out is None else out
     np.add(np.repeat(left * nr, nr, axis=1)[:, None], np.tile(right, nl), out=out.reshape(nl, nr, -1))
     return out
+
+
+def _digits_table(digit: np.ndarray, ndigits: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``add`` or ``neg`` table of the elements of ``ndigits`` digits,
+    high first, from one digit's, into ``out`` when given: the table of the
+    low half of the digits folded with itself, and with one more digit when
+    their count is odd, so in about log2(ndigits) folds."""
+    if ndigits == 1:
+        if out is None:
+            return digit
+        np.copyto(out, digit)
+        return out
+    low = _digits_table(digit, ndigits // 2)
+    high = low if ndigits % 2 == 0 else _product_table(low, digit)
+    return _product_table(high, low, out)
 
 
 def _direct_table(op, out: np.ndarray) -> np.ndarray:
@@ -254,8 +268,9 @@ def _direct_table(op, out: np.ndarray) -> np.ndarray:
 
 def _add_table(ring: Ring, out: np.ndarray | None = None) -> np.ndarray:
     """The ``add`` table alone, lent by a ``TableRing``, else into ``out``
-    or a new table: combined from the factors', folded from the base's once
-    per digit, else evaluated."""
+    or a new table: combined from the factors', folded from the base's by
+    ``_digits_table``, which also folds the run tables of a digit ring's
+    sums, else evaluated."""
     if isinstance(ring, TableRing):
         return ring._add
     out = np.empty((ring.card, ring.card), dtype=TABLE_DTYPE) if out is None else out
@@ -263,13 +278,24 @@ def _add_table(ring: Ring, out: np.ndarray | None = None) -> np.ndarray:
         return _product_table(*map(_add_table, ring.factors()), out)
     if ring.digits() is not None:
         base, ndigits = ring.digits()
-        digit = _add_table(base)
-        head = functools.reduce(_product_table, [digit] * (ndigits - 2), digit) if ndigits > 1 else _ONE_POINT
-        return _product_table(head, digit, out)
+        return _digits_table(_add_table(base), ndigits, out)
     if ring.card <= _DIRECT_BUILD_CARD:
         return _direct_table(ring.add_vec, out)
     _walk(ring, out, fill=True)
     return out
+
+
+def _neg_table(ring: Ring) -> np.ndarray:
+    """The ``neg`` table as ``_add_table`` forms the ``add`` table: lent,
+    combined, folded, else evaluated on the carrier."""
+    if isinstance(ring, TableRing):
+        return ring._neg
+    if ring.factors() is not None:
+        return _product_table(*map(_neg_table, ring.factors()))
+    if ring.digits() is not None:
+        base, ndigits = ring.digits()
+        return _digits_table(_neg_table(base), ndigits)
+    return ring.neg_vec(np.arange(ring.card, dtype=np.int64)).astype(TABLE_DTYPE)
 
 
 def _blocks(t: np.ndarray, s: np.ndarray, n: int):
@@ -322,11 +348,12 @@ def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] |
     the additive generators when the build walked them.
 
     A ``TableRing`` lends its tables; else both fill one new array, freed
-    as one block.  A direct product combines its factors'.  Up to
-    ``_DIRECT_BUILD_CARD`` a ring is evaluated on all pairs.  Above it
-    ``_walk`` reads the generators and steps (t, s, h) off ``add``, which a
-    digit ring folds from its base's.  The k generators'
-    products are one ``mul_vec`` call of k² pairs; their rows follow by left
+    as one block.  A direct product combines its factors'.  A digit ring
+    folds ``add`` from its base's (``_add_table``), so that no table build
+    calls its ``add_vec``.  Up to ``_DIRECT_BUILD_CARD`` ``mul``, and the
+    ``add`` of any other ring, is evaluated on all pairs.  Above it
+    ``_walk`` reads the generators and steps (t, s, h) off ``add``.  The k
+    generators' products are one ``mul_vec`` call of k² pairs; their rows follow by left
     distributivity, g(s + h) = gs + gh, and every other row by right
     distributivity, mul[t] = add[mul[s], mul[h]], gathered in int32 blocks.
     """
@@ -339,7 +366,7 @@ def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] |
         (add_l, mul_l, _), (add_r, mul_r, _) = map(_operation_tables, factors)
         return _product_table(add_l, add_r, add), _product_table(mul_l, mul_r, mul), None
     if n <= _DIRECT_BUILD_CARD:
-        return _direct_table(source.add_vec, add), _direct_table(source.mul_vec, mul), None
+        return _add_table(source, add), _direct_table(source.mul_vec, mul), None
     walked = source.digits() is None
     gens, steps = _walk(source, add if walked else _add_table(source, add), fill=walked)
     flat = add.ravel()
@@ -411,7 +438,7 @@ class TableRing(Ring):
         self.one = source.one
         self.label = source.label
         self._add, self._mul, self._additive_generators = _operation_tables(source)
-        self._neg = source.neg_vec(np.arange(n, dtype=np.int64)).astype(TABLE_DTYPE)
+        self._neg = _neg_table(source)
 
     # direct lookups: the per-element paths call the scalar ops one by one
     def add(self, a: int, b: int) -> int:

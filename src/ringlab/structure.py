@@ -365,6 +365,14 @@ def mod_j(ring: Ring) -> QuotientRing:
     return quotient_by_ideal(ring, jacobson(ring), label=f"MODJ({ring.label})")
 
 
+def radical_quotient(ring: Ring) -> Ring:
+    """R/J as a ring to read invariants off: R itself when J = 0, whose J
+    and center are cached, with no copy R/0; else ``mod_j(R)``."""
+    if int(ring_data(ring).jacobson_mask.sum()) == 1:
+        return ring
+    return mod_j(ring)
+
+
 # ---------------------------------------------------------------------------
 # Wedderburn fingerprint
 

@@ -754,7 +754,7 @@ def _check_t236(ctx: VerifyContext, details: list[str]) -> bool:
         ring = ctx.ring(expr)
         lhs = ctx.gwnc(expr)
         j_nil = structure.is_nil_subset(ring, structure.jacobson(ring))
-        quotient = maybe_memoize(structure.mod_j(ring))
+        quotient = maybe_memoize(structure.radical_quotient(ring))
         fp = structure.wedderburn_fingerprint(quotient).blocks
         rhs = (
             (structure.is_local(ring) and j_nil)
@@ -784,7 +784,7 @@ def _check_p241(ctx: VerifyContext, details: list[str]) -> bool:
         lhs = _guarded_gwnc(ctx, details, derived)
         if lhs is None:
             continue
-        quotient = maybe_memoize(structure.mod_j(ctx.ring(base)))
+        quotient = maybe_memoize(structure.radical_quotient(ctx.ring(base)))
         rhs = structure.is_boolean_ring(quotient)
         ran = True
         _gwnc_agrees(details, derived, lhs, "base radical quotient boolean", rhs)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import ringlab as rl
-from ringlab.constructions import _BUILTIN_PATTERNS, MatrixRing
+from ringlab.constructions import _BUILTIN_PATTERNS, MatrixRing, decode_digits, encode_digits
 from ringlab.core import check_ring_axioms
 from ringlab.dsl import Term
 from ringlab.verify import CATALOG, VerifyContext
@@ -539,6 +539,32 @@ def direct_tables(ring):
         ring.mul_vec(left, right).astype(np.int32).reshape(n, n),
         ring.neg_vec(ar).astype(np.int32),
     )
+
+
+def digitwise_op(ring, name, *operands):
+    """``add``, ``neg`` or ``sub`` (``name``) of a digit ring digit by digit:
+    each operand split into its base digits, the base's ``add_vec`` and
+    ``neg_vec`` on the digit stacks, the digits joined; over a digit base,
+    the base's digit by digit too.  The oracle of the run sums of
+    ``_DigitRing``, which replaced it."""
+    base, ndigits = ring.digits()
+    stacks = [decode_digits(v, base.card, ndigits) for v in np.broadcast_arrays(*map(np.atleast_1d, operands))]
+    op = functools.partial(digitwise_op, base) if base.digits() is not None else (
+        lambda op_name, *xs: getattr(base, f"{op_name}_vec")(*xs)
+    )
+    if name == "sub":
+        stacks[1], name = op("neg", stacks[1]), "add"
+    return encode_digits(op(name, *stacks), base.card)
+
+
+def digit_rings(ring):
+    """``ring`` and every digit ring it is built on: its factors, digit
+    bases and quotient bases, recursively."""
+    found = [ring] if ring.digits() is not None else []
+    for part in ring.factors() or [getattr(ring, "base", None)]:
+        if part is not None:
+            found += digit_rings(part)
+    return found
 
 
 def term_of(name, *args):

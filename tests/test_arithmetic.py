@@ -5,14 +5,17 @@ check of pattern rings against an exhaustive scan."""
 
 import functools
 import itertools
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import ringlab as rl
 from ringlab.constructions import Pattern
 
-from conftest import S3_TABLE, k_ring, s3_group_ring
+from conftest import S3_TABLE, bounded_ring_expr_strategy, digit_rings, digitwise_op, k_ring, s3_group_ring
 
 
 def digits(a, n, k):
@@ -170,6 +173,8 @@ def te_double_classes():
 
 
 Z12 = rl.zmod(12)
+#: TE(Z(6)) as integer arithmetic, the base of the TE(TE(Z(6))) oracle
+TE_Z6 = types.SimpleNamespace(card=36, zero=0, mul=te_mul(6), add=digitwise_add(6, 2))
 #: not commutative, so a digit ring over it sees a swapped factor order
 T2Z2 = rl.build("T(2,Z(2))")
 
@@ -231,6 +236,19 @@ CASES = {
         digitwise_add_over(T2Z2, 2),
     ),
     "M(2,T(2,Z(2)))": (rl.build("M(2,T(2,Z(2)))"), matrix_mul_over(T2Z2, 2), digitwise_add_over(T2Z2, 4)),
+    # sums over several runs of digits: M(3,Z(3)) and T(3,Z(4)) end in a
+    # shorter leading run, FM(2,2,Z(8)) in two full ones
+    "M(3,Z(3))": (rl.build("M(3,Z(3))"), classes_mul(full(3), 3), digitwise_add(3, 9)),
+    "T(3,Z(4))": (
+        rl.build("T(3,Z(4))"),
+        classes_mul([((i, j),) for i in range(3) for j in range(i, 3)], 4),
+        digitwise_add(4, 6),
+    ),
+    "FM(2,2,Z(8))": (rl.build("FM(2,2,Z(8))"), classes_mul(full(2), 8, fm_twist(8, 2)), digitwise_add(8, 4)),
+    # runs of one digit over a base of card 36, itself one run
+    "TE(TE(Z(6)))": (rl.build("TE(TE(Z(6)))"), te_mul_over(TE_Z6), digitwise_add(6, 4)),
+    # a base above the block card: digits summed by the base
+    "TE(Z(300))": (rl.build("TE(Z(300))"), te_mul(300), digitwise_add(300, 2)),
     "Z(12)/(4)": (
         rl.quotient_by_ideal(Z12, rl.ideal_generated(Z12, [4])),
         mod(4),
@@ -242,11 +260,12 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_vector_arithmetic_matches_integer_arithmetic(name):
     ring, mul, add = CASES[name]
-    ar = np.arange(ring.card)
-    left, right = np.repeat(ar, ring.card), np.tile(ar, ring.card)
-    if len(left) > 10_000:  # every pair up to card 100, a fixed sample above
-        pick = np.random.default_rng(0).choice(len(left), 10_000, replace=False)
-        left, right = left[pick], right[pick]
+    ar, n = np.arange(ring.card), ring.card
+    if n * n > 10_000:  # every pair up to card 100, a fixed sample above
+        pairs = np.random.default_rng(0).choice(n * n, 10_000, replace=False)
+    else:
+        pairs = np.arange(n * n)
+    left, right = np.divmod(pairs, n)
     want_mul = [mul(int(a), int(b)) for a, b in zip(left, right)]
     want_add = [add(int(a), int(b)) for a, b in zip(left, right)]
     assert ring.mul_vec(left, right).tolist() == want_mul
@@ -340,6 +359,25 @@ def test_vector_ops_broadcast_like_numpy(name):
         got = ring.neg_vec(x)
         assert got.dtype == np.int64 and got.shape == x.shape
         assert got.ravel().tolist() == [neg[int(a)] for a in x.ravel()]
+
+
+@given(bounded_ring_expr_strategy(max_card=5000), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_run_sums_match_the_digitwise_oracle_property(expr, seed):
+    """``add_vec``, ``neg_vec`` and ``sub_vec`` of every digit ring drawn,
+    on a column of sampled elements against a row, equal the digit-by-digit
+    oracle, with runs of any length and bases above the block card."""
+    try:
+        ring = rl.build(expr, max_card=5000)
+    except (rl.ConstructionError, rl.GuardError):
+        reject()
+    rng = np.random.default_rng(seed)
+    for digit_ring in digit_rings(ring):
+        col, row = rng.integers(0, digit_ring.card, (32, 1)), rng.integers(0, digit_ring.card, (1, 32))
+        for name in ("add", "sub"):
+            got = getattr(digit_ring, f"{name}_vec")(col, row)
+            assert np.array_equal(got, digitwise_op(digit_ring, name, col, row)), (digit_ring, name)
+        assert np.array_equal(digit_ring.neg_vec(col), digitwise_op(digit_ring, "neg", col)), digit_ring
 
 
 def closed_by_exhaustion(pattern, n):

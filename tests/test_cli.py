@@ -319,6 +319,14 @@ def test_element_decoded_display(capsys):
     assert json.loads(out)["display"] == "[[0, 1], [1, 0]]"
 
 
+def test_element_of_a_semisimple_radical_quotient_shows_its_coset(capsys):
+    """``MODJ`` still builds the quotient R/0 of a semisimple ring, whose
+    elements print as cosets."""
+    code, out, _ = run_cli(capsys, "element", "MODJ(Z(6))", "5", "--json")
+    assert code == 0
+    assert json.loads(out)["display"] == "[5]"
+
+
 def test_verify_only(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "L-2.27")
     assert code == 0

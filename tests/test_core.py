@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 
 import ringlab as rl
-from ringlab import cli, core, structure, verify
+from ringlab import cli, constructions, core, structure, verify
 from ringlab.constructions import DirectProduct
 from ringlab.core import additive_generators, additive_span, check_ring_axioms
 
@@ -336,32 +336,59 @@ def test_product_of_a_table_ring_borrows_its_tables():
 )
 def test_table_build_evaluates_generator_rows_above_card_64(expr):
     ring = rl.build(expr)
-    calls = {"add": [], "mul": []}
+    calls = {"add": [], "mul": [], "neg": []}
 
     def counting(name, op):
-        def wrapped(xs, ys):
-            out = op(xs, ys)
+        def wrapped(*operands):
+            out = op(*operands)
             calls[name].append(out.size)
             return out
 
         return wrapped
 
-    ring.add_vec = counting("add", ring.add_vec)
-    ring.mul_vec = counting("mul", ring.mul_vec)
+    for name in calls:
+        setattr(ring, f"{name}_vec", counting(name, getattr(ring, f"{name}_vec")))
     table = rl.TableRing(ring)
     n = ring.card
     if ring.factors() is not None:
         # built from the factors' tables
-        assert calls == {"add": [], "mul": []}
+        assert calls == {"add": [], "mul": [], "neg": []}
+    elif ring.digits() is not None:
+        # a digit ring folds its base's add and neg tables; the generators'
+        # products are one call of k² pairs above card 64
+        k = len(table._additive_generators or [])
+        assert calls == {"add": [], "mul": [n * n] if n <= 64 else [k * k], "neg": []}
     elif n <= 64:
-        assert sum(calls["add"]) == sum(calls["mul"]) == n * n
+        assert calls == {"add": [n * n], "mul": [n * n], "neg": [n]}
     else:
-        # the generators' products are one call of k² pairs; a digit ring
-        # folds its base's add table, a walk ring evaluates the generators'
-        # add rows
+        # a walk ring evaluates the generators' add rows
         k = len(table._additive_generators)
-        assert calls["mul"] == [k * k]
-        assert calls["add"] == ([] if ring.digits() is not None else [n] * k)
+        assert calls == {"add": [n] * k, "mul": [k * k], "neg": [n]}
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["M(2,Z(2))", "T(3,Z(2))", "M(2,GF(2,2))", "FM(2,2,Z(4))", "TE(TE(Z(5)))", "M(3,Z(2))", "GR(Z(4),C(5))"],
+)
+def test_table_build_of_a_digit_ring_builds_no_run_table(monkeypatch, expr):
+    """``maybe_memoize`` folds a digit ring's add and neg tables from its
+    base's, at card 64 and below too: no sum of the ring goes through the
+    run tables of ``_DigitRing``.  Only a digit base may sum the terms of
+    the generator products through its own."""
+    ring = rl.build(expr)
+    built = []
+    run_tables = constructions._RunTables
+
+    def recording(base, length):
+        built.append(base)
+        return run_tables(base, length)
+
+    monkeypatch.setattr(constructions, "_RunTables", recording)
+    table = rl.maybe_memoize(ring)
+    assert isinstance(table, rl.TableRing) and ring._run_ops is None
+    assert built == [] or (ring.base.digits() is not None and built == [ring.base.base])
+    monkeypatch.undo()
+    assert_tables_match_direct(ring)
 
 
 @pytest.mark.parametrize("expr", ["M(1,Z(100))", "GF(101,1)"])

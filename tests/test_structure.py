@@ -103,6 +103,17 @@ def test_mod_j(z6):
     assert structure.is_commutative(q)
 
 
+def test_radical_quotient_is_the_ring_itself_when_j_is_zero(z6, z12):
+    """R/J of a semisimple ring is R, not a copy R/0; otherwise it is
+    ``mod_j`` with the same fingerprint."""
+    assert structure.radical_quotient(z6) is z6
+    quotient = structure.radical_quotient(z12)
+    assert isinstance(quotient, rl.constructions.QuotientRing) and quotient.card == 6
+    for ring in (z6, z12, rl.build("T(2,Z(3))"), rl.build("M(2,Z(2))")):
+        want = rl.wedderburn_fingerprint(rl.mod_j(ring))
+        assert rl.wedderburn_fingerprint(structure.radical_quotient(ring)) == want
+
+
 def test_is_nil_subset(z6, z12):
     assert rl.is_nil_subset(z12, rl.jacobson(z12))
     assert not rl.is_nil_subset(z6, rl.units(z6))

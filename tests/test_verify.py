@@ -4,7 +4,7 @@ import re
 import pytest
 
 import ringlab as rl
-from ringlab import verify
+from ringlab import structure, verify
 from ringlab.verify import (
     CATALOG,
     CHECKS,
@@ -123,6 +123,26 @@ def test_guard_hit_inside_a_check_ends_it_skipped_with_the_card(monkeypatch):
         "FAIL planted before the guard",
         "SKIP: card 1953125 exceeds guard 10",
     ]
+
+
+def test_radical_quotient_checks_copy_no_semisimple_ring(monkeypatch):
+    """T-2.36 and P-2.41 read R/J of a ring with J = 0 off R itself: they
+    call ``mod_j`` once per catalog ring with J != 0 and on no other."""
+    mod_j = structure.mod_j
+    quotiented = []
+
+    def counting(ring):
+        quotiented.append(ring)
+        return mod_j(ring)
+
+    monkeypatch.setattr(structure, "mod_j", counting)
+    for cid in ("T-2.36", "P-2.41"):
+        assert run_check(cid).status == "pass", cid
+    ctx = VerifyContext()
+    radical = [e for e in CATALOG if len(rl.jacobson(ctx.ring(e.expression))) > 1]
+    assert 0 < len(radical) < len(CATALOG)
+    assert len(quotiented) == len(radical)
+    assert all(len(rl.jacobson(ring)) > 1 for ring in quotiented)
 
 
 def test_raised_guard_unlocks_the_3x3_base4_case():
