@@ -11,7 +11,6 @@ from .core import (
     check_ring_axioms,
     is_nilpotent,
     maybe_memoize,
-    memoize,
 )
 from .constructions import (
     FiniteGroup,

@@ -41,10 +41,9 @@ from .core import (
     ConstructionError,
     Ring,
     Subset,
-    _add_table,
     _as_index_array,
     _digits_table,
-    _neg_table,
+    _table,
     additive_generators,
     additive_span,
     check_guard,
@@ -93,8 +92,8 @@ class _RunTables:
 
     def __init__(self, base: Ring, length: int) -> None:
         self.card = base.card**length
-        self._add = _digits_table(_add_table(base), length).ravel()
-        self._neg = _digits_table(_neg_table(base), length)
+        self._add = _digits_table(_table(base, "add"), length).ravel()
+        self._neg = _digits_table(_table(base, "neg"), length)
 
     def add_vec(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return np.take(self._add, X * self.card + Y)
@@ -868,13 +867,14 @@ class QuotientRing(Ring):
 
     One ``additive_span`` walk over the ideal checks it (the span is the
     subset exactly when the subset is an additive subgroup) and gives the
-    coset minima: a shift h grows S to S ∪ (S + h), so the minimum m[x] of
-    x + S becomes min(m[x], m[x + h])."""
+    coset minima: replaying each generator and each step's h as
+    m[x] = min(m[x], m[x + h]) takes the minimum over their subset sums,
+    which cover S, in any order."""
 
     def __init__(self, base: Ring, ideal: Subset, label: str | None = None) -> None:
         if ideal.ring is not base:
             raise ConstructionError("ideal subset belongs to a different ring")
-        span_mask, span, shifts = additive_span(base, ideal.indices())
+        span_mask, span, steps = additive_span(base, ideal.indices())
         products = _generator_products(base, span, np.asarray(additive_generators(base)))
         missing = np.concatenate((np.flatnonzero(span_mask), products))
         missing = missing[~ideal.mask[missing]]
@@ -884,7 +884,7 @@ class QuotientRing(Ring):
         self.ideal = ideal
         ar = np.arange(base.card, dtype=np.int64)
         minrep = ar
-        for h in shifts:
+        for h in span + [h for _, _, h in steps]:
             minrep = np.minimum(minrep, minrep[base.add_vec(ar, h)])
         self._reps, self._coset_of = np.unique(minrep, return_inverse=True)
         self.card = len(self._reps)

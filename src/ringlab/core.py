@@ -4,14 +4,15 @@ A ring lives on the carrier ``0 .. card-1``; elements are plain ints and
 are meaningful only relative to the ring that produced them.  A ring is
 defined by its numpy-vectorised ``add_vec``/``neg_vec``/``mul_vec``, which
 the bulk scans are built on; the scalar ``add``/``neg``/``mul`` are derived
-from them.  ``memoize`` copies a ring of card up to ``MEMO_THRESHOLD``
-into 16-bit operation tables (``TableRing``): a direct product combines its
-factors' tables and a digit ring folds its base's ``add`` and ``neg``
-tables, as its sums fold their run tables (``_digits_table``); the ``mul``
-table takes one call on the k² pairs of additive generators, and the rest
-is gathered by distributivity in cache-sized blocks.  ``maybe_memoize``
-never tabulates a direct product, only its factors.  ``additive_generators``
-walks a ring once and keeps the list on it.
+from them.  ``additive_span`` is the one walk of the additive group: ideals,
+quotients, ``additive_generators`` and the table build read its generators
+and steps.  ``maybe_memoize`` copies a ring of card up to
+``MEMO_THRESHOLD`` into 16-bit operation tables (``TableRing``), and never
+tabulates a direct product, only its factors.  A digit ring folds its
+base's ``add`` and ``neg`` tables, as its sums fold their run tables
+(``_digits_table``); the ``mul`` table takes one call on the k² pairs of
+additive generators, and the rest is gathered by distributivity along the
+walk's steps in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ MEMO_THRESHOLD = 1024
 #: the entry type of every operation table: each entry is an element index
 #: below ``MEMO_THRESHOLD``
 TABLE_DTYPE = np.int16
-assert MEMO_THRESHOLD <= np.iinfo(TABLE_DTYPE).max + 1
+#: the largest card whose indices ``TABLE_DTYPE`` holds
+_TABLE_CARD = int(np.iinfo(TABLE_DTYPE).max) + 1
+assert MEMO_THRESHOLD <= _TABLE_CARD
 
 MAX_CARD_ENV = "RINGLAB_MAX_CARD"
 
@@ -85,8 +88,8 @@ def check_guard(
 
 def _as_index_array(xs) -> np.ndarray:
     if type(xs) is np.ndarray and xs.dtype == np.int64 and xs.ndim:
-        return xs  # what the conversion returns, without its two calls
-    return np.atleast_1d(np.asarray(xs, dtype=np.int64))
+        return xs  # what the conversion returns, without its call
+    return np.array(xs, dtype=np.int64, ndmin=1, copy=None)
 
 
 class Ring:
@@ -266,36 +269,38 @@ def _direct_table(op, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _add_table(ring: Ring, out: np.ndarray | None = None) -> np.ndarray:
-    """The ``add`` table alone, lent by a ``TableRing``, else into ``out``
-    or a new table: combined from the factors', folded from the base's by
-    ``_digits_table``, which also folds the run tables of a digit ring's
-    sums, else evaluated."""
+def _table(ring: Ring, op: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``add`` or ``neg`` table (``op``), into ``out`` when given: lent
+    by a ``TableRing``, combined from a direct product's factors', folded
+    from a digit ring's base's by ``_digits_table``, else evaluated: ``neg``
+    on the carrier, ``add`` on all pairs up to ``_DIRECT_BUILD_CARD`` and
+    above it on the generators' rows, every other row gathered along the
+    steps (t, s, h) of the ring's walk as add[t] = add[h][add[s]]."""
     if isinstance(ring, TableRing):
-        return ring._add
-    out = np.empty((ring.card, ring.card), dtype=TABLE_DTYPE) if out is None else out
+        table = getattr(ring, "_" + op)
+        if out is None:
+            return table
+        np.copyto(out, table)
+        return out
     if ring.factors() is not None:
-        return _product_table(*map(_add_table, ring.factors()), out)
+        return _product_table(*(_table(part, op) for part in ring.factors()), out)
     if ring.digits() is not None:
         base, ndigits = ring.digits()
-        return _digits_table(_add_table(base), ndigits, out)
-    if ring.card <= _DIRECT_BUILD_CARD:
+        return _digits_table(_table(base, op), ndigits, out)
+    n = ring.card
+    ar = np.arange(n, dtype=np.int64)
+    if op == "neg":
+        return ring.neg_vec(ar).astype(TABLE_DTYPE)
+    out = np.empty((n, n), dtype=TABLE_DTYPE) if out is None else out
+    if n <= _DIRECT_BUILD_CARD:
         return _direct_table(ring.add_vec, out)
-    _walk(ring, out, fill=True)
+    _, gens, steps = additive_span(ring, ar)
+    out[ring.zero] = ar
+    out[gens] = ring.add_vec(np.asarray(gens, dtype=np.int64)[:, None], ar)
+    for t, s, h in steps:
+        for tb, sb in _blocks(t, s, n):
+            out[tb] = np.take(out[h], out[sb])
     return out
-
-
-def _neg_table(ring: Ring) -> np.ndarray:
-    """The ``neg`` table as ``_add_table`` forms the ``add`` table: lent,
-    combined, folded, else evaluated on the carrier."""
-    if isinstance(ring, TableRing):
-        return ring._neg
-    if ring.factors() is not None:
-        return _product_table(*map(_neg_table, ring.factors()))
-    if ring.digits() is not None:
-        base, ndigits = ring.digits()
-        return _digits_table(_neg_table(base), ndigits)
-    return ring.neg_vec(np.arange(ring.card, dtype=np.int64)).astype(TABLE_DTYPE)
 
 
 def _blocks(t: np.ndarray, s: np.ndarray, n: int):
@@ -308,69 +313,27 @@ def _blocks(t: np.ndarray, s: np.ndarray, n: int):
         yield (slice(tb[0], tb[-1] + 1), slice(sb[0], sb[-1] + 1)) if run else (tb, sb)
 
 
-def _walk(source: Ring, add: np.ndarray, fill: bool) -> tuple[list[int], list]:
-    """(generators, steps) of the walk of ``additive_generators``: each
-    generator g is the smallest element not yet reached, and the reached
-    set grows by the steps t = s + h, h = g, 2g, 4g, ..., while they add
-    elements.  ``add`` is only read, unless ``fill``: then it is filled on
-    the way, a generator's row by ``add_vec``, a new row as ``add[h][add[s]]``."""
-    n = source.card
-    ar = np.arange(n, dtype=np.int64)
-    if fill:
-        add[source.zero] = ar
-    reached = ar == source.zero
-    gens, steps = [], []
-    while not reached.all():
-        g = int(np.argmin(reached))
-        gens.append(g)
-        if fill:
-            add[g] = source.add_vec(g, ar)
-        reached[g] = True
-        h = g
-        while True:
-            s = np.flatnonzero(reached)
-            t = add[h][s]
-            fresh = ~reached[t]
-            if not fresh.any():
-                break
-            s, t = s[fresh], t[fresh]
-            if fill:
-                for tb, sb in _blocks(t, s, n):
-                    add[tb] = np.take(add[h], add[sb])
-            reached[t] = True
-            steps.append((t, s, h))
-            h = int(add[h, h])
-    return gens, steps
+def _operation_tables(table: TableRing) -> list[int] | None:
+    """Fill the ``add`` and ``mul`` tables of ``table`` from its source, and
+    return the additive generators when the build walked them.
 
-
-def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] | None]:
-    """The ``add`` and ``mul`` tables of ``source`` (``TABLE_DTYPE``), and
-    the additive generators when the build walked them.
-
-    A ``TableRing`` lends its tables; else both fill one new array, freed
-    as one block.  A direct product combines its factors'.  A digit ring
-    folds ``add`` from its base's (``_add_table``), so that no table build
-    calls its ``add_vec``.  Up to ``_DIRECT_BUILD_CARD`` ``mul``, and the
-    ``add`` of any other ring, is evaluated on all pairs.  Above it
-    ``_walk`` reads the generators and steps (t, s, h) off ``add``.  The k
-    generators' products are one ``mul_vec`` call of k² pairs; their rows follow by left
+    ``add`` is ``_table``'s, so that a product or a digit ring never calls
+    its own ``add_vec``.  Up to ``_DIRECT_BUILD_CARD`` ``mul`` is evaluated
+    on all pairs.  Above it the build walks ``table`` itself, whose
+    ``add_vec`` reads the finished ``add`` table.  The k generators'
+    products are one ``mul_vec`` call of k² pairs; their rows follow by left
     distributivity, g(s + h) = gs + gh, and every other row by right
-    distributivity, mul[t] = add[mul[s], mul[h]], gathered in int32 blocks.
+    distributivity, mul[t] = add[mul[s], mul[h]], gathered in int32 blocks
+    along the walk's steps (t, s, h).
     """
-    if isinstance(source, TableRing):
-        return source._add, source._mul, source._additive_generators
-    n = source.card
-    add, mul = np.empty((2, n, n), dtype=TABLE_DTYPE)
-    factors = source.factors()
-    if factors is not None:
-        (add_l, mul_l, _), (add_r, mul_r, _) = map(_operation_tables, factors)
-        return _product_table(add_l, add_r, add), _product_table(mul_l, mul_r, mul), None
+    source, n, add, mul = table.source, table.card, table._add, table._mul
+    _table(source, "add", add)
     if n <= _DIRECT_BUILD_CARD:
-        return _add_table(source, add), _direct_table(source.mul_vec, mul), None
-    walked = source.digits() is None
-    gens, steps = _walk(source, add if walked else _add_table(source, add), fill=walked)
-    flat = add.ravel()
+        _direct_table(source.mul_vec, mul)
+        return None
+    _, gens, steps = additive_span(table, np.arange(n, dtype=np.int64))
     g, k = np.asarray(gens, dtype=np.int64), len(gens)
+    flat = add.ravel()
     # the generators' rows as columns, so that their gathers read rows
     left = np.full((n, k), source.zero, dtype=TABLE_DTYPE)
     left[g] = source.mul_vec(g, g[:, None])
@@ -390,31 +353,41 @@ def _operation_tables(source: Ring) -> tuple[np.ndarray, np.ndarray, list[int] |
                 np.take(flat, block, out=mul[tb], mode="clip")
             else:
                 mul[tb] = np.take(flat, block)
-    return add, mul, gens
+    return gens
 
 
-def additive_span(ring: Ring, seeds) -> tuple[np.ndarray, list[int], list[int]]:
-    """(mask, generators, shifts) of the additive subgroup S spanned by
-    ``seeds``: each generator g is the least seed not yet in S, and S grows
-    to S ∪ (S + h) for the shifts h = g, 2g, 4g, ... that add elements.
-    Each generator at least doubles S, so there are at most log2|S|."""
+def additive_span(ring: Ring, seeds) -> tuple[np.ndarray, list[int], list]:
+    """(mask, generators, steps) of the additive subgroup S spanned by
+    ``seeds``, the one walk of the additive group.  Each generator g is the
+    least seed not yet in S; it joins the reached set R, which then grows by
+    the steps (t, s, h): the new elements t = s + h of R + h, for h = g, 2g,
+    4g, ... while they add elements.  So h is reached before its step, and a
+    table filled step by step holds row h when the step reads it.  Each
+    generator at least doubles S, so there are at most log2|S|, and the
+    subset sums of the generators and the steps' h cover S."""
     seeds = _as_index_array(seeds)
     reached = np.zeros(ring.card, dtype=bool)
     reached[ring.zero] = True
-    gens, shifts = [], []
+    gens, steps = [], []
     while True:
         open_ = seeds[~reached[seeds]]
         if not len(open_):
-            return reached, gens, shifts
+            return reached, gens, steps
         h = int(open_.min())
         gens.append(h)
+        reached[h] = True
         while True:
-            t = ring.add_vec(np.flatnonzero(reached), h)
-            if reached[t].all():
+            s = np.flatnonzero(reached)
+            t = ring.add_vec(s, h)
+            fresh = ~reached[t]
+            if not fresh.any():
                 break
+            # h is reached, so the translate holds 2h at h's place
+            double = int(t[np.searchsorted(s, h)])
+            s, t = s[fresh], t[fresh]
             reached[t] = True
-            shifts.append(h)
-            h = int(ring.add_vec(h, h)[0])
+            steps.append((t, s, h))
+            h = double
 
 
 def additive_generators(ring: Ring) -> list[int]:
@@ -428,17 +401,19 @@ def additive_generators(ring: Ring) -> list[int]:
 class TableRing(Ring):
     """Operationally identical copy of a ring backed by ``TABLE_DTYPE``
     lookup tables, built by ``_operation_tables``: 4·card² bytes for ``add``
-    and ``mul`` together.  The vector ops still return int64."""
+    and ``mul`` together.  The vector ops still return int64.  A card whose
+    indices ``TABLE_DTYPE`` cannot hold is refused before any allocation."""
 
     def __init__(self, source: Ring) -> None:
         n = source.card
+        if n > _TABLE_CARD:
+            raise GuardError(n, _TABLE_CARD, what="table card")
         self.source = source
-        self.card = n
-        self.zero = source.zero
-        self.one = source.one
-        self.label = source.label
-        self._add, self._mul, self._additive_generators = _operation_tables(source)
-        self._neg = _neg_table(source)
+        self.card, self.zero, self.one, self.label = n, source.zero, source.one, source.label
+        self._neg = _table(source, "neg")
+        # one allocation holds both tables, so they are freed as one block
+        self._add, self._mul = np.empty((2, n, n), dtype=TABLE_DTYPE)
+        self._additive_generators = _operation_tables(self)
 
     # direct lookups: the per-element paths call the scalar ops one by one
     def add(self, a: int, b: int) -> int:
@@ -466,27 +441,14 @@ class TableRing(Ring):
         return self.source.format_element(a)
 
 
-def memoize(ring: Ring) -> Ring:
-    """Return a table-backed ring with unchanged observable behaviour; a
-    direct product gets one table combined from its factors'.
-
-    Refuses rings whose card exceeds ``MEMO_THRESHOLD``; the caller then
-    keeps using the computed ring.
-    """
-    if ring.card > MEMO_THRESHOLD:
-        raise GuardError(ring.card, MEMO_THRESHOLD, what="memo table card")
-    if isinstance(ring, TableRing):
-        return ring
-    return TableRing(ring)
-
-
 def maybe_memoize(ring: Ring) -> Ring:
-    """``memoize`` when the threshold allows it, else the ring unchanged.  A
+    """A ``TableRing`` of ``ring`` when its card is at most
+    ``MEMO_THRESHOLD``, else the ring unchanged, as is a ``TableRing``.  A
     direct product is rebuilt on its factors' ``maybe_memoize`` under its
     own card as the guard, so it reads its invariants off their tables."""
     parts = ring.factors()
     if parts is None:
-        return memoize(ring) if ring.card <= MEMO_THRESHOLD else ring
+        return TableRing(ring) if ring.card <= MEMO_THRESHOLD and not isinstance(ring, TableRing) else ring
     tabled = tuple(map(maybe_memoize, parts))
     return ring if tabled == parts else type(ring)(*tabled, max_card=ring.card)
 

@@ -146,17 +146,13 @@ def idempotent_scan(ring: Ring, kind: str, elements) -> np.ndarray:
     """Witness key of each of ``elements`` for one decomposition kind:
     ``2*rank`` for ``a = rest + e``, ``2*rank + 1`` for ``a = rest - e``
     and ``2*|Id|`` when there is none, e the idempotent of that rank.  Keys
-    ascend in the fixed witness order, so the key is the column of the first
-    hit in an element's row of ``_hits``, or on a direct product the least
-    over both signs of the sign's first rank (``_sign_ranks``)."""
+    ascend in the fixed witness order, so the key is the least over both
+    signs of the sign's first rank (``_sign_ranks``); |Id| for both gives
+    ``2*|Id|``."""
     if kind not in ELEMENT_PREDICATES:
         raise ValueError(f"unknown decomposition kind {kind!r}")
-    elements = np.asarray(elements, dtype=np.int64)
-    if ring.factors() is not None:
-        ranks, missing = _sign_ranks(ring, kind, elements)
-        return np.where(ranks < missing, 2 * ranks + _SIGN_COLUMNS, 2 * missing).min(axis=1)
-    hits = _hits(ring, kind, elements).reshape(len(elements), -1)
-    return np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1])
+    ranks, missing = _sign_ranks(ring, kind, np.asarray(elements, dtype=np.int64))
+    return (2 * ranks + _SIGN_COLUMNS).min(axis=1)
 
 
 #: the key column of each sign, + then -
@@ -175,7 +171,7 @@ def _sign_ranks(ring: Ring, kind: str, elements: np.ndarray) -> tuple[np.ndarray
     parts = ring.factors()
     if parts is None:
         hits = _hits(ring, kind, elements)
-        return np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1]), hits.shape[1]
+        return hits.argmax(axis=2), hits.shape[2] - 1
     left, right = parts
     high = elements // right.card
     (lr, nl), (rr, nr) = (
@@ -185,26 +181,28 @@ def _sign_ranks(ring: Ring, kind: str, elements: np.ndarray) -> tuple[np.ndarray
 
 
 def _hits(ring: Ring, kind: str, elements: np.ndarray) -> np.ndarray:
-    """``hits[i, rank, s]``: whether a = rest + e (s = 0) or a = rest - e
+    """``hits[i, s, rank]``: whether a = rest + e (s = 0) or a = rest - e
     (s = 1) is a decomposition of a = ``elements[i]`` of that kind, e the
-    idempotent of that rank.  Every element meets every idempotent in one
-    ``sub_vec`` (rest = a - e) and, for the weakly kinds, one ``add_vec``
-    (rest = a + e) of the elements as a column against the idempotents as
-    a row, len(elements) * |Id| pairs each; the strongly kinds
-    test commutation on the candidates only."""
+    idempotent of that rank, and True at rank |Id|, so that the first hit
+    of a sign is |Id| when there is none.  Every element meets every
+    idempotent in one ``sub_vec`` (rest = a - e) and, for the weakly kinds,
+    one ``add_vec`` (rest = a + e) of the elements as a column against the
+    idempotents as a row, len(elements) * |Id| pairs each; the strongly
+    kinds test commutation on the candidates only."""
     data = ring_data(ring)
     target = data.nil_mask if "nil" in kind else data.unit_mask
     idem = data.idem_indices
     a = elements[:, None]
-    hits = np.zeros((len(a), len(idem), 2), dtype=bool)
+    hits = np.zeros((len(a), 2, len(idem) + 1), dtype=bool)
+    hits[..., -1] = True
     rest = ring.sub_vec(a, idem)
-    hits[..., 0] = target[rest]
+    hits[:, 0, :-1] = target[rest]
     if kind.startswith("strongly"):
-        i, rank = np.nonzero(hits[..., 0])
+        i, rank = np.nonzero(hits[:, 0, :-1])
         e, r = idem[rank], rest[i, rank]
-        hits[i, rank, 0] = ring.mul_vec(e, r) == ring.mul_vec(r, e)
+        hits[i, 0, rank] = ring.mul_vec(e, r) == ring.mul_vec(r, e)
     if kind.startswith("weakly"):
-        hits[..., 1] = target[ring.add_vec(a, idem)]
+        hits[:, 1, :-1] = target[ring.add_vec(a, idem)]
     return hits
 
 

@@ -246,7 +246,7 @@ def test_element_of_a_product_answers_as_its_tables_do(capsys, monkeypatch, expr
     the witness scans from its factors, against the same ring as tables,
     which takes the flat paths: the same stdout, byte for byte."""
     computed = rl.build(expr)
-    tabled = rl.memoize(rl.build(expr))
+    tabled = rl.TableRing(rl.build(expr))
     assert computed.factors() is not None and tabled.factors() is None
     monkeypatch.setattr(cli, "maybe_memoize", lambda ring: ring)
     replies = []

@@ -84,7 +84,8 @@ def test_index_bounds_are_contract_violations(z6):
 
 def test_memoize_is_semantically_identical(z6, m2z3):
     for ring in (z6, m2z3):
-        table = rl.memoize(ring)
+        table = rl.maybe_memoize(ring)
+        assert isinstance(table, rl.TableRing) and table.source is ring
         assert table.card == ring.card
         assert (table.zero, table.one) == (ring.zero, ring.one)
         ar = np.arange(ring.card)
@@ -95,8 +96,9 @@ def test_memoize_is_semantically_identical(z6, m2z3):
 
 
 def test_memoize_refuses_above_threshold():
-    """Refused, and kept computed by ``maybe_memoize``: cards just above the
-    threshold, the four harness rings of card 1296, and far above it."""
+    """``maybe_memoize`` tabulates nothing above the threshold and keeps the
+    computed ring: cards just above it, the four harness rings of card 1296,
+    and far above it."""
     refused = {
         "Z(1025)": 1025,
         "M(2,Z(6))": 1296,
@@ -108,22 +110,45 @@ def test_memoize_refuses_above_threshold():
     }
     for expr, card in refused.items():
         big = rl.build(expr)
-        with pytest.raises(rl.GuardError) as err:
-            rl.memoize(big)
-        assert err.value.required == card
-        assert err.value.limit == core.MEMO_THRESHOLD == 1024
+        assert big.card == card > core.MEMO_THRESHOLD == 1024
         assert rl.maybe_memoize(big) is big
     assert isinstance(rl.maybe_memoize(rl.zmod(6)), rl.TableRing)
+
+
+class _RefusingRing(rl.Ring):
+    """A ring of any card whose operations fail when called."""
+
+    zero, one, label = 0, 1, "refusing"
+
+    def __init__(self, card):
+        self.card = card
+
+    def _refuse(self, *operands):
+        raise AssertionError("a refused table evaluates nothing")
+
+    add_vec = neg_vec = mul_vec = _refuse
+
+
+def test_table_ring_refuses_a_card_its_entries_cannot_hold():
+    """``TableRing`` refuses a card above the 32768 indices that its 16-bit
+    entries hold, before it evaluates or allocates anything.  The builds of
+    card 1296 and 2048 in these tests stay legal."""
+    limit = np.iinfo(core.TABLE_DTYPE).max + 1
+    assert limit == 32768 and core.MEMO_THRESHOLD < 1296 < 2048 < limit
+    for card in (limit + 1, 65536, 10**6):
+        with pytest.raises(rl.GuardError) as err:
+            rl.TableRing(_RefusingRing(card))
+        assert (err.value.required, err.value.limit, err.value.what) == (card, limit, "table card")
 
 
 @pytest.mark.parametrize("expr", ["Z(1024)", "Z(2) x Z(512)"])
 def test_tables_at_the_threshold_have_two_byte_entries(expr):
     """Every entry is an index below ``MEMO_THRESHOLD``, which 16 bits
-    hold; the product's tables come from its factors' tables."""
+    hold; the product's add and neg tables come from its factors' tables."""
     assert core.MEMO_THRESHOLD <= np.iinfo(core.TABLE_DTYPE).max + 1
     ring = rl.build(expr)
     assert ring.card == core.MEMO_THRESHOLD
-    table = rl.memoize(ring)
+    table = rl.TableRing(ring)
     for got, want in zip((table._add, table._mul, table._neg), direct_tables(ring)):
         assert got.itemsize == 2
         assert np.array_equal(got, want)
@@ -132,7 +157,8 @@ def test_tables_at_the_threshold_have_two_byte_entries(expr):
 @pytest.mark.parametrize("expr", ["Z(12)", "M(2,Z(3))", "T(2,Z(6))"])
 def test_table_sub_vec_is_add_of_neg(expr):
     ring = rl.build(expr)
-    table = rl.memoize(ring)
+    table = rl.maybe_memoize(ring)
+    assert isinstance(table, rl.TableRing)
     ar = np.arange(ring.card)
     left, right = np.repeat(ar, ring.card), np.tile(ar, ring.card)
     got = table.sub_vec(left, right)
@@ -143,8 +169,13 @@ def test_table_sub_vec_is_add_of_neg(expr):
 
 
 def test_memoize_idempotent(z6):
-    table = rl.memoize(z6)
-    assert rl.memoize(table) is table
+    table = rl.maybe_memoize(z6)
+    assert isinstance(table, rl.TableRing)
+    assert rl.maybe_memoize(table) is table
+    # a table of a table copies its tables
+    copy = rl.TableRing(table)
+    for got, want in ((copy._add, table._add), (copy._mul, table._mul), (copy._neg, table._neg)):
+        assert np.array_equal(got, want)
 
 
 def _leaves(ring):
@@ -170,9 +201,9 @@ def test_maybe_memoize_tabulates_the_factors_of_a_product(monkeypatch, expr):
     built = []
     tables = core._operation_tables
 
-    def recording(source):
-        built.append(source)
-        return tables(source)
+    def recording(table):
+        built.append(table.source)
+        return tables(table)
 
     monkeypatch.setattr(core, "_operation_tables", recording)
     computed = rl.build(expr)
@@ -305,6 +336,31 @@ def test_generated_tables_match_direct_build_property(expr):
     assert_tables_match_direct(ring)
 
 
+@given(bounded_ring_expr_strategy(max_card=1024))
+@settings(max_examples=30, deadline=None)
+def test_table_build_walks_as_its_source_does_property(expr):
+    """The table build walks the table it fills: its generators, mask and
+    steps against ``additive_span`` of the computed source, and its tables
+    against the n² evaluation."""
+    try:
+        ring = rl.build(expr, max_card=1024)
+    except (rl.ConstructionError, rl.GuardError):
+        reject()
+    table = rl.TableRing(ring)
+    everyone = np.arange(ring.card)
+    mask, gens, steps = additive_span(ring, everyone)
+    if ring.card > 64:
+        assert table._additive_generators == gens
+    assert additive_generators(table) == gens
+    got_mask, _, got_steps = additive_span(table, everyone)
+    assert mask.all() and got_mask.all()
+    assert len(got_steps) == len(steps)
+    for got, want in zip(got_steps, steps):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for got, want in zip((table._add, table._mul, table._neg), direct_tables(ring)):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 def test_tables_match_direct_build_across_gather_blocks(monkeypatch, rows):
     """Gather blocks of one row, and of three rows, which leave a partial
@@ -317,15 +373,18 @@ def test_tables_match_direct_build_across_gather_blocks(monkeypatch, rows):
 
 
 def test_product_of_a_table_ring_borrows_its_tables():
-    left = rl.memoize(rl.build("M(2,Z(3))"))
+    """A product's add and neg tables combine its factors': a table factor
+    lends its own.  Its mul table is walked like any other ring's, so the
+    factor multiplies only the generator products."""
+    left = rl.maybe_memoize(rl.build("M(2,Z(3))"))
     ring = rl.direct_product(left, rl.build("Z(6)"))
 
-    def refuse(xs, ys):
+    def refuse(*operands):
         raise AssertionError("the factor's tables are read, not its operations")
 
-    left.add_vec = left.mul_vec = refuse
-    table = rl.memoize(ring)
-    del left.add_vec, left.mul_vec
+    left.add_vec = left.neg_vec = refuse
+    table = rl.TableRing(ring)
+    del left.add_vec, left.neg_vec
     for got, want in zip((table._add, table._mul, table._neg), direct_tables(ring)):
         assert np.array_equal(got, want)
 
@@ -350,20 +409,21 @@ def test_table_build_evaluates_generator_rows_above_card_64(expr):
         setattr(ring, f"{name}_vec", counting(name, getattr(ring, f"{name}_vec")))
     table = rl.TableRing(ring)
     n = ring.card
-    if ring.factors() is not None:
-        # built from the factors' tables
-        assert calls == {"add": [], "mul": [], "neg": []}
-    elif ring.digits() is not None:
-        # a digit ring folds its base's add and neg tables; the generators'
-        # products are one call of k² pairs above card 64
-        k = len(table._additive_generators or [])
+    k = len(table._additive_generators or [])
+    if ring.factors() is not None or ring.digits() is not None:
+        # a product combines its factors' add and neg tables, a digit ring
+        # folds its base's; the generators' products are one call of k²
+        # pairs above card 64
         assert calls == {"add": [], "mul": [n * n] if n <= 64 else [k * k], "neg": []}
     elif n <= 64:
         assert calls == {"add": [n * n], "mul": [n * n], "neg": [n]}
     else:
-        # a walk ring evaluates the generators' add rows
-        k = len(table._additive_generators)
-        assert calls == {"add": [n] * k, "mul": [k * k], "neg": [n]}
+        # a walk ring walks by its own add_vec once and evaluates the
+        # generators' add rows in one call
+        assert (calls["mul"], calls["neg"]) == ([k * k], [n])
+        built, calls["add"] = calls["add"], []
+        assert additive_span(ring, np.arange(n))[1] == table._additive_generators
+        assert built == calls["add"] + [k * n]
 
 
 @pytest.mark.parametrize(
@@ -405,7 +465,7 @@ def test_one_digit_ring_multiplies_its_base_only_on_generator_products(expr):
 
     base_mul = ring.base.mul_vec
     ring.base.mul_vec = counting
-    table = rl.memoize(ring)
+    table = rl.TableRing(ring)
     del ring.base.mul_vec
     assert ring.digits() == (ring.base, 1)
     assert sum(pairs) == len(table._additive_generators) ** 2 == 1
@@ -416,7 +476,7 @@ def test_digit_ring_over_a_table_ring_reads_its_add_table():
     """The fold reads the table base's add table; the base's add_vec only
     sums the terms of the k² generator products, one call of k² pairs per
     summed term."""
-    base = rl.memoize(rl.build("Z(6)"))
+    base = rl.maybe_memoize(rl.build("Z(6)"))
     ring = rl.matrix_ring(2, base)
     sizes = []
 
@@ -452,8 +512,12 @@ def test_additive_generators_are_cached_per_ring(expr):
         assert additive_generators(ring) is gens
 
 
-@pytest.mark.parametrize("expr", ["M(2,Z(7))", "T(3,Z(4))", "T(2,Z(8))", "TE(Z(27))"])
+@pytest.mark.parametrize("expr", ["M(2,Z(7))", "T(3,Z(4))", "T(2,Z(8))", "TE(Z(27))", "Z(1000)"])
 def test_classify_walks_each_ring_once(monkeypatch, capsys, expr):
+    """Each ring that classify walks, the table build's walks included, is
+    walked once: the build walks the table ring it fills, which keeps the
+    generators, and a walk ring such as Z(1000) is also walked by its own
+    add_vec to fill its add table."""
     walked = []
     span = core.additive_span
 
@@ -466,3 +530,5 @@ def test_classify_walks_each_ring_once(monkeypatch, capsys, expr):
     capsys.readouterr()
     assert walked
     assert len({id(r) for r in walked}) == len(walked)
+    if rl.build(expr).card <= core.MEMO_THRESHOLD:
+        assert [r.label for r in walked if isinstance(r, rl.TableRing)] == [expr]

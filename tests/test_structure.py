@@ -471,14 +471,17 @@ def test_center_of_a_commutative_ring_forms_no_carrier_product(expr):
 )
 def test_additive_span_walk(expr):
     """The span of a few seeds against the subgroup they generate; each
-    generator is the least seed outside the span of the earlier ones, and
-    the shifts replayed from {0} as S ∪ (S + h) grow S every time and end
-    at the span."""
+    generator is the least seed outside the span of the earlier ones.
+    Replayed from {0}, each generator joins the reached set before its
+    steps, and each step (t, s, h), h already reached, adds exactly the new
+    elements t = s + h of the reached set's h-translate; the replay ends at
+    the span, which the subset sums of the generators and the steps' h
+    cover."""
     ring = rl.build(expr)
     rng = np.random.default_rng(0)
     for seeds in ([], [ring.zero], [ring.one], *(rng.integers(ring.card, size=k) for k in (2, 5))):
         seeds = [int(s) for s in seeds]
-        mask, gens, shifts = additive_span(ring, seeds)
+        mask, gens, steps = additive_span(ring, seeds)
         assert np.array_equal(mask, generated_subgroup(ring, seeds))
         for i, g in enumerate(gens):
             before = generated_subgroup(ring, gens[:i])
@@ -486,12 +489,26 @@ def test_additive_span_walk(expr):
         assert 2 ** len(gens) <= mask.sum()
         reached = np.zeros(ring.card, dtype=bool)
         reached[ring.zero] = True
-        for h in shifts:
-            grown = reached.copy()
-            grown[ring.add_vec(np.flatnonzero(reached), h)] = True
-            assert grown.sum() > reached.sum()
-            reached = grown
+        todo = list(steps)
+        for i, g in enumerate(gens):
+            reached[g] = True
+            # a generator's steps shift by its multiples, the next one's
+            # first step by that generator, outside this span
+            span = generated_subgroup(ring, gens[: i + 1])
+            while todo and span[todo[0][2]]:
+                t, s, h = todo.pop(0)
+                assert reached[h] and reached[s].all()
+                assert np.array_equal(t, ring.add_vec(s, h))
+                shifted = ring.add_vec(np.flatnonzero(reached), h)
+                assert np.array_equal(np.sort(t), np.unique(shifted[~reached[shifted]]))
+                reached[t] = True
+        assert not todo
         assert np.array_equal(reached, mask)
+        sums = np.zeros(ring.card, dtype=bool)
+        sums[ring.zero] = True
+        for h in gens + [h for _, _, h in steps]:
+            sums[ring.add_vec(np.flatnonzero(sums), h)] = True
+        assert np.array_equal(sums, mask)
 
 
 @pytest.mark.parametrize("n, center, jac", [(2, 8, 2), (3, 27, 81)])
