@@ -88,8 +88,8 @@ def check_guard(
 
 def _as_index_array(xs) -> np.ndarray:
     if type(xs) is np.ndarray and xs.dtype == np.int64 and xs.ndim:
-        return xs  # what the conversion returns, without its call
-    return np.array(xs, dtype=np.int64, ndmin=1, copy=None)
+        return xs  # as it is: the conversion below would copy it
+    return np.array(xs, dtype=np.int64, ndmin=1)
 
 
 class Ring:
@@ -270,12 +270,11 @@ def _direct_table(op, out: np.ndarray) -> np.ndarray:
 
 
 def _table(ring: Ring, op: str, out: np.ndarray | None = None) -> np.ndarray:
-    """The ``add`` or ``neg`` table (``op``), into ``out`` when given: lent
-    by a ``TableRing``, combined from a direct product's factors', folded
-    from a digit ring's base's by ``_digits_table``, else evaluated: ``neg``
-    on the carrier, ``add`` on all pairs up to ``_DIRECT_BUILD_CARD`` and
-    above it on the generators' rows, every other row gathered along the
-    steps (t, s, h) of the ring's walk as add[t] = add[h][add[s]]."""
+    """The ``add`` or ``neg`` table (``op``): lent by a ``TableRing``,
+    combined from a direct product's factors', folded from a digit ring's
+    base's by ``_digits_table``, else evaluated: ``neg`` on the carrier,
+    ``add`` on all pairs up to ``_DIRECT_BUILD_CARD`` and by ``_walk_add``
+    above it.  Only ``add`` is passed ``out``, the array it is written into."""
     if isinstance(ring, TableRing):
         table = getattr(ring, "_" + op)
         if out is None:
@@ -288,19 +287,29 @@ def _table(ring: Ring, op: str, out: np.ndarray | None = None) -> np.ndarray:
         base, ndigits = ring.digits()
         return _digits_table(_table(base, op), ndigits, out)
     n = ring.card
-    ar = np.arange(n, dtype=np.int64)
     if op == "neg":
-        return ring.neg_vec(ar).astype(TABLE_DTYPE)
+        return ring.neg_vec(np.arange(n, dtype=np.int64)).astype(TABLE_DTYPE)
     out = np.empty((n, n), dtype=TABLE_DTYPE) if out is None else out
     if n <= _DIRECT_BUILD_CARD:
         return _direct_table(ring.add_vec, out)
+    _walk_add(ring, out)
+    return out
+
+
+def _walk_add(ring: Ring, out: np.ndarray) -> tuple[list[int], list]:
+    """Fill ``out`` with the ``add`` table of ``ring`` from its walk
+    (``additive_span``): the generators' rows evaluated in one call, every
+    other row gathered along the steps (t, s, h) as add[t] = add[h][add[s]].
+    Return the walk's generators and steps."""
+    n = ring.card
+    ar = np.arange(n, dtype=np.int64)
     _, gens, steps = additive_span(ring, ar)
     out[ring.zero] = ar
     out[gens] = ring.add_vec(np.asarray(gens, dtype=np.int64)[:, None], ar)
     for t, s, h in steps:
         for tb, sb in _blocks(t, s, n):
             out[tb] = np.take(out[h], out[sb])
-    return out
+    return gens, steps
 
 
 def _blocks(t: np.ndarray, s: np.ndarray, n: int):
@@ -319,7 +328,8 @@ def _operation_tables(table: TableRing) -> list[int] | None:
 
     ``add`` is ``_table``'s, so that a product or a digit ring never calls
     its own ``add_vec``.  Up to ``_DIRECT_BUILD_CARD`` ``mul`` is evaluated
-    on all pairs.  Above it the build walks ``table`` itself, whose
+    on all pairs.  Above it a ring that ``_table`` would walk is walked once,
+    by ``_walk_add``; else the build walks ``table`` itself, whose
     ``add_vec`` reads the finished ``add`` table.  The k generators'
     products are one ``mul_vec`` call of k² pairs; their rows follow by left
     distributivity, g(s + h) = gs + gh, and every other row by right
@@ -327,11 +337,15 @@ def _operation_tables(table: TableRing) -> list[int] | None:
     along the walk's steps (t, s, h).
     """
     source, n, add, mul = table.source, table.card, table._add, table._mul
-    _table(source, "add", add)
     if n <= _DIRECT_BUILD_CARD:
+        _table(source, "add", add)
         _direct_table(source.mul_vec, mul)
         return None
-    _, gens, steps = additive_span(table, np.arange(n, dtype=np.int64))
+    if isinstance(source, TableRing) or source.factors() is not None or source.digits() is not None:
+        _table(source, "add", add)
+        _, gens, steps = additive_span(table, np.arange(n, dtype=np.int64))
+    else:
+        gens, steps = _walk_add(source, add)
     g, k = np.asarray(gens, dtype=np.int64), len(gens)
     flat = add.ravel()
     # the generators' rows as columns, so that their gathers read rows
@@ -409,7 +423,10 @@ class TableRing(Ring):
         if n > _TABLE_CARD:
             raise GuardError(n, _TABLE_CARD, what="table card")
         self.source = source
-        self.card, self.zero, self.one, self.label = n, source.zero, source.one, source.label
+        self.card = n
+        self.zero = source.zero
+        self.one = source.one
+        self.label = source.label
         self._neg = _table(source, "neg")
         # one allocation holds both tables, so they are freed as one block
         self._add, self._mul = np.empty((2, n, n), dtype=TABLE_DTYPE)

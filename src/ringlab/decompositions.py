@@ -151,7 +151,8 @@ def idempotent_scan(ring: Ring, kind: str, elements) -> np.ndarray:
     ``2*|Id|``."""
     if kind not in ELEMENT_PREDICATES:
         raise ValueError(f"unknown decomposition kind {kind!r}")
-    ranks, missing = _sign_ranks(ring, kind, np.asarray(elements, dtype=np.int64))
+    elements = np.asarray(elements, dtype=np.int64)
+    ranks, _ = _sign_ranks(ring, kind, elements)
     return (2 * ranks + _SIGN_COLUMNS).min(axis=1)
 
 
