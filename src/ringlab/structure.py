@@ -4,21 +4,26 @@ Computes the unit group, nilpotents, idempotents, Jacobson radical,
 center, the quotient by the radical, and the block fingerprint of a
 semisimple ring, plus a record of classical ring-theoretic predicates.
 
-Units and nilpotents come out of one vectorised propagation pass: all
-powers of an element share its unit/nilpotent/neither status, and they
-hold exactly one idempotent (one for a unit, zero for a nilpotent), so
-every element walks its powers, all of them in one array with walks that
-double per round, and stops at the first power whose status is known or
-that lies below it in index order and walks itself.  Only the least
-element of an orbit walks all of it, so a cyclic unit group of order q
-costs about card * log(card) products, not q * card.
+A ring squares its carrier once (``RingData.square``): the idempotents
+are the fixed points of a -> a**2, and the status pass and the images
+a -+ a**2 read it too.  Units and nilpotents come out of one vectorised
+propagation pass: all powers of an element share its
+unit/nilpotent/neither status, and they hold exactly one idempotent (one
+for a unit, zero for a nilpotent), so every element walks its powers, all
+of them in one array with walks that double per round, and stops at the
+first power whose status is known or that lies below it in index order
+and walks itself.  Each round multiplies for the odd powers only and reads
+the even ones a**(2m) = (a**m)**2 off the square.  Only the least element
+of an orbit walks all of it, so a cyclic unit group of order q costs about
+card * log(card) products, not q * card.
 
 The center and commutativity are decided on the additive generators of
 ``core.additive_generators`` (at most log2(card) of them), because the
 commutator [x, r] is additive in r.  J is nil and contains every nil left
 ideal (Lam, *A First Course in Noncommutative Rings*, §4), so only the
 nilpotents are tested for left quasi-regularity, and only against the
-nilpotent rows (``RingData._left_quasi_regular``).
+nilpotent rows (``RingData._left_quasi_regular``).  A commutative ring
+tests none: its nilpotents are the nilradical, which is J.
 
 The report flags that ask for commuting decompositions or for units
 near +-1 read Nil(R) at a fixed polynomial image of every element
@@ -68,6 +73,7 @@ class RingData:
         # would keep a dropped ring and its tables alive until the cyclic GC
         self._ring = weakref.ref(ring)
         self._status: np.ndarray | None = None
+        self._square: np.ndarray | None = None
         self._idem_mask: np.ndarray | None = None
         self._idem_indices: np.ndarray | None = None
         self._jac_mask: np.ndarray | None = None
@@ -101,6 +107,17 @@ class RingData:
         return holds(ring_data(left), l) and holds(ring_data(right), r)
 
     # -- unit / nilpotent pass ----------------------------------------------
+    @property
+    def square(self) -> np.ndarray:
+        """a -> a**2 over the carrier, one ``mul_vec`` call, cached: the
+        idempotents, the even powers of the status pass and the images
+        a -+ a**2 all read it.  A direct product reads those off its factors'
+        and never forms it."""
+        if self._square is None:
+            ar = np.arange(self._ring().card, dtype=np.int64)
+            self._square = self._ring().mul_vec(ar, ar)
+        return self._square
+
     def _orbit_status(self) -> np.ndarray:
         if self._status is not None:
             return self._status
@@ -111,6 +128,7 @@ class RingData:
         if self._status is not None:
             return self._status
         ring = self._ring()
+        square = self.square
         status = np.zeros(ring.card, dtype=np.int8)
         # the powers of a share its status and hold exactly one idempotent:
         # one for a unit, zero for a nilpotent and another one for neither
@@ -120,13 +138,22 @@ class RingData:
         # so every other element a walks its powers until one has a status
         # or lies below a in index order; that power walks itself and a
         # waits on it, so only the least element of an orbit walks all of
-        # it.  Walks double per round: a**(k+1..2k) = a**k * a**(1..k), and
-        # ``stop_at`` keeps the power where the walk of a stopped.
+        # it.  Walks double per round: with a**1..a**k held, k a power of
+        # 2, the odd a**(k+1), a**(k+3), .. are a**k * a**(1, 3, ..) and the
+        # even a**(k+2), .., a**(2k) the squares of a**(k/2+1..k), read off
+        # ``square``; the first round is a**2 alone.  ``stop_at`` keeps the
+        # power where the walk of a stopped.
         a = np.flatnonzero(status == _UNKNOWN)
         powers = a[:, None]
         stop_at = np.empty(ring.card, dtype=np.int64)
         while len(a):
-            block = ring.mul_vec(powers[:, -1:], powers)
+            k = powers.shape[1]
+            if k == 1:
+                block = square[powers]
+            else:
+                block = np.empty_like(powers)
+                block[:, 0::2] = ring.mul_vec(powers[:, -1:], powers[:, 0::2])
+                block[:, 1::2] = square[powers[:, k // 2 :]]
             stop = (status[block] != _UNKNOWN) | (block < a[:, None])
             done = stop.any(axis=1)
             at = stop[done].argmax(axis=1)
@@ -156,8 +183,7 @@ class RingData:
         if self._idem_mask is None:
             mask = self._product(lambda d: d.idem_mask)
             if mask is None:
-                ar = np.arange(self._ring().card, dtype=np.int64)
-                mask = self._ring().mul_vec(ar, ar) == ar
+                mask = self.square == np.arange(self._ring().card)
             self._idem_mask = mask
         return self._idem_mask
 
@@ -175,24 +201,31 @@ class RingData:
         nil and contains every nil left ideal (Lam, *A First Course in
         Noncommutative Rings*, §4), so only the nilpotents are candidates,
         all tested together by ``_left_quasi_regular`` against the
-        nilpotent rows."""
+        nilpotent rows.  A commutative ring forms no product: its
+        nilpotents are the nilradical, which is J, because every prime
+        ideal of an Artin ring is maximal (Atiyah-Macdonald, ch. 8)."""
         if self._jac_mask is None:
             mask = self._product(lambda d: d.jacobson_mask)
             if mask is None:
-                mask = np.zeros(self._ring().card, dtype=bool)
-                mask[self._left_quasi_regular(np.flatnonzero(self.nil_mask))] = True
+                if self.commutative:
+                    mask = self.nil_mask
+                else:
+                    mask = np.zeros(self._ring().card, dtype=bool)
+                    mask[self._left_quasi_regular(np.flatnonzero(self.nil_mask))] = True
             self._jac_mask = mask
         return self._jac_mask
 
     def left_quasi_regular(self, x: int) -> bool:
         """Whether x lies in J: J(L x R) = J(L) x J(R), so a pair does
         exactly when both parts do.  Otherwise only a nilpotent can (J is
-        nil), tested by ``_left_quasi_regular``."""
+        nil), every one of them in a commutative ring (J = Nil there), else
+        tested by ``_left_quasi_regular``."""
         inside = self._factorwise(x, RingData.left_quasi_regular)
         if inside is None:
-            inside = bool(self.nil_mask[x]) and len(
-                self._left_quasi_regular(np.array([x], dtype=np.int64))
-            ) == 1
+            inside = bool(self.nil_mask[x]) and (
+                self.commutative
+                or len(self._left_quasi_regular(np.array([x], dtype=np.int64))) == 1
+            )
         return inside
 
     def _left_quasi_regular(self, cand: np.ndarray) -> np.ndarray:
@@ -242,7 +275,7 @@ class RingData:
         """Z(R) as the elements commuting with every additive generator:
         [x, r] is additive in r, so that is 2k ``mul_vec`` calls of at most
         card products, k = ``len(additive_generators(ring))``.  A
-        commutative ring, decided on k(k-1)/2 generator pairs, is its own
+        commutative ring, decided on the k**2 generator products, is its own
         center and forms none of them."""
         if self._center_mask is None:
             mask = self._product(lambda d: d.center_mask)
@@ -266,7 +299,7 @@ class RingData:
 
     def nil_images(self) -> np.ndarray:
         """The masks of ``nil_at`` stacked in ``NIL_IMAGES`` order, computed
-        together (one square and four sums over the carrier) and cached.
+        together (four sums over the carrier and ``square``) and cached.
         p acts componentwise and so does nilpotency, so a direct product
         combines its factors' masks."""
         if self._nil_images is None:
@@ -274,12 +307,11 @@ class RingData:
             if stack is None:
                 ring = self._ring()
                 a = np.arange(ring.card, dtype=np.int64)
-                square = ring.mul_vec(a, a)
                 stack = self.nil_mask[np.stack((
                     ring.sub_vec(a, ring.one),
                     ring.add_vec(a, ring.one),
-                    ring.sub_vec(a, square),
-                    ring.add_vec(a, square),
+                    ring.sub_vec(a, self.square),
+                    ring.add_vec(a, self.square),
                 ))]
             self._nil_images = stack
         return self._nil_images

@@ -170,20 +170,26 @@ class VerifyContext:
         return f"({self.parsed(a)[0]} x {self.parsed(b)[0]})"
 
     def ring(self, text: str) -> Ring:
-        key, expr = self.parsed(text)
-        ring = self._rings.get(key)
-        if ring is None:
-            ring = self._rings[key] = maybe_memoize(build(expr, max_card=self.max_card))
-        return ring
+        return self._ring(*self.parsed(text))
 
     def pair_ring(self, a: str, b: str) -> Ring:
-        """Direct product of two catalog rings, sharing the cached factors:
-        the rule of ``maybe_memoize``, which tabulates no product, so its
-        invariants and nil sign masks come from the factors'."""
-        key = self.pair_text(a, b)
+        """``ring`` of ``pair_text(a, b)``, from the factors' terms: the
+        catalog pairs are not parsed again."""
+        return self._ring(self.pair_text(a, b), Term("x", (self.parsed(a)[1], self.parsed(b)[1])))
+
+    def _ring(self, key: str, expr: Term) -> Ring:
+        """The ring of a term with canonical text ``key``, built once per
+        run.  A direct product is built over its cached factor rings, the
+        rule of ``maybe_memoize``, which tabulates no product, so its
+        invariants and nil sign masks come from the factors' and each
+        factor is built once."""
         ring = self._rings.get(key)
         if ring is None:
-            ring = cons.direct_product(self.ring(a), self.ring(b), max_card=self.max_card)
+            if expr.name == "x":
+                left, right = (self._ring(canonical(e), e) for e in expr.args)
+                ring = cons.direct_product(left, right, max_card=self.max_card)
+            else:
+                ring = maybe_memoize(build(expr, max_card=self.max_card))
             self._rings[key] = ring
         return ring
 

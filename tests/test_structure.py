@@ -243,6 +243,9 @@ def test_structural_record_shape(z6):
         "T(2,Z(6))",
         "TE(Z(9))",
         "MODJ(T(2,GF(2,2)))",
+        # walks of three or more rounds, their even powers off the square
+        "M(2,Z(7))",
+        "PAT(S(3),Z(6))",
         # nested direct products: the status is read off the factors'
         "(Z(2) x Z(3)) x Z(4)",
         "T(2,Z(2)) x (Z(3) x Z(4))",
@@ -257,6 +260,32 @@ def test_status_pass_matches_power_walk(expr):
     assert data.unit_mask.tolist() == [s == "unit" for s in status]
     assert data.nil_mask.tolist() == [s == "nil" for s in status]
     assert oracle_units(ring) == {a for a, s in enumerate(status) if s == "unit"}
+
+
+@pytest.mark.parametrize("expr, most", [("M(2,Z(9))", 11000), ("M(2,Z(7))", None)])
+def test_report_flags_square_the_carrier_once(expr, most):
+    """The 14 report flags of a computed ring make one ``mul_vec`` call as
+    long as the carrier, the square that the idempotents, the status pass
+    and the images a -+ a**2 share; the walk's even powers are read off it.
+    A direct product reads its factors' and forms no square of its own."""
+    ring = rl.build(expr)
+    sizes = []
+    mul_vec = ring.mul_vec
+
+    def counted(xs, ys):
+        out = mul_vec(xs, ys)
+        sizes.append(out.size)
+        return out
+
+    ring.mul_vec = counted
+    for name in REPORT_FLAGS:
+        dec.ring_flag(ring, name)
+    assert sizes.count(ring.card) == 1 and max(sizes) == ring.card
+    assert most is None or sum(sizes) <= most
+    product = rl.build(f"{expr} x Z(2)")
+    for name in REPORT_FLAGS:
+        dec.ring_flag(product, name)
+    assert structure.ring_data(product)._square is None
 
 
 @pytest.mark.parametrize(
@@ -419,7 +448,8 @@ def test_center_jacobson_commutativity_work_is_near_linear(expr):
     assert pairs <= 2 * k * k
     pairs = 0
     data.jacobson_mask
-    assert 0 < pairs <= nil * ring.card
+    # a commutative ring reads J = Nil off the status pass
+    assert pairs == 0 if data.commutative else 0 < pairs <= nil * ring.card
 
 
 @pytest.mark.parametrize("expr", ["M(2,Z(7))", "GF(3,3)", "M(2,Z(2)) x Z(4)"])
@@ -547,6 +577,55 @@ def assert_nil_rows_match_all_rows(ring):
         assert data.left_quasi_regular(int(x)) == want[x], (ring, x)
 
 
+#: commutative catalog rings and larger commutative rings
+COMMUTATIVE_EXPRS = [
+    "Z(6)", "Z(9)", "Z(12)", "Z(6) x Z(6)", "GF(3,2)", "TE(Z(3))", "PQ(Z(2),[0,0,1])",
+    "GR(Z(3),C(3))", "GR(Z(4),C(2))", "TE(Z(27))", "GR(Z(2),C(2) x C(2) x C(2))", "MODJ(Z(12))",
+]
+
+
+@pytest.mark.parametrize("expr", COMMUTATIVE_EXPRS)
+@pytest.mark.parametrize("tabled", [False, True])
+def test_jacobson_of_a_commutative_ring_is_its_nilpotents(expr, tabled):
+    """In a commutative finite ring the nilpotents are the nilradical, which
+    is J (every prime ideal of an Artin ring is maximal): J and the J
+    membership of every element are read off the status pass without a
+    product, and agree with the all-rows pass."""
+    ring = rl.build(expr)
+    ring = rl.maybe_memoize(ring) if tabled else ring
+    data = structure.ring_data(ring)
+    assert data.commutative and scan_commutative(ring)
+    nil = data.nil_mask
+    calls = []
+    mul_vec = ring.mul_vec
+
+    def counted(xs, ys):
+        calls.append(1)
+        return mul_vec(xs, ys)
+
+    ring.mul_vec = counted
+    members = [data.left_quasi_regular(x) for x in range(ring.card)]
+    assert np.array_equal(data.jacobson_mask, nil) and members == nil.tolist()
+    assert calls == []
+    ring.mul_vec = mul_vec
+    assert np.array_equal(scan_left_quasi_regular(ring), nil)
+
+
+@given(bounded_ring_expr_strategy(max_card=256))
+@settings(max_examples=40, deadline=None)
+def test_jacobson_of_a_drawn_commutative_ring_is_its_nilpotents(expr):
+    try:
+        ring = rl.build(expr, max_card=256)
+    except (rl.ConstructionError, rl.GuardError):
+        reject()
+    if not scan_commutative(ring):
+        reject()
+    data = structure.ring_data(ring)
+    assert data.commutative
+    assert np.array_equal(data.jacobson_mask, scan_left_quasi_regular(ring))
+    assert np.array_equal(data.jacobson_mask, data.nil_mask)
+
+
 @pytest.mark.parametrize("expr", NIL_ROW_EXPRS)
 def test_nil_rows_decide_jacobson_as_all_rows_do(expr):
     assert_nil_rows_match_all_rows(rl.maybe_memoize(rl.build(expr)))
@@ -569,6 +648,7 @@ def test_jacobson_meets_the_nilpotent_rows_only():
     ring = rl.build("T(2,Z(8))")
     data = structure.ring_data(ring)
     nil = int(data.nil_mask.sum())
+    assert not data.commutative  # decided uncounted, on the generators
     formed = []
     mul_vec = ring.mul_vec
 

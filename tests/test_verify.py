@@ -204,3 +204,15 @@ def test_nil_ideals_match_the_pairwise_enumeration(expr):
     want = [mask.tobytes() for mask in scan_nil_ideals(ring)]
     assert len(got) == len(set(got)) == len(want)
     assert set(got) == set(want)
+
+
+def test_context_builds_a_product_over_its_cached_factor_rings():
+    """A product text, nested or written as a pair, is built over the very
+    factor rings that the context returns for the factors' texts."""
+    ctx = VerifyContext()
+    triple = ctx.ring("((Z(2) x Z(3)) x Z(4))")
+    pair, z4 = triple.factors()
+    assert pair is ctx.ring("(Z(2) x Z(3))") is ctx.pair_ring("Z(2)", "Z(3)")
+    assert z4 is ctx.ring("Z(4)")
+    assert all(f is ctx.ring(t) for f, t in zip(pair.factors(), ("Z(2)", "Z(3)")))
+    assert ctx.ring("(Z(2) x Z(3)) x Z(4)") is triple
