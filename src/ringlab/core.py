@@ -8,11 +8,13 @@ from them.  ``additive_span`` is the one walk of the additive group: ideals,
 quotients, ``additive_generators`` and the table build read its generators
 and steps.  ``maybe_memoize`` copies a ring of card up to
 ``MEMO_THRESHOLD`` into 16-bit operation tables (``TableRing``), and never
-tabulates a direct product, only its factors.  A digit ring folds its
-base's ``add`` and ``neg`` tables, as its sums fold their run tables
-(``_digits_table``); the ``mul`` table takes one call on the k² pairs of
-additive generators, and the rest is gathered by distributivity along the
-walk's steps in cache-sized blocks.
+tabulates a direct product, only its factors.  The ``add`` table is
+lent by a ``TableRing``, combined from a product's factors', folded from a
+digit ring's base's (``_digits_table``, as its sums fold their run
+tables), and evaluated on all pairs for any other ring.  Above
+card 64 the ``mul`` table takes one call on the k² pairs of additive
+generators, and the rest is gathered by distributivity along the steps of
+the table's walk, in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -224,13 +226,15 @@ class Subset:
         return f"<Subset of {self.ring.label} card={len(self)} {{{', '.join(map(str, members))}{tail}}}>"
 
 
-#: up to this card one n² evaluation beats the generator build's fixed cost of
-#: about 0.2 ms: of the harness rings, those of card 64 split evenly
+#: up to this card the ``mul`` table is one n² evaluation, which beats the
+#: generator build's fixed cost of about 0.2 ms: of the harness rings, those
+#: of card 64 split evenly.  The ``add`` table does not depend on it
 _DIRECT_BUILD_CARD = 64
 
-#: table entries per gather of the generator build, so that its index and
-#: result blocks stay in cache instead of being n²/2-entry temporaries per
-#: step; on Z(1024) 8k took 1.2x as long, 128k about as long
+#: table entries per gather of the generator build and per block of an n²
+#: evaluation, so that their temporaries stay in cache: on Z(1024) gathers
+#: of 8k took 1.2x as long, of 128k about as long, and the add table took
+#: 2.7 ms in blocks of 32k against 7.0 ms in one
 _GATHER_BLOCK = 1 << 15
 
 def _product_table(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -263,18 +267,21 @@ def _digits_table(digit: np.ndarray, ndigits: int, out: np.ndarray | None = None
 
 
 def _direct_table(op, out: np.ndarray) -> np.ndarray:
-    """``out[a, b] = op(a, b)``, evaluated on all pairs in one call."""
+    """``out[a, b] = op(a, b)``, evaluated on all pairs in row blocks of
+    about ``_GATHER_BLOCK`` entries, so that its temporaries stay in cache."""
     ar = np.arange(len(out), dtype=np.int64)
-    out[:] = op(ar[:, None], ar)
+    rows = max(1, _GATHER_BLOCK // len(out))
+    for lo in range(0, len(out), rows):
+        out[lo : lo + rows] = op(ar[lo : lo + rows, None], ar)
     return out
 
 
 def _table(ring: Ring, op: str, out: np.ndarray | None = None) -> np.ndarray:
     """The ``add`` or ``neg`` table (``op``): lent by a ``TableRing``,
     combined from a direct product's factors', folded from a digit ring's
-    base's by ``_digits_table``, else evaluated: ``neg`` on the carrier,
-    ``add`` on all pairs up to ``_DIRECT_BUILD_CARD`` and by ``_walk_add``
-    above it.  Only ``add`` is passed ``out``, the array it is written into."""
+    base's by ``_digits_table``, else evaluated: ``neg`` on the carrier and
+    ``add`` on all pairs by ``_direct_table``.  Only ``add`` is passed
+    ``out``, the array it is written into."""
     if isinstance(ring, TableRing):
         table = getattr(ring, "_" + op)
         if out is None:
@@ -289,27 +296,7 @@ def _table(ring: Ring, op: str, out: np.ndarray | None = None) -> np.ndarray:
     n = ring.card
     if op == "neg":
         return ring.neg_vec(np.arange(n, dtype=np.int64)).astype(TABLE_DTYPE)
-    out = np.empty((n, n), dtype=TABLE_DTYPE) if out is None else out
-    if n <= _DIRECT_BUILD_CARD:
-        return _direct_table(ring.add_vec, out)
-    _walk_add(ring, out)
-    return out
-
-
-def _walk_add(ring: Ring, out: np.ndarray) -> tuple[list[int], list]:
-    """Fill ``out`` with the ``add`` table of ``ring`` from its walk
-    (``additive_span``): the generators' rows evaluated in one call, every
-    other row gathered along the steps (t, s, h) as add[t] = add[h][add[s]].
-    Return the walk's generators and steps."""
-    n = ring.card
-    ar = np.arange(n, dtype=np.int64)
-    _, gens, steps = additive_span(ring, ar)
-    out[ring.zero] = ar
-    out[gens] = ring.add_vec(np.asarray(gens, dtype=np.int64)[:, None], ar)
-    for t, s, h in steps:
-        for tb, sb in _blocks(t, s, n):
-            out[tb] = np.take(out[h], out[sb])
-    return gens, steps
+    return _direct_table(ring.add_vec, np.empty((n, n), dtype=TABLE_DTYPE) if out is None else out)
 
 
 def _blocks(t: np.ndarray, s: np.ndarray, n: int):
@@ -328,8 +315,7 @@ def _operation_tables(table: TableRing) -> list[int] | None:
 
     ``add`` is ``_table``'s, so that a product or a digit ring never calls
     its own ``add_vec``.  Up to ``_DIRECT_BUILD_CARD`` ``mul`` is evaluated
-    on all pairs.  Above it a ring that ``_table`` would walk is walked once,
-    by ``_walk_add``; else the build walks ``table`` itself, whose
+    on all pairs.  Above it the build walks ``table`` itself, whose
     ``add_vec`` reads the finished ``add`` table.  The k generators'
     products are one ``mul_vec`` call of k² pairs; their rows follow by left
     distributivity, g(s + h) = gs + gh, and every other row by right
@@ -337,15 +323,11 @@ def _operation_tables(table: TableRing) -> list[int] | None:
     along the walk's steps (t, s, h).
     """
     source, n, add, mul = table.source, table.card, table._add, table._mul
+    _table(source, "add", add)
     if n <= _DIRECT_BUILD_CARD:
-        _table(source, "add", add)
         _direct_table(source.mul_vec, mul)
         return None
-    if isinstance(source, TableRing) or source.factors() is not None or source.digits() is not None:
-        _table(source, "add", add)
-        _, gens, steps = additive_span(table, np.arange(n, dtype=np.int64))
-    else:
-        gens, steps = _walk_add(source, add)
+    _, gens, steps = additive_span(table, np.arange(n, dtype=np.int64))
     g, k = np.asarray(gens, dtype=np.int64), len(gens)
     flat = add.ravel()
     # the generators' rows as columns, so that their gathers read rows

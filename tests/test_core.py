@@ -277,7 +277,8 @@ def test_axiom_checker_accepts_and_rejects(z6):
 #: with a quotient factor, above card 64 from factors of at most 64, and
 #: with a left factor smaller than the right one; digit rings whose add
 #: table is folded: nested, a pattern ring and a group ring over Z(9), one
-#: digit over a base without tables; and a quotient walked above card 64
+#: digit over a base without tables; a quotient above card 64; and Z(300)
+#: and Z(1024), whose add tables are evaluated in several row blocks
 TABLE_EXPRS = sorted(
     {entry.expression for entry in verify.CATALOG}
     | set(AXIOM_SUITE_EXTRAS)
@@ -303,6 +304,8 @@ TABLE_EXPRS = sorted(
         "M(1,Z(100))",
         "GF(101,1)",
         "MODJ(M(2,Z(6)))",
+        "Z(300)",
+        "Z(1024)",
     }
 )
 
@@ -410,20 +413,21 @@ def test_table_build_evaluates_generator_rows_above_card_64(expr):
     table = rl.TableRing(ring)
     n = ring.card
     k = len(table._additive_generators or [])
+    mul = [n * n] if n <= 64 else [k * k]
     if ring.factors() is not None or ring.digits() is not None:
         # a product combines its factors' add and neg tables, a digit ring
         # folds its base's; the generators' products are one call of k²
         # pairs above card 64
-        assert calls == {"add": [], "mul": [n * n] if n <= 64 else [k * k], "neg": []}
-    elif n <= 64:
-        assert calls == {"add": [n * n], "mul": [n * n], "neg": [n]}
+        assert calls == {"add": [], "mul": mul, "neg": []}
     else:
-        # a walk ring walks by its own add_vec once and evaluates the
-        # generators' add rows in one call
-        assert (calls["mul"], calls["neg"]) == ([k * k], [n])
-        built, calls["add"] = calls["add"], []
-        assert additive_span(ring, np.arange(n))[1] == table._additive_generators
-        assert built == calls["add"] + [k * n]
+        # any other ring evaluates add_vec on all pairs, in blocks of whole
+        # rows, and never walks by it: the build walks the table ring
+        rows = max(1, core._GATHER_BLOCK // n)
+        assert sum(calls["add"]) == n * n and max(calls["add"]) <= rows * n
+        assert len(calls["add"]) == -(-n // rows)
+        assert (calls["mul"], calls["neg"]) == (mul, [n])
+        if n > 64:
+            assert additive_span(ring, np.arange(n))[1] == table._additive_generators
 
 
 @pytest.mark.parametrize(
@@ -512,12 +516,14 @@ def test_additive_generators_are_cached_per_ring(expr):
         assert additive_generators(ring) is gens
 
 
-@pytest.mark.parametrize("expr", ["M(2,Z(7))", "T(3,Z(4))", "T(2,Z(8))", "TE(Z(27))", "Z(1000)"])
+@pytest.mark.parametrize(
+    "expr", ["M(2,Z(7))", "T(3,Z(4))", "T(2,Z(8))", "TE(Z(27))", "Z(1000)", "M(1,Z(1000))"]
+)
 def test_classify_walks_each_ring_once(monkeypatch, capsys, expr):
     """Each ring that classify walks, the table build's walk included, is
     walked once: the build walks the table ring it fills, which keeps the
-    generators, or a walk ring such as Z(1000) by its own add_vec, and
-    fills its add table from those steps."""
+    generators.  A ring such as Z(1000) evaluates its add table, and a
+    digit ring such as M(1,Z(1000)) folds its base's, without a walk."""
     walked = []
     span = core.additive_span
 
@@ -530,6 +536,9 @@ def test_classify_walks_each_ring_once(monkeypatch, capsys, expr):
     capsys.readouterr()
     assert walked
     assert len({id(r) for r in walked}) == len(walked)
-    if rl.build(expr).card <= core.MEMO_THRESHOLD:
-        (built,) = [r for r in walked if r.label == expr]
-        assert isinstance(built, rl.TableRing) == (expr != "Z(1000)")
+    card = rl.build(expr).card
+    if card <= core.MEMO_THRESHOLD:
+        # the one walk of that card is the build's, of the table ring: a
+        # digit ring's base of the same card is not walked
+        (built,) = [r for r in walked if r.card == card]
+        assert isinstance(built, rl.TableRing) and built.label == expr

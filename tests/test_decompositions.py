@@ -527,6 +527,28 @@ def test_element_predicates_scan_only_the_idempotents():
     assert data._nil_signs is None
 
 
+@pytest.mark.parametrize(
+    "kind, witness, products",
+    [("strongly_nil_clean", (1, 161, 838, True), 0), ("nil_clean", (1, 129, 870, False), 2)],
+)
+def test_witness_of_a_strongly_kind_forms_no_commutation_product(kind, witness, products):
+    """The scan of a strongly kind has tested that its witness commutes, so
+    ``witnesses`` forms the two commutation products ``e·rest`` and
+    ``rest·e`` on the product only for the other kinds."""
+    ring = rl.build("T(3,Z(4)) x Z(8)")
+    calls = []
+    mul = ring.mul_vec
+
+    def counting(xs, ys):
+        calls.append(xs)
+        return mul(xs, ys)
+
+    ring.mul_vec = counting
+    ((ok, w),) = decompositions.witnesses(ring, kind, [999])
+    assert (ok, (w.sign, w.idempotent, w.rest, w.commuting)) == (True, witness)
+    assert len(calls) == products
+
+
 @pytest.mark.parametrize("expr", ["M(2,Z(6))", "T(2,Z(4)) x Z(3)"])
 def test_classify_fills_only_the_nil_sign_pass(monkeypatch, expr):
     """``classify`` without witnesses scans no element's idempotents; the
