@@ -3,8 +3,19 @@ claim of the classification theory, each reporting pass, fail, or
 skipped-by-guard.
 
 Check identifiers index the claim catalog (T- theorem, P- proposition,
-L- lemma, C- corollary, EX- worked example); a failing check always
-carries a counterexample reproducible through the command line.
+L- lemma, C- corollary, EX- worked example).  A check writes detail
+lines, each starting with one word:
+
+* ``ok EXPR...``: a claim holds on the ring EXPR (or a summary holds);
+* ``FAIL EXPR: why; reproduce: ringlab classify "TEXT" --witness``: a
+  claim fails, and the command shows the ring it fails on;
+* ``SKIP EXPR: ...`` when the check leaves out a ring beyond the card
+  guard, or ``SKIP: ...`` when a ring beyond the guard ends the check;
+* ``note EXPR: ...``: a ring that does not meet the claim's premise.
+
+A check fails when any line is a FAIL.  Otherwise it is skipped when it
+compared nothing (no ring met a premise, or the guard ended it) and
+passes when it did.
 """
 
 from __future__ import annotations
@@ -222,6 +233,18 @@ def _repro(expr: str) -> str:
     return f"reproduce: ringlab classify \"{expr}\" --witness"
 
 
+def _claim(details: list[str], expr: str, holds, ok: str | None, fail: str, repro=None):
+    """Write the verdict line of one claim about ``expr`` and return
+    ``holds``: ``ok {expr}{ok}`` when it holds (no line when ``ok`` is
+    None), else ``FAIL {expr}: {fail}`` and the command that reproduces
+    it, on ``repro`` when given and on ``expr`` otherwise."""
+    if not holds:
+        details.append(f"FAIL {expr}: {fail}; {_repro(repro or expr)}")
+    elif ok is not None:
+        details.append(f"ok {expr}{ok}")
+    return holds
+
+
 #: check id -> (description, body); a body ``fn(ctx, details) -> bool``
 #: appends its detail lines and returns whether it compared anything,
 #: and ``run_check`` turns that into a ``CheckResult``
@@ -236,48 +259,74 @@ def _register(check_id: str, description: str):
     return wrap
 
 
-def _guarded_gwnc(ctx: VerifyContext, details: list[str], expr: str) -> bool | None:
-    """GWNC of one ring, or None after a SKIP line when building it would
-    exceed the guard."""
+_CATALOG_TEXTS = tuple(entry.expression for entry in CATALOG)
+
+
+def _sweep(premise=None, items=_CATALOG_TEXTS):
+    """Turn a verdict ``fn(ctx, details, item)`` into a check body that
+    gives it on each item, the catalog's ring texts by default, whose
+    ``premise(ctx, details, item)`` holds; a premise may write a line on
+    an item it turns away.  The body returns whether any item met the
+    premise, so the check is skipped when none did."""
+
+    def wrap(verdict):
+        def body(ctx: VerifyContext, details: list[str]) -> bool:
+            ran = False
+            for item in items:
+                if premise is None or premise(ctx, details, item):
+                    ran = True
+                    verdict(ctx, details, item)
+            return ran
+
+        return body
+
+    return wrap
+
+
+def _is_gwnc(ctx: VerifyContext, details: list[str], expr: str) -> bool:
+    return ctx.gwnc(expr)
+
+
+def _decided(ctx: VerifyContext, details: list[str], expr: str) -> bool:
+    """Whether the GWNC of one ring is decided, after a SKIP line when
+    building it would exceed the guard."""
     try:
-        return ctx.gwnc(expr)
+        ctx.gwnc(expr)
     except GuardError as exc:
         details.append(f"SKIP {expr}: {exc}")
-        return None
+        return False
+    return True
 
 
-def _gwnc_preserved(ctx: VerifyContext, details: list[str], pairs) -> bool:
-    """Whether each derived ring has the GWNC of its base, over (base,
-    derived) pairs; returns whether any derived ring was compared."""
-    ran = False
-    for base, derived in pairs:
-        lhs = ctx.gwnc(base)
-        rhs = _guarded_gwnc(ctx, details, derived)
-        if rhs is None:
-            continue
-        ran = True
-        if lhs == rhs:
-            details.append(f"ok {derived}: gwnc={rhs} matches {base}")
-        else:
-            details.append(
-                f"FAIL {derived}: gwnc={rhs} but {base} has gwnc={lhs}; {_repro(derived)}"
-            )
-    return ran
+def _base_then_derived(ctx: VerifyContext, details: list[str], pair) -> bool:
+    """Whether the derived ring of a (base, derived) pair is decided; the
+    base is decided first, so a guard below it ends the check."""
+    ctx.gwnc(pair[0])
+    return _decided(ctx, details, pair[1])
+
+
+def _gwnc_preserved(pairs):
+    """A check body: each derived ring within the guard has the GWNC of its
+    base, over (base, derived) pairs."""
+
+    @_sweep(_base_then_derived, tuple(pairs))
+    def body(ctx: VerifyContext, details: list[str], pair) -> None:
+        base, derived = pair
+        lhs, rhs = ctx.gwnc(base), ctx.gwnc(derived)
+        ok, fail = f": gwnc={rhs} matches {base}", f"gwnc={rhs} but {base} has gwnc={lhs}"
+        _claim(details, derived, lhs == rhs, ok, fail)
+
+    return body
 
 
 def _gwnc_agrees(details: list[str], expr: str, gwnc: bool, label: str, value: bool) -> None:
-    if gwnc == value:
-        details.append(f"ok {expr}: gwnc={gwnc}, {label}={value}")
-    else:
-        details.append(f"FAIL {expr}: gwnc={gwnc} but {label}={value}; {_repro(expr)}")
+    ok, fail = f": gwnc={gwnc}, {label}={value}", f"gwnc={gwnc} but {label}={value}"
+    _claim(details, expr, gwnc == value, ok, fail)
 
 
 def _gwnc_expected(ctx: VerifyContext, details: list[str], expr: str, expected: bool) -> None:
     got = ctx.gwnc(expr)
-    if got == expected:
-        details.append(f"ok {expr}: gwnc={got}")
-    else:
-        details.append(f"FAIL {expr}: gwnc expected {expected} got {got}; {_repro(expr)}")
+    _claim(details, expr, got == expected, f": gwnc={got}", f"gwnc expected {expected} got {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +341,11 @@ def _expected_flags(entry: CatalogEntry, ctx: VerifyContext, details: list[str])
     ring = ctx.ring(entry.expression)
     for name, expected in entry.expected:
         got = dec.ring_flag(ring, name)
-        if got == expected:
-            details.append(f"ok {entry.expression}: {name}={got}")
-        else:
-            cx = dec.flag_counterexample(ring, name)
-            cx_note = f", counterexample element {cx}" if cx is not None else ""
-            details.append(
-                f"FAIL {entry.expression}: {name} expected {expected} got {got}"
-                f"{cx_note}; {_repro(entry.expression)}"
-            )
+        cx = dec.flag_counterexample(ring, name)
+        fail = f"{name} expected {expected} got {got}"
+        if cx is not None:
+            fail += f", counterexample element {cx}"
+        _claim(details, entry.expression, got == expected, f": {name}={got}", fail)
     return bool(entry.expected)
 
 
@@ -318,85 +363,53 @@ for _entry in CATALOG:
 
 
 @_register("L-2.2", "the negative of a weakly nil-clean element is weakly clean")
-def _check_l22(ctx: VerifyContext, details: list[str]) -> bool:
-    for entry in CATALOG:
-        ring = ctx.ring(entry.expression)
-        data = structure.ring_data(ring)
-        wnc = np.flatnonzero(data.decomposes("weakly_nil_clean"))
-        keys = dec.idempotent_scan(ring, "weakly_clean", ring.neg_vec(wnc))
-        bad = wnc[keys == 2 * len(data.idem_indices)]
-        if len(bad):
-            a = int(bad[0])
-            details.append(
-                f"FAIL {entry.expression}: element {a} is weakly nil-clean but "
-                f"-{a} is not weakly clean; {_repro(entry.expression)}"
-            )
-        else:
-            details.append(f"ok {entry.expression}")
-    return True
+@_sweep()
+def _check_l22(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    ring = ctx.ring(expr)
+    data = structure.ring_data(ring)
+    wnc = np.flatnonzero(data.decomposes("weakly_nil_clean"))
+    keys = dec.idempotent_scan(ring, "weakly_clean", ring.neg_vec(wnc))
+    bad = wnc[keys == 2 * len(data.idem_indices)]
+    a = int(bad[0]) if len(bad) else None
+    fail = f"element {a} is weakly nil-clean but -{a} is not weakly clean"
+    _claim(details, expr, a is None, "", fail)
 
 
 @_register("C-2.3", "GWNC rings are weakly clean")
-def _check_c23(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for entry in CATALOG:
-        if not ctx.gwnc(entry.expression):
-            continue
-        ran = True
-        if ctx.flag(entry.expression, "weakly_clean"):
-            details.append(f"ok {entry.expression}")
-        else:
-            cx = ctx.counterexample(entry.expression, "weakly_clean")
-            details.append(
-                f"FAIL {entry.expression}: GWNC but not weakly clean "
-                f"(element {cx}); {_repro(entry.expression)}"
-            )
-    return ran
+@_sweep(_is_gwnc)
+def _check_c23(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    cx = ctx.counterexample(expr, "weakly_clean")
+    fail = f"GWNC but not weakly clean (element {cx})"
+    _claim(details, expr, ctx.flag(expr, "weakly_clean"), "", fail)
 
 
 @_register("L-2.4", "the Jacobson radical of a GWNC ring is nil")
-def _check_l24(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for entry in CATALOG:
-        ring = ctx.ring(entry.expression)
-        if not ctx.gwnc(entry.expression):
-            continue
-        ran = True
-        if structure.is_nil_subset(ring, structure.jacobson(ring)):
-            details.append(f"ok {entry.expression}")
-        else:
-            details.append(
-                f"FAIL {entry.expression}: radical is not nil; {_repro(entry.expression)}"
-            )
-    return ran
+@_sweep(_is_gwnc)
+def _check_l24(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    ring = ctx.ring(expr)
+    j_nil = structure.is_nil_subset(ring, structure.jacobson(ring))
+    _claim(details, expr, j_nil, "", "radical is not nil")
+
+
+def _units_involutive(ctx: VerifyContext, details: list[str], expr: str) -> bool:
+    """The premise of L-2.6: 2 is a unit, every unit squares to 1 and the
+    ring is GWNC."""
+    ring = ctx.ring(expr)
+    data = structure.ring_data(ring)
+    if not data.unit_mask[_times(ring, 2)]:
+        return False
+    uidx = np.flatnonzero(data.unit_mask)
+    return bool((ring.mul_vec(uidx, uidx) == ring.one).all()) and ctx.gwnc(expr)
 
 
 @_register(
     "L-2.6",
     "a GWNC ring with 2 invertible and every unit an involution is commutative",
 )
-def _check_l26(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for entry in CATALOG:
-        ring = ctx.ring(entry.expression)
-        data = structure.ring_data(ring)
-        two = _times(ring, 2)
-        if not data.unit_mask[two]:
-            continue
-        uidx = np.flatnonzero(data.unit_mask)
-        if not (ring.mul_vec(uidx, uidx) == ring.one).all():
-            continue
-        if not ctx.gwnc(entry.expression):
-            continue
-        ran = True
-        if structure.is_commutative(ring):
-            details.append(f"ok {entry.expression}")
-        else:
-            details.append(
-                f"FAIL {entry.expression}: preconditions hold but the ring is "
-                f"not commutative; {_repro(entry.expression)}"
-            )
-    return ran
+@_sweep(_units_involutive)
+def _check_l26(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    commutative = structure.is_commutative(ctx.ring(expr))
+    _claim(details, expr, commutative, "", "preconditions hold but the ring is not commutative")
 
 
 # ---------------------------------------------------------------------------
@@ -427,35 +440,29 @@ def _check_p28(ctx: VerifyContext, details: list[str]) -> bool:
         lhs = ctx.gwnc(expr)
         ideals = _nil_ideals(ring)
         for ideal in ideals:
-            if not structure.is_nil_subset(ring, ideal):
-                details.append(f"FAIL {expr}: enumerated ideal of size {len(ideal)} is not nil")
+            nil = structure.is_nil_subset(ring, ideal)
+            fail = f"enumerated ideal of size {len(ideal)} is not nil"
+            if not _claim(details, expr, nil, None, fail):
                 continue
             quotient = maybe_memoize(cons.quotient_by_ideal(ring, ideal))
             rhs, _ = dec.gwnc(quotient)
             ran = True
-            if lhs != rhs:
-                details.append(
-                    f"FAIL {expr}: gwnc={lhs} but quotient by ideal of size "
-                    f"{len(ideal)} has gwnc={rhs}; {_repro(expr)}"
-                )
+            fail = f"gwnc={lhs} but quotient by ideal of size {len(ideal)} has gwnc={rhs}"
+            _claim(details, expr, lhs == rhs, None, fail)
         details.append(f"ok {expr}: {len(ideals)} nil ideals agree")
     return ran
 
 
-@_register(
+_register(
     "C-2.11",
     "trivial extensions and truncated polynomial rings preserve GWNC exactly",
-)
-def _check_c211(ctx: VerifyContext, details: list[str]) -> bool:
-    return _gwnc_preserved(
-        ctx,
-        details,
-        (
-            (f"Z({n})", derived)
-            for n in range(2, 10)
-            for derived in (f"TE(Z({n}))", f"PQ(Z({n}),[0,0,1])", f"PQ(Z({n}),[0,0,0,1])")
-        ),
+)(
+    _gwnc_preserved(
+        (f"Z({n})", derived)
+        for n in range(2, 10)
+        for derived in (f"TE(Z({n}))", f"PQ(Z({n}),[0,0,1])", f"PQ(Z({n}),[0,0,0,1])")
     )
+)
 
 
 @_register(
@@ -463,83 +470,71 @@ def _check_c211(ctx: VerifyContext, details: list[str]) -> bool:
     "the twice-iterated trivial extension preserves GWNC and matches its 4x4 frame",
 )
 def _check_c213(ctx: VerifyContext, details: list[str]) -> bool:
-    _gwnc_preserved(ctx, details, ((f"Z({n})", f"TE(TE(Z({n})))") for n in (2, 3, 5, 6)))
+    _gwnc_preserved((f"Z({n})", f"TE(TE(Z({n})))") for n in (2, 3, 5, 6))(ctx, details)
     for n in (2, 3):
-        ok, note = _dt_frame_agrees(ctx, n)
-        details.append(("ok " if ok else "FAIL ") + note)
+        mismatch = _dt_frame_mismatch(ctx, n)
+        ok = ": exhaustive homomorphism and flag agreement"
+        frame = f"DT frame over Z({n})"
+        _claim(details, frame, mismatch is None, ok, mismatch, repro=f"TE(TE(Z({n})))")
     return True
 
 
-def _dt_frame_agrees(ctx: VerifyContext, n: int) -> tuple[bool, str]:
+def _dt_frame_mismatch(ctx: VerifyContext, n: int) -> str | None:
     """Exhaustive check that TE(TE(Z(n))) is the 4x4 frame
     [[a,b,c,d],[0,a,0,c],[0,0,a,b],[0,0,0,a]] on the same indices, plus
-    agreement of every classification flag.  Both encode ((a,b),(c,d)) as
-    the base-n digits a, b, c, d, so the coordinate map is the identity and
-    the two rings' operations must agree on every pair."""
+    agreement of every classification flag; returns the first mismatch.
+    Both encode ((a,b),(c,d)) as the base-n digits a, b, c, d, so the
+    coordinate map is the identity and the two rings' operations must
+    agree on every pair."""
     tt = ctx.ring(f"TE(TE(Z({n})))")
     frame = maybe_memoize(cons.pattern_subring(cons.double_extension_pattern(), cons.zmod(n)))
     if tt.card != frame.card:
-        return False, f"DT frame over Z({n}): card mismatch"
+        return "card mismatch"
     if tt.one != frame.one:
-        return False, f"DT frame over Z({n}): coordinate map misses the identity"
+        return "coordinate map misses the identity"
     ar = np.arange(tt.card, dtype=np.int64)
     left, right = ar[:, None], ar
     if not np.array_equal(tt.add_vec(left, right), frame.add_vec(left, right)):
-        return False, f"DT frame over Z({n}): coordinate map breaks addition"
+        return "coordinate map breaks addition"
     if not np.array_equal(tt.mul_vec(left, right), frame.mul_vec(left, right)):
-        return False, f"DT frame over Z({n}): coordinate map breaks multiplication"
-    rep_tt = dec.classify(tt)
-    rep_fr = dec.classify(frame)
-    if rep_tt.flags != rep_fr.flags:
-        return False, f"DT frame over Z({n}): classification flags differ"
-    return True, f"DT frame over Z({n}): exhaustive homomorphism and flag agreement"
+        return "coordinate map breaks multiplication"
+    if dec.classify(tt).flags != dec.classify(frame).flags:
+        return "classification flags differ"
+    return None
 
 
-@_register("C-2.16-i", "constant-diagonal triangular frames preserve GWNC exactly")
-def _check_c216(ctx: VerifyContext, details: list[str]) -> bool:
-    return _gwnc_preserved(
-        ctx,
-        details,
-        ((f"Z({n})", f"PAT({pat},Z({n}))") for pat in ("S(2)", "S(3)") for n in (2, 3, 6)),
+_register("C-2.16-i", "constant-diagonal triangular frames preserve GWNC exactly")(
+    _gwnc_preserved(
+        (f"Z({n})", f"PAT({pat},Z({n}))") for pat in ("S(2)", "S(3)") for n in (2, 3, 6)
     )
+)
 
-
-@_register("C-2.17", "the S(n,m), Tb(n,m) and U(n) frames preserve GWNC exactly")
-def _check_c217(ctx: VerifyContext, details: list[str]) -> bool:
-    return _gwnc_preserved(
-        ctx,
-        details,
-        (
-            (f"Z({n})", f"PAT({pat},Z({n}))")
-            for pat in ("S(2,2)", "Tb(2,2)", "U(3)")
-            for n in (2, 3)
-        ),
+_register("C-2.17", "the S(n,m), Tb(n,m) and U(n) frames preserve GWNC exactly")(
+    _gwnc_preserved(
+        (f"Z({n})", f"PAT({pat},Z({n}))") for pat in ("S(2,2)", "Tb(2,2)", "U(3)") for n in (2, 3)
     )
+)
 
 
 # ---------------------------------------------------------------------------
 # local / product / triangular structure
 
 
+def _trivial_idempotents(ctx: VerifyContext, details: list[str], expr: str) -> bool:
+    idempotents = int(structure.ring_data(ctx.ring(expr)).idem_mask.sum())
+    return _claim(details, expr, idempotents == 2, None, "expected only trivial idempotents")
+
+
 @_register(
     "P-2.18",
     "with only trivial idempotents, GWNC is equivalent to local with nil radical",
 )
-def _check_p218(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for expr in ("Z(4)", "Z(9)", "GF(2,2)", "Z(5)"):
-        ring = ctx.ring(expr)
-        data = structure.ring_data(ring)
-        if int(data.idem_mask.sum()) != 2:
-            details.append(f"FAIL {expr}: expected only trivial idempotents")
-            continue
-        lhs = ctx.gwnc(expr)
-        rhs = structure.is_local(ring) and structure.is_nil_subset(
-            ring, structure.jacobson(ring)
-        )
-        ran = True
-        _gwnc_agrees(details, expr, lhs, "local-with-nil-radical", rhs)
-    return ran
+@_sweep(_trivial_idempotents, ("Z(4)", "Z(9)", "GF(2,2)", "Z(5)"))
+def _check_p218(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    ring = ctx.ring(expr)
+    lhs = ctx.gwnc(expr)
+    rhs = structure.is_local(ring) and structure.is_nil_subset(ring, structure.jacobson(ring))
+    _gwnc_agrees(details, expr, lhs, "local-with-nil-radical", rhs)
 
 
 @_register(
@@ -549,24 +544,18 @@ def _check_p218(ctx: VerifyContext, details: list[str]) -> bool:
 def _check_p219(ctx: VerifyContext, details: list[str]) -> bool:
     skipped = 0
     checked = 0
-    exprs = [e.expression for e in CATALOG]
-    for a, b in itertools.combinations_with_replacement(exprs, 2):
-        pair = ctx.pair_text(a, b)
+    for a, b in itertools.combinations_with_replacement(_CATALOG_TEXTS, 2):
         try:
             holds = dec.ring_flag(ctx.pair_ring(a, b), "gwnc")
         except GuardError:
             skipped += 1
             continue
         checked += 1
-        if not holds:
-            continue
-        for factor in (a, b):
+        for factor in (a, b) if holds else ():
             if not ctx.flag(factor, "weakly_nil_clean"):
                 cx = ctx.counterexample(factor, "weakly_nil_clean")
-                details.append(
-                    f"FAIL {pair}: GWNC but factor {factor} is not weakly "
-                    f"nil-clean (element {cx}); {_repro(factor)}"
-                )
+                fail = f"GWNC but factor {factor} is not weakly nil-clean (element {cx})"
+                _claim(details, ctx.pair_text(a, b), False, None, fail, repro=factor)
     details.append(f"ok {checked} catalog pairs checked, {skipped} skipped by guard")
     return checked > 0
 
@@ -584,11 +573,7 @@ def _check_p221(ctx: VerifyContext, details: list[str]) -> bool:
         wnc_all = all(ctx.flag(x, "weakly_nil_clean") for x in (a, b, c))
         not_nc = sum(1 for x in (a, b, c) if not ctx.flag(x, "nil_clean"))
         rhs = wnc_all and not_nc <= 1
-        if lhs != rhs:
-            details.append(
-                f"FAIL {triple}: gwnc={lhs} but factor criterion gives {rhs}; "
-                f"{_repro(triple)}"
-            )
+        _claim(details, triple, lhs == rhs, None, f"gwnc={lhs} but factor criterion gives {rhs}")
     _gwnc_expected(ctx, details, "((Z(2) x Z(3)) x Z(3))", False)
     _gwnc_expected(ctx, details, "((Z(2) x Z(2)) x Z(3))", True)
     return True
@@ -603,96 +588,72 @@ def _check_p225(ctx: VerifyContext, details: list[str]) -> bool:
         derived = f"T(3,{base})"
         lhs = ctx.gwnc(derived)
         rhs = ctx.flag(base, "nil_clean")
-        if lhs != rhs:
-            details.append(
-                f"FAIL {derived}: gwnc={lhs} but nil-clean({base})={rhs}; {_repro(derived)}"
-            )
+        _claim(details, derived, lhs == rhs, None, f"gwnc={lhs} but nil-clean({base})={rhs}")
         _gwnc_expected(ctx, details, derived, want)
     return True
 
 
+def _two_in_radical(ctx: VerifyContext, details: list[str], expr: str) -> bool:
+    ring = ctx.ring(expr)
+    in_j = structure.ring_data(ring).jacobson_mask[_times(ring, 2)]
+    return _claim(details, expr, in_j, None, "2 is not in the radical")
+
+
 @_register("L-2.27", "with 2 in the radical, GWNC and GNC coincide")
-def _check_l227(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for expr in ("Z(4)", "Z(8)", "T(2,Z(2))", "TE(Z(4))"):
-        ring = ctx.ring(expr)
-        two = _times(ring, 2)
-        if not structure.ring_data(ring).jacobson_mask[two]:
-            details.append(f"FAIL {expr}: 2 is not in the radical")
-            continue
-        ran = True
-        g1 = ctx.flag(expr, "gwnc")
-        g2 = ctx.flag(expr, "gnc")
-        if g1 == g2:
-            details.append(f"ok {expr}: gwnc=gnc={g1}")
-        else:
-            details.append(f"FAIL {expr}: gwnc={g1} but gnc={g2}; {_repro(expr)}")
-    return ran
+@_sweep(_two_in_radical, ("Z(4)", "Z(8)", "T(2,Z(2))", "TE(Z(4))"))
+def _check_l227(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    g1 = ctx.flag(expr, "gwnc")
+    g2 = ctx.flag(expr, "gnc")
+    _claim(details, expr, g1 == g2, f": gwnc=gnc={g1}", f"gwnc={g1} but gnc={g2}")
 
 
 # ---------------------------------------------------------------------------
 # flag identity networks
 
 
-@_register(
+def _flag_identity(flag: str, units: str, ctx: VerifyContext, details: list[str]) -> bool:
+    """``flag`` holds on a catalog ring exactly when ``units`` and GWNC do."""
+
+    @_sweep()
+    def body(ctx: VerifyContext, details: list[str], expr: str) -> None:
+        lhs = ctx.flag(expr, flag)
+        rhs = ctx.flag(expr, units) and ctx.flag(expr, "gwnc")
+        fail = f"{flag.replace('_', '-')}={lhs} but {units.upper()}&GWNC={rhs}"
+        _claim(details, expr, lhs == rhs, None, fail)
+
+    body(ctx, details)
+    details.append("ok flag identity holds across the catalog")
+    return True
+
+
+_register(
     "L-2.28",
     "strongly weakly nil-clean is exactly WUU together with GWNC",
-)
-def _check_l228(ctx: VerifyContext, details: list[str]) -> bool:
-    for entry in CATALOG:
-        expr = entry.expression
-        lhs = ctx.flag(expr, "strongly_weakly_nil_clean")
-        rhs = ctx.flag(expr, "wuu") and ctx.flag(expr, "gwnc")
-        if lhs != rhs:
-            details.append(
-                f"FAIL {expr}: strongly-weakly-nil-clean={lhs} but WUU&GWNC={rhs}; "
-                f"{_repro(expr)}"
-            )
-    details.append("ok flag identity holds across the catalog")
-    return True
+)(functools.partial(_flag_identity, "strongly_weakly_nil_clean", "wuu"))
 
-
-@_register("L-2.29", "strongly nil-clean is exactly UU together with GWNC")
-def _check_l229(ctx: VerifyContext, details: list[str]) -> bool:
-    for entry in CATALOG:
-        expr = entry.expression
-        lhs = ctx.flag(expr, "strongly_nil_clean")
-        rhs = ctx.flag(expr, "uu") and ctx.flag(expr, "gwnc")
-        if lhs != rhs:
-            details.append(
-                f"FAIL {expr}: strongly-nil-clean={lhs} but UU&GWNC={rhs}; {_repro(expr)}"
-            )
-    details.append("ok flag identity holds across the catalog")
-    return True
+_register(
+    "L-2.29",
+    "strongly nil-clean is exactly UU together with GWNC",
+)(functools.partial(_flag_identity, "strongly_nil_clean", "uu"))
 
 
 @_register("C-2.30", "on UU rings, nine clean-family properties coincide")
-def _check_c230(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for entry in CATALOG:
-        expr = entry.expression
-        if not ctx.flag(expr, "uu"):
-            continue
-        report = ctx.report(expr)
-        values = {
-            "strongly_clean": report.flags["strongly_clean"],
-            "strongly_nil_clean": report.flags["strongly_nil_clean"],
-            "gsnc": report.flags["gsnc"],
-            "strongly_pi_regular": report.structural.strongly_pi_regular,
-            "gnc": report.flags["gnc"],
-            "gwnc": report.flags["gwnc"],
-            "semipotent": report.structural.semipotent,
-            "weakly_clean": report.flags["weakly_clean"],
-            "weakly_exchange": report.structural.weakly_exchange,
-        }
-        ran = True
-        if len(set(values.values())) > 1:
-            details.append(
-                f"FAIL {expr}: UU ring with diverging properties {values}; {_repro(expr)}"
-            )
-        else:
-            details.append(f"ok {expr}: all nine equal {values['gwnc']}")
-    return ran
+@_sweep(lambda ctx, details, expr: ctx.flag(expr, "uu"))
+def _check_c230(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    report = ctx.report(expr)
+    values = {
+        "strongly_clean": report.flags["strongly_clean"],
+        "strongly_nil_clean": report.flags["strongly_nil_clean"],
+        "gsnc": report.flags["gsnc"],
+        "strongly_pi_regular": report.structural.strongly_pi_regular,
+        "gnc": report.flags["gnc"],
+        "gwnc": report.flags["gwnc"],
+        "semipotent": report.structural.semipotent,
+        "weakly_clean": report.flags["weakly_clean"],
+        "weakly_exchange": report.structural.weakly_exchange,
+    }
+    ok, fail = f": all nine equal {values['gwnc']}", f"UU ring with diverging properties {values}"
+    _claim(details, expr, len(set(values.values())) == 1, ok, fail)
 
 
 # ---------------------------------------------------------------------------
@@ -721,31 +682,24 @@ def _check_l233(ctx: VerifyContext, details: list[str]) -> bool:
         ring = ctx.ring(mat_expr)
         base_card = ctx.ring(field_expr).card
         diagonals = [a * base_card**3 for a in scalars]  # entry (0,0) most significant
-        for a, (ok, _) in zip(scalars, dec.witnesses(ring, "weakly_nil_clean", diagonals)):
-            if ok:
-                details.append(
-                    f"FAIL {mat_expr}: diag({a},0) unexpectedly weakly nil-clean; "
-                    f"{_repro(mat_expr)}"
-                )
-            else:
-                details.append(f"ok {mat_expr}: diag({a},0) not weakly nil-clean")
+        for a, (wnc, _) in zip(scalars, dec.witnesses(ring, "weakly_nil_clean", diagonals)):
+            fail = f"diag({a},0) unexpectedly weakly nil-clean"
+            _claim(details, mat_expr, not wnc, f": diag({a},0) not weakly nil-clean", fail)
     return True
+
+
+def _cube_decided(ctx: VerifyContext, details: list[str], base: str) -> bool:
+    return _decided(ctx, details, f"M(3,{base})")
 
 
 @_register(
     "T-2.35",
     "over a commutative base, a 3x3 matrix ring is GWNC iff it is nil-clean",
 )
-def _check_t235(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for base in ("Z(2)", "Z(3)", "Z(4)"):
-        derived = f"M(3,{base})"
-        lhs = _guarded_gwnc(ctx, details, derived)
-        if lhs is None:
-            continue
-        ran = True
-        _gwnc_agrees(details, derived, lhs, "nil-clean", ctx.flag(derived, "nil_clean"))
-    return ran
+@_sweep(_cube_decided, ("Z(2)", "Z(3)", "Z(4)"))
+def _check_t235(ctx: VerifyContext, details: list[str], base: str) -> None:
+    derived = f"M(3,{base})"
+    _gwnc_agrees(details, derived, ctx.gwnc(derived), "nil-clean", ctx.flag(derived, "nil_clean"))
 
 
 @_register(
@@ -754,28 +708,21 @@ def _check_t235(ctx: VerifyContext, details: list[str]) -> bool:
     "radical quotient is the 2x2 matrices over the 3-element field or the "
     "square of that field, or the ring is weakly nil-clean",
 )
-def _check_t236(ctx: VerifyContext, details: list[str]) -> bool:
-    for entry in CATALOG:
-        expr = entry.expression
-        ring = ctx.ring(expr)
-        lhs = ctx.gwnc(expr)
-        j_nil = structure.is_nil_subset(ring, structure.jacobson(ring))
-        quotient = maybe_memoize(structure.radical_quotient(ring))
-        fp = structure.wedderburn_fingerprint(quotient).blocks
-        rhs = (
-            (structure.is_local(ring) and j_nil)
-            or (fp == ((2, 3),) and j_nil)
-            or (fp == ((1, 3), (1, 3)) and j_nil)
-            or ctx.flag(expr, "weakly_nil_clean")
-        )
-        if lhs == rhs:
-            details.append(f"ok {expr}: gwnc={lhs}")
-        else:
-            details.append(
-                f"FAIL {expr}: gwnc={lhs} but the four-clause criterion gives "
-                f"{rhs} (fingerprint {fp}); {_repro(expr)}"
-            )
-    return True
+@_sweep()
+def _check_t236(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    ring = ctx.ring(expr)
+    lhs = ctx.gwnc(expr)
+    j_nil = structure.is_nil_subset(ring, structure.jacobson(ring))
+    quotient = maybe_memoize(structure.radical_quotient(ring))
+    fp = structure.wedderburn_fingerprint(quotient).blocks
+    rhs = (
+        (structure.is_local(ring) and j_nil)
+        or (fp == ((2, 3),) and j_nil)
+        or (fp == ((1, 3), (1, 3)) and j_nil)
+        or ctx.flag(expr, "weakly_nil_clean")
+    )
+    fail = f"gwnc={lhs} but the four-clause criterion gives {rhs} (fingerprint {fp})"
+    _claim(details, expr, lhs == rhs, f": gwnc={lhs}", fail)
 
 
 @_register(
@@ -783,50 +730,46 @@ def _check_t236(ctx: VerifyContext, details: list[str]) -> bool:
     "for commutative bases, a 3x3 matrix ring is GWNC iff the radical "
     "quotient of the base is Boolean",
 )
-def _check_p241(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for base in ("Z(2)", "Z(4)"):
-        derived = f"M(3,{base})"
-        lhs = _guarded_gwnc(ctx, details, derived)
-        if lhs is None:
-            continue
-        quotient = maybe_memoize(structure.radical_quotient(ctx.ring(base)))
-        rhs = structure.is_boolean_ring(quotient)
-        ran = True
-        _gwnc_agrees(details, derived, lhs, "base radical quotient boolean", rhs)
-    return ran
+@_sweep(_cube_decided, ("Z(2)", "Z(4)"))
+def _check_p241(ctx: VerifyContext, details: list[str], base: str) -> None:
+    derived = f"M(3,{base})"
+    quotient = maybe_memoize(structure.radical_quotient(ctx.ring(base)))
+    rhs = structure.is_boolean_ring(quotient)
+    _gwnc_agrees(details, derived, ctx.gwnc(derived), "base radical quotient boolean", rhs)
 
 
-def _boolean_criterion(predicate: str, ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for base in ("Z(2)", "Z(6)", "GF(2,2)", "Z(3)"):
-        ring = ctx.ring(base)
-        holds = structure.is_reduced(ring)
-        if predicate == "strongly_regular":
-            # a finite ring is strongly regular exactly when it is
-            # semisimple and reduced
-            holds = holds and structure.is_semisimple(ring)
-        if not holds:
-            details.append(f"note {base}: not {predicate}, filtered out")
-            continue
-        derived = f"M(3,{base})"
-        lhs = _guarded_gwnc(ctx, details, derived)
-        if lhs is None:
-            continue
-        ran = True
-        _gwnc_agrees(details, derived, lhs, f"boolean({base})", structure.is_boolean_ring(ring))
-    return ran
+def _filtered_base(predicate: str, ctx: VerifyContext, details: list[str], base: str) -> bool:
+    """Whether ``base`` has the predicate and M(3, base) is decided; a note
+    line names a base filtered out."""
+    ring = ctx.ring(base)
+    holds = structure.is_reduced(ring)
+    if predicate == "strongly_regular":
+        # a finite ring is strongly regular exactly when it is
+        # semisimple and reduced
+        holds = holds and structure.is_semisimple(ring)
+    if not holds:
+        details.append(f"note {base}: not {predicate}, filtered out")
+        return False
+    return _cube_decided(ctx, details, base)
 
+
+def _boolean_criterion(ctx: VerifyContext, details: list[str], base: str) -> None:
+    derived = f"M(3,{base})"
+    boolean = structure.is_boolean_ring(ctx.ring(base))
+    _gwnc_agrees(details, derived, ctx.gwnc(derived), f"boolean({base})", boolean)
+
+
+_BOOLEAN_BASES = ("Z(2)", "Z(6)", "GF(2,2)", "Z(3)")
 
 _register(
     "C-2.46",
     "for reduced bases, a 3x3 matrix ring is GWNC iff the base is Boolean",
-)(functools.partial(_boolean_criterion, "reduced"))
+)(_sweep(functools.partial(_filtered_base, "reduced"), _BOOLEAN_BASES)(_boolean_criterion))
 
 _register(
     "C-2.47",
     "for strongly regular bases, a 3x3 matrix ring is GWNC iff the base is Boolean",
-)(functools.partial(_boolean_criterion, "strongly_regular"))
+)(_sweep(functools.partial(_filtered_base, "strongly_regular"), _BOOLEAN_BASES)(_boolean_criterion))
 
 
 @_register(
@@ -841,18 +784,12 @@ def _check_c251(ctx: VerifyContext, details: list[str]) -> bool:
         for s in (int(i) for i in np.flatnonzero(data.nil_mask)):
             derived = f"FM(2,{s},{base})"
             holds = ctx.gwnc(derived)
-            if holds and not ctx.flag(base, "weakly_nil_clean"):
-                details.append(
-                    f"FAIL {derived}: GWNC but {base} is not weakly nil-clean; "
-                    f"{_repro(base)}"
-                )
-            elif ctx.flag(base, "nil_clean") and not holds:
-                details.append(
-                    f"FAIL {derived}: {base} is nil-clean but the formal matrix "
-                    f"ring is not GWNC; {_repro(derived)}"
-                )
-            else:
-                details.append(f"ok {derived}: gwnc={holds}")
+            wnc = not holds or ctx.flag(base, "weakly_nil_clean")
+            fail = f"GWNC but {base} is not weakly nil-clean"
+            if _claim(details, derived, wnc, None, fail, repro=base):
+                nc = ctx.flag(base, "nil_clean")
+                fail = f"{base} is nil-clean but the formal matrix ring is not GWNC"
+                _claim(details, derived, holds or not nc, f": gwnc={holds}", fail)
     return True
 
 
@@ -861,100 +798,78 @@ def _check_c251(ctx: VerifyContext, details: list[str]) -> bool:
 
 
 @_register("L-3.1", "a GWNC group ring has a GWNC coefficient ring")
-def _check_l31(ctx: VerifyContext, details: list[str]) -> bool:
-    for rg_expr, base_expr in GROUP_RINGS:
-        if not ctx.gwnc(rg_expr):
-            details.append(f"ok {rg_expr}: not GWNC, implication vacuous")
-        elif ctx.gwnc(base_expr):
-            details.append(f"ok {rg_expr}: base {base_expr} is GWNC")
-        else:
-            details.append(
-                f"FAIL {rg_expr}: GWNC but base {base_expr} is not; {_repro(base_expr)}"
-            )
-    return True
+@_sweep(items=GROUP_RINGS)
+def _check_l31(ctx: VerifyContext, details: list[str], pair) -> None:
+    rg_expr, base_expr = pair
+    holds = ctx.gwnc(rg_expr)
+    ok = f": base {base_expr} is GWNC" if holds else ": not GWNC, implication vacuous"
+    fail = f"GWNC but base {base_expr} is not"
+    _claim(details, rg_expr, not holds or ctx.gwnc(base_expr), ok, fail, repro=base_expr)
+
+
+def _p_nilpotent_p_group(ctx: VerifyContext, details: list[str], case) -> bool:
+    """The premise of L-3.2: p is nilpotent in the base and the group is a
+    p-group."""
+    rg_expr, base_expr, p = case
+    base = ctx.ring(base_expr)
+    nilpotent = structure.ring_data(base).nil_mask[_times(base, p)]
+    fail = f"{p} is not nilpotent in {base_expr}"
+    if not _claim(details, rg_expr, nilpotent, None, fail, repro=base_expr):
+        return False
+    group = _unwrap(ctx.ring(rg_expr)).group
+    return _claim(details, rg_expr, group.is_p_group(p), None, f"group is not a {p}-group")
 
 
 @_register(
     "L-3.2",
     "group rings of p-groups over GWNC rings with p nilpotent are GWNC",
 )
-def _check_l32(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    cases = (
+@_sweep(
+    _p_nilpotent_p_group,
+    (
         ("GR(Z(2),C(2))", "Z(2)", 2),
         ("GR(Z(4),C(2))", "Z(4)", 2),
         ("GR(Z(2),C(4))", "Z(2)", 2),
         ("GR(Z(2),C(2) x C(2))", "Z(2)", 2),
         ("GR(Z(9),C(3))", "Z(9)", 3),
-    )
-    for rg_expr, base_expr, p in cases:
-        base = ctx.ring(base_expr)
-        if not structure.ring_data(base).nil_mask[_times(base, p)]:
-            details.append(f"FAIL {rg_expr}: {p} is not nilpotent in {base_expr}")
-            continue
-        group = _unwrap(ctx.ring(rg_expr)).group
-        if not group.is_p_group(p):
-            details.append(f"FAIL {rg_expr}: group is not a {p}-group")
-            continue
-        ran = True
-        if ctx.gwnc(rg_expr):
-            details.append(f"ok {rg_expr}: GWNC")
-        else:
-            cx = ctx.counterexample(rg_expr, "gwnc")
-            details.append(
-                f"FAIL {rg_expr}: expected GWNC, counterexample element {cx}; "
-                f"{_repro(rg_expr)}"
-            )
-    return ran
+    ),
+)
+def _check_l32(ctx: VerifyContext, details: list[str], case) -> None:
+    rg_expr = case[0]
+    fail = f"expected GWNC, counterexample element {ctx.counterexample(rg_expr, 'gwnc')}"
+    _claim(details, rg_expr, ctx.gwnc(rg_expr), ": GWNC", fail)
 
 
 @_register(
     "L-3.3",
     "in a GWNC ring, 2 is invertible or 2 is nilpotent or 6 is nilpotent",
 )
-def _check_l33(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for entry in CATALOG:
-        expr = entry.expression
-        if not ctx.gwnc(expr):
-            continue
-        ring = ctx.ring(expr)
-        data = structure.ring_data(ring)
-        two = _times(ring, 2)
-        six = _times(ring, 6)
-        ran = True
-        if data.unit_mask[two] or data.nil_mask[two] or data.nil_mask[six]:
-            details.append(f"ok {expr}")
-        else:
-            details.append(
-                f"FAIL {expr}: GWNC but 2 is neither invertible nor nilpotent "
-                f"and 6 is not nilpotent; {_repro(expr)}"
-            )
-    return ran
+@_sweep(_is_gwnc)
+def _check_l33(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    ring = ctx.ring(expr)
+    data = structure.ring_data(ring)
+    two = _times(ring, 2)
+    six = _times(ring, 6)
+    holds = data.unit_mask[two] or data.nil_mask[two] or data.nil_mask[six]
+    fail = "GWNC but 2 is neither invertible nor nilpotent and 6 is not nilpotent"
+    _claim(details, expr, holds, "", fail)
+
+
+def _two_not_a_unit(ctx: VerifyContext, details: list[str], expr: str) -> bool:
+    ring = ctx.ring(expr)
+    return not structure.ring_data(ring).unit_mask[_times(ring, 2)]
 
 
 @_register(
     "L-3.4",
     "when 2 is not invertible, GWNC means GNC or weakly nil-clean",
 )
-def _check_l34(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for entry in CATALOG:
-        expr = entry.expression
-        ring = ctx.ring(expr)
-        if structure.ring_data(ring).unit_mask[_times(ring, 2)]:
-            continue
-        lhs = ctx.flag(expr, "gwnc")
-        rhs = ctx.flag(expr, "gnc") or ctx.flag(expr, "weakly_nil_clean")
-        ran = True
-        if lhs == rhs:
-            details.append(f"ok {expr}: gwnc={lhs}")
-        else:
-            details.append(
-                f"FAIL {expr}: gwnc={lhs} but GNC-or-weakly-nil-clean={rhs}; "
-                f"{_repro(expr)}"
-            )
-    return ran
+@_sweep(_two_not_a_unit)
+def _check_l34(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    lhs = ctx.flag(expr, "gwnc")
+    rhs = ctx.flag(expr, "gnc") or ctx.flag(expr, "weakly_nil_clean")
+    fail = f"gwnc={lhs} but GNC-or-weakly-nil-clean={rhs}"
+    _claim(details, expr, lhs == rhs, f": gwnc={lhs}", fail)
 
 
 @_register(
@@ -975,19 +890,14 @@ def _check_t36(ctx: VerifyContext, details: list[str]) -> bool:
             details.append(f"note {rg_expr}: group not nontrivial abelian, filtered out")
             continue
         ran = True
-        if not ctx.gwnc(rg_expr):
-            details.append(f"ok {rg_expr}: not GWNC, implication vacuous")
-        elif group.is_p_group(2) and data.nil_mask[_times(base, 2)]:
-            details.append(f"ok {rg_expr}: 2-group over 2-nilpotent base")
-        else:
-            details.append(
-                f"FAIL {rg_expr}: GWNC but group order {group.order} is not a "
-                f"power of 2 with 2 nilpotent; {_repro(rg_expr)}"
-            )
-    if ctx.gwnc("GR(Z(2),C(3))"):
-        details.append(f"FAIL GR(Z(2),C(3)): expected not GWNC; {_repro('GR(Z(2),C(3))')}")
-    else:
-        details.append("ok GR(Z(2),C(3)): not GWNC (decisive negative)")
+        holds = ctx.gwnc(rg_expr)
+        two_group = group.is_p_group(2) and data.nil_mask[_times(base, 2)]
+        ok = ": 2-group over 2-nilpotent base" if holds else ": not GWNC, implication vacuous"
+        fail = f"GWNC but group order {group.order} is not a power of 2 with 2 nilpotent"
+        _claim(details, rg_expr, not holds or two_group, ok, fail)
+    negative = "GR(Z(2),C(3))"
+    ok = ": not GWNC (decisive negative)"
+    _claim(details, negative, not ctx.gwnc(negative), ok, "expected not GWNC")
     return ran
 
 
@@ -996,10 +906,9 @@ def _check_t36(ctx: VerifyContext, details: list[str]) -> bool:
 
 
 def _run(check_id: str, description: str, body, ctx: VerifyContext) -> CheckResult:
-    """Run one check body.  A check fails when any detail line starts with
-    FAIL, is skipped when it compared nothing, and passes otherwise; a
-    guard hit anywhere in the body ends it with a SKIP line, so it is then
-    skipped, or failed when it had already recorded a FAIL."""
+    """Run one check body and read its status off its detail lines, as the
+    module docstring states; a guard hit anywhere in the body ends it with
+    a ``SKIP:`` line, and the check then compared nothing."""
     result = CheckResult(check_id, description, "pass")
     try:
         ran = body(ctx, result.details)

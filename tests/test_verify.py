@@ -1,10 +1,13 @@
 import collections
+import hashlib
+import json
+import pathlib
 import re
 
 import pytest
 
 import ringlab as rl
-from ringlab import structure, verify
+from ringlab import decompositions as dec, structure, verify
 from ringlab.verify import (
     CATALOG,
     CHECKS,
@@ -216,3 +219,70 @@ def test_context_builds_a_product_over_its_cached_factor_rings():
     assert z4 is ctx.ring("Z(4)")
     assert all(f is ctx.ring(t) for f, t in zip(pair.factors(), ("Z(2)", "Z(3)")))
     assert ctx.ring("(Z(2) x Z(3)) x Z(4)") is triple
+
+
+def test_precondition_fail_line_carries_the_reproduce_command(monkeypatch):
+    """A premise that turns a ring away with a FAIL line ends it with the
+    command that reproduces it, as every other FAIL line does."""
+    monkeypatch.setattr(verify, "_times", lambda ring, n: ring.one)
+    result = run_check("L-2.27")
+    assert result.status == "fail"
+    assert result.details[0].startswith("FAIL Z(4): 2 is not in the radical")
+    assert result.details[0].endswith('reproduce: ringlab classify "Z(4)" --witness')
+
+
+#: run name -> (max_card, whether ``dec.ring_flag`` is negated)
+HARNESS_RUNS = {
+    "max_card=default": (None, False),
+    "max_card=300": (300, False),
+    "max_card=50": (50, False),
+    "negated flags, max_card=default": (None, True),
+    "negated flags, max_card=300": (300, True),
+}
+HARNESS_DIGESTS = pathlib.Path(__file__).with_name("verify_digests.json")
+
+
+def _harness_run(run: str) -> dict[str, tuple[str, list[str]]]:
+    """Each check's status and detail lines in one ``run_all`` of
+    ``HARNESS_RUNS``; the caller negates the flags."""
+    max_card, _ = HARNESS_RUNS[run]
+    return {r.id: (r.status, r.details) for r in run_all(max_card=max_card).results}
+
+
+def _digest(status: str, details: list[str]) -> list[str]:
+    return [status, hashlib.sha256("\n".join(details).encode()).hexdigest()]
+
+
+def _negate_flags(monkeypatch) -> None:
+    flag = dec.ring_flag
+    monkeypatch.setattr(dec, "ring_flag", lambda ring, name: not flag(ring, name))
+
+
+@pytest.mark.parametrize("run", list(HARNESS_RUNS))
+def test_harness_matches_its_recorded_digests(run, monkeypatch):
+    """Every check's status and the SHA-256 of its detail lines, joined by
+    newlines, against ``verify_digests.json``.  The file was recorded from
+    the harness as it stood before its checks shared one verdict writer
+    and one sweep, with ``PYTHONPATH=src python tests/test_verify.py >
+    tests/verify_digests.json``.  The negated runs flip every answer of
+    ``ring_flag``, so most checks fail (29 of 40 at the default guard) and
+    their FAIL texts are pinned too; each FAIL line ends with its
+    reproduce command."""
+    if HARNESS_RUNS[run][1]:
+        _negate_flags(monkeypatch)
+    got = _harness_run(run)
+    want = json.loads(HARNESS_DIGESTS.read_text())[run]
+    changed = {cid: got[cid] for cid in got if _digest(*got[cid]) != want.get(cid)}
+    assert not changed and got.keys() == want.keys(), changed
+    fails = [d for status, details in got.values() for d in details if d.startswith("FAIL")]
+    assert all(re.search(r'; reproduce: ringlab classify "[^"]+" --witness$', d) for d in fails)
+
+
+if __name__ == "__main__":
+    digests = {}
+    for name, (_, negated) in HARNESS_RUNS.items():
+        with pytest.MonkeyPatch.context() as patch:
+            if negated:
+                _negate_flags(patch)
+            digests[name] = {cid: _digest(*out) for cid, out in _harness_run(name).items()}
+    print(json.dumps(digests, indent=1, sort_keys=True))
