@@ -867,9 +867,12 @@ class QuotientRing(Ring):
 
     One ``additive_span`` walk over the ideal checks it (the span is the
     subset exactly when the subset is an additive subgroup) and gives the
-    coset minima: replaying each generator and each step's h as
-    m[x] = min(m[x], m[x + h]) takes the minimum over their subset sums,
-    which cover S, in any order."""
+    coset minima: replaying each step's h as m[x] = min(m[x], m[x + h])
+    takes the minimum over their subset sums, in any order.  A generator
+    g's J steps h = g, 2g, ..., 2^(J-1)g cover 0, g, ..., (2^J - 1)g modulo
+    the span before it, and a later generator walks on until 2^J is at
+    least its order there.  The first one's cosets are single elements,
+    so its walk may stop at |<g>| = 2^J + 1, and then g is replayed too."""
 
     def __init__(self, base: Ring, ideal: Subset, label: str | None = None) -> None:
         if ideal.ring is not base:
@@ -884,7 +887,12 @@ class QuotientRing(Ring):
         self.ideal = ideal
         ar = np.arange(base.card, dtype=np.int64)
         minrep = ar
-        for h in span + [h for _, _, h in steps]:
+        hs = [h for _, _, h in steps]
+        j = hs.index(span[1]) if len(span) > 1 else len(hs)  # the first generator's steps
+        # |<g>| counts 0, g and the elements those steps add
+        if span and 2 + sum(len(t) for t, _, _ in steps[:j]) == 2**j + 1:
+            hs.append(span[0])
+        for h in hs:
             minrep = np.minimum(minrep, minrep[base.add_vec(ar, h)])
         self._reps, self._coset_of = np.unique(minrep, return_inverse=True)
         self.card = len(self._reps)

@@ -262,12 +262,12 @@ class RingAnalysis:
     """Lazily computed ring-level flags with deterministic counterexamples.
 
     Each flag reads one mask of ``_SATISFIED``, so the lowest-index
-    counterexample is the first failing element of its domain."""
+    counterexample is the first failing element of its domain, and a flag
+    holds exactly when it has none."""
 
     def __init__(self, ring: Ring) -> None:
         self._ring = weakref.ref(ring)  # held weakly, as ``RingData`` holds it
         self.data = ring_data(ring)
-        self._flags: dict[str, bool] = {}
         self._cx: dict[str, int | None] = {}
 
     def _compute(self, name: str) -> bool:
@@ -278,30 +278,23 @@ class RingAnalysis:
             self._cx[name] = int(failing[0]) if len(failing) else None
         else:
             raise ValueError(f"unknown flag {name!r}")
-        self._flags[name] = self._cx[name] is None
-        return self._flags[name]
+        return self._cx[name] is None
 
     def flag(self, name: str) -> bool:
-        if name not in self._flags:
-            self._compute(name)
-        return self._flags[name]
+        return self.counterexample(name) is None
 
     def counterexample(self, name: str) -> int | None:
-        self.flag(name)
+        if name not in self._cx:
+            self._compute(name)
         return self._cx[name]
 
     def report(self) -> PropertyReport:
-        flags = {name: self.flag(name) for name in REPORT_FLAGS}
-        cx = {
-            name: self._cx[name]
-            for name in REPORT_FLAGS
-            if self._cx.get(name) is not None
-        }
+        cx = {name: self.counterexample(name) for name in REPORT_FLAGS}
         return PropertyReport(
             label=self._ring().label,
             card=self._ring().card,
-            flags=flags,
-            counterexamples=cx,
+            flags={name: c is None for name, c in cx.items()},
+            counterexamples={name: c for name, c in cx.items() if c is not None},
             structural=structural_predicates(self._ring()),
         )
 

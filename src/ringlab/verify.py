@@ -11,11 +11,11 @@ lines, each starting with one word:
   claim fails, and the command shows the ring it fails on;
 * ``SKIP EXPR: ...`` when the check leaves out a ring beyond the card
   guard, or ``SKIP: ...`` when a ring beyond the guard ends the check;
-* ``note EXPR: ...``: a ring that does not meet the claim's premise.
+* ``note EXPR: ...``: a ring outside the claim's premise, or a count.
 
-A check fails when any line is a FAIL.  Otherwise it is skipped when it
-compared nothing (no ring met a premise, or the guard ended it) and
-passes when it did.
+A check's status is read off its lines: it fails when any line is a
+FAIL; otherwise it is skipped when a ``SKIP:`` line ended it or no line
+is ``ok`` (it compared nothing), and passes when some line is.
 """
 
 from __future__ import annotations
@@ -245,9 +245,8 @@ def _claim(details: list[str], expr: str, holds, ok: str | None, fail: str, repr
     return holds
 
 
-#: check id -> (description, body); a body ``fn(ctx, details) -> bool``
-#: appends its detail lines and returns whether it compared anything,
-#: and ``run_check`` turns that into a ``CheckResult``
+#: check id -> (description, body); a body ``fn(ctx, details)`` appends
+#: its detail lines, and ``run_check`` reads a ``CheckResult`` off them
 CHECKS: dict[str, tuple[str, object]] = {}
 
 
@@ -266,17 +265,14 @@ def _sweep(premise=None, items=_CATALOG_TEXTS):
     """Turn a verdict ``fn(ctx, details, item)`` into a check body that
     gives it on each item, the catalog's ring texts by default, whose
     ``premise(ctx, details, item)`` holds; a premise may write a line on
-    an item it turns away.  The body returns whether any item met the
-    premise, so the check is skipped when none did."""
+    an item it turns away, but never an ``ok`` line, so the check is
+    skipped when no item met it."""
 
     def wrap(verdict):
-        def body(ctx: VerifyContext, details: list[str]) -> bool:
-            ran = False
+        def body(ctx: VerifyContext, details: list[str]) -> None:
             for item in items:
                 if premise is None or premise(ctx, details, item):
-                    ran = True
                     verdict(ctx, details, item)
-            return ran
 
         return body
 
@@ -337,7 +333,7 @@ def _describe(entry: CatalogEntry) -> str:
     return f"expected flags of {entry.expression} ({entry.source})"
 
 
-def _expected_flags(entry: CatalogEntry, ctx: VerifyContext, details: list[str]) -> bool:
+def _expected_flags(entry: CatalogEntry, ctx: VerifyContext, details: list[str]) -> None:
     ring = ctx.ring(entry.expression)
     for name, expected in entry.expected:
         got = dec.ring_flag(ring, name)
@@ -346,7 +342,6 @@ def _expected_flags(entry: CatalogEntry, ctx: VerifyContext, details: list[str])
         if cx is not None:
             fail += f", counterexample element {cx}"
         _claim(details, entry.expression, got == expected, f": {name}={got}", fail)
-    return bool(entry.expected)
 
 
 def check_catalog_entry(ctx: VerifyContext, entry: CatalogEntry) -> CheckResult:
@@ -433,24 +428,22 @@ def _nil_ideals(ring: Ring) -> list[Subset]:
 
 
 @_register("P-2.8", "a ring and its quotient by a nil ideal agree on GWNC")
-def _check_p28(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
-    for expr in ("T(2,Z(4))", "TE(Z(6))", "PQ(Z(3),[0,0,1])"):
-        ring = ctx.ring(expr)
-        lhs = ctx.gwnc(expr)
-        ideals = _nil_ideals(ring)
-        for ideal in ideals:
-            nil = structure.is_nil_subset(ring, ideal)
-            fail = f"enumerated ideal of size {len(ideal)} is not nil"
-            if not _claim(details, expr, nil, None, fail):
-                continue
-            quotient = maybe_memoize(cons.quotient_by_ideal(ring, ideal))
-            rhs, _ = dec.gwnc(quotient)
-            ran = True
+@_sweep(items=("T(2,Z(4))", "TE(Z(6))", "PQ(Z(3),[0,0,1])"))
+def _check_p28(ctx: VerifyContext, details: list[str], expr: str) -> None:
+    ring = ctx.ring(expr)
+    lhs = ctx.gwnc(expr)
+    ideals = _nil_ideals(ring)
+    agree = True
+    for ideal in ideals:
+        fail = f"enumerated ideal of size {len(ideal)} is not nil"
+        holds = _claim(details, expr, structure.is_nil_subset(ring, ideal), None, fail)
+        if holds:
+            rhs, _ = dec.gwnc(maybe_memoize(cons.quotient_by_ideal(ring, ideal)))
             fail = f"gwnc={lhs} but quotient by ideal of size {len(ideal)} has gwnc={rhs}"
-            _claim(details, expr, lhs == rhs, None, fail)
+            holds = _claim(details, expr, lhs == rhs, None, fail)
+        agree = agree and holds
+    if agree:
         details.append(f"ok {expr}: {len(ideals)} nil ideals agree")
-    return ran
 
 
 _register(
@@ -469,14 +462,13 @@ _register(
     "C-2.13",
     "the twice-iterated trivial extension preserves GWNC and matches its 4x4 frame",
 )
-def _check_c213(ctx: VerifyContext, details: list[str]) -> bool:
+def _check_c213(ctx: VerifyContext, details: list[str]) -> None:
     _gwnc_preserved((f"Z({n})", f"TE(TE(Z({n})))") for n in (2, 3, 5, 6))(ctx, details)
     for n in (2, 3):
         mismatch = _dt_frame_mismatch(ctx, n)
         ok = ": exhaustive homomorphism and flag agreement"
         frame = f"DT frame over Z({n})"
         _claim(details, frame, mismatch is None, ok, mismatch, repro=f"TE(TE(Z({n})))")
-    return True
 
 
 def _dt_frame_mismatch(ctx: VerifyContext, n: int) -> str | None:
@@ -541,7 +533,7 @@ def _check_p218(ctx: VerifyContext, details: list[str], expr: str) -> None:
     "P-2.19",
     "a GWNC direct product has weakly nil-clean factors",
 )
-def _check_p219(ctx: VerifyContext, details: list[str]) -> bool:
+def _check_p219(ctx: VerifyContext, details: list[str]) -> None:
     skipped = 0
     checked = 0
     for a, b in itertools.combinations_with_replacement(_CATALOG_TEXTS, 2):
@@ -556,8 +548,8 @@ def _check_p219(ctx: VerifyContext, details: list[str]) -> bool:
                 cx = ctx.counterexample(factor, "weakly_nil_clean")
                 fail = f"GWNC but factor {factor} is not weakly nil-clean (element {cx})"
                 _claim(details, ctx.pair_text(a, b), False, None, fail, repro=factor)
-    details.append(f"ok {checked} catalog pairs checked, {skipped} skipped by guard")
-    return checked > 0
+    word = "ok" if checked else "note"
+    details.append(f"{word} {checked} catalog pairs checked, {skipped} skipped by guard")
 
 
 @_register(
@@ -565,7 +557,7 @@ def _check_p219(ctx: VerifyContext, details: list[str]) -> bool:
     "a triple product is GWNC iff all factors are weakly nil-clean and at "
     "most one is not nil-clean",
 )
-def _check_p221(ctx: VerifyContext, details: list[str]) -> bool:
+def _check_p221(ctx: VerifyContext, details: list[str]) -> None:
     atoms = ("Z(2)", "Z(3)", "Z(4)")
     for a, b, c in itertools.product(atoms, repeat=3):
         triple = f"(({a} x {b}) x {c})"
@@ -576,21 +568,20 @@ def _check_p221(ctx: VerifyContext, details: list[str]) -> bool:
         _claim(details, triple, lhs == rhs, None, f"gwnc={lhs} but factor criterion gives {rhs}")
     _gwnc_expected(ctx, details, "((Z(2) x Z(3)) x Z(3))", False)
     _gwnc_expected(ctx, details, "((Z(2) x Z(2)) x Z(3))", True)
-    return True
 
 
 @_register(
     "P-2.25",
     "a 3x3 triangular ring is GWNC exactly when its base is nil-clean",
 )
-def _check_p225(ctx: VerifyContext, details: list[str]) -> bool:
-    for base, want in (("Z(2)", True), ("Z(4)", True), ("Z(3)", False)):
-        derived = f"T(3,{base})"
-        lhs = ctx.gwnc(derived)
-        rhs = ctx.flag(base, "nil_clean")
-        _claim(details, derived, lhs == rhs, None, f"gwnc={lhs} but nil-clean({base})={rhs}")
-        _gwnc_expected(ctx, details, derived, want)
-    return True
+@_sweep(items=(("Z(2)", True), ("Z(4)", True), ("Z(3)", False)))
+def _check_p225(ctx: VerifyContext, details: list[str], case) -> None:
+    base, want = case
+    derived = f"T(3,{base})"
+    lhs = ctx.gwnc(derived)
+    rhs = ctx.flag(base, "nil_clean")
+    _claim(details, derived, lhs == rhs, None, f"gwnc={lhs} but nil-clean({base})={rhs}")
+    _gwnc_expected(ctx, details, derived, want)
 
 
 def _two_in_radical(ctx: VerifyContext, details: list[str], expr: str) -> bool:
@@ -611,7 +602,7 @@ def _check_l227(ctx: VerifyContext, details: list[str], expr: str) -> None:
 # flag identity networks
 
 
-def _flag_identity(flag: str, units: str, ctx: VerifyContext, details: list[str]) -> bool:
+def _flag_identity(flag: str, units: str, ctx: VerifyContext, details: list[str]) -> None:
     """``flag`` holds on a catalog ring exactly when ``units`` and GWNC do."""
 
     @_sweep()
@@ -622,8 +613,8 @@ def _flag_identity(flag: str, units: str, ctx: VerifyContext, details: list[str]
         _claim(details, expr, lhs == rhs, None, fail)
 
     body(ctx, details)
-    details.append("ok flag identity holds across the catalog")
-    return True
+    if not any(d.startswith("FAIL") for d in details):
+        details.append("ok flag identity holds across the catalog")
 
 
 _register(
@@ -665,7 +656,7 @@ def _check_c230(ctx: VerifyContext, details: list[str], expr: str) -> None:
     "full matrix rings over the field of order q are GWNC exactly for "
     "q=2 (any size) and q=3 at size 2",
 )
-def _check_l233(ctx: VerifyContext, details: list[str]) -> bool:
+def _check_l233(ctx: VerifyContext, details: list[str]) -> None:
     cases = (
         ("M(2,Z(2))", True),
         ("M(2,Z(3))", True),
@@ -685,7 +676,6 @@ def _check_l233(ctx: VerifyContext, details: list[str]) -> bool:
         for a, (wnc, _) in zip(scalars, dec.witnesses(ring, "weakly_nil_clean", diagonals)):
             fail = f"diag({a},0) unexpectedly weakly nil-clean"
             _claim(details, mat_expr, not wnc, f": diag({a},0) not weakly nil-clean", fail)
-    return True
 
 
 def _cube_decided(ctx: VerifyContext, details: list[str], base: str) -> bool:
@@ -777,7 +767,7 @@ _register(
     "formal 2x2 matrix rings twisted by a central nilpotent preserve the "
     "weakly nil-clean link",
 )
-def _check_c251(ctx: VerifyContext, details: list[str]) -> bool:
+def _check_c251(ctx: VerifyContext, details: list[str]) -> None:
     for base in ("Z(4)", "Z(8)"):
         ring = ctx.ring(base)
         data = structure.ring_data(ring)
@@ -790,7 +780,6 @@ def _check_c251(ctx: VerifyContext, details: list[str]) -> bool:
                 nc = ctx.flag(base, "nil_clean")
                 fail = f"{base} is nil-clean but the formal matrix ring is not GWNC"
                 _claim(details, derived, holds or not nc, f": gwnc={holds}", fail)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +866,7 @@ def _check_l34(ctx: VerifyContext, details: list[str], expr: str) -> None:
     "a GWNC group ring over a ring where 2 is not invertible forces a "
     "2-group with 2 nilpotent",
 )
-def _check_t36(ctx: VerifyContext, details: list[str]) -> bool:
-    ran = False
+def _check_t36(ctx: VerifyContext, details: list[str]) -> None:
     for rg_expr, base_expr in GROUP_RINGS:
         base = ctx.ring(base_expr)
         data = structure.ring_data(base)
@@ -889,7 +877,6 @@ def _check_t36(ctx: VerifyContext, details: list[str]) -> bool:
         if group.order == 1 or not group.is_abelian:
             details.append(f"note {rg_expr}: group not nontrivial abelian, filtered out")
             continue
-        ran = True
         holds = ctx.gwnc(rg_expr)
         two_group = group.is_p_group(2) and data.nil_mask[_times(base, 2)]
         ok = ": 2-group over 2-nilpotent base" if holds else ": not GWNC, implication vacuous"
@@ -898,7 +885,6 @@ def _check_t36(ctx: VerifyContext, details: list[str]) -> bool:
     negative = "GR(Z(2),C(3))"
     ok = ": not GWNC (decisive negative)"
     _claim(details, negative, not ctx.gwnc(negative), ok, "expected not GWNC")
-    return ran
 
 
 # ---------------------------------------------------------------------------
@@ -906,19 +892,19 @@ def _check_t36(ctx: VerifyContext, details: list[str]) -> bool:
 
 
 def _run(check_id: str, description: str, body, ctx: VerifyContext) -> CheckResult:
-    """Run one check body and read its status off its detail lines, as the
-    module docstring states; a guard hit anywhere in the body ends it with
-    a ``SKIP:`` line, and the check then compared nothing."""
-    result = CheckResult(check_id, description, "pass")
+    """Run one check body and read its status off the first word of each
+    detail line, as the module docstring states; a guard hit anywhere in
+    the body ends it with a ``SKIP:`` line."""
+    result = CheckResult(check_id, description, "skipped")
     try:
-        ran = body(ctx, result.details)
+        body(ctx, result.details)
     except GuardError as exc:
         result.details.append(f"SKIP: {exc}")
-        ran = False
-    if any(d.startswith("FAIL") for d in result.details):
+    words = [d.split(" ", 1)[0] for d in result.details]
+    if "FAIL" in words:
         result.status = "fail"
-    elif not ran:
-        result.status = "skipped"
+    elif "ok" in words and words[-1] != "SKIP:":
+        result.status = "pass"
     return result
 
 

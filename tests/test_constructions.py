@@ -7,7 +7,7 @@ import sympy
 import ringlab as rl
 from ringlab import constructions as cons, structure
 from ringlab.constructions import Pattern
-from ringlab.core import ConstructionError
+from ringlab.core import ConstructionError, additive_generators
 from ringlab.verify import CATALOG
 
 from conftest import (
@@ -477,6 +477,42 @@ def test_quotient_work_is_near_linear():
     quotient = rl.quotient_by_ideal(ring, jac)
     assert quotient.card == 8
     assert 0 < pairs <= 4 * ring.card * np.log2(ring.card)
+
+
+def test_quotient_replays_each_step_once():
+    """``add_vec`` calls and pairs of the quotient of computed T(3,Z(4)) by
+    J once the ring knows its additive generators, the span walk
+    included: each step's h is replayed once, and no later generator
+    again.  Replaying every generator as well made 28 calls of 58,720."""
+    ring = rl.build("T(3,Z(4))")
+    jac = rl.jacobson(ring)
+    additive_generators(ring)
+    calls = []
+    add = ring.add_vec
+
+    def counted(xs, ys):
+        out = add(xs, ys)
+        calls.append(out.size)
+        return out
+
+    ring.add_vec = counted
+    assert rl.quotient_by_ideal(ring, jac).card == 8
+    assert (len(calls), sum(calls)) == (23, 38240)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 12, 17, 33])
+def test_cyclic_quotients_match_member_scans(n):
+    """Z(n) modulo each ideal dZ(n), whose one generator d has order n/d:
+    at 2, 3, 5, 9, 17 and 33 that is 2^J + 1 for the J steps of its walk,
+    the case that replays d itself."""
+    ring = rl.build(f"Z({n})")
+    for d in range(1, n + 1):
+        if n % d == 0:
+            ideal = rl.ideal_generated(ring, [d % n])
+            quotient = rl.quotient_by_ideal(ring, ideal)
+            reps, coset_of = scan_coset_minima(ring, ideal.mask)
+            assert np.array_equal(quotient._reps, reps), d
+            assert np.array_equal(quotient._coset_of, coset_of), d
 
 
 def test_dt_tower_matches_pattern_flags():

@@ -101,7 +101,7 @@ def test_guard_skip_is_reported():
     assert "exceeds guard" in result.details[0]
 
 
-def test_guard_hit_inside_a_check_ends_it_skipped_with_the_card(monkeypatch):
+def test_guard_hit_inside_a_check_ends_it_skipped_with_the_card():
     for limit in (10, 300, 5000):
         summary = run_all(max_card=limit)
         assert len(summary.results) == 40
@@ -113,19 +113,31 @@ def test_guard_hit_inside_a_check_ends_it_skipped_with_the_card(monkeypatch):
             match = re.fullmatch(rf"SKIP: card (\d+) exceeds guard {limit}", line)
             assert match and int(match.group(1)) > limit, (result.id, line)
 
-    def fail_then_guard(ctx, details):
-        details.append("FAIL planted before the guard")
-        ctx.ring("M(3,Z(5))")
-        return True
 
-    planted = ("a failure recorded before a guard hit", fail_then_guard)
-    monkeypatch.setitem(CHECKS, "ZZ-PLANTED", planted)
+@pytest.mark.parametrize(
+    "lines, guard_hit, status",
+    [
+        ([], False, "skipped"),
+        (["note Z(2): not reduced, filtered out"], False, "skipped"),
+        (["note Z(2): not reduced, filtered out", "ok Z(3)"], False, "pass"),
+        (["ok Z(3)", "FAIL Z(4): planted"], False, "fail"),
+        (["ok Z(3)"], True, "skipped"),
+        (["FAIL planted before the guard"], True, "fail"),
+    ],
+)
+def test_status_is_read_off_the_detail_lines(monkeypatch, lines, guard_hit, status):
+    """A planted body writes lines and returns nothing: a FAIL line fails
+    the check; else a guard hit, or no ``ok`` line, skips it."""
+
+    def planted(ctx, details):
+        details.extend(lines)
+        if guard_hit:
+            ctx.ring("M(3,Z(5))")
+
+    monkeypatch.setitem(CHECKS, "ZZ-PLANTED", ("a planted check", planted))
     (result,) = run_all(max_card=10, only="ZZ-PLANTED").results
-    assert result.status == "fail"
-    assert result.details == [
-        "FAIL planted before the guard",
-        "SKIP: card 1953125 exceeds guard 10",
-    ]
+    assert result.status == status
+    assert result.details == lines + ["SKIP: card 1953125 exceeds guard 10"] * guard_hit
 
 
 def test_radical_quotient_checks_copy_no_semisimple_ring(monkeypatch):
