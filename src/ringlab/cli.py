@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ConstructionError, GuardError, SettingError
-from .core import is_nilpotent, maybe_memoize
+from .core import default_max_card, is_nilpotent, maybe_memoize
 from . import decompositions as dec
 from . import structure
 from .dsl import ParseError, Term, build, canonical, parse
@@ -148,13 +148,16 @@ def _source_digest() -> str:
 
 def _cache_entry(args, key: str) -> tuple[Path, str] | None:
     """The entry file of a request and the key it must hold: the source
-    digest plus the canonical key, so other sources never replay it.
-    Entries live in one directory per source digest."""
+    digest, the canonical key and the effective guard, so other sources
+    never replay it and a request is refused by its guard, or by an
+    unparsable guard setting, whether or not its entry is cached.  Entries
+    live in one directory per source digest."""
     raw = os.environ.get(CACHE_DIR_ENV) if args.cache_dir is None else args.cache_dir
     if not raw:
         return None
+    guard = default_max_card() if args.max_card is None else args.max_card
     digest = _source_digest()
-    key = f"{digest} {key}"
+    key = f"{digest} {key} max_card={guard}"
     return Path(raw) / digest / f"{hashlib.sha256(key.encode()).hexdigest()}.json", key
 
 

@@ -39,6 +39,11 @@ at the negatives.  The witnesses of single elements come from
 masks off its factors' through one rule, ``RingData._product``, and the
 centrality and J membership of one element through another,
 ``RingData._factorwise``.
+
+Each classical predicate of ``structural_predicates`` has one decider, an
+identity of finite rings read off the masks, never a pass over the
+carrier: regular is semisimple, strongly regular is semisimple and
+reduced, and semipotent and strongly pi-regular always hold.
 """
 
 from __future__ import annotations
@@ -548,83 +553,56 @@ def is_semisimple(ring: Ring) -> bool:
 
 
 def is_regular(ring: Ring) -> bool:
-    ar = np.arange(ring.card, dtype=np.int64)
-    for a in range(ring.card):
-        if not (ring.mul_vec(ring.mul_vec(a, ar), a) == a).any():
-            return False
-    return True
+    """Von Neumann regular: a finite ring is regular exactly when it is
+    semisimple (an artinian regular ring has J = 0, and a semisimple one is
+    a product of matrix rings over fields)."""
+    return is_semisimple(ring)
 
 
 def is_strongly_regular(ring: Ring) -> bool:
-    ar = np.arange(ring.card, dtype=np.int64)
-    for a in range(ring.card):
-        a2 = ring.mul(a, a)
-        if not (ring.mul_vec(a2, ar) == a).any():
-            return False
-    return True
+    """Strongly regular: regular and reduced, so for a finite ring
+    semisimple and reduced (a product of finite fields)."""
+    return is_semisimple(ring) and is_reduced(ring)
 
 
 def is_semipotent(ring: Ring) -> bool:
-    """Checked over principal one-sided ideals: any one-sided ideal not
-    inside J contains some a outside J, and then aR (or Ra) sits inside it."""
-    data = ring_data(ring)
-    jac = data.jacobson_mask
-    idem_nonzero = data.idem_mask.copy()
-    idem_nonzero[ring.zero] = False
-    ar = np.arange(ring.card, dtype=np.int64)
-    for a in range(ring.card):
-        if jac[a]:
-            continue
-        if not idem_nonzero[ring.mul_vec(a, ar)].any():
-            return False
-        if not idem_nonzero[ring.mul_vec(ar, a)].any():
-            return False
+    """Semipotent, true of every finite ring: it is artinian, so a one-sided
+    ideal not inside J is not nil and holds a nonzero idempotent."""
     return True
 
 
 def is_strongly_pi_regular(ring: Ring) -> bool:
-    ar = np.arange(ring.card, dtype=np.int64)
-    for a in range(ring.card):
-        x = a  # a**n
-        for _ in range(ring.card):
-            xnext = ring.mul(x, a)  # a**(n+1)
-            if (ring.mul_vec(xnext, ar) == x).any():
-                break
-            x = xnext
-        else:
-            return False
+    """Strongly pi-regular, true of every finite ring: the chain aR ⊇
+    a**2R ⊇ .. stops, and where a**nR = a**(n+1)R, a**n lies in a**(n+1)R."""
     return True
 
 
 def structural_predicates(ring: Ring) -> StructuralFlags:
     """Decide every classical predicate of a finite ring.  A finite ring is
     artinian, hence semiperfect and strongly pi-regular with J nilpotent, so
-    exchange, weakly_exchange, semipotent, strongly_pi_regular and semilocal
-    are constantly true, regular = semisimple, strongly_regular = semisimple
-    and reduced, and ni = nr = two_primal (Nil(R) is the preimage of
-    Nil(R/J), closed under + only when R/J is a product of fields).
-    commutative is decided on the additive generators; the brute-force
-    deciders above, and the exchange and Nil-closure scans in the tests,
-    stay as their oracles."""
+    exchange, weakly_exchange and semilocal are constantly true, and ni = nr
+    = two_primal (Nil(R) is the preimage of Nil(R/J), closed under + only
+    when R/J is a product of fields).  regular, strongly_regular,
+    semipotent and strongly_pi_regular are read off the deciders above,
+    each an identity of finite rings, whose brute-force scans stay in the
+    tests as oracles; commutative is decided on the additive generators."""
     data = ring_data(ring)
-    semisimple = is_semisimple(ring)
-    reduced = is_reduced(ring)
     two_primal = bool(np.array_equal(data.jacobson_mask, data.nil_mask))
     return StructuralFlags(
         commutative=is_commutative(ring),
         local=is_local(ring),
         abelian=is_abelian_ring(ring),
-        reduced=reduced,
+        reduced=is_reduced(ring),
         boolean=is_boolean_ring(ring),
         ni=two_primal,
         nr=two_primal,
         two_primal=two_primal,
-        regular=semisimple,
-        strongly_regular=semisimple and reduced,
+        regular=is_regular(ring),
+        strongly_regular=is_strongly_regular(ring),
         exchange=True,
         weakly_exchange=True,
-        semipotent=True,
-        strongly_pi_regular=True,
-        semisimple=semisimple,
+        semipotent=is_semipotent(ring),
+        strongly_pi_regular=is_strongly_pi_regular(ring),
+        semisimple=is_semisimple(ring),
         semilocal=True,
     )

@@ -548,7 +548,7 @@ def _check_p219(ctx: VerifyContext, details: list[str]) -> None:
                 cx = ctx.counterexample(factor, "weakly_nil_clean")
                 fail = f"GWNC but factor {factor} is not weakly nil-clean (element {cx})"
                 _claim(details, ctx.pair_text(a, b), False, None, fail, repro=factor)
-    word = "ok" if checked else "note"
+    word = "ok" if checked and not any(d.startswith("FAIL") for d in details) else "note"
     details.append(f"{word} {checked} catalog pairs checked, {skipped} skipped by guard")
 
 
@@ -729,15 +729,10 @@ def _check_p241(ctx: VerifyContext, details: list[str], base: str) -> None:
 
 
 def _filtered_base(predicate: str, ctx: VerifyContext, details: list[str], base: str) -> bool:
-    """Whether ``base`` has the predicate and M(3, base) is decided; a note
-    line names a base filtered out."""
-    ring = ctx.ring(base)
-    holds = structure.is_reduced(ring)
-    if predicate == "strongly_regular":
-        # a finite ring is strongly regular exactly when it is
-        # semisimple and reduced
-        holds = holds and structure.is_semisimple(ring)
-    if not holds:
+    """Whether ``base`` has the predicate, decided by
+    ``structure.is_<predicate>``, and M(3, base) is decided; a note line
+    names a base filtered out."""
+    if not getattr(structure, f"is_{predicate}")(ctx.ring(base)):
         details.append(f"note {base}: not {predicate}, filtered out")
         return False
     return _cube_decided(ctx, details, base)

@@ -221,6 +221,63 @@ def scan_nil_closure(ring):
     return ni, nr
 
 
+def scan_regular(ring):
+    """Whether every a has some r with a*r*a = a, one row per element: the
+    decider ``structure.is_regular`` replaced."""
+    ar = np.arange(ring.card, dtype=np.int64)
+    for a in range(ring.card):
+        if not (ring.mul_vec(ring.mul_vec(a, ar), a) == a).any():
+            return False
+    return True
+
+
+def scan_strongly_regular(ring):
+    """Whether every a lies in a**2 R, one row per element: the decider
+    ``structure.is_strongly_regular`` replaced."""
+    ar = np.arange(ring.card, dtype=np.int64)
+    for a in range(ring.card):
+        a2 = ring.mul(a, a)
+        if not (ring.mul_vec(a2, ar) == a).any():
+            return False
+    return True
+
+
+def scan_semipotent(ring):
+    """Checked over principal one-sided ideals: any one-sided ideal not
+    inside J contains some a outside J, and then aR (or Ra) sits inside it.
+    The decider ``structure.is_semipotent`` replaced."""
+    data = rl.structure.ring_data(ring)
+    jac = data.jacobson_mask
+    idem_nonzero = data.idem_mask.copy()
+    idem_nonzero[ring.zero] = False
+    ar = np.arange(ring.card, dtype=np.int64)
+    for a in range(ring.card):
+        if jac[a]:
+            continue
+        if not idem_nonzero[ring.mul_vec(a, ar)].any():
+            return False
+        if not idem_nonzero[ring.mul_vec(ar, a)].any():
+            return False
+    return True
+
+
+def scan_strongly_pi_regular(ring):
+    """Whether every a has some n with a**n in a**(n+1) R, walking the
+    powers of each element: the decider ``structure.is_strongly_pi_regular``
+    replaced."""
+    ar = np.arange(ring.card, dtype=np.int64)
+    for a in range(ring.card):
+        x = a  # a**n
+        for _ in range(ring.card):
+            xnext = ring.mul(x, a)  # a**(n+1)
+            if (ring.mul_vec(xnext, ar) == x).any():
+                break
+            x = xnext
+        else:
+            return False
+    return True
+
+
 def scan_witness_ranks(ring, nil):
     """(plus, plus_strong, minus, missing) by one combined pass over the
     pairs (r, e) of a target r and an idempotent e, with an addition for

@@ -396,6 +396,26 @@ def test_cache_hit_is_byte_identical(capsys, tmp_path):
     assert list(entry.parent.iterdir()) == [entry]  # no temporary file left
 
 
+def test_cached_request_is_refused_by_its_guard(capsys, tmp_path, monkeypatch):
+    """The effective guard is part of the entry key: a cached request
+    repeated under a lower guard, or with an unparsable guard setting, is
+    refused as it is without a cache, and a repeat under the same guard
+    still replays byte for byte."""
+    args = ("classify", "M(2,Z(7))", "--json", "--cache-dir", str(tmp_path))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    [entry] = cache_entries(tmp_path)
+    assert run_cli(capsys, *args) == (0, out, "")
+    code, hit, err = run_cli(capsys, *args, "--max-card", "100")
+    assert (code, hit) == (3, "")
+    assert "card 2401 exceeds guard 100" in err
+    monkeypatch.setenv("RINGLAB_MAX_CARD", "abc")
+    code, hit, err = run_cli(capsys, *args)
+    assert (code, hit) == (2, "")
+    assert "RINGLAB_MAX_CARD must be an integer" in err
+    assert cache_entries(tmp_path) == [entry]
+
+
 def test_classify_parses_its_expression_once(capsys, tmp_path, monkeypatch):
     """A cache miss parses once: the cache key and the build read the same
     parsed expression."""

@@ -83,6 +83,33 @@ def test_roundtrip_property(expr):
     assert canonical(parse(text)) == text
 
 
+#: the grammar's characters, with a non-ASCII digit ``٣`` (decimal, so a
+#: number), ``²`` (a digit that is not decimal) and a letter ``é``
+PARSER_CHARS = "0123456789٣²é()[], xZGFMTEPQRODJACSUb"
+
+
+@st.composite
+def edited_text(draw):
+    """A canonical text with one span replaced by up to three drawn
+    characters, so that about a quarter of the texts still parse."""
+    text = canonical(draw(st.integers(0, 2).flatmap(lambda depth: ring_expr_strategy(depth=depth))))
+    start = draw(st.integers(0, len(text)))
+    stop = draw(st.integers(start, len(text)))
+    return text[:start] + draw(st.text(PARSER_CHARS, max_size=3)) + text[stop:]
+
+
+@given(st.text(PARSER_CHARS) | edited_text())
+@settings(max_examples=300, deadline=None)
+def test_parse_raises_only_parse_error(text):
+    """Arbitrary text either parses, and then round-trips through
+    ``canonical``, or raises ``ParseError``; nothing else escapes."""
+    try:
+        expr = parse(text)
+    except ParseError:
+        return
+    assert parse(canonical(expr)) == expr
+
+
 #: one canonical text per row of the constructor tables and the card it
 #: builds; the group atom ``C`` is read inside a group ring
 EVERY_ROW = {

@@ -29,6 +29,10 @@ from conftest import (
     scan_jacobson,
     scan_left_quasi_regular,
     scan_nil_closure,
+    scan_regular,
+    scan_semipotent,
+    scan_strongly_pi_regular,
+    scan_strongly_regular,
 )
 
 SMALL_RINGS = [
@@ -338,6 +342,16 @@ def test_jacobson_one_sided_matches_two_sided_on_catalog():
                 assert umask[vals].all(), (entry.expression, x, r)
 
 
+#: the structural fields that call a public decider ``structure.is_<field>``,
+#: and the scan each decider replaced
+SCANS = {
+    "regular": scan_regular,
+    "strongly_regular": scan_strongly_regular,
+    "semipotent": scan_semipotent,
+    "strongly_pi_regular": scan_strongly_pi_regular,
+}
+
+
 def test_finite_ring_identities_match_bruteforce_deciders():
     """Every predicate ``structural_predicates`` decides by a finite-ring
     identity agrees with the brute-force decider it replaced (``nr`` is
@@ -356,14 +370,11 @@ def test_finite_ring_identities_match_bruteforce_deciders():
         exchange, weakly_exchange = scan_exchange(ring)
         ni, nr = scan_nil_closure(ring)
         oracle = {
-            "regular": structure.is_regular(ring),
-            "strongly_regular": structure.is_strongly_regular(ring),
             "ni": ni,
             "nr": nr,
             "exchange": exchange,
             "weakly_exchange": weakly_exchange,
-            "semipotent": structure.is_semipotent(ring),
-            "strongly_pi_regular": structure.is_strongly_pi_regular(ring),
+            **{field: scan(ring) for field, scan in SCANS.items()},
         }
         assert {k: getattr(flags, k) for k in oracle} == oracle, expr
         sides.add((flags.semisimple, flags.reduced, flags.ni))
@@ -371,6 +382,28 @@ def test_finite_ring_identities_match_bruteforce_deciders():
     # semisimple), NI true and false
     assert {s[:2] for s in sides} == {(True, True), (True, False), (False, False)}
     assert {s[2] for s in sides} == {True, False}
+
+
+@pytest.mark.parametrize("field", list(SCANS))
+def test_structural_predicates_follow_the_public_deciders(monkeypatch, field):
+    """``structural_predicates`` fills each of these fields by calling
+    ``structure.is_<field>``, so the report and the public decider are one
+    code path: a patched decider changes the record."""
+    ring = rl.build("T(2,Z(4))")
+    flipped = not getattr(rl.structural_predicates(ring), field)
+    monkeypatch.setattr(structure, f"is_{field}", lambda r: flipped)
+    assert getattr(rl.structural_predicates(ring), field) is flipped
+
+
+@given(bounded_ring_expr_strategy(max_card=64))
+@settings(max_examples=40, deadline=None)
+def test_identity_deciders_match_their_scans_property(expr):
+    try:
+        ring = rl.maybe_memoize(rl.build(expr, max_card=64))
+    except (rl.ConstructionError, rl.GuardError):
+        reject()
+    for field, scan in SCANS.items():
+        assert getattr(structure, f"is_{field}")(ring) == scan(ring), (expr, field)
 
 
 #: the harness rings, the classify ladder's rungs, M(2,Z(9)) above the
